@@ -43,6 +43,10 @@ EXIT_STAGNATION = 4
 EXIT_POSTCONDITION = 5
 
 DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
+# config "tolerances" keys -> solve_continuation keyword arguments
+SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage", "inner": "tol_inner",
+                     "blowup_capture": "blowup_capture",
+                     "blowup_spacing_factor": "blowup_spacing_factor"}
 
 
 class ConfigError(ValueError):
@@ -91,7 +95,7 @@ def validate_config(cfg: dict) -> None:
     if sched[0] <= 2.0 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ConfigError("schedule must be strictly increasing inside (2, 4]")
     tols = cfg.get("tolerances", {})
-    for key in ("inner", "stage", "final", "blowup_capture", "blowup_spacing_factor"):
+    for key in SOLVER_TOLERANCES:
         if key in tols and not tols[key] > 0:
             raise ConfigError(f"tolerance '{key}' must be positive")
     curvature_from_spec(cfg.get("Q", {"family": "constant"}))
@@ -226,20 +230,17 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         report["init"] = _json_ready({"type": "bubble", "center": center,
                                       "rho": init.rho, "q_center": qy})
 
+    # settings absent from the config keep solve_continuation's defaults
     tols = cfg.get("tolerances", {})
+    options = {kw: tols[key] for key, kw in SOLVER_TOLERANCES.items() if key in tols}
+    options.update({key: cfg[key] for key in ("max_outer", "clamp_radius")
+                    if key in cfg})
     status = "ok"
     exit_code = EXIT_OK
     try:
         result = solve_continuation(
-            ws, cfg.get("schedule", DEFAULT_SCHEDULE), init,
-            tol_final=tols.get("final", 1e-7),
-            tol_stage=tols.get("stage", 1e-6),
-            tol_inner=tols.get("inner", 1e-10),
-            max_outer=cfg.get("max_outer", 200),
-            blowup_capture=tols.get("blowup_capture", 0.9),
-            blowup_spacing_factor=tols.get("blowup_spacing_factor", 3.0),
-            clamp_radius=cfg.get("clamp_radius", 10.0),
-            config_echo=cfg)
+            ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, config_echo=cfg,
+            **options)
         trace = result.trace
         psi = result.psi
     except BlowUpDetected as exc:

@@ -226,9 +226,12 @@ class Bubble:
         r = self.rho
         scale = 2.0 * float(np.sum(np.abs(self.phi0) ** 2)) / self.q_center
         if abs(r - 1.0) < 1e-8:
-            base = 4.0 * math.pi * (1.0 - (r - 1.0))  # first-order expansion at r = 1
+            # r |ln r| / |1 - r^2| = 1/2 + O((r - 1)^2): no first-order term
+            base = 4.0 * math.pi
         else:
-            base = 8.0 * math.pi * r * abs(math.log(r)) / abs(1.0 - r * r)
+            # log1p and the factored 1 - r^2 avoid cancellation near r = 1
+            base = (8.0 * math.pi * r * abs(math.log1p(r - 1.0))
+                    / abs((1.0 - r) * (1.0 + r)))
         return scale * base
 
 

@@ -6,9 +6,12 @@ The saddle structure of L_p is removed in two steps:
   concave v -> L_p(u + v) on E^- (Newton-CG; the Hessian satisfies
   L_p'' <= -id there, so the shifted operator is positive definite and CG is
   unconditionally safe).  I_p(u) = L_p(u + h_p(u)).
-* ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0 (safeguarded
-  bracketing + Brent), landing on the natural constraint
-  N_p = {I_p'(u)[u] = 0}.
+* ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0, landing on
+  the natural constraint N_p = {I_p'(u)[u] = 0}.  I_p(t u) has a single
+  interior maximum on each ray (Szulkin-Weth), so Newton in t started at the
+  incoming scale is safe; its derivative d^2/dt^2 I_p(t u) comes from one
+  reduced Hessian product.  Bracketing + Brent is the fallback when the
+  Newton safeguard trips.
 
 Critical points of I_p restricted to N_p are found by projected gradient
 descent in the spectral H^{1/2} metric with a tangent-space Newton endgame.
@@ -161,28 +164,29 @@ class NehariState:
     value: float                # I_p(t u)
     f_value: float              # F_p from the energy: ((2p/(p-2)) I)^{(p-2)/p}
     f_value_rayleigh: float     # F_p = R_p(tu + h), the independent route
-    ray_second_derivative: float | None = None
+    ray_second_derivative: float  # d^2/dt^2 I_p(t u0) at the root, u0 = u/||u||
 
 
-def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
-                   tol_inner: float = 1e-10, h0=None,
-                   second_derivative: bool = False) -> NehariState:
-    """Scale u onto the Nehari set: the unique root of t -> d/dt I_p(t u)."""
-    _check_p(p)
-    u_coeff = np.asarray(u_coeff, dtype=complex)
-    unorm = _h_norm(ws, u_coeff)
-    if unorm == 0:
-        raise ValueError("cannot project the zero direction")
-    u0 = u_coeff / unorm
-    cache = {"h": None if h0 is None else h0.copy()}
+def _reduced_hessian(ws: Workspace, psi_values, p: float, w, tol_inner: float):
+    """E^+ Riesz representative of I_p''(u)[w, .] at psi = u + h_p(u).
 
-    def slope(t):
-        red = reduce_minus(t * u0, p, ws, v0=cache["h"], tol_inner=tol_inner)
-        cache["h"] = red.h
-        cache["red"] = red
-        cache["t"] = t
-        return _h_inner(ws, red.grad, u0)
+    The inner correction h_p'(u) w solves the E^- block by CG; then
+    I_p''(u)[w, .] = L_p''(psi)[w + h_p'(u) w, .] on E^+.
+    """
+    basis = ws.basis
+    full = np.where(basis.plus_mask, w, 0.0)
+    rhs_for_corr = hessian_apply(psi_values, p, ws, full)
+    corr = _neg_cg(ws, psi_values, p,
+                   np.where(basis.minus_mask, rhs_for_corr, 0.0),
+                   tol=0.01 * tol_inner ** 0.5)
+    tot = full + np.where(basis.minus_mask, corr, 0.0)
+    out = hessian_apply(psi_values, p, ws, tot)
+    return np.where(basis.plus_mask, out, 0.0)
 
+
+def _bracket_root(slope, xtol: float) -> float:
+    """Root of a slope that is positive near 0 and negative far out: bracket
+    from [0.5, 2] by halving and doubling, then Brent."""
     t_lo, t_hi = 0.5, 2.0
     s_lo = slope(t_lo)
     for _ in range(80):
@@ -200,21 +204,61 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
         s_hi = slope(t_hi)
     else:
         raise RuntimeError("Nehari bracketing failed: slope never negative")
-    t_root = brentq(slope, t_lo, t_hi, xtol=tol_t, rtol=8.8817841970012523e-16)
-    if cache.get("t") != t_root:
-        slope(t_root)
+    return brentq(slope, t_lo, t_hi, xtol=xtol, rtol=8.8817841970012523e-16)
+
+
+def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
+                   tol_inner: float = 1e-10, h0=None) -> NehariState:
+    """Scale u onto the Nehari set: the unique root of s(t) = d/dt I_p(t u0).
+
+    Newton in t from the incoming scale t = ||u||, with s'(t) from one
+    reduced Hessian product; it stops once |s/s'| <= tol_t max(t, 1).  A
+    step with s' >= 0 or leaving [t/2, 2t], or more than 8 steps, hands
+    over to bracketing and Brent.  The reduction at the accepted t is the
+    last one made, so the root costs no extra solve.
+    """
+    _check_p(p)
+    u_coeff = np.asarray(u_coeff, dtype=complex)
+    unorm = _h_norm(ws, u_coeff)
+    if unorm == 0:
+        raise ValueError("cannot project the zero direction")
+    u0 = u_coeff / unorm
+    cache = {"h": None if h0 is None else h0.copy()}
+
+    def slope(t):
+        red = reduce_minus(t * u0, p, ws, v0=cache["h"], tol_inner=tol_inner)
+        cache["h"] = red.h
+        cache["red"] = red
+        cache["t"] = t
+        return _h_inner(ws, red.grad, u0)
+
+    def ray_curvature():
+        psi_values = ws.synthesize(cache["red"].psi)
+        return _h_inner(ws, _reduced_hessian(ws, psi_values, p, u0, tol_inner), u0)
+
+    t_root = None
+    t = unorm
+    for _ in range(8):
+        s = slope(t)
+        d2 = ray_curvature()
+        if not d2 < 0:
+            break
+        step = s / d2
+        if abs(step) <= tol_t * max(t, 1.0):
+            t_root = t
+            break
+        if not 0.5 * t <= t - step <= 2.0 * t:
+            break
+        t -= step
+    if t_root is None:
+        t_root = _bracket_root(slope, tol_t)
+        if cache["t"] != t_root:
+            slope(t_root)
+        d2 = ray_curvature()
     red = cache["red"]
     I_val = red.value
     f_energy = ((2.0 * p / (p - 2.0)) * max(I_val, 0.0)) ** ((p - 2.0) / p)
     f_ray = eval_rayleigh(red.psi, p, ws)
-    d2 = None
-    if second_derivative:
-        dt = 1e-4 * t_root
-        vals = []
-        for tt in (t_root - dt, t_root, t_root + dt):
-            vals.append(reduce_minus(tt * u0, p, ws, v0=cache["h"],
-                                     tol_inner=tol_inner).value)
-        d2 = (vals[0] - 2 * vals[1] + vals[2]) / dt**2
     return NehariState(t=t_root / unorm, u=t_root * u0, h=red.h, value=I_val,
                        f_value=f_energy, f_value_rayleigh=f_ray,
                        ray_second_derivative=d2)
@@ -410,7 +454,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
         raise ValueError("schedule must be strictly increasing inside (2, 4]")
 
     if isinstance(init, Bubble):
-        psi0, rep = bubble_to_sphere(init, ws.basis, require_capture=True)
+        psi0, _ = bubble_to_sphere(init, ws.basis, require_capture=True)
     else:
         psi0 = init
     u = np.where(ws.basis.plus_mask, psi0.coeff, 0.0)
@@ -429,7 +473,6 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
 
     trace = SolverTrace(schedule=schedule, config=config_echo or {})
     prev_capture_small = False
-    prev_value = float("nan")
 
     for stage, p in enumerate(schedule):
         tol = tol_final if stage == len(schedule) - 1 else tol_stage
@@ -504,7 +547,6 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
             raise StagnationDetected(
                 f"stage p={p} stalled at residual {res:.3e} (tol {tol:g})",
                 trace, stage_p=p, residual=res)
-        prev_value = red.value
 
     final = reduce_minus(u, p, ws, v0=h, tol_inner=tol_inner)
     psi = SpectralSpinor(ws.basis, final.psi)
@@ -520,23 +562,13 @@ def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
     Each reduced Hessian product solves the inner E^- correction h'(u) w by
     CG; curvature failures return None and the caller falls back to gradient.
     """
-    basis = ws.basis
-    pos = basis.plus_mask
+    pos = ws.basis.plus_mask
     psi_values = ws.synthesize(red.psi)
-
-    def reduced_hess(w):
-        full = np.where(pos, w, 0.0)
-        rhs_for_corr = hessian_apply(psi_values, p, ws, full)
-        corr = _neg_cg(ws, psi_values, p,
-                       np.where(basis.minus_mask, rhs_for_corr, 0.0),
-                       tol=0.01 * tol_inner ** 0.5)
-        tot = full + np.where(basis.minus_mask, corr, 0.0)
-        out = hessian_apply(psi_values, p, ws, tot)
-        return np.where(pos, out, 0.0)
 
     # Nehari normal direction: Riesz vector of H_p'(u)
     un = np.where(pos, u, 0.0)
-    n_vec = np.where(pos, red.grad, 0.0) + reduced_hess(un)
+    n_vec = (np.where(pos, red.grad, 0.0)
+             + _reduced_hessian(ws, psi_values, p, un, tol_inner))
     nn = _h_inner(ws, n_vec, n_vec)
 
     def project_t(w):
@@ -553,7 +585,7 @@ def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
     for _ in range(40):
         if math.sqrt(rr) <= tol_cg:
             break
-        Ad = project_t(reduced_hess(d))
+        Ad = project_t(_reduced_hessian(ws, psi_values, p, d, tol_inner))
         dAd = _h_inner(ws, d, Ad)
         if dAd <= 1e-14 * _h_inner(ws, d, d):
             return None if _h_inner(ws, x, x) == 0 else x

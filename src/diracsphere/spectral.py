@@ -281,10 +281,15 @@ class SphereBasis:
         return np.tensordot(mat, np.asarray(coeff, dtype=complex), axes=([2], [0]))
 
     def analyze(self, values, grid: QuadratureGrid) -> np.ndarray:
-        """L^2 projection of nodal values onto the basis (adjoint transform)."""
+        """L^2 projection of nodal values onto the basis (adjoint transform).
+
+        sum conj(mat) v = conj(conj(v) @ mat): one pass over the C-contiguous
+        table, with no conjugated or transposed copy of it.
+        """
         mat = self.synthesis_matrix(grid)
         wf = (grid.weights / grid.f_pref)[:, None]
-        return np.tensordot(np.conj(mat), np.asarray(values) * wf, axes=([0, 1], [0, 1]))
+        weighted = np.conj(np.asarray(values) * wf).ravel()
+        return np.conj(weighted @ mat.reshape(-1, self.n_basis))
 
 
 @dataclass

@@ -123,7 +123,7 @@ def test_criterion_3_variational_structure(ws8):
             wn2 = float(np.sum(ws8.basis.abs_eigenvalues * np.abs(w) ** 2))
             assert hessian_quadratic_form(psi_values, p, ws8, w) <= -wn2 + 1e-6
         # (d) unique Nehari root with negative second derivative
-        st = nehari_project(u, p, ws8, second_derivative=True)
+        st = nehari_project(u, p, ws8)
         assert st.ray_second_derivative < 0
         unorm = u / math.sqrt(float(np.sum(
             ws8.basis.abs_eigenvalues * np.abs(u) ** 2)))

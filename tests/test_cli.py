@@ -97,6 +97,20 @@ def test_immerse_refuses_state_with_zero(tmp_path, ws8):
     assert rc == 5
 
 
+def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):
+    """The obstruction family Q = 1 + 0.8 x3 must be reported as blow-up
+    under the solver's default capture threshold, with no override."""
+    cfg = write_config(
+        tmp_path, J=10, grid_degree=30,
+        Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, 0.8]]},
+        schedule=[3.0, 3.5, 3.8, 3.95, 4.0], max_outer=100,
+        init={"type": "bubble", "rho": 0.35, "center": "argmax"},
+        tolerances={"final": 1e-6}, output_dir=str(tmp_path / "out"))
+    assert main(["solve", str(cfg)]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "blow-up"
+
+
 def test_determinism_bit_identical(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["solve", str(cfg), "--output", str(tmp_path / "r1")]) == 0

@@ -95,6 +95,15 @@ def test_bubble_energy_scale_invariance():
     assert quad3 == pytest.approx(analytic3, rel=1e-10)
 
 
+def test_l2_mass_sphere_continuous_at_rho_one():
+    """r |ln r| / |1 - r^2| = 1/2 + O((r - 1)^2): the r = 1 branch and the
+    closed form agree across the switch at |r - 1| = 1e-8."""
+    for sign in (1.0, -1.0):
+        near = Bubble(rho=1.0 + sign * 5e-9).l2_mass_sphere()
+        far = Bubble(rho=1.0 + sign * 2e-8).l2_mass_sphere()
+        assert far == pytest.approx(near, rel=1e-12)
+
+
 @pytest.fixture(scope="module")
 def basis16():
     return SphereBasis(16)

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
 from diracsphere.energy import eval_A, eval_L, hessian_quadratic_form
-from diracsphere.reduction import (_h_norm, barycenter, concentration_profile,
-                                   estimate_tau, nehari_defect, nehari_project,
-                                   reduce_minus)
+import diracsphere.reduction as reduction
+from diracsphere.reduction import (_h_inner, _h_norm, barycenter,
+                                   concentration_profile, estimate_tau,
+                                   nehari_defect, nehari_project, reduce_minus)
 from conftest import make_workspace, random_spinor
 
 
@@ -92,11 +94,75 @@ def test_nehari_ray_invariance_and_negativity(ws8):
     st = nehari_project(u, p, ws8)
     st3 = nehari_project(3.0 * u, p, ws8)
     assert st3.t == pytest.approx(st.t / 3.0, rel=1e-8)
-    st2 = nehari_project(u, p, ws8, second_derivative=True)
-    assert st2.ray_second_derivative < 0
+    assert st.ray_second_derivative < 0
     # on the Nehari set the defect vanishes
     red = reduce_minus(st.u, p, ws8, v0=st.h)
     assert abs(nehari_defect(st.u, p, ws8, red)) <= 1e-8
+
+
+def _counting(monkeypatch, name):
+    """Replace reduction.<name> with a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(reduction, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, name, wrapper)
+    return calls
+
+
+def test_nehari_second_derivative_matches_central_difference(ws8):
+    """The reduced-Hessian value of d^2/dt^2 I_p(t u0) at the root against a
+    central second difference of I_p along the ray."""
+    rng = np.random.default_rng(110)
+    p = 3.5
+    u = _plus(ws8, random_spinor(ws8, rng))
+    st = nehari_project(u, p, ws8)
+    unorm = _h_norm(ws8, u)
+    u0 = u / unorm
+    t = st.t * unorm
+    dt = 1e-4 * t
+    vals = [reduce_minus(tt * u0, p, ws8, v0=st.h).value
+            for tt in (t - dt, t, t + dt)]
+    fd = (vals[0] - 2 * vals[1] + vals[2]) / dt**2
+    assert st.ray_second_derivative == pytest.approx(fd, rel=1e-4)
+
+
+def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
+    """An outer iterate that arrives near the Nehari set is projected in a
+    few Newton steps, without bracketing."""
+    rng = np.random.default_rng(111)
+    p = 3.5
+    st = nehari_project(_plus(ws8, random_spinor(ws8, rng)), p, ws8)
+    d = _plus(ws8, random_spinor(ws8, rng))
+    u1 = st.u + 1e-3 * _h_norm(ws8, st.u) * d / _h_norm(ws8, d)
+    calls = _counting(monkeypatch, "reduce_minus")
+    st1 = nehari_project(u1, p, ws8, h0=st.h)
+    assert len(calls) <= 4
+    red = reduce_minus(st1.u, p, ws8, v0=st1.h)
+    assert abs(nehari_defect(st1.u, p, ws8, red)) <= 1e-8
+
+
+def test_nehari_fallback_matches_brent_oracle(ws8, monkeypatch):
+    """A direction scaled by 1e3 starts Newton far from the root, so its
+    safeguard trips; the bracketing fallback lands on the root of the slope."""
+    rng = np.random.default_rng(112)
+    p = 3.0
+    u = 1e3 * _plus(ws8, random_spinor(ws8, rng))
+    brent_calls = _counting(monkeypatch, "brentq")
+    st = nehari_project(u, p, ws8)
+    assert brent_calls
+    unorm = _h_norm(ws8, u)
+    u0 = u / unorm
+
+    def slope(t):
+        return _h_inner(ws8, reduce_minus(t * u0, p, ws8).grad, u0)
+
+    t_star = st.t * unorm
+    oracle = brentq(slope, 0.5 * t_star, 2.0 * t_star, xtol=1e-13)
+    assert st.t == pytest.approx(oracle / unorm, rel=1e-10)
 
 
 def test_nehari_max_matches_saddle_value(ws8):

@@ -47,6 +47,18 @@ def test_gram_matrix_identity(basis5, grid5):
     assert np.abs(G - np.eye(basis5.n_basis)).max() <= 1e-10
 
 
+def test_analyze_matches_conjugate_table_formula(basis5, grid5):
+    """analyze against the reference formula that contracts a conjugated
+    copy of the synthesis table."""
+    rng = np.random.default_rng(7)
+    values = (rng.normal(size=(grid5.n_nodes, 2))
+              + 1j * rng.normal(size=(grid5.n_nodes, 2)))
+    mat = basis5.synthesis_matrix(grid5)
+    wf = (grid5.weights / grid5.f_pref)[:, None]
+    ref = np.tensordot(np.conj(mat), values * wf, axes=([0, 1], [0, 1]))
+    assert np.abs(basis5.analyze(values, grid5) - ref).max() <= 1e-14
+
+
 def test_eigen_relation_residual(basis5, grid5):
     """D eta_k = lambda_k eta_k with the chart Dirac operator applied through
     exact derivatives of the closed forms."""
