@@ -13,9 +13,9 @@ immersion), and the ``cli`` driver.
 __version__ = "0.1.0"
 
 from .conformal import Bubble, StereoChart, bubble_energy_flat, bubble_to_sphere
-from .energy import (CurvatureField, PolynomialCurvature,
-                     SphericalHarmonicCurvature, Workspace, check_q_hypothesis,
-                     constant_curvature, eval_L, eval_rayleigh)
+from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
+                     constant_curvature, eval_L, eval_rayleigh,
+                     spherical_harmonic_curvature)
 from .geometry import (ImmersionMesh, nodal_analysis, reconstruct_immersion,
                        scal_identity_check, willmore)
 from .grid import QuadratureGrid
@@ -28,9 +28,9 @@ from .spectral import (BasisIndex, SphereBasis, SpectralSpinor, dirac_apply,
 
 __all__ = [
     "Bubble", "StereoChart", "bubble_energy_flat", "bubble_to_sphere",
-    "CurvatureField", "PolynomialCurvature", "SphericalHarmonicCurvature",
-    "Workspace", "check_q_hypothesis", "constant_curvature", "eval_L",
-    "eval_rayleigh", "ImmersionMesh", "nodal_analysis",
+    "PolynomialCurvature", "Workspace", "check_q_hypothesis",
+    "constant_curvature", "eval_L", "eval_rayleigh",
+    "spherical_harmonic_curvature", "ImmersionMesh", "nodal_analysis",
     "reconstruct_immersion", "scal_identity_check", "willmore",
     "QuadratureGrid", "BlowUpDetected", "ContinuationResult",
     "StagnationDetected", "barycenter", "concentration_profile",

@@ -3,7 +3,7 @@ solve, diagnostics on saved states, and immersion export.
 
 Run configuration is a single JSON document (schema_version 1); every run
 echoes the full configuration into its JSON report and the trace header, and
-fixed seeds give bit-identical trace and state files.
+identical configs give bit-identical trace and state files.
 
 Exit codes: 0 success, 2 configuration error, 3 blow-up detected,
 4 stagnation, 5 postcondition failure (zero-free or energy-window check).
@@ -23,9 +23,8 @@ import numpy as np
 
 from . import __version__
 from .conformal import Bubble, bubble_energy_flat, bubble_to_sphere
-from .energy import (CurvatureField, PolynomialCurvature,
-                     SphericalHarmonicCurvature, Workspace, check_q_hypothesis,
-                     constant_curvature, eval_L)
+from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
+                     constant_curvature, eval_L, spherical_harmonic_curvature)
 from .geometry import (edge_length_relative_error, export_obj, export_ply,
                        gauss_bonnet_defect, nodal_analysis,
                        reconstruct_immersion, scal_identity_check, willmore)
@@ -53,7 +52,7 @@ class ConfigError(ValueError):
     pass
 
 
-def curvature_from_spec(spec) -> CurvatureField:
+def curvature_from_spec(spec) -> PolynomialCurvature:
     """Build a curvature field from its JSON specification."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("Q spec must be an object with a 'family' key")
@@ -69,7 +68,10 @@ def curvature_from_spec(spec) -> CurvatureField:
         coeffs = spec.get("coeffs")
         if not coeffs:
             raise ConfigError("sph_harm Q needs a nonempty 'coeffs' list")
-        return SphericalHarmonicCurvature([tuple(c) for c in coeffs])
+        try:
+            return spherical_harmonic_curvature([tuple(c) for c in coeffs])
+        except ValueError as exc:
+            raise ConfigError(f"sph_harm Q: {exc}") from None
     raise ConfigError(f"unknown Q family '{fam}'")
 
 

@@ -216,11 +216,6 @@ class Bubble:
         scale = self.rho ** -(deriv[0] + deriv[1])
         return np.stack([scale * e1(zeta, cache), scale * e2(zeta, cache)], axis=-1)
 
-    def fiber_norm(self, x) -> np.ndarray:
-        """|phi_{y,rho}|, matching (m/2)^{(m-1)/2} f_rho^{(m-1)/2} scaled by Q(y), phi0."""
-        vals = self.eval_plane(x)
-        return np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1))
-
     def l2_mass_sphere(self) -> float:
         """Exact L^2(S^2) mass of the transported field psi_{y,rho}."""
         r = self.rho
@@ -346,20 +341,3 @@ def conformal_push_values(values, h_nodes) -> np.ndarray:
     if np.any(h <= 0):
         raise ValueError("conformal factor must be positive")
     return np.asarray(values) * np.sqrt(h)[:, None]
-
-
-def ambient_coord_exprs(chart: str) -> tuple[ChartExpr, ChartExpr, ChartExpr]:
-    """Ambient coordinates (xi1, xi2, xi3) as ChartExpr on chart 'a' or 'b'."""
-    one = ChartExpr.monomial(1.0, 0, 0, 0)
-    rho_u = ChartExpr.monomial(2.0, 1, 1, 1)  # 2 zbar z / u
-    if chart == "a":
-        x1 = ChartExpr.monomial(1.0, 1, 0, 1) + ChartExpr.monomial(1.0, 0, 1, 1)
-        x2 = ChartExpr.monomial(-1j, 1, 0, 1) + ChartExpr.monomial(1j, 0, 1, 1)
-        x3 = one - rho_u
-    elif chart == "b":
-        x1 = ChartExpr.monomial(1.0, 1, 0, 1) + ChartExpr.monomial(1.0, 0, 1, 1)
-        x2 = ChartExpr.monomial(1j, 1, 0, 1) + ChartExpr.monomial(-1j, 0, 1, 1)
-        x3 = rho_u - one
-    else:
-        raise ValueError("chart must be 'a' or 'b'")
-    return x1, x2, x3

@@ -1,5 +1,11 @@
 """Prescribed-curvature fields Q and the variational functionals.
 
+Every Q is a PolynomialCurvature: monomials in the ambient coordinates
+(x1, x2, x3) restricted to the sphere, with exact gradient and Hessian.  Three
+builders make one: ``constant_curvature``, a term list passed to
+``PolynomialCurvature`` directly, and ``spherical_harmonic_curvature``, which
+converts a real spherical-harmonic table exactly into monomials.
+
 The strongly indefinite energy at exponent p in (2, 4]:
 
     L_p(psi) = 1/2 (||psi^+||^2 - ||psi^-||^2) - (1/p) integral Q |psi|^p,
@@ -21,64 +27,19 @@ the same formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import legendre
 
-from .chartexpr import ChartExpr
-from .conformal import ambient_coord_exprs
 from .grid import QuadratureGrid
 from .spectral import SphereBasis, SpectralSpinor
 
 # -- curvature fields ---------------------------------------------------------
 
 
-class CurvatureField:
-    """Base class: positive smooth function on S^2 with derivative access."""
-
-    exact_derivatives = False
-
-    def evaluate(self, xyz) -> np.ndarray:
-        raise NotImplementedError
-
-    def ambient_gradient(self, xyz) -> np.ndarray:
-        """Gradient of an ambient extension, finite differences by default."""
-        xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        h = 1e-6
-        out = np.empty_like(xyz)
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = h
-            fp = self.evaluate(_renorm(xyz + e))
-            fm = self.evaluate(_renorm(xyz - e))
-            out[:, a] = (fp - fm) / (2 * h)
-        return out
-
-    def ambient_hessian(self, xyz) -> np.ndarray:
-        xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        h = 1e-4
-        out = np.empty((xyz.shape[0], 3, 3))
-        for a in range(3):
-            e = np.zeros(3)
-            e[a] = h
-            gp = self.ambient_gradient(_renorm(xyz + e))
-            gm = self.ambient_gradient(_renorm(xyz - e))
-            out[:, a, :] = (gp - gm) / (2 * h)
-        return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-    def chart_expr(self, chart: str) -> ChartExpr | None:
-        """Exact chart form when available (polynomial families)."""
-        return None
-
-
-def _renorm(xyz):
-    return xyz / np.linalg.norm(xyz, axis=-1, keepdims=True)
-
-
-class PolynomialCurvature(CurvatureField):
+class PolynomialCurvature:
     """Q = sum c * x1^i x2^j x3^k restricted to the sphere; exact derivatives."""
-
-    exact_derivatives = True
 
     def __init__(self, terms):
         # terms: iterable of (i, j, k, coeff)
@@ -133,17 +94,6 @@ class PolynomialCurvature(CurvatureField):
                     out[:, a, b] += term
         return out
 
-    def chart_expr(self, chart: str) -> ChartExpr:
-        coords = ambient_coord_exprs(chart)
-        total = ChartExpr()
-        for i, j, k, c in self.terms:
-            term = ChartExpr.monomial(c, 0, 0, 0)
-            for expr, power in zip(coords, (i, j, k)):
-                for _ in range(power):
-                    term = term * expr
-            total = total + term
-        return total
-
     def is_affine(self) -> bool:
         return all(i + j + k <= 1 for i, j, k, _ in self.terms)
 
@@ -152,39 +102,36 @@ def constant_curvature(value: float = 1.0) -> PolynomialCurvature:
     return PolynomialCurvature([(0, 0, 0, value)])
 
 
-class SphericalHarmonicCurvature(CurvatureField):
-    """Q from a real spherical-harmonic table [(l, m, coeff), ...].
+def spherical_harmonic_curvature(coeffs) -> PolynomialCurvature:
+    """Q from a real spherical-harmonic table [(l, m, coeff), ...], converted
+    exactly into ambient monomials.
 
     Real convention: m = 0 uses Y_l0; m > 0 uses sqrt(2) Re Y_lm, m < 0 uses
-    sqrt(2) Im Y_l|m|.  Derivatives fall back to finite differences, with the
-    accuracy degradation that implies for hypothesis checks.
+    sqrt(2) Im Y_l|m|, with the complex Y_lm of scipy's ``sph_harm_y``
+    (Condon-Shortley phase included).  On the unit sphere
+
+        Y_lm = (-1)^m N_lm (d^m P_l / dx^m)(x3) (x1 + i x2)^m,
+        N_lm = sqrt((2l + 1)/(4 pi) (l - m)!/(l + m)!),   m >= 0.
     """
-
-    def __init__(self, coeffs):
-        self.coeffs = [(int(l), int(m), float(c)) for l, m, c in coeffs]
-
-    def evaluate(self, xyz):
-        try:
-            from scipy.special import sph_harm_y
-
-            def harm(m, l, phi, theta):
-                return sph_harm_y(l, m, theta, phi)
-        except ImportError:  # older scipy
-            from scipy.special import sph_harm as harm
-
-        xyz = np.asarray(xyz, dtype=float)
-        theta = np.arccos(np.clip(xyz[..., 2], -1, 1))
-        phi = np.arctan2(xyz[..., 1], xyz[..., 0])
-        out = np.zeros(xyz.shape[:-1])
-        for l, m, c in self.coeffs:
-            y = harm(abs(m), l, phi, theta)
-            if m == 0:
-                out += c * y.real
-            elif m > 0:
-                out += c * math.sqrt(2.0) * y.real
-            else:
-                out += c * math.sqrt(2.0) * y.imag
-        return out
+    terms = {}
+    for l, m, c in coeffs:
+        l, m, c = int(l), int(m), float(c)
+        if l < 0 or abs(m) > l:
+            raise ValueError(f"spherical harmonic (l={l}, m={m}) needs "
+                             "l >= 0 and |m| <= l")
+        a = abs(m)
+        norm = math.sqrt((2 * l + 1) / (4 * math.pi)
+                         * math.factorial(l - a) / math.factorial(l + a))
+        scale = (-1) ** a * norm * c * (math.sqrt(2.0) if m else 1.0)
+        x3_poly = legendre.leg2poly(legendre.legder([0.0] * l + [1.0], a))
+        # (x1 + i x2)^a = sum_k C(a, k) i^k x1^(a-k) x2^k: Re takes even k,
+        # Im odd k, both with sign (-1)^(k // 2)
+        for k in range(1 if m < 0 else 0, a + 1, 2):
+            xy = scale * math.comb(a, k) * (-1) ** (k // 2)
+            for n, r in enumerate(x3_poly):
+                key = (a - k, k, n)
+                terms[key] = terms.get(key, 0.0) + xy * r
+    return PolynomialCurvature([key + (c,) for key, c in terms.items() if c != 0.0])
 
 
 # -- hypothesis (Q) analysis --------------------------------------------------
@@ -221,13 +168,13 @@ def _tangent_frame(xi):
     return e1, e2
 
 
-def intrinsic_gradient(Q: CurvatureField, xyz) -> np.ndarray:
+def intrinsic_gradient(Q: PolynomialCurvature, xyz) -> np.ndarray:
     """Sphere gradient: tangential projection of the ambient gradient."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     g = Q.ambient_gradient(xyz)
     return g - np.sum(g * xyz, axis=1, keepdims=True) * xyz
 
-def intrinsic_hessian(Q: CurvatureField, xi) -> np.ndarray:
+def intrinsic_hessian(Q: PolynomialCurvature, xi) -> np.ndarray:
     """2x2 sphere Hessian at a point, in an orthonormal tangent frame.
 
     Hess_S Q(X, Y) = Hess_ambient(X, Y) - (grad_ambient . xi) <X, Y> on the
@@ -242,7 +189,7 @@ def intrinsic_hessian(Q: CurvatureField, xi) -> np.ndarray:
     return frame @ H @ frame.T - radial * np.eye(2)
 
 
-def find_critical_points(Q: CurvatureField, seed_degree: int = 24,
+def find_critical_points(Q: PolynomialCurvature, seed_degree: int = 24,
                          grad_tol: float = 1e-9, dedupe_dist: float = 0.03,
                          max_iter: int = 80):
     """Multi-start sphere Newton for grad Q = 0; returns (points, all_converged)."""
@@ -292,7 +239,7 @@ def find_critical_points(Q: CurvatureField, seed_degree: int = 24,
     return found, all_ok
 
 
-def check_q_hypothesis(Q: CurvatureField, m: int = 2,
+def check_q_hypothesis(Q: PolynomialCurvature, m: int = 2,
                        value_tol: float = 1e-9) -> QHypothesisReport:
     """Analytic parts of the curvature hypothesis: extrema, critical values,
     Hessian definiteness, and the admissible interval for the gap value d.
@@ -326,7 +273,7 @@ def check_q_hypothesis(Q: CurvatureField, m: int = 2,
         if admissible is None:
             notes.append("no admissible d: interior critical values without "
                          "positive-definite Hessian reach the maximum level")
-    if isinstance(Q, PolynomialCurvature) and Q.is_affine() and not constant:
+    if Q.is_affine() and not constant:
         notes.append("affine curvature 1 + c.x: known obstruction family, not a "
                      "mean curvature of any conformal immersion (kept as a "
                      "documented negative fixture)")
@@ -347,7 +294,7 @@ class Workspace:
 
     basis: SphereBasis
     grid: QuadratureGrid
-    Q: CurvatureField
+    Q: PolynomialCurvature
 
     def __post_init__(self):
         if self.grid.degree < 3 * self.basis.J:
@@ -355,8 +302,6 @@ class Workspace:
                 f"grid degree {self.grid.degree} < 3J = {3 * self.basis.J}: "
                 "cubic nonlinearity would alias")
         self.q_nodes = np.asarray(self.Q.evaluate(self.grid.xyz), dtype=float)
-        if self.q_nodes.ndim == 0:
-            self.q_nodes = np.full(self.grid.n_nodes, float(self.q_nodes))
         if np.any(self.q_nodes <= 0):
             raise ValueError("curvature field must be positive at the nodes")
         self.q_integral = float(self.grid.integrate(self.q_nodes))
@@ -387,7 +332,7 @@ def _check_p(p: float):
 @dataclass
 class EnergyReport:
     value: float
-    grad: np.ndarray        # H^{1/2} Riesz representative, coefficient vector
+    grad: np.ndarray | None  # H^{1/2} Riesz representative, coefficient vector
     nonlinear: float        # A(psi) = integral Q |psi|^p
     plus_sq: float
     minus_sq: float
@@ -409,22 +354,30 @@ def nonlinear_projection(values, p: float, ws: Workspace) -> np.ndarray:
     return ws.analyze(values * factor[:, None])
 
 
-def eval_L(coeff, p: float, ws: Workspace) -> EnergyReport:
-    """Value and H^{1/2} gradient of L_p; the report carries the split parts."""
+def eval_L_parts(coeff, p: float, ws: Workspace, values=None) -> EnergyReport:
+    """Value of L_p and its split parts, without the gradient (no analyze);
+    ``grad`` is left None."""
     _check_p(p)
     coeff = np.asarray(coeff, dtype=complex)
     basis = ws.basis
-    values = ws.synthesize(coeff)
     plus_sq = float(np.sum(basis.abs_eigenvalues[basis.plus_mask]
                            * np.abs(coeff[basis.plus_mask]) ** 2))
     minus_sq = float(np.sum(basis.abs_eigenvalues[basis.minus_mask]
                             * np.abs(coeff[basis.minus_mask]) ** 2))
     A = eval_A(coeff, p, ws, values=values)
-    value = 0.5 * (plus_sq - minus_sq) - A / p
+    return EnergyReport(value=0.5 * (plus_sq - minus_sq) - A / p, grad=None,
+                        nonlinear=A, plus_sq=plus_sq, minus_sq=minus_sq)
+
+
+def eval_L(coeff, p: float, ws: Workspace) -> EnergyReport:
+    """Value and H^{1/2} gradient of L_p; the report carries the split parts."""
+    coeff = np.asarray(coeff, dtype=complex)
+    basis = ws.basis
+    values = ws.synthesize(coeff)
+    rep = eval_L_parts(coeff, p, ws, values=values)
     N = nonlinear_projection(values, p, ws)
-    grad = np.sign(basis.eigenvalues) * coeff - N / basis.abs_eigenvalues
-    return EnergyReport(value=value, grad=grad, nonlinear=A,
-                        plus_sq=plus_sq, minus_sq=minus_sq)
+    rep.grad = np.sign(basis.eigenvalues) * coeff - N / basis.abs_eigenvalues
+    return rep
 
 
 def hessian_apply(psi_values, p: float, ws: Workspace, w_coeff) -> np.ndarray:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clifford import clifford_mul
 from .energy import Workspace
 from .grid import chart_a_coords, chart_b_coords
 from .spectral import SpectralSpinor, dirac_apply
@@ -226,11 +227,10 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
     s3 = np.array([1.0, -1.0])
     n1 = d1_c + 0.5j * d2_v[:, None] * (s3 * c)
     n2 = d2_c - 0.5j * d1_v[:, None] * (s3 * c)
-    # nabla^Q over the unit frame; Clifford matrices act as
-    # E1 c = -i (c2, c1), E2 c = (-c2, c1)
+    # nabla^Q over the unit frame
     q = ws.q_nodes
-    e1c = -1j * c[:, ::-1]
-    e2c = np.stack([-c[:, 1], c[:, 0]], axis=1)
+    e1c = clifford_mul((1, 0), c)
+    e2c = clifford_mul((0, 1), c)
     g1 = n1 / nf[:, None] + 0.5 * q[:, None] * e1c
     g2 = n2 / nf[:, None] + 0.5 * q[:, None] * e2c
     rhs = 2.0 * q**2 - 4.0 * (np.sum(np.abs(g1) ** 2, axis=1)
@@ -451,8 +451,6 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
 
     conf = _fiber_norm_at(psi, sphere_v) ** 4
     target_q = np.asarray(ws.Q.evaluate(sphere_v), dtype=float)
-    if target_q.ndim == 0:
-        target_q = np.full(sphere_v.shape[0], float(target_q))
     H = cotangent_mean_curvature(verts, faces)
     return ImmersionMesh(vertices=verts, faces=faces, sphere_points=sphere_v,
                          conf_factor=conf, mean_curvature=H, target_q=target_q,

@@ -34,9 +34,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .conformal import Bubble, StereoChart, bubble_to_sphere
-from .energy import (Workspace, eval_A, eval_L, eval_rayleigh, hessian_apply,
-                     nonlinear_projection, _check_p)
-from .spectral import SpectralSpinor
+from .energy import (Workspace, eval_A, eval_L_parts, eval_rayleigh,
+                     hessian_apply, nonlinear_projection, _check_p)
+from .spectral import SpectralSpinor, h_inner, h_norm
 
 # -- inner problem: maximize over E^- -----------------------------------------
 
@@ -45,28 +45,11 @@ from .spectral import SpectralSpinor
 class ReductionResult:
     h: np.ndarray               # E^- maximizer coefficients
     psi: np.ndarray             # u + h
+    values: np.ndarray          # nodal values of psi (ws.synthesize(psi))
     value: float                # L_p(u + h) = I_p(u)
     grad: np.ndarray            # full H^{1/2} gradient of L_p at psi
     residual_minus: float       # H^{1/2} norm of the E^- gradient (Eq. hlm proxy)
     iterations: int
-
-
-def _h_norm(ws: Workspace, coeff) -> float:
-    return math.sqrt(max(float(np.sum(ws.basis.abs_eigenvalues
-                                      * np.abs(coeff) ** 2)), 0.0))
-
-
-def _h_inner(ws: Workspace, a, b) -> float:
-    return float(np.sum(ws.basis.abs_eigenvalues * np.real(a * np.conj(b))))
-
-
-def _lp_value(coeff, p, ws) -> float:
-    basis = ws.basis
-    plus_sq = float(np.sum(basis.abs_eigenvalues[basis.plus_mask]
-                           * np.abs(coeff[basis.plus_mask]) ** 2))
-    minus_sq = float(np.sum(basis.abs_eigenvalues[basis.minus_mask]
-                            * np.abs(coeff[basis.minus_mask]) ** 2))
-    return 0.5 * (plus_sq - minus_sq) - eval_A(coeff, p, ws) / p
 
 
 def _neg_cg(ws: Workspace, psi_values, p, rhs, tol, max_iter=200, x0=None):
@@ -109,48 +92,51 @@ def _neg_cg(ws: Workspace, psi_values, p, rhs, tol, max_iter=200, x0=None):
 
 def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
                  tol_inner: float = 1e-10, max_iter: int = 60) -> ReductionResult:
-    """h_p(u): the unique E^- maximizer of v -> L_p(u + v)."""
+    """h_p(u): the unique E^- maximizer of v -> L_p(u + v).
+
+    An accepted line-search trial keeps its nodal values, so each iterate is
+    synthesized once, and the result carries the last iterate's value,
+    gradient and values.
+    """
     _check_p(p)
     basis = ws.basis
     neg = basis.minus_mask
     u_coeff = np.asarray(u_coeff, dtype=complex)
     v = np.zeros_like(u_coeff) if v0 is None else np.where(neg, v0, 0.0)
-    val = _lp_value(u_coeff + v, p, ws)
+    psi = u_coeff + v
+    values = ws.synthesize(psi)
+    val = eval_L_parts(psi, p, ws, values=values).value
     # absolute tolerance for O(1) fields; large-amplitude states carry a
     # proportionally larger roundoff floor in the gradient
     scale = max(1.0, eval_A(u_coeff, p, ws) ** ((p - 1.0) / p))
     tol_eff = tol_inner * scale
-    for it in range(max_iter):
-        psi = u_coeff + v
-        values = ws.synthesize(psi)
+    for it in range(max_iter + 1):
         N = nonlinear_projection(values, p, ws)
-        g = np.where(neg, -psi - N / basis.abs_eigenvalues, 0.0)
-        res = _h_norm(ws, g)
-        if res <= tol_eff:
-            rep = eval_L(psi, p, ws)
-            return ReductionResult(h=v, psi=psi, value=rep.value, grad=rep.grad,
-                                   residual_minus=res, iterations=it)
+        grad = np.sign(basis.eigenvalues) * psi - N / basis.abs_eigenvalues
+        g = np.where(neg, grad, 0.0)
+        res = h_norm(basis, g)
+        if res <= tol_eff or it == max_iter:
+            break
         delta = _neg_cg(ws, values, p, g, tol=min(0.1 * res, res * res, tol_eff))
         step = 1.0
         for _ in range(30):
             v_try = v + step * delta
-            val_try = _lp_value(u_coeff + v_try, p, ws)
+            psi_try = u_coeff + v_try
+            values_try = ws.synthesize(psi_try)
+            val_try = eval_L_parts(psi_try, p, ws, values=values_try).value
             if val_try >= val - 1e-14 * abs(val):
-                v, val = v_try, val_try
+                v, psi, values, val = v_try, psi_try, values_try, val_try
                 break
             step *= 0.5
         else:
             break
-    psi = u_coeff + v
-    rep = eval_L(psi, p, ws)
-    res = _h_norm(ws, np.where(neg, rep.grad, 0.0))
     if res > 10 * tol_eff:
         raise RuntimeError(
             f"inner reduction did not reach tol_inner={tol_inner:g} "
             f"(residual {res:.3e}); the problem is concave, this indicates "
             "an aliasing or conditioning issue")
-    return ReductionResult(h=v, psi=psi, value=rep.value, grad=rep.grad,
-                           residual_minus=res, iterations=max_iter)
+    return ReductionResult(h=v, psi=psi, values=values, value=val, grad=grad,
+                           residual_minus=res, iterations=it)
 
 
 # -- Nehari projection ---------------------------------------------------------
@@ -219,7 +205,7 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
     """
     _check_p(p)
     u_coeff = np.asarray(u_coeff, dtype=complex)
-    unorm = _h_norm(ws, u_coeff)
+    unorm = h_norm(ws.basis, u_coeff)
     if unorm == 0:
         raise ValueError("cannot project the zero direction")
     u0 = u_coeff / unorm
@@ -230,11 +216,11 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
         cache["h"] = red.h
         cache["red"] = red
         cache["t"] = t
-        return _h_inner(ws, red.grad, u0)
+        return h_inner(ws.basis, red.grad, u0)
 
     def ray_curvature():
-        psi_values = ws.synthesize(cache["red"].psi)
-        return _h_inner(ws, _reduced_hessian(ws, psi_values, p, u0, tol_inner), u0)
+        hess = _reduced_hessian(ws, cache["red"].values, p, u0, tol_inner)
+        return h_inner(ws.basis, hess, u0)
 
     t_root = None
     t = unorm
@@ -266,7 +252,7 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
 
 def nehari_defect(u_coeff, p: float, ws: Workspace, red: ReductionResult) -> float:
     """H_p(u) = I_p'(u)[u], zero on the Nehari set."""
-    return _h_inner(ws, red.grad, np.where(ws.basis.plus_mask, u_coeff, 0.0))
+    return h_inner(ws.basis, red.grad, np.where(ws.basis.plus_mask, u_coeff, 0.0))
 
 
 # -- F_p and tau ----------------------------------------------------------------
@@ -458,7 +444,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     else:
         psi0 = init
     u = np.where(ws.basis.plus_mask, psi0.coeff, 0.0)
-    if _h_norm(ws, u) == 0:
+    if h_norm(ws.basis, u) == 0:
         raise ValueError("initialization has no E^+ part")
 
     if monitor_pole is None:
@@ -486,7 +472,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
             red = reduce_minus(u, p, ws, v0=h, tol_inner=tol_inner)
             h = red.h
             gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
-            res = _h_norm(ws, gplus)
+            res = h_norm(ws.basis, gplus)
             defect = nehari_defect(u, p, ws, red)
             trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=red.value,
                           residual=res, nehari_defect=defect)
@@ -516,8 +502,8 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                     break
         red = reduce_minus(u, p, ws, v0=h, tol_inner=tol_inner)
         gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
-        res = _h_norm(ws, gplus)
-        values = ws.synthesize(red.psi)
+        res = h_norm(ws.basis, gplus)
+        values = red.values
         theta, cap_r, center, bary, min_psi, total = _stage_diagnostics(
             values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
         trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=red.value,
@@ -563,36 +549,36 @@ def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
     CG; curvature failures return None and the caller falls back to gradient.
     """
     pos = ws.basis.plus_mask
-    psi_values = ws.synthesize(red.psi)
+    psi_values = red.values
 
     # Nehari normal direction: Riesz vector of H_p'(u)
     un = np.where(pos, u, 0.0)
     n_vec = (np.where(pos, red.grad, 0.0)
              + _reduced_hessian(ws, psi_values, p, un, tol_inner))
-    nn = _h_inner(ws, n_vec, n_vec)
+    nn = h_inner(ws.basis, n_vec, n_vec)
 
     def project_t(w):
         if nn <= 0:
             return w
-        return w - (_h_inner(ws, n_vec, w) / nn) * n_vec
+        return w - (h_inner(ws.basis, n_vec, w) / nn) * n_vec
 
     b = project_t(-gplus)
     x = np.zeros_like(u)
     r = b.copy()
     d = r.copy()
-    rr = _h_inner(ws, r, r)
+    rr = h_inner(ws.basis, r, r)
     tol_cg = max(1e-4 * math.sqrt(rr), 1e-14)
     for _ in range(40):
         if math.sqrt(rr) <= tol_cg:
             break
         Ad = project_t(_reduced_hessian(ws, psi_values, p, d, tol_inner))
-        dAd = _h_inner(ws, d, Ad)
-        if dAd <= 1e-14 * _h_inner(ws, d, d):
-            return None if _h_inner(ws, x, x) == 0 else x
+        dAd = h_inner(ws.basis, d, Ad)
+        if dAd <= 1e-14 * h_inner(ws.basis, d, d):
+            return None if h_inner(ws.basis, x, x) == 0 else x
         alpha = rr / dAd
         x = x + alpha * d
         r = r - alpha * Ad
-        rr_new = _h_inner(ws, r, r)
+        rr_new = h_inner(ws.basis, r, r)
         d = r + (rr_new / rr) * d
         rr = rr_new
     return x

@@ -200,30 +200,6 @@ class SphereBasis:
         """The two ChartExpr components of basis member i on chart 'a' or 'b'."""
         return self._exprs_a[i] if chart == "a" else self._exprs_b[i]
 
-    def eigenspinor(self, index, xyz) -> np.ndarray:
-        """Values of one eigenspinor at sphere points, each point evaluated in
-        the chart whose projection pole lies on the far hemisphere.
-
-        ``index`` is a BasisIndex or a position in ``self.indices``; returns
-        weighted chart components of shape (npts, 2).
-        """
-        i = index if isinstance(index, int) else self.indices.index(index)
-        xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        out = np.empty((xyz.shape[0], 2), dtype=complex)
-        north = xyz[:, 2] >= 0
-        for mask, chart in ((north, "a"), (~north, "b")):
-            if not np.any(mask):
-                continue
-            pts = xyz[mask]
-            if chart == "a":
-                z = (pts[:, 0] + 1j * pts[:, 1]) / (1.0 + pts[:, 2])
-            else:
-                z = (pts[:, 0] - 1j * pts[:, 1]) / (1.0 - pts[:, 2])
-            e1, e2 = self.component_exprs(i, chart)
-            out[mask, 0] = e1(z)
-            out[mask, 1] = e2(z)
-        return out
-
     def evaluate_matrix(self, z, chart: str, deriv=(0, 0)) -> np.ndarray:
         """Dense table of basis values at chart points z: shape (npts, 2, n_basis).
 
@@ -346,18 +322,20 @@ def l2_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> complex:
     return complex(np.sum(psi.coeff * np.conj(phi.coeff)))
 
 
+def h_inner(basis: SphereBasis, a, b) -> float:
+    """H^{1/2} pairing of coefficient arrays: real(|D|^{1/2} a, |D|^{1/2} b)_2."""
+    return float(np.sum(basis.abs_eigenvalues * np.real(a * np.conj(b))))
+
+
+def h_norm(basis: SphereBasis, a) -> float:
+    """H^{1/2} norm of a coefficient array."""
+    return math.sqrt(max(float(np.sum(basis.abs_eigenvalues * np.abs(a) ** 2)), 0.0))
+
+
 def h_half_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> float:
     """<psi, phi> = real(|D|^{1/2} psi, |D|^{1/2} phi)_2."""
     _check_same_basis(psi, phi)
-    return float(np.sum(psi.basis.abs_eigenvalues * np.real(psi.coeff * np.conj(phi.coeff))))
-
-
-def h_half_norm(psi: SpectralSpinor) -> float:
-    return math.sqrt(max(h_half_inner(psi, psi), 0.0))
-
-
-def l2_norm(psi: SpectralSpinor) -> float:
-    return float(np.linalg.norm(psi.coeff))
+    return h_inner(psi.basis, psi.coeff, phi.coeff)
 
 
 # -- coefficient files ------------------------------------------------------

@@ -56,6 +56,14 @@ def test_config_schedule_validation(tmp_path):
     assert main(["solve", str(bad3)]) == 2
 
 
+def test_sph_harm_bad_index_is_config_error(tmp_path, caplog):
+    """(l, m) = (2, 3) has |m| > l: exit 2 before any compute."""
+    bad = write_config(tmp_path, Q={"family": "sph_harm",
+                                    "coeffs": [[0, 0, 3.5], [2, 3, 0.1]]})
+    assert main(["solve", str(bad)]) == 2
+    assert "|m| <= l" in caplog.text
+
+
 def test_solve_diagnose_immerse_pipeline(tmp_path):
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))
     assert main(["solve", str(cfg)]) == 0

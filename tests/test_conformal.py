@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.conformal import (Bubble, StereoChart, ambient_coord_exprs,
-                                   bubble_energy_flat, bubble_to_sphere,
-                                   conformal_push_values, mobius_apply,
+from diracsphere.conformal import (Bubble, StereoChart, bubble_energy_flat,
+                                   bubble_to_sphere, conformal_push_values,
+                                   mobius_apply,
                                    mobius_of_rotation, rotation_to_north,
                                    transition_g)
 from diracsphere.grid import QuadratureGrid, chart_a_coords
@@ -188,19 +188,6 @@ def test_conformal_push_values(ws8):
     assert np.array_equal(conformal_push_values(values, np.ones_like(h)), values)
     with pytest.raises(ValueError):
         conformal_push_values(values, -h)
-
-
-def test_ambient_coord_exprs_match_charts():
-    rng = np.random.default_rng(4)
-    z = rng.normal(size=20) + 1j * rng.normal(size=20)
-    from diracsphere.grid import chart_a_point, chart_b_point
-    pa = chart_a_point(z)
-    pb = chart_b_point(z)
-    for chart, pts in (("a", pa), ("b", pb)):
-        exprs = ambient_coord_exprs(chart)
-        for axis in range(3):
-            got = exprs[axis](z)
-            assert np.abs(got - pts[:, axis]).max() < 1e-14
 
 
 def test_transition_factor_magnitude():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.energy import (PolynomialCurvature, SphericalHarmonicCurvature,
-                                Workspace, check_q_hypothesis, constant_curvature,
-                                eval_A, eval_L, eval_rayleigh, hessian_apply,
+from scipy.special import sph_harm_y
+
+from diracsphere.energy import (PolynomialCurvature, Workspace,
+                                check_q_hypothesis, constant_curvature, eval_A,
+                                eval_L, eval_rayleigh, hessian_apply,
                                 hessian_quadratic_form, intrinsic_gradient,
                                 intrinsic_hessian, lp_mean, nonlinear_projection,
-                                rayleigh_grad)
+                                rayleigh_grad, spherical_harmonic_curvature)
 from diracsphere.grid import QuadratureGrid
 from diracsphere.spectral import SphereBasis
 from conftest import random_spinor
@@ -215,10 +217,54 @@ def test_intrinsic_derivatives_polynomial():
 
 
 def test_spherical_harmonic_curvature_evaluates():
-    Q = SphericalHarmonicCurvature([(0, 0, 2.0 * math.sqrt(math.pi)), (2, 0, 0.1)])
+    Q = spherical_harmonic_curvature([(0, 0, 2.0 * math.sqrt(math.pi)), (2, 0, 0.1)])
+    assert isinstance(Q, PolynomialCurvature)
     grid = QuadratureGrid(degree=16)
     vals = Q.evaluate(grid.xyz)
     assert np.all(vals > 0)
     # l=0 coefficient normalization: Y_00 = 1/(2 sqrt(pi))
     mean = float(grid.integrate(vals)) / (4 * math.pi)
     assert mean == pytest.approx(1.0, abs=1e-10)
+
+
+def _real_sph_harm_oracle(l, m, xyz):
+    """Real harmonic from scipy's complex Y_lm: Y_l0, sqrt2 Re Y_lm (m > 0),
+    sqrt2 Im Y_l|m| (m < 0)."""
+    theta = np.arccos(np.clip(xyz[:, 2], -1, 1))
+    phi = np.arctan2(xyz[:, 1], xyz[:, 0])
+    y = sph_harm_y(l, abs(m), theta, phi)
+    if m == 0:
+        return y.real
+    return math.sqrt(2.0) * (y.real if m > 0 else y.imag)
+
+
+def test_spherical_harmonic_curvature_matches_scipy():
+    rng = np.random.default_rng(7)
+    xyz = rng.normal(size=(64, 3))
+    xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+    for l in range(11):
+        for m in range(-l, l + 1):
+            got = spherical_harmonic_curvature([(l, m, 1.0)]).evaluate(xyz)
+            ref = _real_sph_harm_oracle(l, m, xyz)
+            assert np.abs(got - ref).max() <= 1e-12, (l, m)
+
+
+def test_spherical_harmonic_curvature_rejects_bad_indices():
+    for bad in ((2, 3, 1.0), (2, -3, 1.0), (-1, 0, 1.0)):
+        with pytest.raises(ValueError):
+            spherical_harmonic_curvature([bad])
+
+
+def test_hypothesis_sph_harm_matches_polynomial_twin():
+    """1 + 0.1 Y_20 as a harmonic table and as hand-written monomials, with
+    Y_20 = sqrt(5/(16 pi)) (3 x3^2 - 1): the hypothesis reports agree."""
+    c = math.sqrt(5.0 / (16.0 * math.pi))
+    harm = check_q_hypothesis(spherical_harmonic_curvature(
+        [(0, 0, 2.0 * math.sqrt(math.pi)), (2, 0, 0.1)]))
+    twin = check_q_hypothesis(PolynomialCurvature(
+        [(0, 0, 0, 1.0 - 0.1 * c), (0, 0, 2, 0.3 * c)]))
+    assert harm.q_max == pytest.approx(twin.q_max, abs=1e-10)
+    assert harm.admissible_d == pytest.approx(twin.admissible_d, abs=1e-10)
+    assert len(harm.max_points) == len(twin.max_points) == 2
+    for a, b in zip(harm.max_points, twin.max_points):
+        assert a.hess_eigs == pytest.approx(b.hess_eigs, abs=1e-9)

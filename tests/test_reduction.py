@@ -7,9 +7,10 @@ from scipy.optimize import brentq
 from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
 from diracsphere.energy import eval_A, eval_L, hessian_quadratic_form
 import diracsphere.reduction as reduction
-from diracsphere.reduction import (_h_inner, _h_norm, barycenter,
-                                   concentration_profile, estimate_tau,
-                                   nehari_defect, nehari_project, reduce_minus)
+from diracsphere.reduction import (barycenter, concentration_profile,
+                                   estimate_tau, nehari_defect, nehari_project,
+                                   reduce_minus)
+from diracsphere.spectral import SphereBasis, h_inner, h_norm
 from conftest import make_workspace, random_spinor
 
 
@@ -36,7 +37,7 @@ def test_reduction_stationarity_hlm(ws8):
     red = reduce_minus(u, p, ws8, tol_inner=1e-11)
     # sup over unit E^- directions of L'(u+h)[v] equals the E^- gradient norm
     gminus = np.where(ws8.basis.minus_mask, red.grad, 0.0)
-    assert _h_norm(ws8, gminus) <= 1e-10
+    assert h_norm(ws8.basis, gminus) <= 1e-10
 
 
 def test_reduction_maximizer_vs_perturbations(ws8):
@@ -47,7 +48,7 @@ def test_reduction_maximizer_vs_perturbations(ws8):
     base = red.value
     for _ in range(10):
         v = np.where(ws8.basis.minus_mask, random_spinor(ws8, rng), 0.0)
-        v *= 0.1 / max(_h_norm(ws8, v), 1e-30)
+        v *= 0.1 / max(h_norm(ws8.basis, v), 1e-30)
         assert eval_L(u + red.h + v, p, ws8).value <= base + 1e-12
 
 
@@ -82,9 +83,9 @@ def test_reduction_vanishes_for_decoupled_direction(ws8):
     # precondition of the fixture: E^- gradient already vanishes at v = 0
     rep = eval_L(u, p, ws8)
     gm = np.where(basis.minus_mask, rep.grad, 0.0)
-    assert _h_norm(ws8, gm) < 1e-12
+    assert h_norm(ws8.basis, gm) < 1e-12
     red = reduce_minus(u, p, ws8)
-    assert _h_norm(ws8, red.h) < 1e-10
+    assert h_norm(ws8.basis, red.h) < 1e-10
 
 
 def test_nehari_ray_invariance_and_negativity(ws8):
@@ -100,17 +101,37 @@ def test_nehari_ray_invariance_and_negativity(ws8):
     assert abs(nehari_defect(st.u, p, ws8, red)) <= 1e-8
 
 
-def _counting(monkeypatch, name):
-    """Replace reduction.<name> with a wrapper that counts its calls."""
+def _counting(monkeypatch, name, owner=reduction):
+    """Replace owner.<name> (default: the reduction module) with a wrapper
+    that counts its calls."""
     calls = []
-    inner = getattr(reduction, name)
+    inner = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(1)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(reduction, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
+
+
+def test_rereduction_reuses_its_transforms(ws8, monkeypatch):
+    """Re-reducing a reduced point stops at once: one synthesis for the start
+    value, one for the tolerance scale and one analysis for the gradient.
+    The result equals a fresh eval_L at psi, bit for bit."""
+    rng = np.random.default_rng(112)
+    p = 3.5
+    u = _plus(ws8, random_spinor(ws8, rng))
+    red = reduce_minus(u, p, ws8)
+    rep = eval_L(red.psi, p, ws8)
+    assert red.value == rep.value and np.array_equal(red.grad, rep.grad)
+    assert np.array_equal(red.values, ws8.synthesize(red.psi))
+    synth = _counting(monkeypatch, "synthesize", SphereBasis)
+    anal = _counting(monkeypatch, "analyze", SphereBasis)
+    again = reduce_minus(u, p, ws8, v0=red.h)
+    assert len(synth) <= 2 and len(anal) <= 1
+    assert again.iterations == 0
+    assert again.value == red.value and np.array_equal(again.grad, red.grad)
 
 
 def test_nehari_second_derivative_matches_central_difference(ws8):
@@ -120,7 +141,7 @@ def test_nehari_second_derivative_matches_central_difference(ws8):
     p = 3.5
     u = _plus(ws8, random_spinor(ws8, rng))
     st = nehari_project(u, p, ws8)
-    unorm = _h_norm(ws8, u)
+    unorm = h_norm(ws8.basis, u)
     u0 = u / unorm
     t = st.t * unorm
     dt = 1e-4 * t
@@ -137,7 +158,7 @@ def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
     p = 3.5
     st = nehari_project(_plus(ws8, random_spinor(ws8, rng)), p, ws8)
     d = _plus(ws8, random_spinor(ws8, rng))
-    u1 = st.u + 1e-3 * _h_norm(ws8, st.u) * d / _h_norm(ws8, d)
+    u1 = st.u + 1e-3 * h_norm(ws8.basis, st.u) * d / h_norm(ws8.basis, d)
     calls = _counting(monkeypatch, "reduce_minus")
     st1 = nehari_project(u1, p, ws8, h0=st.h)
     assert len(calls) <= 4
@@ -154,11 +175,11 @@ def test_nehari_fallback_matches_brent_oracle(ws8, monkeypatch):
     brent_calls = _counting(monkeypatch, "brentq")
     st = nehari_project(u, p, ws8)
     assert brent_calls
-    unorm = _h_norm(ws8, u)
+    unorm = h_norm(ws8.basis, u)
     u0 = u / unorm
 
     def slope(t):
-        return _h_inner(ws8, reduce_minus(t * u0, p, ws8).grad, u0)
+        return h_inner(ws8.basis, reduce_minus(t * u0, p, ws8).grad, u0)
 
     t_star = st.t * unorm
     oracle = brentq(slope, 0.5 * t_star, 2.0 * t_star, xtol=1e-13)
@@ -172,8 +193,8 @@ def test_nehari_max_matches_saddle_value(ws8):
     p = 3.3
     u = _plus(ws8, random_spinor(ws8, rng))
     st = nehari_project(u, p, ws8)
-    unorm = u / _h_norm(ws8, u)
-    ts = np.linspace(0.2, 3.0, 25) * st.t * _h_norm(ws8, u)
+    unorm = u / h_norm(ws8.basis, u)
+    ts = np.linspace(0.2, 3.0, 25) * st.t * h_norm(ws8.basis, u)
     h = None
     best = -np.inf
     for t in ts:
@@ -214,9 +235,9 @@ def test_anti_coercive_on_w_u(ws8):
     rng = np.random.default_rng(108)
     p = 3.1
     u = _plus(ws8, random_spinor(ws8, rng))
-    u /= _h_norm(ws8, u)
+    u /= h_norm(ws8.basis, u)
     v = np.where(ws8.basis.minus_mask, random_spinor(ws8, rng), 0.0)
-    v /= _h_norm(ws8, v)
+    v /= h_norm(ws8.basis, v)
     vals = [eval_L(t * (u + 0.5 * v), p, ws8).value for t in (1.0, 4.0, 16.0, 64.0)]
     assert vals[-1] < vals[0] and vals[-1] < -1e3
 
