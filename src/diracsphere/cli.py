@@ -42,6 +42,7 @@ EXIT_STAGNATION = 4
 EXIT_POSTCONDITION = 5
 
 DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
+DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
 # config "tolerances" keys -> solve_continuation keyword arguments
 SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage", "inner": "tol_inner",
                      "blowup_capture": "blowup_capture",
@@ -52,22 +53,38 @@ class ConfigError(ValueError):
     pass
 
 
+def _is_number(x, kind=(int, float)) -> bool:
+    """A JSON number of the given kind; bools are ints to Python, not here."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _number_rows(rows, width: int) -> bool:
+    """A nonempty list of lists of ``width`` numbers each."""
+    return isinstance(rows, list) and len(rows) > 0 and all(
+        isinstance(r, list) and len(r) == width and all(map(_is_number, r))
+        for r in rows)
+
+
 def curvature_from_spec(spec) -> PolynomialCurvature:
     """Build a curvature field from its JSON specification."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError("Q spec must be an object with a 'family' key")
     fam = spec["family"]
     if fam == "constant":
+        if not _is_number(spec.get("value", 1.0)):
+            raise ConfigError("constant Q value must be a number")
         return constant_curvature(float(spec.get("value", 1.0)))
     if fam == "polynomial":
         terms = spec.get("terms")
-        if not terms:
-            raise ConfigError("polynomial Q needs a nonempty 'terms' list")
+        if not _number_rows(terms, 4):
+            raise ConfigError("polynomial Q needs a nonempty 'terms' list of "
+                              "[i, j, k, coeff] numbers")
         return PolynomialCurvature([tuple(t) for t in terms])
     if fam == "sph_harm":
         coeffs = spec.get("coeffs")
-        if not coeffs:
-            raise ConfigError("sph_harm Q needs a nonempty 'coeffs' list")
+        if not _number_rows(coeffs, 3):
+            raise ConfigError("sph_harm Q needs a nonempty 'coeffs' list of "
+                              "[l, m, coeff] numbers")
         try:
             return spherical_harmonic_curvature([tuple(c) for c in coeffs])
         except ValueError as exc:
@@ -76,36 +93,49 @@ def curvature_from_spec(spec) -> PolynomialCurvature:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh)
+    """Read and validate a JSON config; an unreadable file is a ConfigError."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: dict) -> None:
-    if cfg.get("schema_version") != 1:
+    if not isinstance(cfg, dict) or cfg.get("schema_version") != 1:
         raise ConfigError("config schema_version must be 1")
     J = cfg.get("J")
-    if not isinstance(J, int) or J < 4:
+    if not _is_number(J, int) or J < 4:
         raise ConfigError("J must be an integer >= 4")
     degree = cfg.get("grid_degree", 3 * J)
-    if degree < 3 * J:
-        raise ConfigError(f"grid_degree {degree} below the de-aliasing bound 3J={3*J}")
+    if not _is_number(degree, int) or degree < 3 * J:
+        raise ConfigError(f"grid_degree must be an integer >= the de-aliasing "
+                          f"bound 3J={3*J}")
     sched = cfg.get("schedule", DEFAULT_SCHEDULE)
-    if len(sched) == 0 or abs(sched[-1] - 4.0) > 1e-12:
-        raise ConfigError("schedule must end at 4.0")
+    if (not isinstance(sched, list) or not all(map(_is_number, sched))
+            or len(sched) == 0 or abs(sched[-1] - 4.0) > 1e-12):
+        raise ConfigError("schedule must be a list of numbers ending at 4.0")
     if sched[0] <= 2.0 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ConfigError("schedule must be strictly increasing inside (2, 4]")
     tols = cfg.get("tolerances", {})
     for key in SOLVER_TOLERANCES:
-        if key in tols and not tols[key] > 0:
-            raise ConfigError(f"tolerance '{key}' must be positive")
+        if key in tols and not (_is_number(tols[key]) and tols[key] > 0):
+            raise ConfigError(f"tolerance '{key}' must be a positive number")
     curvature_from_spec(cfg.get("Q", {"family": "constant"}))
-    init = cfg.get("init", {"type": "bubble", "rho": 0.3, "center": "argmax"})
-    if init.get("type") not in ("bubble", "state"):
+    init = cfg.get("init", DEFAULT_INIT)
+    if not isinstance(init, dict) or init.get("type") not in ("bubble", "state"):
         raise ConfigError("init.type must be 'bubble' or 'state'")
-    if init.get("type") == "bubble" and not init.get("rho", 0.3) > 0:
-        raise ConfigError("init.rho must be positive")
+    if init["type"] == "state" and not isinstance(init.get("path"), str):
+        raise ConfigError("init.path must name a state file")
+    if init["type"] == "bubble":
+        rho = init.get("rho", 0.3)
+        if not (_is_number(rho) and rho > 0):
+            raise ConfigError("init.rho must be a positive number")
+        center = init.get("center", "argmax")
+        if center != "argmax" and not _number_rows([center], 3):
+            raise ConfigError("init.center must be 'argmax' or three numbers")
 
 
 def build_workspace(cfg: dict) -> Workspace:
@@ -132,6 +162,10 @@ def _json_ready(obj):
 
 
 def hypothesis_report_dict(rep) -> dict:
+    def points(ps):
+        return [{"position": p.position, "value": p.value, "kind": p.kind,
+                 "hess_eigs": p.hess_eigs} for p in ps]
+
     return _json_ready({
         "q_max": rep.q_max,
         "q_min": rep.q_min,
@@ -141,12 +175,8 @@ def hypothesis_report_dict(rep) -> dict:
         "contractibility": rep.contractibility,
         "search_converged": rep.search_converged,
         "notes": rep.notes,
-        "max_points": [{"position": p.position, "value": p.value,
-                        "kind": p.kind, "hess_eigs": p.hess_eigs}
-                       for p in rep.max_points],
-        "critical_points": [{"position": p.position, "value": p.value,
-                             "kind": p.kind, "hess_eigs": p.hess_eigs}
-                            for p in rep.critical_points[:64]],
+        "max_points": points(rep.max_points),
+        "critical_points": points(rep.critical_points[:64]),
     })
 
 
@@ -215,7 +245,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
             _write_report(outdir, report)
             return EXIT_CONFIG
 
-    init_cfg = cfg.get("init", {"type": "bubble", "rho": 0.3, "center": "argmax"})
+    init_cfg = cfg.get("init", DEFAULT_INIT)
     if init_cfg["type"] == "state":
         init = load_spinor(init_cfg["path"], ws.basis)
     else:
@@ -266,12 +296,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     trace.to_csv(outdir / "trace.csv")
     save_spinor(outdir / "state.txt", psi)
 
-    nodal = nodal_analysis(psi, ws)
-    W, embedded = willmore(psi, ws)
-    scal = scal_identity_check(psi, ws, require_solution=False)
-    values = ws.synthesize(psi.coeff)
-    nsq = ws.fiber_norm_sq(values)
-    e4 = float(ws.grid.integrate(ws.q_nodes * nsq**2))
+    nodal, e4, diag = _diagnostics(psi, ws)
     q_max = hyp.q_max
     window = (4.0 * math.pi / q_max, 8.0 * math.pi / q_max)
     margin = min(e4 - window[0], window[1] - e4)
@@ -291,9 +316,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
                   "bound": nodal.zero_count_bound,
                   "window_chain": nodal.window_chain, "note": nodal.note},
-        "willmore": {"value": W, "embedded": embedded},
-        "scal_identity": {"l1_residual": scal.l1_residual,
-                          "pde_residual": scal.pde_residual},
+        **diag,
         "runtime_seconds": time.time() - t_start,
     }))
     _write_report(outdir, report)
@@ -302,8 +325,21 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
                   window_ok)
         return EXIT_POSTCONDITION
     log.info("solve finished: residual %.2e, int Q|psi|^4 = %.6f, W = %.6f",
-             result.final_residual, e4, W)
+             result.final_residual, e4, diag["willmore"]["value"])
     return EXIT_OK
+
+
+def _diagnostics(psi, ws: Workspace):
+    """What solve and diagnose report on a state: the nodal report,
+    int Q |psi|^4, and the Willmore and scal-identity report blocks."""
+    nodal = nodal_analysis(psi, ws)
+    W, embedded = willmore(psi, ws)
+    scal = scal_identity_check(psi, ws, require_solution=False)
+    nsq = ws.fiber_norm_sq(ws.synthesize(psi.coeff))
+    e4 = float(ws.grid.integrate(ws.q_nodes * nsq**2))
+    return nodal, e4, {"willmore": {"value": W, "embedded": embedded},
+                       "scal_identity": {"l1_residual": scal.l1_residual,
+                                         "pde_residual": scal.pde_residual}}
 
 
 def _nearest_critical(hyp, point):
@@ -323,37 +359,22 @@ def _write_report(outdir: Path, report: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     outdir = Path(args.output or cfg.get("output_dir", "run-out"))
     return _solve_pipeline(cfg, outdir)
 
 
 def cmd_diagnose(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = load_spinor(args.state, ws.basis)
-    nodal = nodal_analysis(psi, ws)
-    W, embedded = willmore(psi, ws)
-    scal = scal_identity_check(psi, ws, require_solution=False)
-    values = ws.synthesize(psi.coeff)
-    nsq = ws.fiber_norm_sq(values)
-    e4 = float(ws.grid.integrate(ws.q_nodes * nsq**2))
+    nodal, e4, diag = _diagnostics(psi, ws)
     out = _json_ready({
         "config": cfg,
         "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
                   "bound": nodal.zero_count_bound, "note": nodal.note},
-        "willmore": {"value": W, "embedded": embedded},
         "energy": {"int_Q_psi4": e4},
-        "scal_identity": {"l1_residual": scal.l1_residual,
-                          "pde_residual": scal.pde_residual},
+        **diag,
     })
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -361,11 +382,7 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_immerse(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
-        log.error("configuration error: %s", exc)
-        return EXIT_CONFIG
+    cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = load_spinor(args.state, ws.basis)
     nodal = nodal_analysis(psi, ws)
@@ -387,8 +404,7 @@ def cmd_immerse(args) -> int:
         log.error("unknown mesh format '%s'", fmt)
         return EXIT_CONFIG
     rel = np.abs(mesh.mean_curvature - mesh.target_q) / mesh.target_q
-    rel_l2 = float(np.sqrt(np.mean(((mesh.mean_curvature - mesh.target_q)
-                                    / mesh.target_q) ** 2)))
+    rel_l2 = float(np.sqrt(np.mean(rel ** 2)))
     summary = _json_ready({
         "vertices": mesh.vertices.shape[0],
         "euler_characteristic": mesh.euler_characteristic(),

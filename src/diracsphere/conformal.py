@@ -282,20 +282,25 @@ def bubble_grid_values(bubble: Bubble, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
-def project_onto_basis(values, grid: QuadratureGrid, basis: SphereBasis,
-                       chunk: int = 2048) -> np.ndarray:
-    """L^2 projection of nodal values onto the basis without caching the matrix."""
+# nodes per table chunk in project_onto_basis: its grid refines like 1/rho,
+# so the whole (n_nodes, 2, n_basis) table, which analyze would cache, grows
+# without bound as the bubble narrows; one chunk is 40 MB at J=16
+_PROJECT_CHUNK = 2048
+
+
+def project_onto_basis(values, grid: QuadratureGrid, basis: SphereBasis) -> np.ndarray:
+    """L^2 projection of nodal values onto the basis: the adjoint transform of
+    ``SphereBasis.analyze``, built chunk by chunk and never cached."""
     values = np.asarray(values)
     wf = grid.weights / grid.f_pref
     coeff = np.zeros(basis.n_basis, dtype=complex)
-    for start in range(0, grid.n_nodes, chunk):
-        sl = slice(start, min(start + chunk, grid.n_nodes))
-        mask = grid.use_a[sl]
-        mat = np.empty((mask.size, 2, basis.n_basis), dtype=complex)
-        mat[mask] = basis.evaluate_matrix(grid.chart_a[sl][mask], "a")
-        mat[~mask] = basis.evaluate_matrix(grid.chart_b[sl][~mask], "b")
-        coeff += np.tensordot(np.conj(mat), values[sl] * wf[sl, None], axes=([0, 1], [0, 1]))
-    return coeff
+    for start in range(0, grid.n_nodes, _PROJECT_CHUNK):
+        sl = slice(start, start + _PROJECT_CHUNK)
+        weighted = np.conj(values[sl] * wf[sl, None]).ravel()
+        # the table is a temporary: two chunks are never held at once
+        coeff += weighted @ basis.evaluate_matrix(
+            grid.z_pref[sl], grid.use_a[sl]).reshape(-1, basis.n_basis)
+    return np.conj(coeff)
 
 
 def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import clifford_mul
 from .energy import Workspace
-from .grid import chart_a_coords, chart_b_coords
+from .grid import chart_a_coords, chart_b_coords, conformal_factor
 from .spectral import SpectralSpinor, dirac_apply
 
 # -- nodal analysis -----------------------------------------------------------
@@ -55,19 +55,23 @@ class NodalReport:
 
 
 def _fiber_norm_at(psi: SpectralSpinor, xyz) -> np.ndarray:
-    """|psi| at arbitrary sphere points, chart chosen per hemisphere."""
+    """|psi| at arbitrary sphere points, read like the grid nodes: chart A
+    where x3 >= 0, chart B elsewhere."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-    out = np.empty(xyz.shape[0])
     north = xyz[:, 2] >= 0
-    for mask, chart, coords in ((north, "a", chart_a_coords),
-                                (~north, "b", chart_b_coords)):
-        if not np.any(mask):
-            continue
-        z = coords(xyz[mask])
-        vals = psi.basis.evaluate(psi.coeff, z, chart)
-        f = 2.0 / (1.0 + np.abs(z) ** 2)
-        out[mask] = np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) / f)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each pole is singular only in the chart it does not read
+        z = np.where(north, chart_a_coords(xyz), chart_b_coords(xyz))
+    vals = psi.basis.evaluate(psi.coeff, z, north)
+    return np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) / conformal_factor(z))
+
+
+def _tangent_pair(xi):
+    """An orthonormal pair (e1, e2 = xi x e1) spanning the tangent plane at xi."""
+    a = np.array([1.0, 0, 0]) if abs(xi[0]) < 0.9 else np.array([0, 1.0, 0])
+    e1 = np.cross(xi, a)
+    e1 /= np.linalg.norm(e1)
+    return e1, np.cross(xi, e1)
 
 
 def _refine_minimum(psi: SpectralSpinor, xi0, spread: float) -> np.ndarray:
@@ -75,10 +79,7 @@ def _refine_minimum(psi: SpectralSpinor, xi0, spread: float) -> np.ndarray:
     from scipy.optimize import minimize
 
     xi0 = np.asarray(xi0, dtype=float)
-    a = np.array([1.0, 0, 0]) if abs(xi0[0]) < 0.9 else np.array([0, 1.0, 0])
-    e1 = np.cross(xi0, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(xi0, e1)
+    e1, e2 = _tangent_pair(xi0)
 
     def fun(s):
         xi = xi0 + s[0] * e1 + s[1] * e2
@@ -151,21 +152,16 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace, genus: int = 0,
 
 
 def _vanishing_order(psi, xi, dists):
+    """Slope of log |psi| against log distance, over rings of four points."""
     xi = np.asarray(xi, dtype=float)
-    a = np.array([1.0, 0, 0]) if abs(xi[0]) < 0.9 else np.array([0, 1.0, 0])
-    e1 = np.cross(xi, a)
-    e1 /= np.linalg.norm(e1)
-    samples = []
-    for d in dists:
-        ring = []
-        for ang in (0.0, 1.57, 3.14, 4.71):
-            e = math.cos(ang) * e1 + math.sin(ang) * np.cross(xi, e1)
-            p = xi * math.cos(d) + e * math.sin(d)
-            ring.append(float(_fiber_norm_at(psi, p[None])[0]))
-        samples.append(np.mean(ring))
-    samples = np.maximum(np.asarray(samples), 1e-300)
-    slope = np.polyfit(np.log(dists), np.log(samples), 1)[0]
-    return float(slope)
+    e1, e2 = _tangent_pair(xi)
+    ang = np.array([0.0, 1.57, 3.14, 4.71])[:, None]
+    ring = np.cos(ang) * e1 + np.sin(ang) * e2
+    d = np.asarray(dists, dtype=float)[:, None, None]
+    pts = xi * np.cos(d) + ring * np.sin(d)
+    samples = _fiber_norm_at(psi, pts.reshape(-1, 3)).reshape(len(dists), -1)
+    samples = np.maximum(samples.mean(axis=1), 1e-300)
+    return float(np.polyfit(np.log(dists), np.log(samples), 1)[0])
 
 
 # -- scalar curvature identity --------------------------------------------------
@@ -199,9 +195,8 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
             raise ValueError(
                 f"psi is not a solution (PDE residual {pde_res:.2e} > {pde_tol:g})")
 
-    d10 = np.tensordot(basis.synthesis_matrix(grid, (1, 0)), psi.coeff, axes=([2], [0]))
-    d01 = np.tensordot(basis.synthesis_matrix(grid, (0, 1)), psi.coeff, axes=([2], [0]))
-    d11 = np.tensordot(basis.synthesis_matrix(grid, (1, 1)), psi.coeff, axes=([2], [0]))
+    d10, d01, d11 = (basis.evaluate(psi.coeff, grid.z_pref, grid.use_a, d)
+                     for d in ((1, 0), (0, 1), (1, 1)))
 
     phi = values
     nf = np.sum(np.abs(phi) ** 2, axis=1)          # e^v = |phi|^2, chartwise
@@ -302,8 +297,8 @@ def mesh_edges(faces) -> np.ndarray:
 # -- Weierstrass integration ------------------------------------------------------
 
 
-def _weierstrass_integrand(psi: SpectralSpinor, z, chart: str) -> np.ndarray:
-    vals = psi.basis.evaluate(psi.coeff, z, chart)
+def _weierstrass_integrand(psi: SpectralSpinor, z, use_a) -> np.ndarray:
+    vals = psi.basis.evaluate(psi.coeff, z, use_a)
     p1, p2 = vals[..., 0], vals[..., 1]
     c2 = np.conj(p2)
     return np.stack([0.5j * (p1**2 - c2**2),
@@ -311,12 +306,11 @@ def _weierstrass_integrand(psi: SpectralSpinor, z, chart: str) -> np.ndarray:
                      -1j * p1 * c2], axis=-1)
 
 
-def closedness_defect(psi: SpectralSpinor, z, chart: str) -> float:
+def closedness_defect(psi: SpectralSpinor, z, use_a) -> float:
     """Relative size of Im dzbar(X_z): zero for exact solutions, the
     consistency pre-check before integrating the 1-form."""
-    vals = psi.basis.evaluate(psi.coeff, z, chart)
-    d10 = psi.basis.evaluate(psi.coeff, z, chart, deriv=(1, 0))
-    d01 = psi.basis.evaluate(psi.coeff, z, chart, deriv=(0, 1))
+    vals, d10, d01 = (psi.basis.evaluate(psi.coeff, z, use_a, d)
+                      for d in ((0, 0), (1, 0), (0, 1)))
     p1, p2 = vals[..., 0], vals[..., 1]
     dzb_p1, dz_p2 = d01[..., 0], d10[..., 1]
     comps = np.stack([
@@ -328,24 +322,25 @@ def closedness_defect(psi: SpectralSpinor, z, chart: str) -> float:
     return float((np.abs(comps.imag).sum(axis=-1) / scale).max())
 
 
-def _integrate_patch(psi, z_chart, edges, root, chart, n_gauss=4):
+# 4-point Gauss-Legendre rule on [0, 1] for integrals along mesh edges
+_EDGE_T, _EDGE_W = np.polynomial.legendre.leggauss(4)
+_EDGE_T, _EDGE_W = 0.5 * (_EDGE_T + 1.0), 0.5 * _EDGE_W
+
+
+def _integrate_patch(psi, z_chart, edges, root, use_a):
     """Spanning-tree integration of 2 Re integral X_z dz over a chart patch.
 
     All edge integrals are evaluated in one vectorized pass, then a BFS
     accumulates positions; the non-tree edges report the closure defect.
     Returns (positions dict, closure defect).
     """
-    gt, gw = np.polynomial.legendre.leggauss(n_gauss)
-    gt = 0.5 * (gt + 1.0)
-    gw = 0.5 * gw
-
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
     za = z_chart[edges[:, 0]]
     zb = z_chart[edges[:, 1]]
-    pts = za[:, None] + gt[None, :] * (zb - za)[:, None]
-    xz = _weierstrass_integrand(psi, pts.ravel(), chart).reshape(
-        edges.shape[0], gt.size, 3)
-    incr = 2.0 * np.real((zb - za)[:, None] * np.tensordot(xz, gw, axes=([1], [0])))
+    pts = za[:, None] + _EDGE_T[None, :] * (zb - za)[:, None]
+    xz = _weierstrass_integrand(psi, pts.ravel(), use_a).reshape(
+        edges.shape[0], _EDGE_T.size, 3)
+    incr = 2.0 * np.real((zb - za)[:, None] * np.tensordot(xz, _EDGE_W, axes=([1], [0])))
 
     adj = {}
     for ei, (a, b) in enumerate(edges):
@@ -417,7 +412,7 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
     sphere_v, faces = icosphere(subdivisions)
     edges = mesh_edges(faces)
 
-    pre = closedness_defect(psi, 0.9 * np.exp(1j * np.linspace(0, 6.2, 40)), "a")
+    pre = closedness_defect(psi, 0.9 * np.exp(1j * np.linspace(0, 6.2, 40)), True)
 
     north_mask = sphere_v[:, 2] >= -band
     south_mask = sphere_v[:, 2] <= band
@@ -426,14 +421,14 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
         za = chart_a_coords(sphere_v)
         zb = chart_b_coords(sphere_v)
 
-    def patch(mask, z_chart, chart, root_idx):
+    def patch(mask, z_chart, use_a, root_idx):
         keep = mask[edges[:, 0]] & mask[edges[:, 1]]
-        return _integrate_patch(psi, z_chart, edges[keep], root_idx, chart)
+        return _integrate_patch(psi, z_chart, edges[keep], root_idx, use_a)
 
     root_a = int(np.argmax(sphere_v[:, 2]))
     root_b = int(np.argmin(sphere_v[:, 2]))
-    pos_a, def_a = patch(north_mask, za, "a", root_a)
-    pos_b, def_b = patch(south_mask, zb, "b", root_b)
+    pos_a, def_a = patch(north_mask, za, True, root_a)
+    pos_b, def_b = patch(south_mask, zb, False, root_b)
 
     overlap = [i for i in range(sphere_v.shape[0])
                if abs(sphere_v[i, 2]) <= band and i in pos_a and i in pos_b]
@@ -441,12 +436,9 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
     dst = np.array([pos_a[i] for i in overlap])
     R, t, align_res = _kabsch(src, dst)
 
-    verts = np.empty_like(sphere_v)
-    for i in range(sphere_v.shape[0]):
-        if sphere_v[i, 2] >= 0:
-            verts[i] = pos_a[i]
-        else:
-            verts[i] = R @ pos_b[i] + t
+    # each vertex comes from the patch of the chart its hemisphere reads
+    verts = np.array([pos_a[i] if v[2] >= 0 else R @ pos_b[i] + t
+                      for i, v in enumerate(sphere_v)])
     verts -= verts.mean(axis=0)
 
     conf = _fiber_norm_at(psi, sphere_v) ** 4
@@ -545,30 +537,20 @@ def gauss_bonnet_defect(verts, faces) -> float:
     return total - 4.0 * math.pi
 
 
-def edge_length_relative_error(mesh: ImmersionMesh, psi: SpectralSpinor,
-                               n_gauss: int = 4) -> float:
-    """RMS relative mismatch between mesh edge lengths and g1 lengths."""
-    gt, gw = np.polynomial.legendre.leggauss(n_gauss)
-    gt = 0.5 * (gt + 1.0)
-    gw = 0.5 * gw
+def edge_length_relative_error(mesh: ImmersionMesh, psi: SpectralSpinor) -> float:
+    """RMS relative mismatch between mesh edge lengths and g1 lengths; an edge
+    is read in chart A when both its ends have x3 >= 0, else in chart B."""
     edges = mesh_edges(mesh.faces)
     sv = mesh.sphere_points
     north = (sv[edges[:, 0], 2] >= 0) & (sv[edges[:, 1], 2] >= 0)
-    rel = []
-    for chart, mask, coords in (("a", north, chart_a_coords),
-                                ("b", ~north, chart_b_coords)):
-        eset = edges[mask]
-        if eset.size == 0:
-            continue
-        za = coords(sv[eset[:, 0]])
-        zb = coords(sv[eset[:, 1]])
-        pts = za[:, None] + gt[None, :] * (zb - za)[:, None]
-        vals = psi.basis.evaluate(psi.coeff, pts.ravel(), chart)
-        ev = np.sum(np.abs(vals) ** 2, axis=-1).reshape(pts.shape)
-        glen = (ev @ gw) * np.abs(zb - za)
-        elen = np.linalg.norm(mesh.vertices[eset[:, 0]] - mesh.vertices[eset[:, 1]], axis=1)
-        rel.append((elen - glen) / glen)
-    rel = np.concatenate(rel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        za, zb = (np.where(north, chart_a_coords(sv[end]), chart_b_coords(sv[end]))
+                  for end in edges.T)
+    pts = za[:, None] + _EDGE_T[None, :] * (zb - za)[:, None]
+    vals = psi.basis.evaluate(psi.coeff, pts, north[:, None])
+    glen = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(zb - za)
+    elen = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
+    rel = (elen - glen) / glen
     return float(np.sqrt(np.mean(rel**2)))
 
 

@@ -54,12 +54,7 @@ class QuadratureGrid:
         z_b = np.tan((np.pi - theta) / 2.0) * np.exp(-1j * phi_t)
         object.__setattr__(self, "weights", wq)
         object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi_t)
         object.__setattr__(self, "chart_a", z_a)
-        object.__setattr__(self, "chart_b", z_b)
-        object.__setattr__(self, "f_a", 1.0 + cos_t)
-        object.__setattr__(self, "f_b", 1.0 - cos_t)
         # preferred chart per node: A on the closed northern hemisphere
         object.__setattr__(self, "use_a", cos_t >= 0.0)
         object.__setattr__(self, "f_pref", np.where(cos_t >= 0.0, 1.0 + cos_t, 1.0 - cos_t))
@@ -104,13 +99,6 @@ def chart_a_point(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     u = 1.0 + np.abs(z) ** 2
     return np.stack([2.0 * z.real / u, 2.0 * z.imag / u, (2.0 - u) / u], axis=-1)
-
-
-def chart_b_point(w) -> np.ndarray:
-    """Inverse of chart B: complex coordinate -> point on S^2."""
-    w = np.asarray(w, dtype=complex)
-    u = 1.0 + np.abs(w) ** 2
-    return np.stack([2.0 * w.real / u, -2.0 * w.imag / u, (u - 2.0) / u], axis=-1)
 
 
 def conformal_factor(z) -> np.ndarray:

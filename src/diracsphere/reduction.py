@@ -107,8 +107,10 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     values = ws.synthesize(psi)
     val = eval_L_parts(psi, p, ws, values=values).value
     # absolute tolerance for O(1) fields; large-amplitude states carry a
-    # proportionally larger roundoff floor in the gradient
-    scale = max(1.0, eval_A(u_coeff, p, ws) ** ((p - 1.0) / p))
+    # proportionally larger roundoff floor in the gradient.  With v0=None
+    # the start values are u's own.
+    A_u = eval_A(u_coeff, p, ws, values=values if v0 is None else None)
+    scale = max(1.0, A_u ** ((p - 1.0) / p))
     tol_eff = tol_inner * scale
     for it in range(max_iter + 1):
         N = nonlinear_projection(values, p, ws)
@@ -151,6 +153,7 @@ class NehariState:
     f_value: float              # F_p from the energy: ((2p/(p-2)) I)^{(p-2)/p}
     f_value_rayleigh: float     # F_p = R_p(tu + h), the independent route
     ray_second_derivative: float  # d^2/dt^2 I_p(t u0) at the root, u0 = u/||u||
+    reduction: ReductionResult  # the reduction at u; h and value are its own
 
 
 def _reduced_hessian(ws: Workspace, psi_values, p: float, w, tol_inner: float):
@@ -247,7 +250,7 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
     f_ray = eval_rayleigh(red.psi, p, ws)
     return NehariState(t=t_root / unorm, u=t_root * u0, h=red.h, value=I_val,
                        f_value=f_energy, f_value_rayleigh=f_ray,
-                       ray_second_derivative=d2)
+                       ray_second_derivative=d2, reduction=red)
 
 
 def nehari_defect(u_coeff, p: float, ws: Workspace, red: ReductionResult) -> float:
@@ -463,14 +466,13 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     for stage, p in enumerate(schedule):
         tol = tol_final if stage == len(schedule) - 1 else tol_stage
         st = nehari_project(u, p, ws, tol_inner=tol_inner)
-        u, h = st.u, st.h
+        # red is always the reduction at u: each projection hands over the
+        # one it ends on, so no point is reduced twice
+        u, red = st.u, st.reduction
         warm_I = st.value
         step = 1.0
-        res = float("inf")
         it = 0
         for it in range(max_outer):
-            red = reduce_minus(u, p, ws, v0=h, tol_inner=tol_inner)
-            h = red.h
             gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
             res = h_norm(ws.basis, gplus)
             defect = nehari_defect(u, p, ws, red)
@@ -484,25 +486,23 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                 delta = None
             moved = False
             if delta is not None:
-                st_try = nehari_project(u + delta, p, ws, tol_inner=tol_inner, h0=h)
+                st_try = nehari_project(u + delta, p, ws, tol_inner=tol_inner, h0=red.h)
                 if st_try.value <= red.value + 1e-12 * abs(red.value):
-                    u, h = st_try.u, st_try.h
+                    u, red = st_try.u, st_try.reduction
                     moved = True
             if not moved:
                 for _ in range(25):
                     st_try = nehari_project(u - step * gplus, p, ws,
-                                            tol_inner=tol_inner, h0=h)
+                                            tol_inner=tol_inner, h0=red.h)
                     if st_try.value < red.value - 1e-4 * step * res * res:
-                        u, h = st_try.u, st_try.h
+                        u, red = st_try.u, st_try.reduction
                         step = min(step * 1.4, 1e3)
                         moved = True
                         break
                     step *= 0.4
                 if not moved:
                     break
-        red = reduce_minus(u, p, ws, v0=h, tol_inner=tol_inner)
-        gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
-        res = h_norm(ws.basis, gplus)
+        res = h_norm(ws.basis, np.where(ws.basis.plus_mask, red.grad, 0.0))
         values = red.values
         theta, cap_r, center, bary, min_psi, total = _stage_diagnostics(
             values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
@@ -534,9 +534,8 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                 f"stage p={p} stalled at residual {res:.3e} (tol {tol:g})",
                 trace, stage_p=p, residual=res)
 
-    final = reduce_minus(u, p, ws, v0=h, tol_inner=tol_inner)
-    psi = SpectralSpinor(ws.basis, final.psi)
-    wv = final.value
+    psi = SpectralSpinor(ws.basis, red.psi)
+    wv = red.value
     ok = window[0] < wv < window[1]
     return ContinuationResult(psi=psi, trace=trace, final_residual=res,
                               energy_window=window, window_value=wv, window_ok=ok)

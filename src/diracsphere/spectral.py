@@ -36,6 +36,11 @@ phi_B(w) = diag(i z, -i zbar) phi_A(z), w = 1/z.
 
 Normalization constants are computed exactly over the rationals
 (Beta integrals), so Gram matrices are identity to quadrature roundoff.
+
+Evaluation.  Only ``SphereBasis`` picks a chart, from ``use_a``: a bool or
+a mask shaped like the chart points, True reading chart A.  The grid
+transforms cache one basis table per grid degree; one field at arbitrary
+points is one ChartExpr per chart and component, with no table.
 """
 
 from __future__ import annotations
@@ -169,7 +174,6 @@ class SphereBasis:
         self.n_basis = len(indices)
         self.j_arr = np.array([ix.j for ix in indices])
         self.sigma_arr = np.array([ix.sigma for ix in indices])
-        self.k_arr = np.array([ix.k for ix in indices])
         self.eigenvalues = (self.sigma_arr * (self.j_arr + 1)).astype(float)
         self.abs_eigenvalues = np.abs(self.eigenvalues)
         self.plus_mask = self.sigma_arr > 0
@@ -196,38 +200,44 @@ class SphereBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def component_exprs(self, i: int, chart: str):
-        """The two ChartExpr components of basis member i on chart 'a' or 'b'."""
-        return self._exprs_a[i] if chart == "a" else self._exprs_b[i]
-
-    def evaluate_matrix(self, z, chart: str, deriv=(0, 0)) -> np.ndarray:
-        """Dense table of basis values at chart points z: shape (npts, 2, n_basis).
-
-        ``deriv = (nz, nzbar)`` returns the corresponding exact Wirtinger
-        derivative of every component instead of the value.
-        """
+    def _by_chart(self, z, use_a, tail, fill) -> np.ndarray:
+        """``fill(points, cache, exprs)`` on each chart's share of the points z;
+        the result has shape z.shape + tail."""
         z = np.asarray(z, dtype=complex)
-        cache = PowerCache(z)
-        out = np.empty((z.size,) + (2, self.n_basis), dtype=complex)
-        exprs = self._exprs_a if chart == "a" else self._exprs_b
-        for i, (e1, e2) in enumerate(exprs):
-            if deriv != (0, 0):
-                e1 = e1.derivative(*deriv)
-                e2 = e2.derivative(*deriv)
-            out[:, 0, i] = e1(z.ravel(), cache)
-            out[:, 1, i] = e2(z.ravel(), cache)
+        mask = np.broadcast_to(use_a, z.shape)
+        out = np.empty(z.shape + tail, dtype=complex)
+        for sel, exprs in ((mask, self._exprs_a), (~mask, self._exprs_b)):
+            if sel.any():
+                pts = z[sel]
+                out[sel] = fill(pts, PowerCache(pts), exprs)
         return out
 
-    def evaluate(self, coeff, z, chart: str, deriv=(0, 0), chunk: int = 4096) -> np.ndarray:
-        """Synthesize a coefficient vector at arbitrary chart points, chunked."""
-        z = np.asarray(z, dtype=complex)
-        flat = z.ravel()
-        out = np.empty((flat.size, 2), dtype=complex)
-        for start in range(0, flat.size, chunk):
-            sl = slice(start, min(start + chunk, flat.size))
-            mat = self.evaluate_matrix(flat[sl], chart, deriv)
-            out[sl] = np.tensordot(mat, coeff, axes=([2], [0]))
-        return out.reshape(z.shape + (2,))
+    def evaluate_matrix(self, z, use_a, deriv=(0, 0)) -> np.ndarray:
+        """Basis values (or their exact Wirtinger derivative ``deriv`` =
+        (nz, nzbar)) at chart points z: shape z.shape + (2, n_basis)."""
+        def fill(pts, cache, exprs):
+            tab = np.empty((pts.size, 2, self.n_basis), dtype=complex)
+            for i, pair in enumerate(exprs):
+                for c, e in enumerate(pair):
+                    tab[:, c, i] = e.derivative(*deriv)(pts, cache)
+            return tab
+
+        return self._by_chart(z, use_a, (2, self.n_basis), fill)
+
+    def evaluate(self, coeff, z, use_a, deriv=(0, 0)) -> np.ndarray:
+        """The field ``coeff`` (or its ``deriv`` derivative) at chart points z,
+        shape z.shape + (2,): each chart's weighted basis expressions summed
+        into one ChartExpr per component, with no table."""
+        def fill(pts, cache, exprs):
+            sums = ({}, {})
+            for a, pair in zip(coeff, exprs):
+                for acc, e in zip(sums, pair):
+                    for key, c in e.terms.items():
+                        acc[key] = acc.get(key, 0.0) + a * c
+            return np.stack([ChartExpr(acc).derivative(*deriv)(pts, cache)
+                             for acc in sums], axis=-1)
+
+        return self._by_chart(z, use_a, (2,), fill)
 
     # -- grid transforms ----------------------------------------------------
 
@@ -238,17 +248,14 @@ class SphereBasis:
                 "transforms would alias"
             )
 
-    def synthesis_matrix(self, grid: QuadratureGrid, deriv=(0, 0)) -> np.ndarray:
-        """Basis values at the grid nodes, each node in its preferred chart."""
+    def synthesis_matrix(self, grid: QuadratureGrid) -> np.ndarray:
+        """Basis values at the grid nodes, each node in its preferred chart;
+        cached per grid degree."""
         self._require_grid(grid)
-        key = (grid.degree, deriv)
-        mat = self._matrix_cache.get(key)
+        mat = self._matrix_cache.get(grid.degree)
         if mat is None:
-            mat = np.empty((grid.n_nodes, 2, self.n_basis), dtype=complex)
-            mask = grid.use_a
-            mat[mask] = self.evaluate_matrix(grid.chart_a[mask], "a", deriv)
-            mat[~mask] = self.evaluate_matrix(grid.chart_b[~mask], "b", deriv)
-            self._matrix_cache[key] = mat
+            mat = self.evaluate_matrix(grid.z_pref, grid.use_a)
+            self._matrix_cache[grid.degree] = mat
         return mat
 
     def synthesize(self, coeff, grid: QuadratureGrid) -> np.ndarray:

@@ -53,8 +53,8 @@ def test_criterion_1_spectral_correctness():
         wf = (grid.weights / grid.f_pref)[:, None, None]
         G = np.tensordot(np.conj(S) * wf, S, axes=([0, 1], [0, 1]))
         assert np.abs(G - np.eye(basis.n_basis)).max() <= 1e-10
-        Dz = basis.synthesis_matrix(grid, deriv=(1, 0))
-        Dzb = basis.synthesis_matrix(grid, deriv=(0, 1))
+        Dz = basis.evaluate_matrix(grid.z_pref, grid.use_a, deriv=(1, 0))
+        Dzb = basis.evaluate_matrix(grid.z_pref, grid.use_a, deriv=(0, 1))
         Dphi = np.empty_like(S)
         Dphi[:, 0, :] = -2j * Dz[:, 1, :]
         Dphi[:, 1, :] = -2j * Dzb[:, 0, :]

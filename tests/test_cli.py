@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from diracsphere.cli import main
 
 CONFIG = {
@@ -135,3 +136,31 @@ def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "diracsphere.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("override", [
+    {"grid_degree": "12"},
+    {"init": {"type": "state"}},
+    {"schedule": [3.0, "3.5", 4.0]},
+    {"init": {"type": "bubble", "rho": 0.3, "center": [0.0, 1.0]}},
+    {"tolerances": {"final": "a"}},
+    {"Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 1.0]]}},
+    {"init": {"type": "bubble", "rho": "x"}},
+], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
+        "poly_term", "rho"])
+def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
+    """Wrongly typed or missing config fields are configuration errors: exit
+    2 with a one-line message, before any compute and with no traceback."""
+    bad = write_config(tmp_path, **override)
+    assert main(["solve", str(bad), "--output", str(tmp_path / "out")]) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert "\n" not in errors[0].getMessage()
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_exits_2(tmp_path):
+    assert main(["solve", str(tmp_path / "missing.json")]) == 2
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    assert main(["diagnose", "state.txt", "--config", str(broken)]) == 2

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.conformal import (Bubble, StereoChart, bubble_energy_flat,
-                                   bubble_to_sphere, conformal_push_values,
-                                   mobius_apply,
-                                   mobius_of_rotation, rotation_to_north,
-                                   transition_g)
+from diracsphere.conformal import (_PROJECT_CHUNK, Bubble, StereoChart,
+                                   bubble_energy_flat, bubble_to_sphere,
+                                   conformal_push_values, mobius_apply,
+                                   mobius_of_rotation, project_onto_basis,
+                                   rotation_to_north, transition_g)
 from diracsphere.grid import QuadratureGrid, chart_a_coords
 from diracsphere.spectral import SphereBasis, dirac_apply
 from conftest import make_workspace
@@ -203,3 +203,17 @@ def test_transition_factor_magnitude():
     f = 2.0 / (1 + np.abs(z) ** 2)
     fm = 2.0 / (1 + np.abs(m) ** 2)
     assert np.abs(np.abs(g) ** 2 - fm / f).max() < 1e-12
+
+
+def test_project_onto_basis_matches_analyze():
+    """The chunked projection equals the cached-table adjoint transform on a
+    grid whose chunks cross the equator."""
+    basis = SphereBasis(5)
+    grid = QuadratureGrid(degree=70)
+    first = grid.use_a[:_PROJECT_CHUNK]
+    assert grid.n_nodes > _PROJECT_CHUNK and first.any() and not first.all()
+    rng = np.random.default_rng(30)
+    values = (rng.normal(size=(grid.n_nodes, 2))
+              + 1j * rng.normal(size=(grid.n_nodes, 2)))
+    ref = basis.analyze(values, grid)
+    assert np.abs(project_onto_basis(values, grid, basis) - ref).max() <= 1e-14

@@ -80,11 +80,11 @@ def test_killing_spinor_connection_identity(ws8, killing_state):
     basis = ws8.basis
     grid = ws8.grid
     phi = basis.synthesize(killing_state.coeff, grid)
-    d10 = np.tensordot(basis.synthesis_matrix(grid, (1, 0)),
+    d10 = np.tensordot(basis.evaluate_matrix(grid.z_pref, grid.use_a, (1, 0)),
                        killing_state.coeff, axes=([2], [0]))
-    d01 = np.tensordot(basis.synthesis_matrix(grid, (0, 1)),
+    d01 = np.tensordot(basis.evaluate_matrix(grid.z_pref, grid.use_a, (0, 1)),
                        killing_state.coeff, axes=([2], [0]))
-    z = np.where(grid.use_a, grid.chart_a, grid.chart_b)
+    z = grid.z_pref
     f = grid.f_pref
     c = phi / np.sqrt(f)[:, None]
     # d_k c = d_k phi / sqrt(f) - (1/2) phi f^{-3/2} d_k f, with d_k f = -x_k f^2
@@ -191,4 +191,13 @@ def test_mesh_io_round_trip(tmp_path, ws8, killing_state):
 
 def test_closedness_defect_on_solution(ws8, killing_state):
     z = 0.7 * np.exp(1j * np.linspace(0, 6.0, 25))
-    assert closedness_defect(killing_state, z, "a") <= 1e-12
+    assert closedness_defect(killing_state, z, True) <= 1e-12
+
+
+def test_scal_identity_caches_no_derivative_tables(ws8):
+    """The derivatives come from the off-grid evaluator, so the basis keeps
+    only the synthesis table of its grid."""
+    rng = np.random.default_rng(21)
+    psi = ws8.spinor(random_spinor(ws8, rng))
+    scal_identity_check(psi, ws8, require_solution=False)
+    assert list(ws8.basis._matrix_cache) == [ws8.grid.degree]

@@ -314,3 +314,24 @@ def test_barycenter_properties(ws8):
     assert np.linalg.norm(bar3) <= 0.1 + 1e-12
     with pytest.raises(ValueError):
         barycenter(np.zeros_like(vals2), ws8, pole, clamp_radius=1.0)
+
+
+def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
+    """A reduction is never repeated: no call starts at the previous call's u
+    from the h that call returned (the projections hand their reductions to
+    the outer loop, the stage summary and the final result)."""
+    calls = []
+    inner = reduction.reduce_minus
+
+    def recording(u, p, ws, v0=None, **kwargs):
+        red = inner(u, p, ws, v0=v0, **kwargs)
+        calls.append((np.array(u), None if v0 is None else np.array(v0), red.h))
+        return red
+
+    monkeypatch.setattr(reduction, "reduce_minus", recording)
+    result = reduction.solve_continuation(
+        ws8, [3.0, 3.5, 4.0], Bubble(center=[0, 0, 1], rho=0.3, q_center=1.0))
+    assert result.final_residual <= 1e-7
+    for (u0, _, h0), (u1, v1, _) in zip(calls, calls[1:]):
+        assert not (np.array_equal(u1, u0) and v1 is not None
+                    and np.array_equal(v1, h0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diracsphere.grid import QuadratureGrid
+from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from diracsphere.spectral import (AliasingError, SphereBasis, SpectralSpinor,
                                   dirac_apply, dirac_eigenvalue,
                                   dirac_multiplicity, h_half_inner, l2_inner,
@@ -63,8 +63,8 @@ def test_eigen_relation_residual(basis5, grid5):
     """D eta_k = lambda_k eta_k with the chart Dirac operator applied through
     exact derivatives of the closed forms."""
     S = basis5.synthesis_matrix(grid5)
-    Dz = basis5.synthesis_matrix(grid5, deriv=(1, 0))
-    Dzb = basis5.synthesis_matrix(grid5, deriv=(0, 1))
+    Dz = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a, deriv=(1, 0))
+    Dzb = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a, deriv=(0, 1))
     Dphi = np.empty_like(S)
     Dphi[:, 0, :] = -2j * Dz[:, 1, :]
     Dphi[:, 1, :] = -2j * Dzb[:, 0, :]
@@ -180,8 +180,27 @@ def test_basis_chart_transition_consistency():
     rng = np.random.default_rng(11)
     w = rng.normal(size=8) + 1j * rng.normal(size=8)
     z = 1.0 / w
-    A = basis.evaluate_matrix(z, "a")
-    B = basis.evaluate_matrix(w, "b")
+    A = basis.evaluate_matrix(z, True)
+    B = basis.evaluate_matrix(w, False)
     g = 1j * z
     assert np.abs(g[:, None] * A[:, 0, :] - B[:, 0, :]).max() < 1e-12
     assert np.abs(np.conj(g)[:, None] * A[:, 1, :] - B[:, 1, :]).max() < 1e-12
+
+
+def test_evaluate_matches_table_contraction():
+    """The collapsed-ChartExpr evaluator agrees with contracting the basis
+    table, for the value and each Wirtinger derivative, with both charts
+    in one call."""
+    basis = SphereBasis(16)
+    rng = np.random.default_rng(12)
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    xyz = rng.normal(size=(200, 3))
+    xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+    use_a = xyz[:, 2] >= 0
+    assert 0 < use_a.sum() < use_a.size
+    z = np.where(use_a, chart_a_coords(xyz), chart_b_coords(xyz))
+    for d in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        got = basis.evaluate(coeff, z, use_a, d)
+        ref = np.tensordot(basis.evaluate_matrix(z, use_a, d), coeff,
+                           axes=([2], [0]))
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
