@@ -3,7 +3,8 @@ solve, diagnostics on saved states, and immersion export.
 
 Run configuration is a single JSON document (schema_version 1); every run
 echoes the full configuration into its JSON report and the trace header, and
-identical configs give bit-identical trace and state files.
+identical configs, with the same numpy/scipy build, give bit-identical trace
+and state files at any BLAS thread count (checked at 1 and 2 threads).
 
 Exit codes: 0 success, 2 configuration error, 3 blow-up detected,
 4 stagnation, 5 postcondition failure (zero-free or energy-window check).
@@ -92,13 +93,17 @@ def curvature_from_spec(spec) -> PolynomialCurvature:
     raise ConfigError(f"unknown Q family '{fam}'")
 
 
-def load_config(path) -> dict:
-    """Read and validate a JSON config; an unreadable file is a ConfigError."""
+def _read(load, path, *args):
+    """``load(path, *args)``; a missing or malformed file is a ConfigError."""
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
+        return load(path, *args)
     except (OSError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def load_config(path) -> dict:
+    """Read and validate a JSON config."""
+    cfg = _read(lambda p: json.loads(Path(p).read_text()), path)
     validate_config(cfg)
     return cfg
 
@@ -197,7 +202,7 @@ def cmd_spectrum(args) -> int:
     if m == 2 and not args.skip_validation:
         basis = SphereBasis(min(J, 8))
         grid = QuadratureGrid(degree=3 * basis.J + 3)
-        S = basis.synthesis_matrix(grid)
+        S = basis.evaluate_matrix(grid.z_pref, grid.use_a)
         wf = (grid.weights / grid.f_pref)[:, None, None]
         G = np.tensordot(np.conj(S) * wf, S, axes=([0, 1], [0, 1]))
         err = float(np.abs(G - np.eye(basis.n_basis)).max())
@@ -247,7 +252,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
 
     init_cfg = cfg.get("init", DEFAULT_INIT)
     if init_cfg["type"] == "state":
-        init = load_spinor(init_cfg["path"], ws.basis)
+        init = _read(load_spinor, init_cfg["path"], ws.basis)
     else:
         center_spec = init_cfg.get("center", "argmax")
         if center_spec == "argmax":
@@ -367,7 +372,7 @@ def cmd_solve(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
-    psi = load_spinor(args.state, ws.basis)
+    psi = _read(load_spinor, args.state, ws.basis)
     nodal, e4, diag = _diagnostics(psi, ws)
     out = _json_ready({
         "config": cfg,
@@ -384,7 +389,7 @@ def cmd_diagnose(args) -> int:
 def cmd_immerse(args) -> int:
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
-    psi = load_spinor(args.state, ws.basis)
+    psi = _read(load_spinor, args.state, ws.basis)
     nodal = nodal_analysis(psi, ws)
     if nodal.verdict != "zero-free":
         log.error("refusing to immerse: nodal verdict '%s' (min |psi| %.3e, "

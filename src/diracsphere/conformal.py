@@ -282,27 +282,6 @@ def bubble_grid_values(bubble: Bubble, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
-# nodes per table chunk in project_onto_basis: its grid refines like 1/rho,
-# so the whole (n_nodes, 2, n_basis) table, which analyze would cache, grows
-# without bound as the bubble narrows; one chunk is 40 MB at J=16
-_PROJECT_CHUNK = 2048
-
-
-def project_onto_basis(values, grid: QuadratureGrid, basis: SphereBasis) -> np.ndarray:
-    """L^2 projection of nodal values onto the basis: the adjoint transform of
-    ``SphereBasis.analyze``, built chunk by chunk and never cached."""
-    values = np.asarray(values)
-    wf = grid.weights / grid.f_pref
-    coeff = np.zeros(basis.n_basis, dtype=complex)
-    for start in range(0, grid.n_nodes, _PROJECT_CHUNK):
-        sl = slice(start, start + _PROJECT_CHUNK)
-        weighted = np.conj(values[sl] * wf[sl, None]).ravel()
-        # the table is a temporary: two chunks are never held at once
-        coeff += weighted @ basis.evaluate_matrix(
-            grid.z_pref[sl], grid.use_a[sl]).reshape(-1, basis.n_basis)
-    return np.conj(coeff)
-
-
 def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
                      analysis_degree: int | None = None,
                      loss_tol: float = 0.01,
@@ -320,7 +299,7 @@ def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
         analysis_degree = max(3 * basis.J + 2, int(math.ceil(16.0 / bubble.rho)))
     grid = QuadratureGrid(degree=analysis_degree)
     vals = bubble_grid_values(bubble, grid)
-    coeff = project_onto_basis(vals, grid, basis)
+    coeff = basis.analyze(vals, grid)
     mass_exact = bubble.l2_mass_sphere()
     mass_captured = float(np.sum(np.abs(coeff) ** 2))
     loss = max(0.0, 1.0 - mass_captured / mass_exact)

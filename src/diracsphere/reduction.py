@@ -412,15 +412,15 @@ class ContinuationResult:
 
 def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
     theta, centers = concentration_profile(values, p, ws, radii)
-    total = float(ws.grid.integrate(ws.fiber_norm_sq(values) ** (p / 2.0)))
     nsq = ws.fiber_norm_sq(values)
+    total = float(ws.grid.integrate(nsq ** (p / 2.0)))
     min_psi = float(np.sqrt(max(nsq.min(), 0.0)))
     frac = theta / max(total, 1e-300)
     above = np.nonzero(frac >= capture)[0]
     cap_r = float(radii[above[0]]) if above.size else float("inf")
     center = ws.grid.xyz[centers[above[0]]] if above.size else ws.grid.xyz[centers[-1]]
     bary = barycenter(values, ws, pole, clamp_radius)
-    return theta, cap_r, center, bary, min_psi, total
+    return theta, cap_r, center, bary, min_psi
 
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
@@ -504,7 +504,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                     break
         res = h_norm(ws.basis, np.where(ws.basis.plus_mask, red.grad, 0.0))
         values = red.values
-        theta, cap_r, center, bary, min_psi, total = _stage_diagnostics(
+        theta, cap_r, center, bary, min_psi = _stage_diagnostics(
             values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
         trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=red.value,
                       residual=res, nehari_defect=nehari_defect(u, p, ws, red),

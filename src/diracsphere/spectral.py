@@ -38,9 +38,12 @@ Normalization constants are computed exactly over the rationals
 (Beta integrals), so Gram matrices are identity to quadrature roundoff.
 
 Evaluation.  Only ``SphereBasis`` picks a chart, from ``use_a``: a bool or
-a mask shaped like the chart points, True reading chart A.  The grid
-transforms cache one basis table per grid degree; one field at arbitrary
-points is one ChartExpr per chart and component, with no table.
+a mask shaped like the chart points, True reading chart A.  One field at
+arbitrary points is one ChartExpr per chart and component, with no table.
+The grid transforms are separable: each grid ring lies in one chart, where
+a basis column is one longitude mode times its phi = 0 value, so a transform
+is a sparse map between coefficients and ring modes plus an FFT along each
+ring.  At degree 2J+1 the modes +-(J+1) share a bin and agree at the nodes.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 from .chartexpr import ChartExpr, PowerCache
 from .grid import QuadratureGrid
@@ -196,6 +200,10 @@ class SphereBasis:
             ea, eb = _eigenspinor_exprs(ix.j, ix.k, ix.sigma, norms[(ix.j, khat)])
             self._exprs_a.append(ea)
             self._exprs_b.append(eb)
+        # longitude mode per (chart A/B, component, column): eta_{j,k} is z^k,
+        # z^(k+1) times radial factors, and diag(i z, -i zbar) takes it to B
+        k = np.array([ix.k for ix in indices])
+        self.modes = np.array([[k, k + 1], [k + 1, k]])
         self._matrix_cache = {}
 
     # -- evaluation ---------------------------------------------------------
@@ -243,36 +251,41 @@ class SphereBasis:
 
     def _require_grid(self, grid: QuadratureGrid):
         if grid.degree < 2 * self.J + 1:
-            raise AliasingError(
-                f"grid degree {grid.degree} < 2J+1 = {2 * self.J + 1}: "
-                "transforms would alias"
-            )
+            raise AliasingError(f"grid degree {grid.degree} < 2J+1 = {2 * self.J + 1}: "
+                                "transforms would alias")
 
-    def synthesis_matrix(self, grid: QuadratureGrid) -> np.ndarray:
-        """Basis values at the grid nodes, each node in its preferred chart;
-        cached per grid degree."""
+    def synthesis_matrix(self, grid: QuadratureGrid):
+        """Cached per grid degree: the sparse map S from coefficients to each
+        ring's longitude modes, (n_theta*2*n_phi, n_basis), holding the
+        basis on the phi = 0 meridian, and its conjugate transpose."""
         self._require_grid(grid)
-        mat = self._matrix_cache.get(grid.degree)
-        if mat is None:
-            mat = self.evaluate_matrix(grid.z_pref, grid.use_a)
-            self._matrix_cache[grid.degree] = mat
-        return mat
+        tab = self._matrix_cache.get(grid.degree)
+        if tab is None:
+            n_p = grid.n_phi
+            radial = self.evaluate_matrix(grid.z_pref[::n_p], grid.use_a[::n_p])
+            mode = self.modes[np.where(grid.use_a[::n_p], 0, 1)]
+            rows = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * n_p + mode % n_p
+            cols = np.broadcast_to(np.arange(self.n_basis), radial.shape)
+            # CSC stores O(nonzeros) on bubble transport's fine grids
+            S = sparse.csc_matrix((radial.ravel(), (rows.ravel(), cols.ravel())),
+                                  shape=(2 * grid.n_nodes, self.n_basis))
+            tab = self._matrix_cache[grid.degree] = (S, S.conj().T)
+        return tab
 
     def synthesize(self, coeff, grid: QuadratureGrid) -> np.ndarray:
         """Weighted chart values of the field at the nodes, shape (n_nodes, 2)."""
-        mat = self.synthesis_matrix(grid)
-        return np.tensordot(mat, np.asarray(coeff, dtype=complex), axes=([2], [0]))
+        S, _ = self.synthesis_matrix(grid)
+        modes = (S @ np.asarray(coeff, dtype=complex)).reshape(grid.n_theta, 2, grid.n_phi)
+        vals = np.fft.ifft(modes, axis=-1, norm="forward")
+        return vals.transpose(0, 2, 1).reshape(grid.n_nodes, 2)
 
     def analyze(self, values, grid: QuadratureGrid) -> np.ndarray:
-        """L^2 projection of nodal values onto the basis (adjoint transform).
-
-        sum conj(mat) v = conj(conj(v) @ mat): one pass over the C-contiguous
-        table, with no conjugated or transposed copy of it.
-        """
-        mat = self.synthesis_matrix(grid)
+        """L^2 projection of nodal values onto the basis (adjoint transform):
+        an FFT along each ring, then the conjugate transpose of the table."""
+        _, SH = self.synthesis_matrix(grid)
         wf = (grid.weights / grid.f_pref)[:, None]
-        weighted = np.conj(np.asarray(values) * wf).ravel()
-        return np.conj(weighted @ mat.reshape(-1, self.n_basis))
+        rings = (np.asarray(values) * wf).reshape(grid.n_theta, grid.n_phi, 2)
+        return SH @ np.fft.fft(rings.transpose(0, 2, 1), axis=-1).ravel()
 
 
 @dataclass
@@ -364,30 +377,32 @@ def save_spinor(path, psi: SpectralSpinor) -> None:
 
 
 def load_spinor(path, basis: SphereBasis | None = None) -> SpectralSpinor:
-    """Read a coefficient file written by :func:`save_spinor`."""
-    header = {}
-    rows = []
+    """Read a coefficient file written by :func:`save_spinor`; ValueError
+    unless it holds each basis row once, with finite values."""
+    header, rows = {}, {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+        for line in filter(None, map(str.strip, fh)):
             if line.startswith("#"):
-                if "=" in line:
-                    key, _, val = line[1:].partition("=")
-                    header[key.strip()] = val.strip()
+                key, _, val = line[1:].partition("=")
+                header[key.strip()] = val.strip()
                 continue
             j_s, sg_s, d_s, re_s, im_s = line.split()
-            rows.append((int(j_s), int(sg_s), int(d_s), float(re_s), float(im_s)))
-    if int(header.get("version", "1")) != FORMAT_VERSION:
-        raise ValueError("unsupported coefficient file version")
+            key = (int(j_s), int(sg_s), int(d_s))
+            if key in rows:
+                raise ValueError(f"coefficient file repeats row {key}")
+            rows[key] = complex(float(re_s), float(im_s))
+    if int(header.get("version", "1")) != FORMAT_VERSION or "J" not in header:
+        raise ValueError("not a version-1 coefficient file with a J header")
     J = int(header["J"])
     if basis is None:
         basis = SphereBasis(J)
     elif basis.J != J:
         raise ValueError(f"file was written at J={J}, basis has J={basis.J}")
-    coeff = np.zeros(basis.n_basis, dtype=complex)
-    lookup = {(ix.j, ix.sigma, ix.deg_index): i for i, ix in enumerate(basis.indices)}
-    for j, sg, d, re, im in rows:
-        coeff[lookup[(j, sg, d)]] = re + 1j * im
+    keys = [(ix.j, ix.sigma, ix.deg_index) for ix in basis.indices]
+    if rows.keys() != set(keys):
+        raise ValueError(f"coefficient file has {len(rows)} rows; J={J} needs "
+                         f"each of its {basis.n_basis} basis rows once")
+    coeff = np.array([rows[k] for k in keys])
+    if not np.isfinite(coeff).all():
+        raise ValueError("coefficient file holds non-finite values")
     return SpectralSpinor(basis, coeff)

@@ -49,7 +49,7 @@ def test_criterion_1_spectral_correctness():
                 members = [ix for ix in basis.indices
                            if ix.j == j and ix.sigma == sigma]
                 assert len(members) == 2 * (j + 1) == dirac_multiplicity(2, j)
-        S = basis.synthesis_matrix(grid)
+        S = basis.evaluate_matrix(grid.z_pref, grid.use_a)
         wf = (grid.weights / grid.f_pref)[:, None, None]
         G = np.tensordot(np.conj(S) * wf, S, axes=([0, 1], [0, 1]))
         assert np.abs(G - np.eye(basis.n_basis)).max() <= 1e-10

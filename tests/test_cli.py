@@ -164,3 +164,64 @@ def test_unreadable_config_exits_2(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["diagnose", "state.txt", "--config", str(broken)]) == 2
+
+
+def _edit_rows(text, edit):
+    head = [line for line in text.splitlines() if line.startswith("#")]
+    rows = [line for line in text.splitlines() if not line.startswith("#")]
+    return "\n".join(head + edit(rows)) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda rows: rows[:7] + [" ".join(rows[7].split()[:3] + ["nan", "0.0"])] + rows[8:],
+    lambda rows: rows[:1],
+    lambda rows: rows[:-1] + rows[:1],
+], ids=["missing", "nan_row", "one_of_60_rows", "duplicate_row"])
+def test_bad_state_file_exits_2_with_one_line(tmp_path, caplog, edit):
+    """A missing or malformed state file, as init.path or as the diagnose
+    and immerse argument, is a configuration error: exit 2, one line."""
+    from diracsphere.spectral import SphereBasis, SpectralSpinor, save_spinor
+
+    state = tmp_path / "state.txt"
+    if edit is not None:
+        basis = SphereBasis(4)
+        save_spinor(state, SpectralSpinor(basis, np.ones(basis.n_basis, complex)))
+        state.write_text(_edit_rows(state.read_text(), edit))
+    cfg = write_config(tmp_path, J=4, init={"type": "state", "path": str(state)})
+    for argv in (["solve", str(cfg), "--output", str(tmp_path / "out")],
+                 ["diagnose", str(state), "--config", str(cfg)],
+                 ["immerse", str(state), "--config", str(cfg),
+                  "--out", str(tmp_path / "m.ply")]):
+        caplog.clear()
+        assert main(argv) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "state.txt" in errors[0].getMessage()
+        assert "\n" not in errors[0].getMessage()
+
+
+def test_determinism_across_blas_threads(tmp_path):
+    """The criterion-9 solve gives byte-identical trace and state files with
+    one and with two BLAS threads."""
+    import diracsphere
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "J": 8,
+        "Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
+        "schedule": [3.0, 3.5, 4.0],
+        "init": {"type": "bubble", "rho": 0.35, "center": [0.0, 0.0, 1.0]},
+        "tolerances": {"final": 1e-6}}))
+    src = str(Path(diracsphere.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "diracsphere.cli", "solve",
+                               str(cfg), "--output", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("trace.csv", "state.txt")])
+    assert outputs[0] == outputs[1]

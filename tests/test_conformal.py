@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.conformal import (_PROJECT_CHUNK, Bubble, StereoChart,
-                                   bubble_energy_flat, bubble_to_sphere,
+from diracsphere.conformal import (Bubble, StereoChart, bubble_energy_flat,
+                                   bubble_grid_values, bubble_to_sphere,
                                    conformal_push_values, mobius_apply,
-                                   mobius_of_rotation, project_onto_basis,
-                                   rotation_to_north, transition_g)
+                                   mobius_of_rotation, rotation_to_north,
+                                   transition_g)
 from diracsphere.grid import QuadratureGrid, chart_a_coords
 from diracsphere.spectral import SphereBasis, dirac_apply
 from conftest import make_workspace
@@ -205,15 +205,16 @@ def test_transition_factor_magnitude():
     assert np.abs(np.abs(g) ** 2 - fm / f).max() < 1e-12
 
 
-def test_project_onto_basis_matches_analyze():
-    """The chunked projection equals the cached-table adjoint transform on a
-    grid whose chunks cross the equator."""
+def test_bubble_to_sphere_matches_dense_adjoint():
+    """Bubble transport through the separable analysis equals the dense
+    adjoint of the basis table on its refined degree-70 grid."""
     basis = SphereBasis(5)
     grid = QuadratureGrid(degree=70)
-    first = grid.use_a[:_PROJECT_CHUNK]
-    assert grid.n_nodes > _PROJECT_CHUNK and first.any() and not first.all()
-    rng = np.random.default_rng(30)
-    values = (rng.normal(size=(grid.n_nodes, 2))
-              + 1j * rng.normal(size=(grid.n_nodes, 2)))
-    ref = basis.analyze(values, grid)
-    assert np.abs(project_onto_basis(values, grid, basis) - ref).max() <= 1e-14
+    bub = Bubble(center=[0.48, -0.6, 0.64], rho=0.3, q_center=1.2)
+    psi, rep = bubble_to_sphere(bub, basis, analysis_degree=70)
+    assert rep.analysis_degree == 70
+    wf = (grid.weights / grid.f_pref)[:, None]
+    mat = basis.evaluate_matrix(grid.z_pref, grid.use_a)
+    ref = np.tensordot(np.conj(mat), bubble_grid_values(bub, grid) * wf,
+                       axes=([0, 1], [0, 1]))
+    assert np.abs(psi.coeff - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -41,7 +41,7 @@ def test_multiplicity_and_eigenvalues_of_basis(basis5):
 
 
 def test_gram_matrix_identity(basis5, grid5):
-    S = basis5.synthesis_matrix(grid5)
+    S = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a)
     wf = (grid5.weights / grid5.f_pref)[:, None, None]
     G = np.tensordot(np.conj(S) * wf, S, axes=([0, 1], [0, 1]))
     assert np.abs(G - np.eye(basis5.n_basis)).max() <= 1e-10
@@ -53,16 +53,70 @@ def test_analyze_matches_conjugate_table_formula(basis5, grid5):
     rng = np.random.default_rng(7)
     values = (rng.normal(size=(grid5.n_nodes, 2))
               + 1j * rng.normal(size=(grid5.n_nodes, 2)))
-    mat = basis5.synthesis_matrix(grid5)
+    mat = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a)
     wf = (grid5.weights / grid5.f_pref)[:, None]
     ref = np.tensordot(np.conj(mat), values * wf, axes=([0, 1], [0, 1]))
     assert np.abs(basis5.analyze(values, grid5) - ref).max() <= 1e-14
 
 
+@pytest.mark.parametrize("J, degree", [(0, 1), (1, 3), (5, 11), (5, 12), (16, 48)])
+def test_transforms_match_dense_formulas(J, degree):
+    """The separable transforms against the dense table contraction, on odd
+    and even n_phi and at degree 2J+1, where the modes +-(J+1) share a bin."""
+    basis = SphereBasis(J)
+    grid = QuadratureGrid(degree=degree)
+    mat = basis.evaluate_matrix(grid.z_pref, grid.use_a)
+    rng = np.random.default_rng(J + degree)
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    values = (rng.normal(size=(grid.n_nodes, 2))
+              + 1j * rng.normal(size=(grid.n_nodes, 2)))
+    wf = (grid.weights / grid.f_pref)[:, None]
+    tol = 1e-13 if J <= 5 else 1e-11
+    ref = np.tensordot(mat, coeff, axes=([2], [0]))
+    assert np.abs(basis.synthesize(coeff, grid) - ref).max() <= tol * np.abs(ref).max()
+    ref = np.tensordot(np.conj(mat), values * wf, axes=([0, 1], [0, 1]))
+    assert np.abs(basis.analyze(values, grid) - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("J, degree", [(5, 11), (5, 18), (16, 48)])
+def test_transform_adjoint_identity(J, degree):
+    """sum w/f (synthesize(a), v) = (a, analyze(v))."""
+    basis = SphereBasis(J)
+    grid = QuadratureGrid(degree=degree)
+    rng = np.random.default_rng(degree)
+    a = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    v = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
+    wf = (grid.weights / grid.f_pref)[:, None]
+    lhs = np.sum(wf * basis.synthesize(a, grid) * np.conj(v))
+    rhs = np.sum(a * np.conj(basis.analyze(v, grid)))
+    assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(np.abs(a) ** 2) * np.sum(wf * np.abs(v) ** 2))
+
+
+def test_columns_are_single_longitude_modes():
+    """Every term z^a zbar^b of a column's closed form has the column's mode
+    a - b in chart A and -(a - b) in chart B, where w ~ e^{-i phi}."""
+    basis = SphereBasis(16)
+    for sign, chart, exprs in ((1, 0, basis._exprs_a), (-1, 1, basis._exprs_b)):
+        for i, pair in enumerate(exprs):
+            for c, expr in enumerate(pair):
+                assert {sign * (a - b) for a, b, _ in expr.terms} == {basis.modes[chart, c, i]}
+
+
+def test_cached_transform_table_is_small():
+    """The J=16, degree-48 table holds one entry per ring, component and
+    column (the dense table was 24 MB)."""
+    basis = SphereBasis(16)
+    grid = QuadratureGrid(degree=48)
+    mats = basis.synthesis_matrix(grid)
+    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in mats)
+    assert size < 2 * 2**20
+    assert list(basis._matrix_cache) == [48]
+
+
 def test_eigen_relation_residual(basis5, grid5):
     """D eta_k = lambda_k eta_k with the chart Dirac operator applied through
     exact derivatives of the closed forms."""
-    S = basis5.synthesis_matrix(grid5)
+    S = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a)
     Dz = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a, deriv=(1, 0))
     Dzb = basis5.evaluate_matrix(grid5.z_pref, grid5.use_a, deriv=(0, 1))
     Dphi = np.empty_like(S)
