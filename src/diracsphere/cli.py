@@ -7,7 +7,9 @@ identical configs, with the same numpy/scipy build, give bit-identical trace
 and state files at any BLAS thread count (checked at 1 and 2 threads).
 
 Exit codes: 0 success, 2 configuration error, 3 blow-up detected,
-4 stagnation, 5 postcondition failure (zero-free or energy-window check).
+4 stagnation, 5 postcondition failure (zero-free or energy-window check),
+6 solver failure (an inner reduction missed its tolerance or an iterate is
+not finite).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .geometry import (edge_length_relative_error, export_obj, export_ply,
                        gauss_bonnet_defect, nodal_analysis,
                        reconstruct_immersion, scal_identity_check, willmore)
 from .grid import QuadratureGrid
-from .reduction import (BlowUpDetected, StagnationDetected, solve_continuation)
+from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
+                        solve_continuation)
 from .spectral import (SphereBasis, dirac_eigenvalue, dirac_multiplicity,
                        load_spinor, save_spinor)
 
@@ -41,6 +44,7 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_STAGNATION = 4
 EXIT_POSTCONDITION = 5
+EXIT_SOLVE_FAILURE = 6
 
 DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
@@ -297,6 +301,13 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         exc.trace.to_csv(outdir / "trace.csv")
         _write_report(outdir, report)
         return EXIT_STAGNATION
+    except SolveFailure as exc:
+        log.error("solver failure: %s", exc)
+        report["status"] = "solve-failure"
+        report["solve_failure"] = str(exc)
+        exc.trace.to_csv(outdir / "trace.csv")
+        _write_report(outdir, report)
+        return EXIT_SOLVE_FAILURE
 
     trace.to_csv(outdir / "trace.csv")
     save_spinor(outdir / "state.txt", psi)

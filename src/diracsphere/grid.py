@@ -36,7 +36,14 @@ class QuadratureGrid:
             raise ValueError("grid degree must be >= 1")
         object.__setattr__(self, "n_theta", (self.degree + 2) // 2)
         object.__setattr__(self, "n_phi", self.degree + 1)
-        x, w = np.polynomial.legendre.leggauss(self.n_theta)
+        # numpy's nodes; its weights err up to 4e-12 relative at 97 nodes, so
+        # take 2 / ((1 - x^2) P_n'(x)^2) from the Legendre recurrences
+        x = np.polynomial.legendre.leggauss(self.n_theta)[0]
+        p_prev, p, dp_prev, dp = 1.0, x, 0.0, np.ones_like(x)
+        for l in range(2, self.n_theta + 1):
+            dp_prev, dp = dp, dp_prev + (2 * l - 1) * p
+            p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
         # descending in x = cos(theta): theta increases from north to south
         order = np.argsort(-x)
         x, w = x[order], w[order]

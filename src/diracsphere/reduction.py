@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .conformal import Bubble, StereoChart, bubble_to_sphere
 from .energy import (Workspace, eval_A, eval_L_parts, eval_rayleigh,
@@ -117,7 +116,8 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
         grad = np.sign(basis.eigenvalues) * psi - N / basis.abs_eigenvalues
         g = np.where(neg, grad, 0.0)
         res = h_norm(basis, g)
-        if res <= tol_eff or it == max_iter:
+        finite = math.isfinite(res) and math.isfinite(val)
+        if res <= tol_eff or it == max_iter or not finite:
             break
         delta = _neg_cg(ws, values, p, g, tol=min(0.1 * res, res * res, tol_eff))
         step = 1.0
@@ -132,8 +132,11 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
             step *= 0.5
         else:
             break
+    if not finite:
+        raise SolveFailure(f"non-finite iterate in the inner reduction "
+                           f"(value {val}, residual {res})")
     if res > 10 * tol_eff:
-        raise RuntimeError(
+        raise SolveFailure(
             f"inner reduction did not reach tol_inner={tol_inner:g} "
             f"(residual {res:.3e}); the problem is concave, this indicates "
             "an aliasing or conditioning issue")
@@ -193,6 +196,8 @@ def _bracket_root(slope, xtol: float) -> float:
         s_hi = slope(t_hi)
     else:
         raise RuntimeError("Nehari bracketing failed: slope never negative")
+    from scipy.optimize import brentq
+
     return brentq(slope, t_lo, t_hi, xtol=xtol, rtol=8.8817841970012523e-16)
 
 
@@ -433,8 +438,9 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                        config_echo: dict | None = None) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
 
-    Raises BlowUpDetected or StagnationDetected (both carrying the trace) on
-    the corresponding failure modes.
+    Raises BlowUpDetected or StagnationDetected on the corresponding failure
+    modes, and SolveFailure when an inner reduction misses tol_inner or an
+    iterate is not finite; each carries the trace.
     """
     schedule = list(schedule)
     if not schedule or abs(schedule[-1] - 4.0) > 1e-12:
@@ -463,76 +469,86 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     trace = SolverTrace(schedule=schedule, config=config_echo or {})
     prev_capture_small = False
 
-    for stage, p in enumerate(schedule):
-        tol = tol_final if stage == len(schedule) - 1 else tol_stage
-        st = nehari_project(u, p, ws, tol_inner=tol_inner)
-        # red is always the reduction at u: each projection hands over the
-        # one it ends on, so no point is reduced twice
-        u, red = st.u, st.reduction
-        warm_I = st.value
-        step = 1.0
-        it = 0
-        for it in range(max_outer):
-            gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
-            res = h_norm(ws.basis, gplus)
-            defect = nehari_defect(u, p, ws, red)
-            trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=red.value,
-                          residual=res, nehari_defect=defect)
-            if res <= tol:
-                break
-            if res <= newton_switch:
-                delta = _tangent_newton_step(u, p, ws, red, gplus, tol_inner)
-            else:
-                delta = None
-            moved = False
-            if delta is not None:
-                st_try = nehari_project(u + delta, p, ws, tol_inner=tol_inner, h0=red.h)
-                if st_try.value <= red.value + 1e-12 * abs(red.value):
-                    u, red = st_try.u, st_try.reduction
-                    moved = True
-            if not moved:
-                for _ in range(25):
-                    st_try = nehari_project(u - step * gplus, p, ws,
-                                            tol_inner=tol_inner, h0=red.h)
-                    if st_try.value < red.value - 1e-4 * step * res * res:
-                        u, red = st_try.u, st_try.reduction
-                        step = min(step * 1.4, 1e3)
-                        moved = True
-                        break
-                    step *= 0.4
-                if not moved:
+    try:
+        for stage, p in enumerate(schedule):
+            tol = tol_final if stage == len(schedule) - 1 else tol_stage
+            st = nehari_project(u, p, ws, tol_inner=tol_inner)
+            # red is always the reduction at u: each projection hands over the
+            # one it ends on, so no point is reduced twice
+            u, red = st.u, st.reduction
+            warm_I = st.value
+            step = 1.0
+            it = 0
+            for it in range(max_outer):
+                gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
+                res = h_norm(ws.basis, gplus)
+                if not math.isfinite(res):
+                    raise SolveFailure(
+                        f"non-finite iterate at stage {stage}, iteration {it}")
+                defect = nehari_defect(u, p, ws, red)
+                trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=red.value,
+                              residual=res, nehari_defect=defect)
+                if res <= tol:
                     break
-        res = h_norm(ws.basis, np.where(ws.basis.plus_mask, red.grad, 0.0))
-        values = red.values
-        theta, cap_r, center, bary, min_psi = _stage_diagnostics(
-            values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
-        trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=red.value,
-                      residual=res, nehari_defect=nehari_defect(u, p, ws, red),
-                      capture_radius=cap_r, bary_x=float(bary[0]),
-                      bary_y=float(bary[1]), min_psi=min_psi)
-        trace.stages.append(StageSummary(
-            p=p, iterations=it + 1, value=red.value, residual=res,
-            nehari_defect=nehari_defect(u, p, ws, red), theta_radii=radii,
-            theta=theta, theta_center=center, capture_radius=cap_r,
-            barycenter=bary, min_psi=min_psi, warm_start_value=warm_I))
+                if res <= newton_switch:
+                    delta = _tangent_newton_step(u, p, ws, red, gplus, tol_inner)
+                else:
+                    delta = None
+                moved = False
+                if delta is not None:
+                    st_try = nehari_project(u + delta, p, ws, tol_inner=tol_inner, h0=red.h)
+                    if st_try.value <= red.value + 1e-12 * abs(red.value):
+                        u, red = st_try.u, st_try.reduction
+                        moved = True
+                if not moved:
+                    for _ in range(25):
+                        st_try = nehari_project(u - step * gplus, p, ws,
+                                                tol_inner=tol_inner, h0=red.h)
+                        if st_try.value < red.value - 1e-4 * step * res * res:
+                            u, red = st_try.u, st_try.reduction
+                            step = min(step * 1.4, 1e3)
+                            moved = True
+                            break
+                        step *= 0.4
+                    if not moved:
+                        break
+            res = h_norm(ws.basis, np.where(ws.basis.plus_mask, red.grad, 0.0))
+            defect = nehari_defect(u, p, ws, red)
+            values = red.values
+            theta, cap_r, center, bary, min_psi = _stage_diagnostics(
+                values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
+            trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=red.value,
+                          residual=res, nehari_defect=defect,
+                          capture_radius=cap_r, bary_x=float(bary[0]),
+                          bary_y=float(bary[1]), min_psi=min_psi)
+            trace.stages.append(StageSummary(
+                p=p, iterations=it + 1, value=red.value, residual=res,
+                nehari_defect=defect, theta_radii=radii,
+                theta=theta, theta_center=center, capture_radius=cap_r,
+                barycenter=bary, min_psi=min_psi, warm_start_value=warm_I))
 
-        capture_small = cap_r <= blowup_spacing_factor * spacing
-        if capture_small and prev_capture_small:
-            center = _local_mass_center(values, p, ws, center, 2.5 * spacing)
-            nsq_max = float(ws.fiber_norm_sq(values).max())
-            q_at = float(ws.Q.evaluate(center[None])[0])
-            rho_hat = 1.0 / max(q_at * nsq_max, 1e-300)
-            prof_dist = _bubble_profile_distance(red.psi, center, rho_hat, q_at, ws)
-            raise BlowUpDetected(
-                f"concentration captured {blowup_capture:.0%} of |psi|^p mass "
-                f"within {cap_r:.3f} rad at stages p={schedule[stage-1]:.3g}, "
-                f"p={p:.3g}", trace, point=center, stage_p=p, rho_hat=rho_hat,
-                profile_distance=prof_dist)
-        prev_capture_small = capture_small
-        if res > tol:
-            raise StagnationDetected(
-                f"stage p={p} stalled at residual {res:.3e} (tol {tol:g})",
-                trace, stage_p=p, residual=res)
+            capture_small = cap_r <= blowup_spacing_factor * spacing
+            if capture_small and prev_capture_small:
+                center = _local_mass_center(values, p, ws, center, 2.5 * spacing)
+                nsq_max = float(ws.fiber_norm_sq(values).max())
+                q_at = float(ws.Q.evaluate(center[None])[0])
+                rho_hat = 1.0 / max(q_at * nsq_max, 1e-300)
+                prof_dist = _bubble_profile_distance(red.psi, center, rho_hat, q_at, ws)
+                raise BlowUpDetected(
+                    f"concentration captured {blowup_capture:.0%} of |psi|^p mass "
+                    f"within {cap_r:.3f} rad at stages p={schedule[stage-1]:.3g}, "
+                    f"p={p:.3g}", trace, point=center, stage_p=p, rho_hat=rho_hat,
+                    profile_distance=prof_dist)
+            prev_capture_small = capture_small
+            if res > tol:
+                raise StagnationDetected(
+                    f"stage p={p} stalled at residual {res:.3e} (tol {tol:g})",
+                    trace, stage_p=p, residual=res)
+
+    except SolveFailure as exc:
+        if exc.trace is None:
+            exc.trace = trace
+        raise
 
     psi = SpectralSpinor(ws.basis, red.psi)
     wv = red.value

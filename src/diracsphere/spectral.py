@@ -19,43 +19,50 @@ integral f * (phi, chi)_{C^2} dx, and pointwise fiber norms are
 |psi|^2 = |phi|^2 / f.
 
 Closed forms.  Eigenspinors at level j, eigenvalue sigma*(j+1), carry an
-angular index k in {-(j+1), ..., j}.  For k >= 0 (chart A, u = 1 + |z|^2):
+angular index k in {-(j+1), ..., j}.  For k >= 0 on chart A, with
+u = 1 + |z|^2, x = cos(theta) = (1 - |z|^2)/u and d = j - k,
 
-    eta_1 = N z^k p(rho) u^-(j+1)
-    eta_2 = N * (-i sigma/(j+1)) z^{k+1} q(rho) u^-(j+1),    rho = |z|^2,
+    eta_1 = pi^-1/2 (2z/u)^k u^-1 P^(k,k+1)_d(x),
+    eta_2 = i sigma pi^-1/2 (2z/u)^k (z/u) P^(k+1,k)_d(x),
 
-where p is the degree-(j-k) polynomial solving
-rho(1+rho) p'' + [(k+1) + (k-2j) rho] p' + (j+1)(j-k) p = 0 (three-term
-rational recursion below) and q = (1+rho) p' - (j+1) p.  Then
--2i d/dzbar eta_1 = sigma(j+1) f eta_2 holds as a polynomial identity, and
-likewise for the other component.  Indices k < 0 come from the symmetry
-(phi_1, phi_2) -> (conj(phi_2), -conj(phi_1)), which preserves the
-eigenvalue.  Chart-B forms use the reversed polynomials
-p*(rho) = rho^{j-k} p(1/rho) under the fixed transition gauge
-phi_B(w) = diag(i z, -i zbar) phi_A(z), w = 1/z.
+P^(a,b)_d being the Jacobi polynomials over their norm on [-1, 1] (Camporesi
+& Higuchi, J. Geom. Phys. 20, 1996).  These are z^k p u^-(j+1) and
+z^{k+1} q u^-(j+1) for the degree-d solution p of rho(1+rho) p'' +
+[(k+1) + (k-2j) rho] p' + (j+1)(j-k) p = 0, rho = |z|^2, and
+q = (1+rho) p' - (j+1) p: up to one constant per (j, k), p is
+(1+rho)^d P^(k,k+1)_d(x) and q is -(j+1) (1+rho)^d P^(k+1,k)_d(x).  Then
+-2i d/dzbar eta_1 = sigma(j+1) f eta_2, and likewise for eta_2.  Indices
+k < 0 come from the symmetry (phi_1, phi_2) -> (conj(phi_2), -conj(phi_1));
+chart-B forms from P^(a,b)_d(-x) = (-1)^d P^(b,a)_d(x) under the fixed
+transition gauge phi_B(w) = diag(i z, -i zbar) phi_A(z), w = 1/z.
 
-Normalization constants are computed exactly over the rationals
-(Beta integrals), so Gram matrices are identity to quadrature roundoff.
+Normalization.  The prefactor pi^-1/2 (2/u)^k gives unit L^2 norm: the
+chart measure becomes the Jacobi weight.  The normalized recurrence in d at
+fixed k (DLMF 18.9.2) starts from the closed-form norm (math.lgamma) and
+keeps every term O(1), so the basis is accurate at any J.
 
 Evaluation.  Only ``SphereBasis`` picks a chart, from ``use_a``: a bool or
-a mask shaped like the chart points, True reading chart A.  One field at
-arbitrary points is one ChartExpr per chart and component, with no table.
-The grid transforms are separable: each grid ring lies in one chart, where
-a basis column is one longitude mode times its phi = 0 value, so a transform
-is a sparse map between coefficients and ring modes plus an FFT along each
-ring.  At degree 2J+1 the modes +-(J+1) share a bin and agree at the nodes.
+a mask shaped like the chart points, True reading chart A.  The table
+``evaluate_matrix`` and one field at arbitrary points, ``evaluate``, run the
+same recurrence; ``evaluate`` sums the coefficients into the Jacobi sums of
+each k as it runs, with O(points) memory.  Wirtinger derivatives come from
+the z^k factor and d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1},
+with no division, so they are finite at z = 0.  The grid transforms are
+separable: each grid ring lies in one chart, where a basis column is one
+longitude mode times its phi = 0 value, so a transform is a sparse map
+between coefficients and ring modes plus an FFT along each ring.  At degree
+2J+1 the modes +-(J+1) share a bin and agree at the nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
-from .chartexpr import ChartExpr, PowerCache
 from .grid import QuadratureGrid
 
 FORMAT_VERSION = 1
@@ -76,37 +83,75 @@ def dirac_multiplicity(m: int, j: int) -> int:
     return 2 ** (m // 2) * math.comb(m + j - 1, j)
 
 
-def radial_polynomials(j: int, k: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact coefficients of p_{j,k} and q_{j,k} = (1+rho) p' - (j+1) p."""
-    if not 0 <= k <= j:
-        raise ValueError("need 0 <= k <= j")
-    d = j - k
-    p = [Fraction(1)]
-    for n in range(d):
-        num = n * (n - 1) + n * (k - 2 * j) + (j + 1) * (j - k)
-        p.append(-p[n] * Fraction(num, (n + 1) * (n + k + 1)))
-    q = []
-    for n in range(d + 1):
-        dp_next = (n + 1) * p[n + 1] if n + 1 <= d else Fraction(0)
-        q.append(dp_next + n * p[n] - (j + 1) * p[n])
-    return p, q
+@functools.lru_cache(maxsize=None)
+def _jacobi_coefficients(k: int, n_max: int, order: int):
+    """Per step n and row l of ``_jacobi``: the recurrence's diagonal and
+    off-diagonal terms, the derivative scale; and each row's P_0."""
+    l = np.arange(order + 1)
+    a, s = k + l, 2 * k + 1 + 2 * l                     # b = a + 1, s = a + b
+    n = np.arange(n_max + 1)[:, None]
+    m = np.maximum(n - l, 0) + 1         # the degree step n makes of each row
+    mm = 2 * m + s
+    shape = (n_max + 1, order + 1, 1, 1)             # step, row, family, point
+    diag = (s / ((mm - 2) * mm)).reshape(shape) * np.array([[1.0], [-1.0]])
+    off = (2.0 / mm * np.sqrt(m * (m + a) * (m + a + 1) * (m + s)
+                              / ((mm - 1) * (mm + 1)))).reshape(shape)
+    factor = np.maximum((n - l + 1) * (n + s[0] + l), 0)
+    factor[:, 0] = 1
+    scale = np.sqrt(np.cumprod(factor, axis=1)).reshape(shape)
+    start = [math.exp(-0.5 * ((si + 1) * math.log(2.0) + math.lgamma(ai + 1)
+                              + math.lgamma(ai + 2) - math.lgamma(si + 2)))
+             for ai, si in zip(a, s)]
+    return diag, off, scale, start
 
 
-def _beta_integral(t: int, coeffs: list[Fraction], M: int) -> Fraction:
-    """integral_0^inf rho^t s(rho) (1+rho)^-M drho for polynomial s, exact."""
-    total = Fraction(0)
-    fM = math.factorial(M - 1)
-    for n, c in enumerate(coeffs):
-        total += c * Fraction(math.factorial(t + n) * math.factorial(M - t - n - 2), fM)
-    return total
+def _jacobi(x, k: int, n_max: int, order: int):
+    """Normalized Jacobi polynomials of the families (k, k+1) and (k+1, k)
+    at points x, and ``order`` x-derivatives, for degrees n = 0..n_max: one
+    (order+1, 2, x.size) array per degree.  Row l runs the families
+    (k+l, k+1+l) from degree 0 at n = l (zero before), scaled by the
+    derivative rule; both share the recurrence but for its diagonal's sign.
+    """
+    diag, off, scale, start = _jacobi_coefficients(k, n_max, order)
+    p_prev, p = np.zeros((2, order + 1, 2, x.size))
+    for n in range(n_max + 1):
+        if n:
+            p, p_prev = ((x - diag[n - 1]) * p - off[n - 2] * p_prev) / off[n - 1], p
+        if n <= order:
+            p[n] = start[n]
+        yield scale[n] * p
 
 
-def _conv_square(p: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (2 * len(p) - 1)
-    for i, a in enumerate(p):
-        for l, b in enumerate(p):
-            out[i + l] += a * b
-    return out
+def _atom(v, t, rho_t, k: int, e: int, base, prev, P, deriv):
+    """Wirtinger derivative ``deriv`` of F = base v^e t P(x), with
+    base = pi^-1/2 (2 v t)^k, prev the same at k - 1, t = 1/(1+|v|^2),
+    rho_t = |v|^2 t, and P[l] the l-th x-derivative of a sum of normalized
+    Jacobi polynomials.  As F = c v^m w(rho), m = k + e, w = t^(k+1) P(x):
+    d/dzbar F = c v^(m+1) w',  d/dz F = c (m v^(m-1) w + v^m vbar w'),
+    d2/dz dzbar F = c v^m ((m+1) w' + rho w'')."""
+    ve = v if e else 1.0
+    s = k + 1
+    if deriv == (0, 0):
+        return base * ve * t * P[0]
+    slope = s * P[0] + 2.0 * t * P[1]               # -t^-(s+1) w'
+    if deriv == (0, 1):
+        return -base * ve * v * t * t * slope
+    if deriv == (1, 0):
+        lead = (k + 1) * base * t if e else 2.0 * k * prev * t * t
+        return lead * P[0] - base * ve * np.conj(v) * t * t * slope
+    if deriv != (1, 1):
+        raise ValueError(f"Wirtinger derivative {deriv} is not available")
+    curv = s * (s + 1) * P[0] + 4.0 * (s + 1) * t * P[1] + 4.0 * t * t * P[2]
+    return base * ve * t * t * (rho_t * curv - (k + e + 1) * slope)
+
+
+# Weights [chart, family e, h, column] of the atoms F_e (h = 0) and conj(F_e)
+# (h = 1) in the basis columns (sigma, k) = (+1, k), (-1, k), (+1, -1-k),
+# (-1, -1-k) at one level j and k >= 0; chart B carries a further (-1)^(j-k).
+_WEIGHTS = np.array([
+    [[[1, 1, 0, 0], [0, 0, -1, -1]], [[1j, -1j, 0, 0], [0, 0, -1j, 1j]]],
+    [[[0, 0, 1, -1], [1, -1, 0, 0]], [[0, 0, 1j, 1j], [1j, 1j, 0, 0]]],
+])
 
 
 @dataclass(frozen=True)
@@ -125,37 +170,6 @@ class BasisIndex:
     def deg_index(self) -> int:
         # position inside the eigenspace, in [0, 2(j+1))
         return self.k + self.j + 1
-
-
-def _eigenspinor_exprs(j, k, sigma, norm):
-    """ChartExpr pairs for eta_{j,k,sigma} on charts A and B."""
-    khat = k if k >= 0 else -1 - k
-    p, q = radial_polynomials(j, khat)
-    d = j - khat
-    a = j + 1
-    c2 = -1j * sigma / (j + 1.0)
-    pr = [float(c) for c in reversed(p)]
-    qr = [float(c) for c in reversed(q)]
-    pf = [float(c) for c in p]
-    qf = [float(c) for c in q]
-
-    e = ChartExpr()
-    f = ChartExpr()
-    g = ChartExpr()
-    h = ChartExpr()
-    if k >= 0:
-        for n in range(d + 1):
-            e += ChartExpr.monomial(norm * pf[n], khat + n, n, a)
-            f += ChartExpr.monomial(norm * c2 * qf[n], khat + 1 + n, n, a)
-            g += ChartExpr.monomial(1j * norm * pr[n], n, khat + 1 + n, a)
-            h += ChartExpr.monomial(-norm * sigma / (j + 1.0) * qr[n], n, khat + n, a)
-    else:
-        for n in range(d + 1):
-            e += ChartExpr.monomial(norm * (1j * sigma / (j + 1.0)) * qf[n], n, khat + 1 + n, a)
-            f += ChartExpr.monomial(-norm * pf[n], n, khat + n, a)
-            g += ChartExpr.monomial(-norm * sigma / (j + 1.0) * qr[n], khat + n, n, a)
-            h += ChartExpr.monomial(1j * norm * pr[n], khat + 1 + n, n, a)
-    return (e, f), (g, h)
 
 
 class AliasingError(ValueError):
@@ -182,24 +196,14 @@ class SphereBasis:
         self.abs_eigenvalues = np.abs(self.eigenvalues)
         self.plus_mask = self.sigma_arr > 0
         self.minus_mask = ~self.plus_mask
-
-        norms = {}
-        for j in range(J + 1):
-            for khat in range(j + 1):
-                p, q = radial_polynomials(j, khat)
-                M = 2 * j + 3
-                val = 2 * math.pi * (
-                    float(_beta_integral(khat, _conv_square(p), M))
-                    + float(_beta_integral(khat + 1, _conv_square(q), M)) / (j + 1) ** 2
-                )
-                norms[(j, khat)] = 1.0 / math.sqrt(val)
-        self._exprs_a = []
-        self._exprs_b = []
-        for ix in indices:
-            khat = ix.k if ix.k >= 0 else -1 - ix.k
-            ea, eb = _eigenspinor_exprs(ix.j, ix.k, ix.sigma, norms[(ix.j, khat)])
-            self._exprs_a.append(ea)
-            self._exprs_b.append(eb)
+        # _cols[k, d]: the columns of _WEIGHTS at level j = k + d; slots
+        # past J point at a zero appended to the coefficients
+        pos = {(ix.j, ix.sigma, ix.k): i for i, ix in enumerate(indices)}
+        self._cols = np.full((J + 1, J + 1, 4), self.n_basis)
+        for k in range(J + 1):
+            for j in range(k, J + 1):
+                self._cols[k, j - k] = [pos[j, sg, kk] for kk in (k, -1 - k)
+                                        for sg in (1, -1)]
         # longitude mode per (chart A/B, component, column): eta_{j,k} is z^k,
         # z^(k+1) times radial factors, and diag(i z, -i zbar) takes it to B
         k = np.array([ix.k for ix in indices])
@@ -209,41 +213,68 @@ class SphereBasis:
     # -- evaluation ---------------------------------------------------------
 
     def _by_chart(self, z, use_a, tail, fill) -> np.ndarray:
-        """``fill(points, cache, exprs)`` on each chart's share of the points z;
-        the result has shape z.shape + tail."""
+        """``fill(points, chart)`` on each chart's share of the points z
+        (chart 0 is A); the result has shape z.shape + tail."""
         z = np.asarray(z, dtype=complex)
         mask = np.broadcast_to(use_a, z.shape)
         out = np.empty(z.shape + tail, dtype=complex)
-        for sel, exprs in ((mask, self._exprs_a), (~mask, self._exprs_b)):
+        for chart, sel in enumerate((mask, ~mask)):
             if sel.any():
-                pts = z[sel]
-                out[sel] = fill(pts, PowerCache(pts), exprs)
+                out[sel] = fill(z[sel], chart)
         return out
+
+    def _radial_stage(self, v, deriv):
+        """For k = 0..J: (k, degrees, components), with ``degrees`` the
+        ``_jacobi`` values at d = 0..J-k and ``components(S)`` the spinor
+        components F_0 + conj(F_1), F_1 + conj(F_0) (``_atom``) of Jacobi
+        sums S[order, e, h], h = 1 for conj(F_e); used before advancing."""
+        rho = (v * np.conj(v)).real
+        t = 1.0 / (1.0 + rho)
+        rho_t = rho * t
+        omega = 2.0 * v * t                         # sin(theta) e^{i phi}
+        deriv = tuple(deriv)
+        base = prev = np.full(v.shape, math.pi ** -0.5, dtype=complex)
+        for k in range(self.J + 1):
+            def components(S):
+                def atom(e, h, dv):
+                    return _atom(v, t, rho_t, k, e, base, prev, S[:, e, h], dv)
+                return (atom(0, 0, deriv) + np.conj(atom(1, 1, deriv[::-1])),
+                        atom(1, 0, deriv) + np.conj(atom(0, 1, deriv[::-1])))
+            yield k, _jacobi(t - rho_t, k, self.J - k, sum(deriv)), components
+            prev, base = base, base * omega
 
     def evaluate_matrix(self, z, use_a, deriv=(0, 0)) -> np.ndarray:
         """Basis values (or their exact Wirtinger derivative ``deriv`` =
-        (nz, nzbar)) at chart points z: shape z.shape + (2, n_basis)."""
-        def fill(pts, cache, exprs):
-            tab = np.empty((pts.size, 2, self.n_basis), dtype=complex)
-            for i, pair in enumerate(exprs):
-                for c, e in enumerate(pair):
-                    tab[:, c, i] = e.derivative(*deriv)(pts, cache)
-            return tab
+        (nz, nzbar), each 0 or 1) at chart points z: shape z.shape + (2, n_basis)."""
+        def fill(v, chart):
+            tab = np.zeros((v.size, 2, self.n_basis + 1), dtype=complex)
+            w = _WEIGHTS[chart].copy()
+            w[:, 1] = np.conj(w[:, 1])
+            for k, degrees, components in self._radial_stage(v, deriv):
+                for d, P in enumerate(degrees):
+                    S = (-1) ** (d * chart) * w[..., None] * P[:, :, None, None, :]
+                    tab[:, :, self._cols[k, d]] = np.transpose(components(S), (2, 0, 1))
+            return tab[:, :, :-1]
 
         return self._by_chart(z, use_a, (2, self.n_basis), fill)
 
     def evaluate(self, coeff, z, use_a, deriv=(0, 0)) -> np.ndarray:
         """The field ``coeff`` (or its ``deriv`` derivative) at chart points z,
-        shape z.shape + (2,): each chart's weighted basis expressions summed
-        into one ChartExpr per component, with no table."""
-        def fill(pts, cache, exprs):
-            sums = ({}, {})
-            for a, pair in zip(coeff, exprs):
-                for acc, e in zip(sums, pair):
-                    for key, c in e.terms.items():
-                        acc[key] = acc.get(key, 0.0) + a * c
-            return np.stack([ChartExpr(acc).derivative(*deriv)(pts, cache)
-                             for acc in sums], axis=-1)
+        shape z.shape + (2,): the coefficients are summed into the Jacobi
+        sums of each k as the recurrence runs, with no table."""
+        blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
+
+        def fill(v, chart):
+            w = np.einsum("ehc,kdc->kdeh", _WEIGHTS[chart], blocks)
+            w *= (-1.0) ** (chart * np.arange(self.J + 1))[:, None, None]
+            w[..., 1] = np.conj(w[..., 1])
+            out = np.zeros(v.shape + (2,), dtype=complex)
+            for k, degrees, components in self._radial_stage(v, deriv):
+                S = np.zeros((sum(deriv) + 1, 2, 2, v.size), dtype=complex)
+                for d, P in enumerate(degrees):
+                    S += w[k, d, ..., None] * P[:, :, None, :]
+                out += np.stack(components(S), axis=-1)
+            return out
 
         return self._by_chart(z, use_a, (2,), fill)
 

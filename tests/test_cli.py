@@ -159,6 +159,31 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["tol_inner", "huge_state"])
+def test_solver_failure_exits_6_with_report(tmp_path, caplog, case):
+    """A SolveFailure (an inner reduction missing tol_inner, a non-finite
+    iterate) exits 6 with a report and the trace, and no traceback."""
+    from diracsphere.spectral import SphereBasis, SpectralSpinor, save_spinor
+
+    if case == "tol_inner":
+        cfg = write_config(tmp_path, J=4, tolerances={"inner": 1e-30})
+    else:
+        state = tmp_path / "state.txt"
+        basis = SphereBasis(4)
+        save_spinor(state, SpectralSpinor(basis, np.full(basis.n_basis, 1e200 + 0j)))
+        cfg = write_config(tmp_path, J=4, init={"type": "state", "path": str(state)})
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["solve", str(cfg), "--output", str(out)]) == 6
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "solve-failure"
+    assert report["solve_failure"].startswith(
+        "inner reduction did not reach" if case == "tol_inner" else "non-finite iterate")
+    assert (out / "trace.csv").read_text().startswith("# diracsphere-trace")
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+
+
 def test_unreadable_config_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json")]) == 2
     broken = tmp_path / "broken.json"

@@ -5,8 +5,9 @@ import pytest
 
 from diracsphere.conformal import Bubble
 from diracsphere.energy import PolynomialCurvature
-from diracsphere.reduction import (BlowUpDetected, StagnationDetected,
-                                   solve_continuation)
+from diracsphere import reduction
+from diracsphere.reduction import (BlowUpDetected, SolveFailure,
+                                   StagnationDetected, solve_continuation)
 from diracsphere.spectral import SpectralSpinor
 from conftest import SCHEDULE, make_workspace
 
@@ -95,3 +96,40 @@ def test_init_requires_positive_part(ws8):
 def test_lossy_bubble_init_refused(ws8):
     with pytest.raises(ValueError):
         solve_continuation(ws8, [3.0, 4.0], Bubble(center=[0, 0, 1], rho=0.05))
+
+
+def _nan_gradient(monkeypatch):
+    """Projections hand the outer loop a reduction with a NaN gradient."""
+    project = reduction.nehari_project
+
+    def corrupt(*args, **kwargs):
+        st = project(*args, **kwargs)
+        st.reduction.grad[:] = np.nan
+        return st
+
+    monkeypatch.setattr(reduction, "nehari_project", corrupt)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("tol_inner", "did not reach tol_inner"),
+    ("huge_init", "non-finite iterate in the inner reduction"),
+    ("nan_gradient", "non-finite iterate at stage 0, iteration 0"),
+])
+def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message):
+    """An inner reduction that misses tol_inner, and a non-finite iterate in
+    reduce_minus or in the outer loop, end in a SolveFailure with the trace."""
+    ws = make_workspace(4)
+    init = Bubble(center=[0, 0, 1], rho=0.5)
+    options = {}
+    if case == "tol_inner":
+        options["tol_inner"] = 1e-30
+    elif case == "huge_init":
+        init = SpectralSpinor(ws.basis, np.full(ws.basis.n_basis, 1e200 + 0j))
+    else:
+        _nan_gradient(monkeypatch)
+    with np.errstate(all="ignore"), pytest.raises(SolveFailure) as info:
+        solve_continuation(ws, [3.0, 4.0], init, config_echo={"case": case},
+                           **options)
+    assert type(info.value) is SolveFailure
+    assert message in str(info.value)
+    assert info.value.trace.config == {"case": case}

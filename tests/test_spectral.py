@@ -1,5 +1,10 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from diracsphere.spectral import (AliasingError, SphereBasis, SpectralSpinor,
@@ -93,13 +98,18 @@ def test_transform_adjoint_identity(J, degree):
 
 
 def test_columns_are_single_longitude_modes():
-    """Every term z^a zbar^b of a column's closed form has the column's mode
-    a - b in chart A and -(a - b) in chart B, where w ~ e^{-i phi}."""
+    """Turning the chart points by e^{i alpha} multiplies each column by
+    e^{i mode alpha} in chart A and by e^{-i mode alpha} in chart B, where
+    w ~ e^{-i phi}."""
     basis = SphereBasis(16)
-    for sign, chart, exprs in ((1, 0, basis._exprs_a), (-1, 1, basis._exprs_b)):
-        for i, pair in enumerate(exprs):
-            for c, expr in enumerate(pair):
-                assert {sign * (a - b) for a, b, _ in expr.terms} == {basis.modes[chart, c, i]}
+    rng = np.random.default_rng(13)
+    z = 0.9 * (rng.normal(size=20) + 1j * rng.normal(size=20))
+    rot = np.exp(0.7j)
+    for chart, sign in ((0, 1), (1, -1)):
+        use_a = chart == 0
+        turned = basis.evaluate_matrix(rot * z, use_a)
+        phase = np.exp(sign * 0.7j * basis.modes[chart])
+        assert np.abs(turned - phase * basis.evaluate_matrix(z, use_a)).max() <= 1e-13
 
 
 def test_cached_transform_table_is_small():
@@ -242,7 +252,7 @@ def test_basis_chart_transition_consistency():
 
 
 def test_evaluate_matches_table_contraction():
-    """The collapsed-ChartExpr evaluator agrees with contracting the basis
+    """The recurrence-summed evaluator agrees with contracting the basis
     table, for the value and each Wirtinger derivative, with both charts
     in one call."""
     basis = SphereBasis(16)
@@ -258,3 +268,149 @@ def test_evaluate_matches_table_contraction():
         ref = np.tensordot(basis.evaluate_matrix(z, use_a, d), coeff,
                            axes=([2], [0]))
         assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+# -- exact-rational oracle for the sign and phase convention ------------------
+#
+# The closed forms as they were first written: the radial polynomial p of
+# the eigenvalue equation by its rational recursion, q = (1+rho) p' - (j+1) p,
+# the norm from exact Beta integrals, and each component as a monomial sum
+# c z^a zbar^b (1+|z|^2)^-M.  Stored coefficient files depend on this
+# convention; float monomial sums are accurate only at small J.
+
+
+def _oracle_radial(j, k):
+    d = j - k
+    p = [Fraction(1)]
+    for n in range(d):
+        num = n * (n - 1) + n * (k - 2 * j) + (j + 1) * (j - k)
+        p.append(-p[n] * Fraction(num, (n + 1) * (n + k + 1)))
+    q = [((n + 1) * p[n + 1] if n < d else 0) + (n - j - 1) * p[n] for n in range(d + 1)]
+    return p, q
+
+
+@pytest.mark.parametrize("j, k", [(5, 2), (7, 0), (9, 4)])
+def test_radial_polynomials_are_jacobi_polynomials(j, k):
+    """p = (1+rho)^d P^(k,k+1)_d(x) / C(j,d) and
+    q = -(j+1) (1+rho)^d P^(k+1,k)_d(x) / C(j,d), x = (1-rho)/(1+rho),
+    exactly, from P^(a,b)_d(x) = sum_s C(d+a, d-s) C(d+b, s)
+    ((x-1)/2)^s ((x+1)/2)^(d-s)."""
+    d = j - k
+    p, q = _oracle_radial(j, k)
+
+    def jacobi_in_rho(a, b):
+        return [Fraction((-1) ** s * math.comb(d + a, d - s) * math.comb(d + b, s),
+                         math.comb(j, d)) for s in range(d + 1)]
+
+    assert p == jacobi_in_rho(k, k + 1)
+    assert q == [-(j + 1) * c for c in jacobi_in_rho(k + 1, k)]
+
+
+def _oracle_beta(t, coeffs, M):
+    """integral_0^inf rho^t s(rho) (1+rho)^-M drho for polynomial s."""
+    return sum(c * Fraction(math.factorial(t + n) * math.factorial(M - t - n - 2),
+                            math.factorial(M - 1)) for n, c in enumerate(coeffs))
+
+
+def _oracle_square(p):
+    out = [Fraction(0)] * (2 * len(p) - 1)
+    for i, a in enumerate(p):
+        for l, b in enumerate(p):
+            out[i + l] += a * b
+    return out
+
+
+def _oracle_components(ix):
+    """{(a, b, M): coefficient} monomial sums of eta_{j,k,sigma}, as
+    (chart A component 1, 2, chart B component 1, 2)."""
+    j, k, sigma = ix.j, ix.k, ix.sigma
+    khat = k if k >= 0 else -1 - k
+    p, q = _oracle_radial(j, khat)
+    M = 2 * j + 3
+    norm = 1.0 / math.sqrt(2 * math.pi * float(
+        _oracle_beta(khat, _oracle_square(p), M)
+        + _oracle_beta(khat + 1, _oracle_square(q), M) / (j + 1) ** 2))
+    c2 = sigma / (j + 1.0)
+    a, d = j + 1, j - khat
+    if k >= 0:
+        parts = ((norm, p, False, khat, 0), (-1j * norm * c2, q, False, khat + 1, 0),
+                 (1j * norm, p, True, 0, khat + 1), (-norm * c2, q, True, 0, khat))
+    else:
+        parts = ((1j * norm * c2, q, False, 0, khat + 1), (-norm, p, False, 0, khat),
+                 (-norm * c2, q, True, khat, 0), (1j * norm, p, True, khat + 1, 0))
+    out = []
+    for c, poly, rev, za, zb in parts:
+        coeffs = poly[::-1] if rev else poly
+        out.append({(za + n, zb + n, a): c * float(coeffs[n]) for n in range(d + 1)})
+    return out
+
+
+def _oracle_derivative(terms, nz, nzbar):
+    """Exact Wirtinger derivative of a monomial sum: d/dz of
+    z^a zbar^b u^-M is a z^(a-1) zbar^b u^-M - M z^a zbar^(b+1) u^-(M+1)."""
+    for wrt in (0,) * nz + (1,) * nzbar:
+        out = {}
+        for (a, b, M), c in terms.items():
+            e = (a, b)[wrt]
+            if e:
+                key = (a - 1, b, M) if wrt == 0 else (a, b - 1, M)
+                out[key] = out.get(key, 0) + e * c
+            key = (a, b + 1, M + 1) if wrt == 0 else (a + 1, b, M + 1)
+            out[key] = out.get(key, 0) - M * c
+        terms = out
+    return terms
+
+
+def _oracle_matrix(basis, z, use_a, deriv):
+    u = 1.0 + np.abs(z) ** 2
+    tab = np.empty(z.shape + (2, basis.n_basis), dtype=complex)
+    for i, ix in enumerate(basis.indices):
+        comps = _oracle_components(ix)
+        for c in range(2):
+            for chart, sel in ((0, use_a), (2, ~use_a)):
+                terms = _oracle_derivative(comps[chart + c], *deriv)
+                zs, us = z[sel], u[sel]
+                tab[sel, c, i] = sum(coef * zs ** a * np.conj(zs) ** b / us ** M
+                                     for (a, b, M), coef in terms.items())
+    return tab
+
+
+@pytest.mark.parametrize("J", [0, 2, 5])
+def test_basis_matches_exact_rational_closed_forms(J):
+    """evaluate_matrix and evaluate, and their (1,0), (0,1) and (1,1)
+    Wirtinger derivatives, against the exact-rational monomial closed forms
+    at points of both charts, z = 0 of each chart among them."""
+    basis = SphereBasis(J)
+    rng = np.random.default_rng(14)
+    xyz = rng.normal(size=(40, 3))
+    xyz = np.vstack([xyz / np.linalg.norm(xyz, axis=1, keepdims=True),
+                     [[0, 0, 1.0], [0, 0, -1.0]]])
+    use_a = xyz[:, 2] >= 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.where(use_a, chart_a_coords(xyz), chart_b_coords(xyz))
+    assert z[-1] == 0 and z[-2] == 0 and not use_a[-1]
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    for d in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        ref = _oracle_matrix(basis, z, use_a, d)
+        got = basis.evaluate_matrix(z, use_a, d)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        ref_field = np.tensordot(ref, coeff, axes=([2], [0]))
+        got_field = basis.evaluate(coeff, z, use_a, d)
+        assert np.abs(got_field - ref_field).max() <= 1e-13 * np.abs(ref_field).max()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(J=st.integers(0, 64), extra=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+@example(J=64, extra=63, seed=0)  # degree 192
+def test_gram_and_round_trip_property(J, extra, seed):
+    """At any J <= 64 on a degree-(2J+1) or finer grid: analyze inverts
+    synthesize (the Gram matrix is the identity on the coefficients) and
+    the quadrature L^2 norm of the field is the coefficient norm."""
+    basis = SphereBasis(J)
+    grid = QuadratureGrid(degree=2 * J + 1 + min(extra, J + 1))
+    rng = np.random.default_rng(seed)
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    values = basis.synthesize(coeff, grid)
+    assert np.abs(basis.analyze(values, grid) - coeff).max() <= 1e-12
+    l2 = float(grid.integrate(np.sum(np.abs(values) ** 2, axis=1) / grid.f_pref))
+    assert abs(l2 - np.sum(np.abs(coeff) ** 2)) <= 1e-12 * np.sum(np.abs(coeff) ** 2)
