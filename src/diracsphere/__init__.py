@@ -23,8 +23,8 @@ from .reduction import (BlowUpDetected, ContinuationResult, StagnationDetected,
                         barycenter, concentration_profile, estimate_tau,
                         nehari_project, reduce_minus, solve_continuation)
 from .spectral import (BasisIndex, SphereBasis, SpectralSpinor, dirac_apply,
-                       dirac_eigenvalue, dirac_multiplicity, h_half_inner,
-                       l2_inner, load_spinor, save_spinor, split)
+                       dirac_eigenvalue, dirac_multiplicity, load_spinor,
+                       save_spinor, split)
 
 __all__ = [
     "Bubble", "StereoChart", "bubble_energy_flat", "bubble_to_sphere",
@@ -36,6 +36,6 @@ __all__ = [
     "StagnationDetected", "barycenter", "concentration_profile",
     "estimate_tau", "nehari_project", "reduce_minus", "solve_continuation",
     "BasisIndex", "SphereBasis", "SpectralSpinor", "dirac_apply",
-    "dirac_eigenvalue", "dirac_multiplicity", "h_half_inner", "l2_inner",
-    "load_spinor", "save_spinor", "split",
+    "dirac_eigenvalue", "dirac_multiplicity", "load_spinor", "save_spinor",
+    "split",
 ]

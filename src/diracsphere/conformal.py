@@ -310,18 +310,3 @@ def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
             "raise J or the bubble scale"
         )
     return SpectralSpinor(basis, coeff), report
-
-
-# -- conformal change of the metric ------------------------------------------
-
-
-def conformal_push_values(values, h_nodes) -> np.ndarray:
-    """Fiberwise isometry F to the metric h^2 g in weighted chart components.
-
-    Weighted components simply pick up h^{1/2}; fiber norms w.r.t. the new
-    metric then agree with the old ones pointwise.
-    """
-    h = np.asarray(h_nodes, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("conformal factor must be positive")
-    return np.asarray(values) * np.sqrt(h)[:, None]

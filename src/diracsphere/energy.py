@@ -160,11 +160,18 @@ class QHypothesisReport:
     notes: list
 
 
-def _tangent_frame(xi):
-    a = np.array([1.0, 0.0, 0.0]) if abs(xi[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(xi, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(xi, e1)
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products of (n, 3) stacks as stacked matmuls, which round
+    like a scalar ``a[i] @ b[i]`` (a sum over axis 1 does not)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _tangent_frame(xyz):
+    """Orthonormal tangent frames (e1, e2), each (n, 3), at points (n, 3)."""
+    a = np.where(np.abs(xyz[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e1 = np.cross(xyz, a)
+    e1 /= np.sqrt(_dot(e1, e1))[:, None]
+    e2 = np.cross(xyz, e1)
     return e1, e2
 
 
@@ -174,69 +181,91 @@ def intrinsic_gradient(Q: PolynomialCurvature, xyz) -> np.ndarray:
     g = Q.ambient_gradient(xyz)
     return g - np.sum(g * xyz, axis=1, keepdims=True) * xyz
 
-def intrinsic_hessian(Q: PolynomialCurvature, xi) -> np.ndarray:
-    """2x2 sphere Hessian at a point, in an orthonormal tangent frame.
+
+def intrinsic_hessian(Q: PolynomialCurvature, xyz) -> np.ndarray:
+    """2x2 sphere Hessians (n, 2, 2) at points (n, 3), each in the tangent
+    frame of ``_tangent_frame``.
 
     Hess_S Q(X, Y) = Hess_ambient(X, Y) - (grad_ambient . xi) <X, Y> on the
     unit sphere (shape-operator correction).
     """
-    xi = np.asarray(xi, dtype=float)
-    e1, e2 = _tangent_frame(xi)
-    H = Q.ambient_hessian(xi[None])[0]
-    g = Q.ambient_gradient(xi[None])[0]
-    radial = float(g @ xi)
-    frame = np.stack([e1, e2], axis=0)
-    return frame @ H @ frame.T - radial * np.eye(2)
+    xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
+    frame = np.stack(_tangent_frame(xyz), axis=1)
+    radial = _dot(Q.ambient_gradient(xyz), xyz)
+    return (frame @ Q.ambient_hessian(xyz) @ frame.transpose(0, 2, 1)
+            - radial[:, None, None] * np.eye(2))
+
+
+def _newton_steps(H2, g2) -> np.ndarray:
+    """Solve H2 step = -g2 for every row; a row with a singular H2 steps -g2."""
+    try:
+        return np.linalg.solve(H2, -g2[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        steps = -g2
+        for i in range(len(g2)):
+            try:
+                steps[i] = np.linalg.solve(H2[i], -g2[i])
+            except np.linalg.LinAlgError:
+                pass
+        return steps
 
 
 def find_critical_points(Q: PolynomialCurvature, seed_degree: int = 24,
                          grad_tol: float = 1e-9, dedupe_dist: float = 0.03,
                          max_iter: int = 80):
-    """Multi-start sphere Newton for grad Q = 0; returns (points, all_converged)."""
-    grid = QuadratureGrid(degree=seed_degree)
-    seeds = grid.xyz
+    """Multi-start sphere Newton for grad Q = 0; returns (points, all_converged).
+
+    One Newton iteration runs over all seeds at once; a seed is frozen once
+    its gradient norm falls below ``grad_tol``.  Converged seeds are then
+    deduplicated and classified in seed order.
+    """
+    xi = QuadratureGrid(degree=seed_degree).xyz.copy()
+    converged = np.zeros(len(xi), dtype=bool)
+    active = np.arange(len(xi))
+    for _ in range(max_iter):
+        x = xi[active]
+        g3 = intrinsic_gradient(Q, x)
+        gn = np.sqrt(_dot(g3, g3))
+        done = gn < grad_tol
+        converged[active[done]] = True
+        active, x, g3, gn = active[~done], x[~done], g3[~done], gn[~done]
+        if not active.size:
+            break
+        e1, e2 = _tangent_frame(x)
+        g2 = np.stack([_dot(g3, e1), _dot(g3, e2)], axis=1)
+        step = _newton_steps(intrinsic_hessian(Q, x), g2)
+        # a non-finite or long Newton step becomes a short gradient step
+        finite = np.isfinite(step).all(axis=1)
+        step[~finite] = 0.0
+        short = ~finite | (np.sqrt(_dot(step, step)) > 0.5)
+        step[short] = -0.2 * g2[short] / np.maximum(gn[short], 1e-30)[:, None]
+        x = x + step[:, :1] * e1 + step[:, 1:] * e2
+        xi[active] = x / np.sqrt(_dot(x, x))[:, None]
+    kept = []
+    for i in np.flatnonzero(converged):
+        cos = _dot(xi[kept], np.tile(xi[i], (len(kept), 1)))
+        if np.all(np.arccos(np.clip(cos, -1, 1)) > dedupe_dist):
+            kept.append(i)
+    pts = xi[kept]
+    vals = Q.evaluate(pts)
+    eigs = np.linalg.eigvalsh(intrinsic_hessian(Q, pts))
+    g3 = intrinsic_gradient(Q, pts)
+    gnorms = np.sqrt(_dot(g3, g3))
     found = []
-    all_ok = True
-    for xi in seeds:
-        xi = xi.copy()
-        ok = False
-        for _ in range(max_iter):
-            g3 = intrinsic_gradient(Q, xi[None])[0]
-            gn = np.linalg.norm(g3)
-            if gn < grad_tol:
-                ok = True
-                break
-            e1, e2 = _tangent_frame(xi)
-            H2 = intrinsic_hessian(Q, xi)
-            g2 = np.array([g3 @ e1, g3 @ e2])
-            try:
-                step = np.linalg.solve(H2, -g2)
-            except np.linalg.LinAlgError:
-                step = -g2
-            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
-                step = -0.2 * g2 / max(gn, 1e-30)
-            xi = xi + step[0] * e1 + step[1] * e2
-            xi /= np.linalg.norm(xi)
-        if not ok:
-            all_ok = False
-            continue
-        if all(np.arccos(np.clip(xi @ p.position, -1, 1)) > dedupe_dist for p in found):
-            val = float(Q.evaluate(xi[None])[0])
-            eigs = np.linalg.eigvalsh(intrinsic_hessian(Q, xi))
-            scale = max(abs(eigs).max(), 1e-12)
-            tol = 1e-6 * max(scale, 1.0)
-            if eigs[0] > tol and eigs[1] > tol:
-                kind = "min"
-            elif eigs[0] < -tol and eigs[1] < -tol:
-                kind = "max"
-            elif eigs[0] < -tol and eigs[1] > tol:
-                kind = "saddle"
-            else:
-                kind = "degenerate"
-            found.append(CriticalPoint(xi, val, float(np.linalg.norm(
-                intrinsic_gradient(Q, xi[None])[0])), (float(eigs[0]), float(eigs[1])), kind))
+    for x, val, (lo, hi), gn in zip(pts, vals, eigs, gnorms):
+        tol = 1e-6 * max(abs(lo), abs(hi), 1.0)
+        if lo > tol and hi > tol:
+            kind = "min"
+        elif lo < -tol and hi < -tol:
+            kind = "max"
+        elif lo < -tol and hi > tol:
+            kind = "saddle"
+        else:
+            kind = "degenerate"
+        found.append(CriticalPoint(x, float(val), float(gn),
+                                   (float(lo), float(hi)), kind))
     found.sort(key=lambda p: -p.value)
-    return found, all_ok
+    return found, bool(converged.all())
 
 
 def check_q_hypothesis(Q: PolynomialCurvature, m: int = 2,
@@ -402,22 +431,6 @@ def hessian_apply(psi_values, p: float, ws: Workspace, w_coeff) -> np.ndarray:
     return np.sign(basis.eigenvalues) * w_coeff - M / basis.abs_eigenvalues
 
 
-def hessian_quadratic_form(psi_values, p: float, ws: Workspace, w_coeff) -> float:
-    """L_p''(psi)[w, w] evaluated directly by quadrature."""
-    basis = ws.basis
-    w_coeff = np.asarray(w_coeff, dtype=complex)
-    w_values = ws.synthesize(w_coeff)
-    nsq = ws.fiber_norm_sq(psi_values)
-    pw = np.where(nsq > 0, nsq ** ((p - 2.0) / 2.0), 0.0)
-    wsq = ws.fiber_norm_sq(w_values)
-    dot = ws.fiber_re_inner(psi_values, w_values)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quart = np.where(nsq > 0, pw / nsq * dot**2, 0.0)
-    quad_part = float(ws.grid.integrate(ws.q_nodes * (pw * wsq + (p - 2.0) * quart)))
-    dirac_part = float(np.sum(basis.eigenvalues * np.abs(w_coeff) ** 2))
-    return dirac_part - quad_part
-
-
 # -- Rayleigh quotient --------------------------------------------------------
 
 
@@ -432,28 +445,3 @@ def eval_rayleigh(coeff, p: float, ws: Workspace, normalized: bool = False) -> f
         raise ValueError("Rayleigh quotient undefined: A(psi) = 0")
     num = float(np.sum(ws.basis.eigenvalues * np.abs(coeff) ** 2))
     return num / A ** (2.0 / p)
-
-
-def rayleigh_grad(coeff, p: float, ws: Workspace) -> np.ndarray:
-    """H^{1/2} Riesz representative of R_p'(psi)."""
-    _check_p(p)
-    coeff = np.asarray(coeff, dtype=complex)
-    basis = ws.basis
-    values = ws.synthesize(coeff)
-    A = eval_A(coeff, p, ws, values=values)
-    if A <= 0:
-        raise ValueError("Rayleigh quotient undefined: A(psi) = 0")
-    R = float(np.sum(basis.eigenvalues * np.abs(coeff) ** 2)) / A ** (2.0 / p)
-    N = nonlinear_projection(values, p, ws)
-    # R'(psi)[v] = (2/A^{2/p}) [ real(D psi, v) - (R/p) A^{(2-p)/p} A'(psi)[v] ]
-    core = np.sign(basis.eigenvalues) * coeff \
-        - (R * A ** ((2.0 - p) / p)) * N / basis.abs_eigenvalues
-    return (2.0 / A ** (2.0 / p)) * core
-
-
-def lp_mean(coeff, q: float, ws: Workspace) -> float:
-    """(integral Qhat |psi|^q)^{1/q} with Qhat the normalized copy of Q."""
-    values = ws.synthesize(coeff)
-    nsq = ws.fiber_norm_sq(values)
-    val = float(ws.grid.integrate(ws.q_nodes / ws.q_integral * nsq ** (q / 2.0)))
-    return val ** (1.0 / q)

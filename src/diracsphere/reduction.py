@@ -176,29 +176,31 @@ def _reduced_hessian(ws: Workspace, psi_values, p: float, w, tol_inner: float):
     return np.where(basis.plus_mask, out, 0.0)
 
 
-def _bracket_root(slope, xtol: float) -> float:
-    """Root of a slope that is positive near 0 and negative far out: bracket
-    from [0.5, 2] by halving and doubling, then Brent."""
-    t_lo, t_hi = 0.5, 2.0
-    s_lo = slope(t_lo)
+def _bracket_root(slope, xtol: float, t: float, s: float) -> float:
+    """Root of a slope that is positive near 0 and negative far out, from a
+    point t whose slope s is already known: double t while the slope stays
+    positive, or halve it while it stays negative, then Brent on the last
+    two points, which reuses their slopes."""
+    known = {t: s}
+
+    def known_slope(x):
+        if x not in known:
+            known[x] = slope(x)
+        return known[x]
+
+    factor = 2.0 if s > 0 else 0.5
     for _ in range(80):
-        if s_lo > 0:
+        t_next = t * factor
+        s_next = known_slope(t_next)
+        if (s_next > 0) != (s > 0):
             break
-        t_lo *= 0.5
-        s_lo = slope(t_lo)
+        t, s = t_next, s_next
     else:
-        raise RuntimeError("no positive slope near t = 0; A(u + h) <= 0?")
-    s_hi = slope(t_hi)
-    for _ in range(80):
-        if s_hi < 0:
-            break
-        t_hi *= 2.0
-        s_hi = slope(t_hi)
-    else:
-        raise RuntimeError("Nehari bracketing failed: slope never negative")
+        raise RuntimeError("Nehari bracketing failed: the slope keeps its sign")
     from scipy.optimize import brentq
 
-    return brentq(slope, t_lo, t_hi, xtol=xtol, rtol=8.8817841970012523e-16)
+    return brentq(known_slope, min(t, t_next), max(t, t_next), xtol=xtol,
+                  rtol=8.8817841970012523e-16)
 
 
 def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
@@ -208,8 +210,9 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
     Newton in t from the incoming scale t = ||u||, with s'(t) from one
     reduced Hessian product; it stops once |s/s'| <= tol_t max(t, 1).  A
     step with s' >= 0 or leaving [t/2, 2t], or more than 8 steps, hands
-    over to bracketing and Brent.  The reduction at the accepted t is the
-    last one made, so the root costs no extra solve.
+    over to bracketing outward from the last Newton t, and Brent.  The
+    reduction at the accepted t is the last one made, so the root costs no
+    extra solve.
     """
     _check_p(p)
     u_coeff = np.asarray(u_coeff, dtype=complex)
@@ -245,7 +248,7 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
             break
         t -= step
     if t_root is None:
-        t_root = _bracket_root(slope, tol_t)
+        t_root = _bracket_root(slope, tol_t, cache["t"], s)
         if cache["t"] != t_root:
             slope(t_root)
         d2 = ray_curvature()
@@ -453,7 +456,9 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     else:
         psi0 = init
     u = np.where(ws.basis.plus_mask, psi0.coeff, 0.0)
-    if h_norm(ws.basis, u) == 0:
+    with np.errstate(over="ignore"):
+        unorm = h_norm(ws.basis, u)
+    if unorm == 0:
         raise ValueError("initialization has no E^+ part")
 
     if monitor_pole is None:
@@ -467,6 +472,9 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     window = (0.25 * tau_sq, 0.5 * tau_sq)  # on L_p values, Eq. of the monitor
 
     trace = SolverTrace(schedule=schedule, config=config_echo or {})
+    if not math.isfinite(unorm):
+        raise SolveFailure(f"non-finite iterate in the initial state "
+                           f"(H^1/2 norm {unorm})", trace)
     prev_capture_small = False
 
     try:

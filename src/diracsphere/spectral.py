@@ -331,10 +331,6 @@ class SpectralSpinor:
         if self.coeff.shape != (self.basis.n_basis,):
             raise ValueError("coefficient vector does not match basis size")
 
-    @classmethod
-    def zero(cls, basis: SphereBasis) -> "SpectralSpinor":
-        return cls(basis, np.zeros(basis.n_basis, dtype=complex))
-
     def copy(self) -> "SpectralSpinor":
         return SpectralSpinor(self.basis, self.coeff.copy())
 
@@ -367,12 +363,6 @@ def split(psi: SpectralSpinor) -> tuple[SpectralSpinor, SpectralSpinor]:
     return SpectralSpinor(psi.basis, plus), SpectralSpinor(psi.basis, minus)
 
 
-def l2_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> complex:
-    """(psi, phi)_2, the complex L^2 pairing."""
-    _check_same_basis(psi, phi)
-    return complex(np.sum(psi.coeff * np.conj(phi.coeff)))
-
-
 def h_inner(basis: SphereBasis, a, b) -> float:
     """H^{1/2} pairing of coefficient arrays: real(|D|^{1/2} a, |D|^{1/2} b)_2."""
     return float(np.sum(basis.abs_eigenvalues * np.real(a * np.conj(b))))
@@ -381,12 +371,6 @@ def h_inner(basis: SphereBasis, a, b) -> float:
 def h_norm(basis: SphereBasis, a) -> float:
     """H^{1/2} norm of a coefficient array."""
     return math.sqrt(max(float(np.sum(basis.abs_eigenvalues * np.abs(a) ** 2)), 0.0))
-
-
-def h_half_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> float:
-    """<psi, phi> = real(|D|^{1/2} psi, |D|^{1/2} phi)_2."""
-    _check_same_basis(psi, phi)
-    return h_inner(psi.basis, psi.coeff, phi.coeff)
 
 
 # -- coefficient files ------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared fixtures: small workspaces and the two reference continuation solves.
+"""Shared fixtures: small workspaces and the two reference continuation solves,
+and the test-only helpers that several modules use.
 
 The constant-curvature solve (J=12) and the perturbed solve Q = 1 + 0.3 x3^2
 (J=16) are expensive, so they run once per session and are shared between the
@@ -9,10 +10,11 @@ import numpy as np
 import pytest
 
 from diracsphere.conformal import Bubble
-from diracsphere.energy import PolynomialCurvature, Workspace, constant_curvature
+from diracsphere.energy import (PolynomialCurvature, Workspace, _check_p,
+                                constant_curvature, eval_A, nonlinear_projection)
 from diracsphere.grid import QuadratureGrid
 from diracsphere.reduction import solve_continuation
-from diracsphere.spectral import SphereBasis
+from diracsphere.spectral import SphereBasis, SpectralSpinor
 
 SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 
@@ -30,6 +32,43 @@ def random_spinor(ws, rng, decay=0.5, plus_only=False):
     if plus_only:
         c = np.where(basis.plus_mask, c, 0.0)
     return c
+
+
+def zero_spinor(basis: SphereBasis) -> SpectralSpinor:
+    return SpectralSpinor(basis, np.zeros(basis.n_basis, dtype=complex))
+
+
+def hessian_quadratic_form(psi_values, p: float, ws: Workspace, w_coeff) -> float:
+    """L_p''(psi)[w, w] evaluated directly by quadrature."""
+    basis = ws.basis
+    w_coeff = np.asarray(w_coeff, dtype=complex)
+    w_values = ws.synthesize(w_coeff)
+    nsq = ws.fiber_norm_sq(psi_values)
+    pw = np.where(nsq > 0, nsq ** ((p - 2.0) / 2.0), 0.0)
+    wsq = ws.fiber_norm_sq(w_values)
+    dot = ws.fiber_re_inner(psi_values, w_values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quart = np.where(nsq > 0, pw / nsq * dot**2, 0.0)
+    quad_part = float(ws.grid.integrate(ws.q_nodes * (pw * wsq + (p - 2.0) * quart)))
+    dirac_part = float(np.sum(basis.eigenvalues * np.abs(w_coeff) ** 2))
+    return dirac_part - quad_part
+
+
+def rayleigh_grad(coeff, p: float, ws: Workspace) -> np.ndarray:
+    """H^{1/2} Riesz representative of R_p'(psi)."""
+    _check_p(p)
+    coeff = np.asarray(coeff, dtype=complex)
+    basis = ws.basis
+    values = ws.synthesize(coeff)
+    A = eval_A(coeff, p, ws, values=values)
+    if A <= 0:
+        raise ValueError("Rayleigh quotient undefined: A(psi) = 0")
+    R = float(np.sum(basis.eigenvalues * np.abs(coeff) ** 2)) / A ** (2.0 / p)
+    N = nonlinear_projection(values, p, ws)
+    # R'(psi)[v] = (2/A^{2/p}) [ real(D psi, v) - (R/p) A^{(2-p)/p} A'(psi)[v] ]
+    core = np.sign(basis.eigenvalues) * coeff \
+        - (R * A ** ((2.0 - p) / p)) * N / basis.abs_eigenvalues
+    return (2.0 / A ** (2.0 / p)) * core
 
 
 @pytest.fixture(scope="session")

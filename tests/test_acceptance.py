@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from diracsphere.conformal import Bubble, StereoChart, bubble_energy_flat, bubble_to_sphere
-from diracsphere.energy import (check_q_hypothesis, eval_A, eval_L,
-                                eval_rayleigh, hessian_quadratic_form,
-                                rayleigh_grad)
+from diracsphere.energy import check_q_hypothesis, eval_A, eval_L, eval_rayleigh
 from diracsphere.geometry import (gauss_bonnet_defect, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check,
                                   willmore)
@@ -23,7 +21,8 @@ from diracsphere.grid import QuadratureGrid
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_project, reduce_minus)
 from diracsphere.spectral import SphereBasis, dirac_apply, dirac_multiplicity
-from conftest import make_workspace, random_spinor
+from conftest import (hessian_quadratic_form, make_workspace, random_spinor,
+                      rayleigh_grad)
 
 
 @contextmanager

