@@ -59,15 +59,18 @@ class ConfigError(ValueError):
 
 
 def _is_number(x, kind=(int, float)) -> bool:
-    """A JSON number of the given kind; bools are ints to Python, not here."""
-    return isinstance(x, kind) and not isinstance(x, bool)
+    """A finite JSON number of the given kind; bools are ints to Python, not
+    here."""
+    return (isinstance(x, kind) and not isinstance(x, bool)
+            and (isinstance(x, int) or math.isfinite(x)))
 
 
-def _number_rows(rows, width: int) -> bool:
-    """A nonempty list of lists of ``width`` numbers each."""
+def _number_rows(rows, width: int, n_int: int = 0) -> bool:
+    """A nonempty list of lists of ``width`` numbers each, the first
+    ``n_int`` of them integers."""
     return isinstance(rows, list) and len(rows) > 0 and all(
         isinstance(r, list) and len(r) == width and all(map(_is_number, r))
-        for r in rows)
+        and all(_is_number(x, int) for x in r[:n_int]) for r in rows)
 
 
 def curvature_from_spec(spec) -> PolynomialCurvature:
@@ -81,15 +84,17 @@ def curvature_from_spec(spec) -> PolynomialCurvature:
         return constant_curvature(float(spec.get("value", 1.0)))
     if fam == "polynomial":
         terms = spec.get("terms")
-        if not _number_rows(terms, 4):
+        if not (_number_rows(terms, 4, n_int=3)
+                and all(min(t[:3]) >= 0 for t in terms)):
             raise ConfigError("polynomial Q needs a nonempty 'terms' list of "
-                              "[i, j, k, coeff] numbers")
+                              "[i, j, k, coeff] numbers with non-negative "
+                              "integer exponents i, j, k")
         return PolynomialCurvature([tuple(t) for t in terms])
     if fam == "sph_harm":
         coeffs = spec.get("coeffs")
-        if not _number_rows(coeffs, 3):
+        if not _number_rows(coeffs, 3, n_int=2):
             raise ConfigError("sph_harm Q needs a nonempty 'coeffs' list of "
-                              "[l, m, coeff] numbers")
+                              "[l, m, coeff] numbers with integers l, m")
         try:
             return spherical_harmonic_curvature([tuple(c) for c in coeffs])
         except ValueError as exc:
@@ -129,9 +134,19 @@ def validate_config(cfg: dict) -> None:
     if sched[0] <= 2.0 or any(b <= a for a, b in zip(sched, sched[1:])):
         raise ConfigError("schedule must be strictly increasing inside (2, 4]")
     tols = cfg.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise ConfigError("tolerances must be an object")
     for key in SOLVER_TOLERANCES:
         if key in tols and not (_is_number(tols[key]) and tols[key] > 0):
             raise ConfigError(f"tolerance '{key}' must be a positive number")
+    if "max_outer" in cfg and not (_is_number(cfg["max_outer"], int)
+                                   and cfg["max_outer"] > 0):
+        raise ConfigError("max_outer must be a positive integer")
+    if "clamp_radius" in cfg and not (_is_number(cfg["clamp_radius"])
+                                      and cfg["clamp_radius"] > 0):
+        raise ConfigError("clamp_radius must be a positive number")
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("output_dir must be a string")
     curvature_from_spec(cfg.get("Q", {"family": "constant"}))
     init = cfg.get("init", DEFAULT_INIT)
     if not isinstance(init, dict) or init.get("type") not in ("bubble", "state"):
@@ -143,8 +158,9 @@ def validate_config(cfg: dict) -> None:
         if not (_is_number(rho) and rho > 0):
             raise ConfigError("init.rho must be a positive number")
         center = init.get("center", "argmax")
-        if center != "argmax" and not _number_rows([center], 3):
-            raise ConfigError("init.center must be 'argmax' or three numbers")
+        if center != "argmax" and not (_number_rows([center], 3) and any(center)):
+            raise ConfigError("init.center must be 'argmax' or three numbers, "
+                              "not all zero")
 
 
 def build_workspace(cfg: dict) -> Workspace:
@@ -153,7 +169,10 @@ def build_workspace(cfg: dict) -> Workspace:
     basis = SphereBasis(J)
     grid = QuadratureGrid(degree=degree)
     Q = curvature_from_spec(cfg.get("Q", {"family": "constant"}))
-    return Workspace(basis, grid, Q)
+    try:
+        return Workspace(basis, grid, Q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _json_ready(obj):

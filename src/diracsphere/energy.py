@@ -331,8 +331,9 @@ class Workspace:
                 f"grid degree {self.grid.degree} < 3J = {3 * self.basis.J}: "
                 "cubic nonlinearity would alias")
         self.q_nodes = np.asarray(self.Q.evaluate(self.grid.xyz), dtype=float)
-        if np.any(self.q_nodes <= 0):
-            raise ValueError("curvature field must be positive at the nodes")
+        if not np.all((self.q_nodes > 0) & np.isfinite(self.q_nodes)):
+            raise ValueError("curvature field must be positive and finite at "
+                             "the nodes")
         self.q_integral = float(self.grid.integrate(self.q_nodes))
 
     def synthesize(self, coeff) -> np.ndarray:

@@ -75,13 +75,21 @@ class QuadratureGrid:
         """Integral over S^2 of a scalar sampled at the nodes."""
         return np.tensordot(self.weights, np.asarray(values), axes=1)
 
-    def geodesic_distance_matrix(self) -> np.ndarray:
-        """Pairwise geodesic (angular) distances between nodes; cached."""
-        cached = getattr(self, "_dist", None)
+    def ring_angles(self) -> np.ndarray:
+        """Angle between node (ring r, longitude 0) and node (ring s,
+        longitude d) at [r, s, d], shape (n_theta, n_theta, n_phi); cached.
+
+        A longitude rotation maps node (r, l) to (r, 0), so this table holds
+        every pairwise angle of the grid in n_theta^2 n_phi entries.
+        """
+        cached = getattr(self, "_ring_angles", None)
         if cached is None:
-            dots = np.clip(self.xyz @ self.xyz.T, -1.0, 1.0)
-            cached = np.arccos(dots)
-            object.__setattr__(self, "_dist", cached)
+            meridian = self.xyz[:: self.n_phi]
+            rings = self.xyz.reshape(self.n_theta, self.n_phi, 3)
+            dots = sum(meridian[:, None, None, k] * rings[None, :, :, k]
+                       for k in range(3))
+            cached = np.arccos(np.clip(dots, -1.0, 1.0))
+            object.__setattr__(self, "_ring_angles", cached)
         return cached
 
     def mean_spacing(self) -> float:

@@ -298,23 +298,43 @@ def estimate_tau(p: float, ws: Workspace, samples, tol_inner: float = 1e-10) -> 
 
 # -- concentration diagnostics ---------------------------------------------------
 
+# cap masses this fraction of the total mass apart tie (FFT roundoff is ~1e-16)
+_TIE = 1e-12
+
 
 def concentration_profile(values, p: float, ws: Workspace, radii):
     """Theta(r) = max over centers of the |psi|^p mass in geodesic r-balls.
 
-    Centers range over the grid nodes.  Returns (theta, centers) with the
-    maximizing node index per radius.
+    Centers range over the grid nodes.  Returns (theta, centers): per radius
+    the maximizing node index and its cap mass.  Tie rule: the center is the
+    lowest node index whose cap mass is within 1e-12 of the total mass
+    (``_TIE``) of the largest, so nodes of equal mass up to roundoff resolve
+    the same way on every summation path.
+
+    The grid is invariant under longitude steps, so the cap mass at node
+    (ring r, longitude l) is the circular correlation
+    sum_s sum_d density[s, l + d] [ang[r, s, d] <= R] with the grid's ring
+    angle table; one real FFT per ring pair gives it at every node, in
+    O(n_theta^2 n_phi) memory.  The center's own cap mass is then summed
+    directly in its frame, so theta is exactly invariant under longitude
+    rolls of the density.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    grid = ws.grid
     nsq = ws.fiber_norm_sq(np.asarray(values))
-    density = ws.grid.weights * nsq ** (p / 2.0)
-    dist = ws.grid.geodesic_distance_matrix()
+    density = (grid.weights * nsq ** (p / 2.0)).reshape(grid.n_theta, grid.n_phi)
+    tie = _TIE * float(density.sum())
+    ang = grid.ring_angles()
+    density_hat = np.fft.rfft(density, axis=1)
     theta = np.empty(radii.size)
     centers = np.empty(radii.size, dtype=int)
     for i, r in enumerate(radii):
-        masses = (dist <= r) @ density
-        centers[i] = int(np.argmax(masses))
-        theta[i] = float(masses[centers[i]])
+        cap = ang <= r
+        masses_hat = (np.fft.rfft(cap, axis=2).conj() * density_hat).sum(axis=1)
+        masses = np.fft.irfft(masses_hat, n=grid.n_phi, axis=1).ravel()
+        centers[i] = int(np.argmax(masses >= masses.max() - tie))
+        ring, lon = divmod(int(centers[i]), grid.n_phi)
+        theta[i] = float(np.roll(density, -lon, axis=1)[cap[ring]].sum())
     return theta, centers
 
 

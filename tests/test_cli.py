@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import diracsphere
-from diracsphere.cli import main
+from diracsphere.cli import ConfigError, build_workspace, main, validate_config
 
 CONFIG = {
     "schema_version": 1,
@@ -155,17 +156,98 @@ def test_console_entry_point():
     {"tolerances": {"final": "a"}},
     {"Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 1.0]]}},
     {"init": {"type": "bubble", "rho": "x"}},
+    {"tolerances": 5},
+    {"tolerances": ["final"]},
+    {"max_outer": "a"},
+    {"clamp_radius": "x"},
+    {"Q": {"family": "polynomial", "terms": [[0.5, 0, 0, 1.0]]}},
+    {"Q": {"family": "constant", "value": -1}},
+    {"Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, -2.0]]}},
+    {"output_dir": 5},
+    {"init": {"type": "bubble", "rho": 0.3, "center": [0.0, 0.0, 0.0]}},
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
-        "poly_term", "rho"])
+        "poly_term", "rho", "tolerances_number", "tolerances_list",
+        "max_outer", "clamp_radius", "poly_exponent", "q_negative",
+        "q_sign_change", "output_dir", "zero_center"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
-    """Wrongly typed or missing config fields are configuration errors: exit
-    2 with a one-line message, before any compute and with no traceback."""
+    """Wrongly typed or missing config fields, and a curvature that is not
+    positive at the nodes, are configuration errors: exit 2 with a one-line
+    message, before any compute and with no traceback, from solve and from
+    diagnose."""
     bad = write_config(tmp_path, **override)
-    assert main(["solve", str(bad), "--output", str(tmp_path / "out")]) == 2
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert "\n" not in errors[0].getMessage()
+    for argv in (["solve", str(bad), "--output", str(tmp_path / "out")],
+                 ["diagnose", str(tmp_path / "state.txt"), "--config", str(bad)]):
+        caplog.clear()
+        assert main(argv) == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "\n" not in errors[0].getMessage()
     assert not (tmp_path / "out").exists()
+
+
+FUZZ_BASE = {
+    "schema_version": 1, "J": 4, "grid_degree": 12,
+    "Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
+    "schedule": [3.0, 3.5, 4.0],
+    "init": {"type": "bubble", "rho": 0.3, "center": [0.0, 0.0, 1.0]},
+    "tolerances": {"final": 1e-6, "inner": 1e-10},
+    "max_outer": 50, "clamp_radius": 10.0, "output_dir": "out",
+}
+
+
+def _leaf_paths(node, path=()):
+    """Every key or index path into a JSON document, containers included."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _leaf_paths(child, path + (key,))
+
+
+FUZZ_PATHS = list(_leaf_paths(FUZZ_BASE))
+# negative, zero, non-finite, huge and wrongly typed values; DROP deletes.
+# No huge integer: J or grid_degree at 10**6 is a valid request for a grid
+# that does not fit in memory, not a malformed config.
+DROP = "<drop>"
+FUZZ_VALUES = [DROP, None, True, "x", [], {}, -1, 0, 1, -2.5, 0.0, 0.5,
+               math.nan, math.inf, -math.inf, 1e300, -1e300]
+
+
+def _has(node, key) -> bool:
+    return (key in node if isinstance(node, dict)
+            else isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def _mutate(cfg, path, value):
+    """Set (or drop) cfg at path; a path that no longer exists is skipped."""
+    node = cfg
+    for key in path[:-1]:
+        if not _has(node, key):
+            return
+        node = node[key]
+    if _has(node, path[-1]):
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(strategies.lists(strategies.tuples(strategies.sampled_from(FUZZ_PATHS),
+                                          strategies.sampled_from(FUZZ_VALUES)),
+                        min_size=1, max_size=3))
+def test_config_fuzzer_raises_only_config_errors(mutations):
+    """A J=4 config with dropped keys, swapped types and negative, zero,
+    non-finite or huge values either validates and builds its workspace or
+    raises ConfigError; anything else would be a traceback on the CLI."""
+    cfg = json.loads(json.dumps(FUZZ_BASE))
+    for path, value in mutations:
+        _mutate(cfg, path, value)
+    try:
+        validate_config(cfg)
+        build_workspace(cfg)
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("case", ["tol_inner", "huge_state"])

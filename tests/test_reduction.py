@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
 from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
@@ -298,6 +299,69 @@ def test_concentration_profile_bubble_oracle():
         T = math.tan(r / 2.0)
         frac = T**2 / (rho**2 + T**2)
         assert t / theta[-1] == pytest.approx(frac, abs=tol)
+
+
+def _distance_matrix_profile(values, p, ws, radii):
+    """The N^2 geodesic-distance-matrix path the ring correlation replaced,
+    kept as the oracle, with concentration_profile's tie rule."""
+    grid = ws.grid
+    density = grid.weights * ws.fiber_norm_sq(values) ** (p / 2.0)
+    dist = np.arccos(np.clip(grid.xyz @ grid.xyz.T, -1.0, 1.0))
+    tie = reduction._TIE * density.sum()
+    theta, centers = [], []
+    for r in radii:
+        masses = (dist <= r) @ density
+        centers.append(int(np.argmax(masses >= masses.max() - tie)))
+        theta.append(masses[centers[-1]])
+    return np.array(theta), np.array(centers)
+
+
+PROFILE_RADII = np.append(np.linspace(0.05, math.pi, 120)[::5], math.pi)
+
+
+@pytest.mark.parametrize("degree", [30, 48, 49, 72])
+@pytest.mark.parametrize("case", ["random", "ring_ties", "bubble", "polar_bubble"])
+def test_concentration_profile_matches_distance_matrix(degree, case):
+    """Ring correlation against the distance-matrix oracle: theta to 1e-13
+    relative and the same centers, on odd and even n_phi.  Ring-constant
+    values perturbed at 1e-14, a bubble at the pole and the radius pi make
+    whole rings tie up to roundoff."""
+    ws = make_workspace(degree // 3, degree=degree)
+    rng = np.random.default_rng(degree)
+    nt, nphi = ws.grid.n_theta, ws.grid.n_phi
+    if case == "random":
+        values = rng.normal(size=(ws.grid.n_nodes, 2)) + 1j * rng.normal(
+            size=(ws.grid.n_nodes, 2))
+    elif case == "ring_ties":
+        rings = np.repeat(rng.normal(size=(nt, 1, 2)), nphi, axis=1)
+        values = (rings * (1 + 1e-14 * rng.normal(size=(nt, nphi, 1)))).reshape(-1, 2)
+    else:
+        y = np.array([0.6, -0.3, 0.74] if case == "bubble" else [0.0, 0.0, 1.0])
+        b, _ = bubble_to_sphere(Bubble(center=y, rho=0.15), ws.basis)
+        values = ws.synthesize(b.coeff)
+    theta, centers = concentration_profile(values, 4.0, ws, PROFILE_RADII)
+    theta_o, centers_o = _distance_matrix_profile(values, 4.0, ws, PROFILE_RADII)
+    assert np.all(np.abs(theta - theta_o) <= 1e-13 * theta_o)
+    np.testing.assert_array_equal(centers, centers_o)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(degree=strategies.sampled_from([30, 31, 48, 49]),
+       shift=strategies.integers(1, 200), seed=strategies.integers(0, 2**32 - 1))
+def test_concentration_profile_longitude_roll_property(degree, shift, seed):
+    """Rolling the density by whole longitude steps leaves theta bit-equal
+    and moves every center by the same roll."""
+    ws = make_workspace(degree // 3, degree=degree)
+    nt, nphi = ws.grid.n_theta, ws.grid.n_phi
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(nt, nphi, 2)) + 1j * rng.normal(size=(nt, nphi, 2))
+    radii = np.sort(rng.uniform(0.01, 2.0, size=6))
+    theta, centers = concentration_profile(values.reshape(-1, 2), 4.0, ws, radii)
+    rolled = np.roll(values, shift, axis=1).reshape(-1, 2)
+    theta_r, centers_r = concentration_profile(rolled, 4.0, ws, radii)
+    assert np.array_equal(theta_r, theta)
+    ring, lon = np.divmod(centers, nphi)
+    np.testing.assert_array_equal(centers_r, ring * nphi + (lon + shift) % nphi)
 
 
 def test_barycenter_properties(ws8):
