@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import Bubble, StereoChart, bubble_to_sphere
-from .energy import (Workspace, eval_A, eval_L_parts, eval_rayleigh,
-                     hessian_apply, nonlinear_projection, _check_p)
+from .energy import (HessianWeights, Workspace, eval_A, eval_L_parts,
+                     eval_rayleigh, hessian_apply, nonlinear_projection,
+                     _check_p)
 from .spectral import SpectralSpinor, h_inner, h_norm
 
 # -- inner problem: maximize over E^- -----------------------------------------
@@ -51,39 +52,35 @@ class ReductionResult:
     iterations: int
 
 
-def _neg_cg(ws: Workspace, psi_values, p, rhs, tol, max_iter=200, x0=None):
-    """Solve (-L_p'' restricted to E^-) x = rhs by CG in the H^{1/2} metric.
+def _neg_cg(weights: HessianWeights, rhs, tol):
+    """Solve (-L_p'' restricted to E^-) x = rhs by CG in the H^{1/2} metric,
+    on E^- coefficient vectors, with every product at the psi of ``weights``.
 
     The operator in Riesz form is x + M(x)/|lambda| on E^-, which is
     >= identity, so plain CG converges fast.
     """
-    neg = ws.basis.minus_mask
-    lam = ws.basis.abs_eigenvalues
+    basis = weights.ws.basis
+    lam = basis.abs_eigenvalues[basis.minus_mask]
 
     def apply_op(x):
-        full = np.zeros_like(rhs)
-        full[neg] = x[neg]
-        hx = hessian_apply(psi_values, p, ws, full)
-        out = np.zeros_like(rhs)
-        out[neg] = -hx[neg]
-        return out
+        return -hessian_apply(weights, x, minus=True)
 
-    x = np.zeros_like(rhs) if x0 is None else x0.copy()
+    x = np.zeros_like(rhs)
     r = rhs - apply_op(x)
     d = r.copy()
-    rr = float(np.sum(lam[neg] * np.abs(r[neg]) ** 2))
+    rr = float(np.sum(lam * np.abs(r) ** 2))
     tol_sq = tol * tol
-    for it in range(max_iter):
+    for _ in range(200):
         if rr <= tol_sq:
             break
         Ad = apply_op(d)
-        dAd = float(np.sum(lam[neg] * np.real(d[neg] * np.conj(Ad[neg]))))
+        dAd = float(np.sum(lam * np.real(d * np.conj(Ad))))
         if dAd <= 0:
             break
         alpha = rr / dAd
         x = x + alpha * d
         r = r - alpha * Ad
-        rr_new = float(np.sum(lam[neg] * np.abs(r[neg]) ** 2))
+        rr_new = float(np.sum(lam * np.abs(r) ** 2))
         d = r + (rr_new / rr) * d
         rr = rr_new
     return x
@@ -119,7 +116,9 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
         finite = math.isfinite(res) and math.isfinite(val)
         if res <= tol_eff or it == max_iter or not finite:
             break
-        delta = _neg_cg(ws, values, p, g, tol=min(0.1 * res, res * res, tol_eff))
+        delta = np.zeros_like(v)
+        delta[neg] = _neg_cg(HessianWeights(values, p, ws), g[neg],
+                             tol=min(0.1 * res, res * res, tol_eff))
         step = 1.0
         for _ in range(30):
             v_try = v + step * delta
@@ -159,20 +158,20 @@ class NehariState:
     reduction: ReductionResult  # the reduction at u; h and value are its own
 
 
-def _reduced_hessian(ws: Workspace, psi_values, p: float, w, tol_inner: float):
-    """E^+ Riesz representative of I_p''(u)[w, .] at psi = u + h_p(u).
+def _reduced_hessian(weights: HessianWeights, w, tol_inner: float):
+    """E^+ Riesz representative of I_p''(u)[w, .] at psi = u + h_p(u), the
+    psi of ``weights``.
 
     The inner correction h_p'(u) w solves the E^- block by CG; then
     I_p''(u)[w, .] = L_p''(psi)[w + h_p'(u) w, .] on E^+.
     """
-    basis = ws.basis
+    basis = weights.ws.basis
+    neg = basis.minus_mask
     full = np.where(basis.plus_mask, w, 0.0)
-    rhs_for_corr = hessian_apply(psi_values, p, ws, full)
-    corr = _neg_cg(ws, psi_values, p,
-                   np.where(basis.minus_mask, rhs_for_corr, 0.0),
-                   tol=0.01 * tol_inner ** 0.5)
-    tot = full + np.where(basis.minus_mask, corr, 0.0)
-    out = hessian_apply(psi_values, p, ws, tot)
+    rhs_for_corr = hessian_apply(weights, full)
+    tot = full.copy()
+    tot[neg] += _neg_cg(weights, rhs_for_corr[neg], tol=0.01 * tol_inner ** 0.5)
+    out = hessian_apply(weights, tot)
     return np.where(basis.plus_mask, out, 0.0)
 
 
@@ -230,8 +229,8 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
         return h_inner(ws.basis, red.grad, u0)
 
     def ray_curvature():
-        hess = _reduced_hessian(ws, cache["red"].values, p, u0, tol_inner)
-        return h_inner(ws.basis, hess, u0)
+        weights = HessianWeights(cache["red"].values, p, ws)
+        return h_inner(ws.basis, _reduced_hessian(weights, u0, tol_inner), u0)
 
     t_root = None
     t = unorm
@@ -592,12 +591,12 @@ def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
     CG; curvature failures return None and the caller falls back to gradient.
     """
     pos = ws.basis.plus_mask
-    psi_values = red.values
+    weights = HessianWeights(red.values, p, ws)
 
     # Nehari normal direction: Riesz vector of H_p'(u)
     un = np.where(pos, u, 0.0)
     n_vec = (np.where(pos, red.grad, 0.0)
-             + _reduced_hessian(ws, psi_values, p, un, tol_inner))
+             + _reduced_hessian(weights, un, tol_inner))
     nn = h_inner(ws.basis, n_vec, n_vec)
 
     def project_t(w):
@@ -614,7 +613,7 @@ def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
     for _ in range(40):
         if math.sqrt(rr) <= tol_cg:
             break
-        Ad = project_t(_reduced_hessian(ws, psi_values, p, d, tol_inner))
+        Ad = project_t(_reduced_hessian(weights, d, tol_inner))
         dAd = h_inner(ws.basis, d, Ad)
         if dAd <= 1e-14 * h_inner(ws.basis, d, d):
             return None if h_inner(ws.basis, x, x) == 0 else x

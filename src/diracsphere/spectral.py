@@ -285,13 +285,15 @@ class SphereBasis:
             raise AliasingError(f"grid degree {grid.degree} < 2J+1 = {2 * self.J + 1}: "
                                 "transforms would alias")
 
-    def synthesis_matrix(self, grid: QuadratureGrid):
+    def synthesis_matrix(self, grid: QuadratureGrid, minus: bool = False):
         """Cached per grid degree: the sparse map S from coefficients to each
         ring's longitude modes, (n_theta*2*n_phi, n_basis), holding the
-        basis on the phi = 0 meridian, and its conjugate transpose."""
+        basis on the phi = 0 meridian, and its conjugate transpose.  With
+        ``minus``, the E^- block: the E^- columns of S and rows of S^H,
+        sliced from the full pair on first use."""
         self._require_grid(grid)
-        tab = self._matrix_cache.get(grid.degree)
-        if tab is None:
+        maps = self._matrix_cache.get(grid.degree)
+        if maps is None:
             n_p = grid.n_phi
             radial = self.evaluate_matrix(grid.z_pref[::n_p], grid.use_a[::n_p])
             mode = self.modes[np.where(grid.use_a[::n_p], 0, 1)]
@@ -300,20 +302,26 @@ class SphereBasis:
             # CSC stores O(nonzeros) on bubble transport's fine grids
             S = sparse.csc_matrix((radial.ravel(), (rows.ravel(), cols.ravel())),
                                   shape=(2 * grid.n_nodes, self.n_basis))
-            tab = self._matrix_cache[grid.degree] = (S, S.conj().T)
-        return tab
+            maps = self._matrix_cache[grid.degree] = {False: (S, S.conj().T)}
+        if minus not in maps:
+            # dropping the zero E^+ columns leaves each row's sum bit-equal
+            S_minus = maps[False][0][:, self.minus_mask]
+            maps[True] = (S_minus, S_minus.conj().T)
+        return maps[minus]
 
-    def synthesize(self, coeff, grid: QuadratureGrid) -> np.ndarray:
-        """Weighted chart values of the field at the nodes, shape (n_nodes, 2)."""
-        S, _ = self.synthesis_matrix(grid)
+    def synthesize(self, coeff, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
+        """Weighted chart values of the field at the nodes, shape (n_nodes, 2);
+        with ``minus``, ``coeff`` holds the E^- coefficients only."""
+        S, _ = self.synthesis_matrix(grid, minus)
         modes = (S @ np.asarray(coeff, dtype=complex)).reshape(grid.n_theta, 2, grid.n_phi)
         vals = np.fft.ifft(modes, axis=-1, norm="forward")
         return vals.transpose(0, 2, 1).reshape(grid.n_nodes, 2)
 
-    def analyze(self, values, grid: QuadratureGrid) -> np.ndarray:
+    def analyze(self, values, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
         """L^2 projection of nodal values onto the basis (adjoint transform):
-        an FFT along each ring, then the conjugate transpose of the table."""
-        _, SH = self.synthesis_matrix(grid)
+        an FFT along each ring, then the conjugate transpose of the table;
+        with ``minus``, onto the E^- members only."""
+        _, SH = self.synthesis_matrix(grid, minus)
         wf = (grid.weights / grid.f_pref)[:, None]
         rings = (np.asarray(values) * wf).reshape(grid.n_theta, grid.n_phi, 2)
         return SH @ np.fft.fft(rings.transpose(0, 2, 1), axis=-1).ravel()

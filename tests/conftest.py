@@ -54,6 +54,34 @@ def hessian_quadratic_form(psi_values, p: float, ws: Workspace, w_coeff) -> floa
     return dirac_part - quad_part
 
 
+def psi_values_with_zeros(ws, rng, zeros: bool):
+    """Nodal values of a random psi; with ``zeros``, exact zeros at 20 nodes
+    (the |psi| = 0 branch of the Hessian weights)."""
+    values = ws.synthesize(random_spinor(ws, rng))
+    if zeros:
+        values[rng.choice(ws.grid.n_nodes, 20, replace=False)] = 0.0
+    return values
+
+
+def hessian_oracle(psi_values, p: float, ws: Workspace, w_coeff) -> np.ndarray:
+    """One-shot H^{1/2} Riesz representative of L_p''(psi)[w, .] on the full
+    basis, every pointwise weight recomputed from psi: the product that
+    ``energy.hessian_apply`` must reproduce bit for bit."""
+    _check_p(p)
+    basis = ws.basis
+    w_coeff = np.asarray(w_coeff, dtype=complex)
+    w_values = ws.synthesize(w_coeff)
+    nsq = ws.fiber_norm_sq(psi_values)
+    pw = np.where(nsq > 0, nsq ** ((p - 2.0) / 2.0), 0.0)
+    lin = pw * ws.q_nodes
+    dot = ws.fiber_re_inner(psi_values, w_values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = np.where(nsq > 0, (p - 2.0) * ws.q_nodes * pw / nsq * dot, 0.0)
+    field = lin[:, None] * w_values + quad[:, None] * psi_values
+    M = ws.analyze(field)
+    return np.sign(basis.eigenvalues) * w_coeff - M / basis.abs_eigenvalues
+
+
 def rayleigh_grad(coeff, p: float, ws: Workspace) -> np.ndarray:
     """H^{1/2} Riesz representative of R_p'(psi)."""
     _check_p(p)
@@ -84,6 +112,12 @@ def ws12():
 @pytest.fixture(scope="session")
 def perturbed_q():
     return PolynomialCurvature([(0, 0, 0, 1.0), (0, 0, 2, 0.3)])
+
+
+@pytest.fixture(scope="session")
+def ws8q(perturbed_q):
+    """J=8 workspace with the non-constant Q = 1 + 0.3 x3^2."""
+    return make_workspace(8, perturbed_q)
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ import pytest
 from scipy.special import sph_harm_y
 
 from diracsphere import energy
-from diracsphere.energy import (CriticalPoint, PolynomialCurvature, Workspace,
+from diracsphere.energy import (CriticalPoint, HessianWeights,
+                                PolynomialCurvature, Workspace,
                                 check_q_hypothesis, constant_curvature, eval_A,
                                 eval_L, eval_rayleigh, find_critical_points,
                                 hessian_apply, intrinsic_gradient,
@@ -15,7 +16,8 @@ from diracsphere.energy import (CriticalPoint, PolynomialCurvature, Workspace,
                                 spherical_harmonic_curvature)
 from diracsphere.grid import QuadratureGrid
 from diracsphere.spectral import SphereBasis
-from conftest import hessian_quadratic_form, random_spinor, rayleigh_grad
+from conftest import (hessian_oracle, hessian_quadratic_form,
+                      psi_values_with_zeros, random_spinor, rayleigh_grad)
 
 
 def _h_pair(ws, a, b):
@@ -132,7 +134,7 @@ def test_convexity_inequality_tech1(ws8):
         dw = float(np.sum(ws8.basis.eigenvalues * np.abs(w) ** 2))
         g2_zz = dz - gzz
         g2_ww = dw - gww
-        Hw = hessian_apply(zv, p, ws8, w)
+        Hw = hessian_apply(HessianWeights(zv, p, ws8), w)
         g2_zw = dzw = float(np.sum(ws8.basis.eigenvalues
                                    * np.real(z * np.conj(w)))) - _h_pair(ws8, Hw, z)
         lhs = (g2_zz - g_prime(zv, p, z)) + 2 * (g2_zw - g_prime(zv, p, w)) + g2_ww
@@ -146,6 +148,26 @@ def lp_mean(coeff, q: float, ws: Workspace) -> float:
     nsq = ws.fiber_norm_sq(values)
     val = float(ws.grid.integrate(ws.q_nodes / ws.q_integral * nsq ** (q / 2.0)))
     return val ** (1.0 / q)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_hessian_apply_matches_one_shot_oracle(ws8q, zeros):
+    """Products through HessianWeights equal the one-shot product exactly:
+    on the full basis, and on the E^- block against the padded full
+    product, at random psi and at psi with exact zero nodes."""
+    rng = np.random.default_rng(31 + zeros)
+    neg = ws8q.basis.minus_mask
+    for p in (2.5, 3.0, 3.7, 4.0):
+        values = psi_values_with_zeros(ws8q, rng, zeros)
+        weights = HessianWeights(values, p, ws8q)
+        assert weights.all_pos is not zeros
+        for _ in range(3):
+            w = random_spinor(ws8q, rng)
+            assert np.array_equal(hessian_apply(weights, w),
+                                  hessian_oracle(values, p, ws8q, w))
+            padded = hessian_oracle(values, p, ws8q, np.where(neg, w, 0.0))
+            assert np.array_equal(hessian_apply(weights, w[neg], minus=True),
+                                  padded[neg])
 
 
 def test_monotone_lp_means(ws8):

@@ -7,17 +7,67 @@ from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
 from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
-from diracsphere.energy import eval_A, eval_L
+from diracsphere.energy import HessianWeights, eval_A, eval_L
 import diracsphere.reduction as reduction
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_defect, nehari_project,
                                    reduce_minus)
 from diracsphere.spectral import SphereBasis, h_inner, h_norm
-from conftest import hessian_quadratic_form, make_workspace, random_spinor
+from conftest import (hessian_oracle, hessian_quadratic_form, make_workspace,
+                      psi_values_with_zeros, random_spinor)
 
 
 def _plus(ws, coeff):
     return np.where(ws.basis.plus_mask, coeff, 0.0)
+
+
+def _neg_cg_oracle(ws, psi_values, p, rhs, tol):
+    """The E^- CG on full-length vectors, each product padded to the full
+    basis and made by the one-shot oracle."""
+    neg = ws.basis.minus_mask
+    lam = ws.basis.abs_eigenvalues
+
+    def apply_op(x):
+        full = np.zeros_like(rhs)
+        full[neg] = x[neg]
+        hx = hessian_oracle(psi_values, p, ws, full)
+        out = np.zeros_like(rhs)
+        out[neg] = -hx[neg]
+        return out
+
+    x = np.zeros_like(rhs)
+    r = rhs - apply_op(x)
+    d = r.copy()
+    rr = float(np.sum(lam[neg] * np.abs(r[neg]) ** 2))
+    for _ in range(200):
+        if rr <= tol * tol:
+            break
+        Ad = apply_op(d)
+        dAd = float(np.sum(lam[neg] * np.real(d[neg] * np.conj(Ad[neg]))))
+        if dAd <= 0:
+            break
+        alpha = rr / dAd
+        x = x + alpha * d
+        r = r - alpha * Ad
+        rr_new = float(np.sum(lam[neg] * np.abs(r[neg]) ** 2))
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return x
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_neg_cg_matches_full_vector_oracle(ws8q, zeros):
+    """The E^- CG on E^- vectors takes exactly the iterates of the CG on
+    padded full-length vectors."""
+    rng = np.random.default_rng(41 + zeros)
+    neg = ws8q.basis.minus_mask
+    for p, tol in ((3.0, 1e-6), (4.0, 1e-12)):
+        values = psi_values_with_zeros(ws8q, rng, zeros)
+        rhs = np.where(neg, random_spinor(ws8q, rng), 0.0)
+        ref = _neg_cg_oracle(ws8q, values, p, rhs, tol)
+        x = reduction._neg_cg(HessianWeights(values, p, ws8q), rhs[neg], tol)
+        assert not ref[~neg].any()
+        assert np.array_equal(x, ref[neg])
 
 
 def test_reduction_bound_100_states(ws8):

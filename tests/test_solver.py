@@ -138,3 +138,57 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
     assert type(info.value) is SolveFailure
     assert message in str(info.value)
     assert info.value.trace.config == {"case": case}
+
+
+# calls inside solve_continuation for the criterion-9 J=8 solve, recorded
+# before the per-psi Hessian weights and the E^- block transforms
+WORK_COUNTS = {"hessian_apply": 1511, "synthesize": 1825, "analyze": 1717,
+               "reduce_minus": 87}
+
+
+def test_criterion_9_solve_work_counts(tmp_path, monkeypatch):
+    """The criterion-9 J=8 solve makes exactly the recorded numbers of
+    Hessian products, transforms and inner reductions, so a faster product
+    cannot silently change the work."""
+    import json
+
+    from diracsphere import cli
+    from diracsphere.spectral import SphereBasis
+
+    counts = dict.fromkeys(WORK_COUNTS, 0)
+    inside = [False]
+
+    def counted(owner, name, key=None):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                counts[key or name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(reduction, "hessian_apply")
+    counted(reduction, "reduce_minus")
+    counted(SphereBasis, "synthesize")
+    counted(SphereBasis, "analyze")
+    solve = cli.solve_continuation
+
+    def solve_counted(*args, **kwargs):
+        inside[0] = True
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside[0] = False
+    monkeypatch.setattr(cli, "solve_continuation", solve_counted)
+
+    cfg = {
+        "schema_version": 1, "J": 8,
+        "Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
+        "schedule": [3.0, 3.5, 4.0],
+        "init": {"type": "bubble", "rho": 0.35, "center": [0.0, 0.0, 1.0]},
+        "tolerances": {"final": 1e-6}, "seed": 7,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["solve", str(path), "--output", str(tmp_path / "out")]) == 0
+    assert counts == WORK_COUNTS
