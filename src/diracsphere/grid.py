@@ -72,8 +72,11 @@ class QuadratureGrid:
         return self.n_theta * self.n_phi
 
     def integrate(self, values) -> complex | float:
-        """Integral over S^2 of a scalar sampled at the nodes."""
-        return np.tensordot(self.weights, np.asarray(values), axes=1)
+        """Integral over S^2 of a scalar sampled at the nodes.
+
+        A numpy pairwise sum, not a BLAS dot product, so the result is the
+        same at any BLAS thread count."""
+        return np.sum(self.weights * np.asarray(values))
 
     def ring_angles(self) -> np.ndarray:
         """Angle between node (ring r, longitude 0) and node (ring s,

@@ -337,12 +337,24 @@ def concentration_profile(values, p: float, ws: Workspace, radii):
     return theta, centers
 
 
+def _rows_dot(xyz, v) -> np.ndarray:
+    """xyz @ v for rows xyz (n, 3) and a 3-vector v, as explicit products
+    and sums: no BLAS call, so the same bits at any BLAS thread count."""
+    return xyz[:, 0] * v[0] + xyz[:, 1] * v[1] + xyz[:, 2] * v[2]
+
+
+def _weighted_sum(density, points) -> np.ndarray:
+    """density @ points for points (n, d), one numpy pairwise sum per
+    coordinate (no BLAS call)."""
+    return np.array([np.sum(density * points[:, k]) for k in range(points.shape[1])])
+
+
 def barycenter(values, ws: Workspace, pole, clamp_radius: float) -> np.ndarray:
     """Clamped barycenter of the |psi|^4 mass in the chart that projects from
     ``pole`` (the chart covers the sphere minus the pole)."""
     pole = np.asarray(pole, dtype=float)
     chart = StereoChart(center=-pole / np.linalg.norm(pole))
-    rotated = ws.grid.xyz @ chart.rotation.T
+    rotated = np.stack([_rows_dot(ws.grid.xyz, row) for row in chart.rotation], axis=1)
     # nodes at the projection pole would map to infinity; nudge off it,
     # the clamp sends them to the boundary circle anyway
     rotated[:, 2] = np.maximum(rotated[:, 2], -1.0 + 1e-12)
@@ -356,7 +368,7 @@ def barycenter(values, ws: Workspace, pole, clamp_radius: float) -> np.ndarray:
     total = float(density.sum())
     if total <= 0:
         raise ValueError("barycenter undefined: |psi|^4 mass vanishes")
-    return (density @ zeta) / total
+    return _weighted_sum(density, zeta) / total
 
 
 # -- continuation driver ----------------------------------------------------------
@@ -630,12 +642,12 @@ def _local_mass_center(values, p, ws, center, radius) -> np.ndarray:
     """Sub-grid concentration point: |psi|^p-weighted mean near the peak node."""
     nsq = ws.fiber_norm_sq(np.asarray(values))
     density = ws.grid.weights * nsq ** (p / 2.0)
-    dots = ws.grid.xyz @ np.asarray(center, dtype=float)
+    dots = _rows_dot(ws.grid.xyz, np.asarray(center, dtype=float))
     mask = dots >= math.cos(radius)
     if not np.any(mask):
         return np.asarray(center, dtype=float)
-    mean = density[mask] @ ws.grid.xyz[mask]
-    nrm = np.linalg.norm(mean)
+    mean = _weighted_sum(density[mask], ws.grid.xyz[mask])
+    nrm = math.sqrt(float(np.sum(mean * mean)))
     return mean / nrm if nrm > 0 else np.asarray(center, dtype=float)
 
 

@@ -455,3 +455,40 @@ def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
     for (u0, _, h0), (u1, v1, _) in zip(calls, calls[1:]):
         assert not (np.array_equal(u1, u0) and v1 is not None
                     and np.array_equal(v1, h0))
+
+
+_THREAD_PROBE = """
+import numpy as np
+from diracsphere.energy import Workspace, constant_curvature
+from diracsphere.grid import QuadratureGrid
+from diracsphere.reduction import barycenter
+from diracsphere.spectral import SphereBasis
+
+grid = QuadratureGrid(degree=144)
+ws = Workspace(SphereBasis(48), grid, constant_curvature())
+rng = np.random.default_rng(5)
+f = rng.random(grid.n_nodes)
+values = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
+print(repr(complex(grid.integrate(f))), repr(complex(grid.integrate(values[:, 0]))))
+print([repr(float(x)) for x in barycenter(values, ws, [0.3, -0.2, -1.0], 10.0)])
+"""
+
+
+def test_grid_sums_bit_equal_at_one_and_two_blas_threads():
+    """On the degree-144 grid (the J=48 reference), integrals and the
+    monitor's barycenter give the same bits at 1 and at 2 BLAS threads."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(reduction.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
