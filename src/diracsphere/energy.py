@@ -425,7 +425,6 @@ class HessianWeights:
         self.values = psi_values
         nsq = ws.fiber_norm_sq(psi_values)
         self.pos = nsq > 0
-        self.all_pos = bool(self.pos.all())
         pw = np.where(self.pos, nsq ** ((p - 2.0) / 2.0), 0.0)
         self.lin = (pw * ws.q_nodes)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -453,9 +452,7 @@ def hessian_apply(weights: HessianWeights, w_coeff, minus: bool = False) -> np.n
     w_values = ws.synthesize(w_coeff, minus)
     dot = ws.fiber_re_inner(weights.values, w_values)
     # |psi|^{p-4} real(psi,w): continuous at zeros for p > 2, set 0 there
-    quad = weights.quad * dot
-    if not weights.all_pos:
-        quad = np.where(weights.pos, quad, 0.0)
+    quad = np.where(weights.pos, weights.quad * dot, 0.0)
     field = weights.lin * w_values + quad[:, None] * weights.values
     M = ws.analyze(field, minus)
     sign, lam = weights.spectrum[minus]

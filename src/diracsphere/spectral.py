@@ -51,7 +51,11 @@ with no division, so they are finite at z = 0.  The grid transforms are
 separable: each grid ring lies in one chart, where a basis column is one
 longitude mode times its phi = 0 value, so a transform is a sparse map
 between coefficients and ring modes plus an FFT along each ring.  At degree
-2J+1 the modes +-(J+1) share a bin and agree at the nodes.
+2J+1 the modes +-(J+1) share a bin and agree at the nodes.  The E^- block
+maps (``minus=True``) are the E^- columns of that sparse map and the E^-
+rows of its adjoint: they take E^- coefficient vectors to nodal values and
+back, for the inner E^- problem of the solver, with the same sums as the
+full maps less their zero E^+ terms.
 """
 
 from __future__ import annotations

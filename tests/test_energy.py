@@ -160,7 +160,7 @@ def test_hessian_apply_matches_one_shot_oracle(ws8q, zeros):
     for p in (2.5, 3.0, 3.7, 4.0):
         values = psi_values_with_zeros(ws8q, rng, zeros)
         weights = HessianWeights(values, p, ws8q)
-        assert weights.all_pos is not zeros
+        assert weights.pos.all() != zeros
         for _ in range(3):
             w = random_spinor(ws8q, rng)
             assert np.array_equal(hessian_apply(weights, w),
