@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -477,17 +481,12 @@ print([repr(float(x)) for x in barycenter(values, ws, [0.3, -0.2, -1.0], 10.0)])
 def test_grid_sums_bit_equal_at_one_and_two_blas_threads():
     """On the degree-144 grid (the J=48 reference), integrals and the
     monitor's barycenter give the same bits at 1 and at 2 BLAS threads."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = str(Path(reduction.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
-                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                              capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
