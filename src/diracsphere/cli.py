@@ -6,10 +6,10 @@ echoes the full configuration into its JSON report and the trace header, and
 identical configs, with the same numpy/scipy build, give bit-identical trace
 and state files at any BLAS thread count (checked at 1 and 2 threads).
 
-Exit codes: 0 success, 2 configuration error, 3 blow-up detected,
-4 stagnation, 5 postcondition failure (zero-free or energy-window check),
-6 solver failure (an inner reduction missed its tolerance or an iterate is
-not finite).
+Exit codes: 0 success, 2 configuration or command-line argument error,
+3 blow-up detected, 4 stagnation, 5 postcondition failure (zero-free or
+energy-window check), 6 solver failure (an inner reduction missed its
+tolerance or an iterate is not finite).
 """
 
 from __future__ import annotations
@@ -213,6 +213,10 @@ def hypothesis_report_dict(rep) -> dict:
 
 def cmd_spectrum(args) -> int:
     m, J = args.m, args.j_max
+    if m < 2:
+        raise ConfigError("--m must be an integer >= 2")
+    if J < 0:
+        raise ConfigError("--j-max must be an integer >= 0")
     print(f"# Dirac spectrum on S^{m}, levels j <= {J}")
     print("# lambda  multiplicity")
     total = 0
@@ -238,6 +242,14 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bubble(args) -> int:
     center = np.array(args.center, dtype=float)
+    if not (_is_number(args.rho) and args.rho > 0):
+        raise ConfigError("--rho must be a positive number")
+    if not (_is_number(args.q) and args.q > 0):
+        raise ConfigError("--q must be a positive number")
+    if args.J < 1:
+        raise ConfigError("--J must be an integer >= 1")
+    if not (np.isfinite(center).all() and center.any()):
+        raise ConfigError("--center must be three finite numbers, not all zero")
     bub = Bubble(center=center, rho=args.rho, q_center=args.q)
     quad, ana = bubble_energy_flat(2, args.rho, args.q)
     print(f"flat critical energy: quadrature {quad!r}, analytic {ana!r} "
@@ -295,8 +307,6 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     options = {kw: tols[key] for key, kw in SOLVER_TOLERANCES.items() if key in tols}
     options.update({key: cfg[key] for key in ("max_outer", "clamp_radius")
                     if key in cfg})
-    status = "ok"
-    exit_code = EXIT_OK
     try:
         result = solve_continuation(
             ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, config_echo=cfg,
@@ -338,7 +348,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     window_ok = margin > -1e-9 * max(1.0, e4)
 
     report.update(_json_ready({
-        "status": status,
+        "status": "ok",
         "final_residual": result.final_residual,
         "stages": [{"p": s.p, "iterations": s.iterations, "value": s.value,
                     "residual": s.residual, "min_psi": s.min_psi,
@@ -347,7 +357,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
                     "warm_start_value": s.warm_start_value}
                    for s in trace.stages],
         "energy": {"int_Q_psi4": e4, "window": window, "window_margin": margin,
-                   "window_ok": window_ok, "L_value": result.window_value},
+                   "window_ok": window_ok, "L_value": result.value},
         "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
                   "bound": nodal.zero_count_bound,
                   "window_chain": nodal.window_chain, "note": nodal.note},
@@ -417,6 +427,10 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_immerse(args) -> int:
+    out = Path(args.out)
+    fmt = args.format or out.suffix.lstrip(".").lower() or "ply"
+    if fmt not in ("obj", "ply"):
+        raise ConfigError(f"unknown mesh format '{fmt}'")
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = _read(load_spinor, args.state, ws.basis)
@@ -428,16 +442,8 @@ def cmd_immerse(args) -> int:
         return EXIT_POSTCONDITION
     mesh = reconstruct_immersion(psi, ws, subdivisions=args.subdivisions,
                                  nodal=nodal)
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    fmt = args.format or out.suffix.lstrip(".").lower() or "ply"
-    if fmt == "obj":
-        export_obj(out, mesh)
-    elif fmt == "ply":
-        export_ply(out, mesh)
-    else:
-        log.error("unknown mesh format '%s'", fmt)
-        return EXIT_CONFIG
+    (export_obj if fmt == "obj" else export_ply)(out, mesh)
     rel = np.abs(mesh.mean_curvature - mesh.target_q) / mesh.target_q
     rel_l2 = float(np.sqrt(np.mean(rel ** 2)))
     summary = _json_ready({

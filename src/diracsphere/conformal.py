@@ -9,7 +9,8 @@ the diagonal factor
     phi_rot(m(z)) = diag(g(z), conj(g(z))) phi(z),  g(z) = -conj(beta) z + conj(alpha),
 
 with a fixed global-phase gauge (the SU(2) pair is determined up to sign by
-the rotation; we pin it by a deterministic quaternion extraction).  The
+the rotation; it is fitted from point correspondences and its sign fixed
+by the leading nonzero component).  The
 chart-A/chart-B transition is the special case (alpha, beta) = (0, i).
 
 The bubble family: on the flat plane
@@ -91,24 +92,18 @@ def mobius_of_rotation(R) -> tuple[complex, complex]:
     )
     z = chart_a_coords(pts)
     zp = chart_a_coords(pts @ R.T)
-    # z' (-conj(beta) z + conj(alpha)) = alpha z + beta, linear in
-    # (re a, im a, re b, im b) after splitting into real equations
+    # z' (-conj(beta) z + conj(alpha)) = alpha z + beta, that is
+    # alpha z + beta - conj(alpha) z' + conj(beta) z z' = 0, is linear in
+    # (re a, im a, re b, im b): a z - conj(a) z' = re(a)(z - z') +
+    # i im(a)(z + z') and b + conj(b) z z' = re(b)(1 + z z') + i im(b)(1 - z z');
+    # split each equation into its real and imaginary part
     rows = []
-    rhs = []
     for zi, zpi in zip(z, zp):
-        # alpha * zi + beta - conj(alpha) * zpi + conj(beta) * zi * zpi = 0
-        coeffs = [zi - np.conj(zpi) * 0 - zpi, 1j * (zi + zpi), 1 + zi * zpi, 1j * (1 - zi * zpi)]
-        # coefficient of re(a): zi - zpi? derive: a zi - conj(a) zpi =
-        # re(a)(zi - zpi) + i im(a)(zi + zpi); b + conj(b) zi zpi =
-        # re(b)(1 + zi zpi) + i im(b)(1 - zi zpi)
+        coeffs = [zi - zpi, 1j * (zi + zpi), 1 + zi * zpi, 1j * (1 - zi * zpi)]
         rows.append([c.real for c in coeffs])
         rows.append([c.imag for c in coeffs])
-        rhs.append(0.0)
-        rhs.append(0.0)
-    A = np.array(rows)
-    # nontrivial null vector of A
-    _, s, vt = np.linalg.svd(A)
-    v = vt[-1]
+    # the pair is the null vector of the system
+    v = np.linalg.svd(np.array(rows))[2][-1]
     alpha = v[0] + 1j * v[1]
     beta = v[2] + 1j * v[3]
     nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
@@ -175,8 +170,6 @@ class Bubble:
     center: np.ndarray = field(default_factory=lambda: NORTH.copy())
     rho: float = 1.0
     q_center: float = 1.0
-    phi0: np.ndarray = field(default_factory=lambda: PHI0_DEFAULT.copy())
-    m: int = 2
 
     def __post_init__(self):
         if self.rho <= 0:
@@ -185,7 +178,6 @@ class Bubble:
             raise ValueError("Q(y) must be positive")
         self.center = np.asarray(self.center, dtype=float)
         self.center /= np.linalg.norm(self.center)
-        self.phi0 = np.asarray(self.phi0, dtype=complex)
 
     def component_exprs(self) -> tuple[ChartExpr, ChartExpr]:
         """Components as ChartExpr in the scaled coordinate zeta = z/rho.
@@ -194,7 +186,7 @@ class Bubble:
         s = Q(y)^{-1/2} rho^{-1/2}; evaluate at zeta and chain-rule
         d/dz = rho^{-1} d/dzeta for derivatives.
         """
-        a, b = self.phi0
+        a, b = PHI0_DEFAULT
         s = self.q_center ** -0.5 * self.rho ** -0.5
         e1 = ChartExpr.monomial(2.0 * s * a, 0, 0, 1) + ChartExpr.monomial(2j * s * b, 0, 1, 1)
         e2 = ChartExpr.monomial(2.0 * s * b, 0, 0, 1) + ChartExpr.monomial(2j * s * a, 1, 0, 1)
@@ -219,7 +211,7 @@ class Bubble:
     def l2_mass_sphere(self) -> float:
         """Exact L^2(S^2) mass of the transported field psi_{y,rho}."""
         r = self.rho
-        scale = 2.0 * float(np.sum(np.abs(self.phi0) ** 2)) / self.q_center
+        scale = 2.0 * float(np.sum(np.abs(PHI0_DEFAULT) ** 2)) / self.q_center
         if abs(r - 1.0) < 1e-8:
             # r |ln r| / |1 - r^2| = 1/2 + O((r - 1)^2): no first-order term
             base = 4.0 * math.pi
@@ -230,19 +222,20 @@ class Bubble:
         return scale * base
 
 
-def bubble_energy_flat(m: int = 2, rho: float = 1.0, q_center: float = 1.0,
-                       n_quad: int = 200) -> tuple[float, float]:
+def bubble_energy_flat(m: int = 2, rho: float = 1.0,
+                       q_center: float = 1.0) -> tuple[float, float]:
     """(quadrature, analytic) value of integral_{R^m} |phi_{y,rho}|^{2*} dx.
 
     Analytic value: q^{-m} (m/2)^m omega_m, independent of rho.  The
     quadrature integrates the closed-form radial profile on a compactified
-    axis and is the independent check.  Supports m = 2 and m = 3.
+    axis by 200-point Gauss-Legendre and is the independent check.
+    Supports m = 2 and m = 3.
     """
     if m not in (2, 3):
         raise ValueError("radial quadrature implemented for m in {2, 3}")
     analytic = q_center ** -m * (m / 2.0) ** m * sphere_volume(m)
     # |phi_{y,rho}|^{2*} = q^-m (m/2)^m f(r/rho)^m, surface measure omega_{m-1} r^{m-1}
-    t, w = np.polynomial.legendre.leggauss(n_quad)
+    t, w = np.polynomial.legendre.leggauss(200)
     s = 0.5 * (t + 1.0)  # s in (0,1), r = rho s/(1-s)
     r = rho * s / (1.0 - s)
     dr = rho / (1.0 - s) ** 2 * 0.5
@@ -284,17 +277,14 @@ def bubble_grid_values(bubble: Bubble, grid: QuadratureGrid) -> np.ndarray:
 
 def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
                      analysis_degree: int | None = None,
-                     loss_tol: float = 0.01,
                      require_capture: bool = False) -> tuple[SpectralSpinor, TransportReport]:
     """Spectral coefficients of psi_{y,rho} and the truncation-loss report.
 
     The analysis grid is refined with 1/rho so the concentrated profile is
     resolved independently of the solver grid.  If ``require_capture`` and
-    the L^2 loss exceeds ``loss_tol``, raises ValueError (lossy
-    initializations must be explicit, not silent).
+    the L^2 loss exceeds 1%, raises ValueError (lossy initializations must
+    be explicit, not silent).
     """
-    if bubble.m != 2:
-        raise ValueError("transport to S^2 requires m = 2")
     if analysis_degree is None:
         analysis_degree = max(3 * basis.J + 2, int(math.ceil(16.0 / bubble.rho)))
     grid = QuadratureGrid(degree=analysis_degree)
@@ -304,7 +294,7 @@ def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
     mass_captured = float(np.sum(np.abs(coeff) ** 2))
     loss = max(0.0, 1.0 - mass_captured / mass_exact)
     report = TransportReport(mass_exact, mass_captured, loss, analysis_degree)
-    if require_capture and loss > loss_tol:
+    if require_capture and loss > 0.01:
         raise ValueError(
             f"bubble transport loses {loss:.2%} of L^2 mass at J={basis.J}; "
             "raise J or the bubble scale"

@@ -150,7 +150,7 @@ class CriticalPoint:
 class QHypothesisReport:
     q_max: float
     q_min: float
-    half_threshold: float          # 2^{-1/(m-1)} q_max
+    half_threshold: float          # 2^{-1/(m-1)} q_max = q_max / 2 on S^2
     max_points: list
     critical_points: list
     admissible_d: tuple[float, float] | None
@@ -210,23 +210,23 @@ def _newton_steps(H2, g2) -> np.ndarray:
         return steps
 
 
-def find_critical_points(Q: PolynomialCurvature, seed_degree: int = 24,
-                         grad_tol: float = 1e-9, dedupe_dist: float = 0.03,
-                         max_iter: int = 80):
-    """Multi-start sphere Newton for grad Q = 0; returns (points, all_converged).
+def find_critical_points(Q: PolynomialCurvature, max_iter: int = 80):
+    """Multi-start sphere Newton for grad Q = 0 from the nodes of the degree-24
+    grid; returns (points, all_converged).
 
     One Newton iteration runs over all seeds at once; a seed is frozen once
-    its gradient norm falls below ``grad_tol``.  Converged seeds are then
-    deduplicated and classified in seed order.
+    its gradient norm falls below 1e-9.  Converged seeds are then
+    deduplicated (points within 0.03 rad of a kept one are dropped) and
+    classified in seed order.
     """
-    xi = QuadratureGrid(degree=seed_degree).xyz.copy()
+    xi = QuadratureGrid(degree=24).xyz.copy()
     converged = np.zeros(len(xi), dtype=bool)
     active = np.arange(len(xi))
     for _ in range(max_iter):
         x = xi[active]
         g3 = intrinsic_gradient(Q, x)
         gn = np.sqrt(_dot(g3, g3))
-        done = gn < grad_tol
+        done = gn < 1e-9
         converged[active[done]] = True
         active, x, g3, gn = active[~done], x[~done], g3[~done], gn[~done]
         if not active.size:
@@ -244,7 +244,7 @@ def find_critical_points(Q: PolynomialCurvature, seed_degree: int = 24,
     kept = []
     for i in np.flatnonzero(converged):
         cos = _dot(xi[kept], np.tile(xi[i], (len(kept), 1)))
-        if np.all(np.arccos(np.clip(cos, -1, 1)) > dedupe_dist):
+        if np.all(np.arccos(np.clip(cos, -1, 1)) > 0.03):
             kept.append(i)
     pts = xi[kept]
     vals = Q.evaluate(pts)
@@ -268,8 +268,11 @@ def find_critical_points(Q: PolynomialCurvature, seed_degree: int = 24,
     return found, bool(converged.all())
 
 
-def check_q_hypothesis(Q: PolynomialCurvature, m: int = 2,
-                       value_tol: float = 1e-9) -> QHypothesisReport:
+# relative tolerance for equal curvature values in the hypothesis check
+_VALUE_TOL = 1e-9
+
+
+def check_q_hypothesis(Q: PolynomialCurvature) -> QHypothesisReport:
     """Analytic parts of the curvature hypothesis: extrema, critical values,
     Hessian definiteness, and the admissible interval for the gap value d.
 
@@ -285,20 +288,20 @@ def check_q_hypothesis(Q: PolynomialCurvature, m: int = 2,
     if q_min <= 0:
         raise ValueError("curvature field must be positive on S^2")
     notes = []
-    constant = (q_max - q_min) <= value_tol * max(1.0, abs(q_max))
-    half = 2.0 ** (-1.0 / (m - 1)) * q_max
-    max_points = [p for p in crits if p.value >= q_max - value_tol * max(1.0, q_max)]
+    constant = (q_max - q_min) <= _VALUE_TOL * max(1.0, abs(q_max))
+    half = 0.5 * q_max                    # 2^{-1/(m-1)} q_max with m = 2
+    max_points = [p for p in crits if p.value >= q_max - _VALUE_TOL * max(1.0, q_max)]
     if constant:
         admissible = None
         notes.append("constant curvature: admissible d interval is empty")
     else:
         lo = max(half, q_min)
         for p in crits:
-            interior = p.value < q_max - value_tol * max(1.0, q_max)
+            interior = p.value < q_max - _VALUE_TOL * max(1.0, q_max)
             posdef = p.kind == "min"
             if interior and not posdef and p.value > lo:
                 lo = p.value
-        admissible = (lo, q_max) if lo < q_max - value_tol else None
+        admissible = (lo, q_max) if lo < q_max - _VALUE_TOL else None
         if admissible is None:
             notes.append("no admissible d: interior critical values without "
                          "positive-definite Hessian reach the maximum level")
@@ -462,13 +465,11 @@ def hessian_apply(weights: HessianWeights, w_coeff, minus: bool = False) -> np.n
 # -- Rayleigh quotient --------------------------------------------------------
 
 
-def eval_rayleigh(coeff, p: float, ws: Workspace, normalized: bool = False) -> float:
+def eval_rayleigh(coeff, p: float, ws: Workspace) -> float:
     """R_p(psi) = int (D psi, psi) / A(psi)^{2/p}; scale invariant."""
     _check_p(p)
     coeff = np.asarray(coeff, dtype=complex)
     A = eval_A(coeff, p, ws)
-    if normalized:
-        A = A / ws.q_integral
     if A <= 0:
         raise ValueError("Rayleigh quotient undefined: A(psi) = 0")
     num = float(np.sum(ws.basis.eigenvalues * np.abs(coeff) ** 2))

@@ -48,7 +48,7 @@ class NodalCandidate:
 class NodalReport:
     min_psi_grid: float
     candidates: list
-    zero_count_bound: float     # gamma - 1 + int Q^2 |psi|^4 / (4 pi)
+    zero_count_bound: float     # gamma - 1 + int Q^2 |psi|^4 / (4 pi), gamma = 0
     window_chain: bool          # int Q |psi|^4 < 8 pi / Q_max
     verdict: str                # 'zero-free' | 'zeros' | 'inconclusive'
     note: str = ""
@@ -94,15 +94,15 @@ def _refine_minimum(psi: SpectralSpinor, xi0, spread: float) -> np.ndarray:
     return xi / np.linalg.norm(xi)
 
 
-def nodal_analysis(psi: SpectralSpinor, ws: Workspace, genus: int = 0,
-                   candidate_frac: float = 0.35) -> NodalReport:
-    """Zero-count bound and a numerical zero search for a converged solution."""
+def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
+    """Zero-count bound and a numerical zero search for a converged solution
+    on S^2 (genus 0)."""
     values = ws.synthesize(psi.coeff)
     nsq = ws.fiber_norm_sq(values)
     q4 = float(ws.grid.integrate(ws.q_nodes**2 * nsq**2))
     e4 = float(ws.grid.integrate(ws.q_nodes * nsq**2))
     q_max = float(ws.q_nodes.max())
-    bound = genus - 1.0 + q4 / (4.0 * math.pi)
+    bound = -1.0 + q4 / (4.0 * math.pi)
     window_chain = e4 < 8.0 * math.pi / q_max
 
     scale = math.sqrt(float(np.median(nsq)))
@@ -111,9 +111,9 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace, genus: int = 0,
     candidates = []
     if scale > 0:
         # a transversal zero sampled one node away already reads O(spacing),
-        # so the sweep includes everything below a generous fraction of the
-        # median plus the global minimum node; refinement sorts them out
-        idx = set(np.nonzero(np.sqrt(nsq) < candidate_frac * scale)[0].tolist())
+        # so the sweep includes everything below a generous fraction (0.35)
+        # of the median plus the global minimum node; refinement sorts them out
+        idx = set(np.nonzero(np.sqrt(nsq) < 0.35 * scale)[0].tolist())
         if min_grid < 0.6 * scale:
             idx.add(int(np.argmin(nsq)))
         idx = sorted(idx)
@@ -170,16 +170,16 @@ def _vanishing_order(psi, xi, dists):
 @dataclass
 class ScalReport:
     l1_residual: float          # mean of |lhs - rhs| over the sphere
-    max_residual: float
     pde_residual: float         # L2 residual of D psi = Q |psi|^2 psi
-    min_psi: float
 
 
 def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
-                        require_solution: bool = True,
-                        pde_tol: float = 1e-4) -> ScalReport:
+                        require_solution: bool = True) -> ScalReport:
     """Residual of  Scal_{g1} = 2 Q^2 - 4 sum_k |nabla^Q_{e_k} phi|^2  for the
-    unit spinor phi of g1 = |psi|^4 g, all terms by exact chart calculus."""
+    unit spinor phi of g1 = |psi|^4 g, all terms by exact chart calculus.
+
+    With ``require_solution``, raises ValueError if psi vanishes on the grid
+    or its PDE residual exceeds 1e-4."""
     basis, grid = ws.basis, ws.grid
     values = basis.synthesize(psi.coeff, grid)
     nsq_sphere = ws.fiber_norm_sq(values)
@@ -191,9 +191,9 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
     if require_solution:
         if min_psi <= 0:
             raise ValueError("unit spinor undefined: psi vanishes on the grid")
-        if pde_res > pde_tol:
+        if pde_res > 1e-4:
             raise ValueError(
-                f"psi is not a solution (PDE residual {pde_res:.2e} > {pde_tol:g})")
+                f"psi is not a solution (PDE residual {pde_res:.2e} > 0.0001)")
 
     d10, d01, d11 = (basis.evaluate(psi.coeff, grid.z_pref, grid.use_a, d)
                      for d in ((1, 0), (0, 1), (1, 1)))
@@ -232,8 +232,7 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
                               + np.sum(np.abs(g2) ** 2, axis=1))
     resid = np.abs(scal - rhs)
     l1 = float(grid.integrate(resid)) / (4.0 * math.pi)
-    return ScalReport(l1_residual=l1, max_residual=float(resid.max()),
-                      pde_residual=pde_res, min_psi=min_psi)
+    return ScalReport(l1_residual=l1, pde_residual=pde_res)
 
 
 # -- Willmore energy -------------------------------------------------------------
@@ -396,10 +395,17 @@ class ImmersionMesh:
         return self.vertices.shape[0] - ne + self.faces.shape[0]
 
 
+# half-width in x3 of the band where the two chart patches overlap
+_BAND = 0.35
+
+
 def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
-                          subdivisions: int = 4, band: float = 0.35,
+                          subdivisions: int = 4,
                           nodal: NodalReport | None = None) -> ImmersionMesh:
     """Integrate the Weierstrass form over two chart patches and glue.
+
+    The chart-A patch covers x3 >= -_BAND, the chart-B patch x3 <= _BAND,
+    and the vertices of the overlap band align the two.
 
     Requires a zero-free solution (pass its NodalReport, or one is computed);
     refuses otherwise since the conformal factor degenerates at zeros.
@@ -414,8 +420,8 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
 
     pre = closedness_defect(psi, 0.9 * np.exp(1j * np.linspace(0, 6.2, 40)), True)
 
-    north_mask = sphere_v[:, 2] >= -band
-    south_mask = sphere_v[:, 2] <= band
+    north_mask = sphere_v[:, 2] >= -_BAND
+    south_mask = sphere_v[:, 2] <= _BAND
     with np.errstate(divide="ignore", invalid="ignore"):
         # coordinates at the excluded antipodal vertex are never used
         za = chart_a_coords(sphere_v)
@@ -431,7 +437,7 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
     pos_b, def_b = patch(south_mask, zb, False, root_b)
 
     overlap = [i for i in range(sphere_v.shape[0])
-               if abs(sphere_v[i, 2]) <= band and i in pos_a and i in pos_b]
+               if abs(sphere_v[i, 2]) <= _BAND and i in pos_a and i in pos_b]
     src = np.array([pos_b[i] for i in overlap])
     dst = np.array([pos_a[i] for i in overlap])
     R, t, align_res = _kabsch(src, dst)

@@ -86,9 +86,13 @@ def _neg_cg(weights: HessianWeights, rhs, tol):
     return x
 
 
+_REDUCE_STEPS = 60
+
+
 def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
-                 tol_inner: float = 1e-10, max_iter: int = 60) -> ReductionResult:
-    """h_p(u): the unique E^- maximizer of v -> L_p(u + v).
+                 tol_inner: float = 1e-10) -> ReductionResult:
+    """h_p(u): the unique E^- maximizer of v -> L_p(u + v), in at most
+    ``_REDUCE_STEPS`` Newton-CG steps.
 
     An accepted line-search trial keeps its nodal values, so each iterate is
     synthesized once, and the result carries the last iterate's value,
@@ -108,13 +112,13 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     A_u = eval_A(u_coeff, p, ws, values=values if v0 is None else None)
     scale = max(1.0, A_u ** ((p - 1.0) / p))
     tol_eff = tol_inner * scale
-    for it in range(max_iter + 1):
+    for it in range(_REDUCE_STEPS + 1):
         N = nonlinear_projection(values, p, ws)
         grad = np.sign(basis.eigenvalues) * psi - N / basis.abs_eigenvalues
         g = np.where(neg, grad, 0.0)
         res = h_norm(basis, g)
         finite = math.isfinite(res) and math.isfinite(val)
-        if res <= tol_eff or it == max_iter or not finite:
+        if res <= tol_eff or it == _REDUCE_STEPS or not finite:
             break
         delta = np.zeros_like(v)
         delta[neg] = _neg_cg(HessianWeights(values, p, ws), g[neg],
@@ -175,7 +179,11 @@ def _reduced_hessian(weights: HessianWeights, w, tol_inner: float):
     return np.where(basis.plus_mask, out, 0.0)
 
 
-def _bracket_root(slope, xtol: float, t: float, s: float) -> float:
+# relative tolerance on the Nehari scale t, for Newton and for Brent
+_TOL_T = 1e-12
+
+
+def _bracket_root(slope, t: float, s: float) -> float:
     """Root of a slope that is positive near 0 and negative far out, from a
     point t whose slope s is already known: double t while the slope stays
     positive, or halve it while it stays negative, then Brent on the last
@@ -198,16 +206,16 @@ def _bracket_root(slope, xtol: float, t: float, s: float) -> float:
         raise RuntimeError("Nehari bracketing failed: the slope keeps its sign")
     from scipy.optimize import brentq
 
-    return brentq(known_slope, min(t, t_next), max(t, t_next), xtol=xtol,
+    return brentq(known_slope, min(t, t_next), max(t, t_next), xtol=_TOL_T,
                   rtol=8.8817841970012523e-16)
 
 
-def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
-                   tol_inner: float = 1e-10, h0=None) -> NehariState:
+def nehari_project(u_coeff, p: float, ws: Workspace, tol_inner: float = 1e-10,
+                   h0=None) -> NehariState:
     """Scale u onto the Nehari set: the unique root of s(t) = d/dt I_p(t u0).
 
     Newton in t from the incoming scale t = ||u||, with s'(t) from one
-    reduced Hessian product; it stops once |s/s'| <= tol_t max(t, 1).  A
+    reduced Hessian product; it stops once |s/s'| <= _TOL_T max(t, 1).  A
     step with s' >= 0 or leaving [t/2, 2t], or more than 8 steps, hands
     over to bracketing outward from the last Newton t, and Brent.  The
     reduction at the accepted t is the last one made, so the root costs no
@@ -240,14 +248,14 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_t: float = 1e-12,
         if not d2 < 0:
             break
         step = s / d2
-        if abs(step) <= tol_t * max(t, 1.0):
+        if abs(step) <= _TOL_T * max(t, 1.0):
             t_root = t
             break
         if not 0.5 * t <= t - step <= 2.0 * t:
             break
         t -= step
     if t_root is None:
-        t_root = _bracket_root(slope, tol_t, cache["t"], s)
+        t_root = _bracket_root(slope, cache["t"], s)
         if cache["t"] != t_root:
             slope(t_root)
         d2 = ray_curvature()
@@ -270,14 +278,12 @@ def nehari_defect(u_coeff, p: float, ws: Workspace, red: ReductionResult) -> flo
 
 @dataclass
 class TauEstimate:
-    p: float
     values: np.ndarray          # F_p over the sample directions (physical Q)
     values_normalized: np.ndarray
     minimum: float
-    minimum_normalized: float
 
 
-def estimate_tau(p: float, ws: Workspace, samples, tol_inner: float = 1e-10) -> TauEstimate:
+def estimate_tau(p: float, ws: Workspace, samples) -> TauEstimate:
     """Upper estimate of tau_p = inf F_p from a fixed set of E^+ directions.
 
     ``values`` uses the physical Q; ``values_normalized`` rescales to the
@@ -286,13 +292,12 @@ def estimate_tau(p: float, ws: Workspace, samples, tol_inner: float = 1e-10) -> 
     """
     out = []
     for u in samples:
-        st = nehari_project(u, p, ws, tol_inner=tol_inner)
+        st = nehari_project(u, p, ws)
         out.append(st.f_value_rayleigh)
     vals = np.array(out)
     vals_norm = vals * ws.q_integral ** (2.0 / p)
-    return TauEstimate(p=p, values=vals, values_normalized=vals_norm,
-                       minimum=float(vals.min()),
-                       minimum_normalized=float(vals_norm.min()))
+    return TauEstimate(values=vals, values_normalized=vals_norm,
+                       minimum=float(vals.min()))
 
 
 # -- concentration diagnostics ---------------------------------------------------
@@ -402,10 +407,6 @@ class StageSummary:
     iterations: int
     value: float
     residual: float
-    nehari_defect: float
-    theta_radii: np.ndarray
-    theta: np.ndarray
-    theta_center: np.ndarray
     capture_radius: float
     barycenter: np.ndarray
     min_psi: float
@@ -444,9 +445,11 @@ class ContinuationResult:
     psi: SpectralSpinor
     trace: SolverTrace
     final_residual: float
-    energy_window: tuple[float, float]
-    window_value: float
-    window_ok: bool
+    value: float                # L_4 at psi
+
+
+# outer-iteration residual below which the tangent Newton step is tried
+_NEWTON_SWITCH = 1e-3
 
 
 def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
@@ -459,18 +462,21 @@ def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
     cap_r = float(radii[above[0]]) if above.size else float("inf")
     center = ws.grid.xyz[centers[above[0]]] if above.size else ws.grid.xyz[centers[-1]]
     bary = barycenter(values, ws, pole, clamp_radius)
-    return theta, cap_r, center, bary, min_psi
+    return cap_r, center, bary, min_psi
 
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                        tol_final: float = 1e-7, tol_stage: float = 1e-6,
                        tol_inner: float = 1e-10, max_outer: int = 200,
-                       newton_switch: float = 1e-3,
                        blowup_capture: float = 0.9,
                        blowup_spacing_factor: float = 5.0,
-                       monitor_pole=None, clamp_radius: float = 10.0,
+                       clamp_radius: float = 10.0,
                        config_echo: dict | None = None) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
+
+    Gradient steps switch to tangent Newton steps once the residual is at
+    most ``_NEWTON_SWITCH``.  The monitor's barycenter chart projects from
+    the node where Q is least.
 
     Raises BlowUpDetected or StagnationDetected on the corresponding failure
     modes, and SolveFailure when an inner reduction misses tol_inner or an
@@ -492,15 +498,10 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     if unorm == 0:
         raise ValueError("initialization has no E^+ part")
 
-    if monitor_pole is None:
-        qmin_idx = int(np.argmin(ws.q_nodes))
-        monitor_pole = ws.grid.xyz[qmin_idx]
+    monitor_pole = ws.grid.xyz[int(np.argmin(ws.q_nodes))]
     spacing = ws.grid.mean_spacing()
     radii = np.array(sorted({round(k * spacing, 12) for k in (1, 2, 3, 4, 5, 6, 8)}
                             | {0.3, 0.5, 0.8, 1.2, 1.7, 2.3, math.pi}))
-    q_max = float(ws.q_nodes.max())
-    tau_sq = 4.0 * math.pi / q_max          # (tau_{2*})^m for m = 2, physical Q
-    window = (0.25 * tau_sq, 0.5 * tau_sq)  # on L_p values, Eq. of the monitor
 
     trace = SolverTrace(schedule=schedule, config=config_echo or {})
     if not math.isfinite(unorm):
@@ -529,7 +530,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                               residual=res, nehari_defect=defect)
                 if res <= tol:
                     break
-                if res <= newton_switch:
+                if res <= _NEWTON_SWITCH:
                     delta = _tangent_newton_step(u, p, ws, red, gplus, tol_inner)
                 else:
                     delta = None
@@ -554,7 +555,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
             res = h_norm(ws.basis, np.where(ws.basis.plus_mask, red.grad, 0.0))
             defect = nehari_defect(u, p, ws, red)
             values = red.values
-            theta, cap_r, center, bary, min_psi = _stage_diagnostics(
+            cap_r, center, bary, min_psi = _stage_diagnostics(
                 values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
             trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=red.value,
                           residual=res, nehari_defect=defect,
@@ -562,9 +563,8 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                           bary_y=float(bary[1]), min_psi=min_psi)
             trace.stages.append(StageSummary(
                 p=p, iterations=it + 1, value=red.value, residual=res,
-                nehari_defect=defect, theta_radii=radii,
-                theta=theta, theta_center=center, capture_radius=cap_r,
-                barycenter=bary, min_psi=min_psi, warm_start_value=warm_I))
+                capture_radius=cap_r, barycenter=bary, min_psi=min_psi,
+                warm_start_value=warm_I))
 
             capture_small = cap_r <= blowup_spacing_factor * spacing
             if capture_small and prev_capture_small:
@@ -589,11 +589,8 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
             exc.trace = trace
         raise
 
-    psi = SpectralSpinor(ws.basis, red.psi)
-    wv = red.value
-    ok = window[0] < wv < window[1]
-    return ContinuationResult(psi=psi, trace=trace, final_residual=res,
-                              energy_window=window, window_value=wv, window_ok=ok)
+    return ContinuationResult(psi=SpectralSpinor(ws.basis, red.psi), trace=trace,
+                              final_residual=res, value=red.value)
 
 
 def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):

@@ -343,25 +343,6 @@ class SpectralSpinor:
         if self.coeff.shape != (self.basis.n_basis,):
             raise ValueError("coefficient vector does not match basis size")
 
-    def copy(self) -> "SpectralSpinor":
-        return SpectralSpinor(self.basis, self.coeff.copy())
-
-    def __add__(self, other):
-        _check_same_basis(self, other)
-        return SpectralSpinor(self.basis, self.coeff + other.coeff)
-
-    def __sub__(self, other):
-        _check_same_basis(self, other)
-        return SpectralSpinor(self.basis, self.coeff - other.coeff)
-
-    def scale(self, s) -> "SpectralSpinor":
-        return SpectralSpinor(self.basis, self.coeff * s)
-
-
-def _check_same_basis(a: SpectralSpinor, b: SpectralSpinor):
-    if a.basis is not b.basis and a.basis.J != b.basis.J:
-        raise ValueError("spinors live on different truncations")
-
 
 def dirac_apply(psi: SpectralSpinor) -> SpectralSpinor:
     """D psi, diagonal in the eigenbasis: a_k -> lambda_k a_k."""

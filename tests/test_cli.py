@@ -185,6 +185,49 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bubble", "--rho", "0"], "--rho"),
+    (["bubble", "--q", "-1"], "--q"),
+    (["bubble", "--J", "-2"], "--J"),
+    (["bubble", "--center", "0", "0", "0"], "--center"),
+    (["spectrum", "--m", "1"], "--m"),
+    (["spectrum", "--j-max", "-1"], "--j-max"),
+    (["immerse", "missing-state.txt", "--config", "missing.json",
+      "--out", "mesh.stl"], "mesh format 'stl'"),
+], ids=["rho_zero", "q_negative", "J_negative", "zero_center", "m_one",
+        "j_max_negative", "stl_out"])
+def test_bad_argument_exits_2_with_one_line(caplog, argv, message):
+    """Out-of-range command-line arguments are configuration errors: exit 2
+    with a one-line message naming the argument and no traceback.  The mesh
+    format is checked before the config or the state is read."""
+    assert main(argv) == 2
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert message in errors[0].getMessage()
+    assert "\n" not in errors[0].getMessage()
+
+
+def test_stagnation_exits_4_with_report(tmp_path, caplog):
+    """A stage that cannot reach its tolerance within max_outer iterations
+    exits 4 with the stagnation block in report.json, the trace written,
+    and one error line."""
+    cfg = write_config(
+        tmp_path, J=8, grid_degree=24,
+        Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
+        schedule=[3.0, 4.0], max_outer=2,
+        tolerances={"stage": 1e-13, "final": 1e-13},
+        init={"type": "bubble", "rho": 0.4, "center": "argmax"})
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "stagnation"
+    assert set(report["stagnation"]) == {"stage_p", "residual"}
+    assert report["stagnation"]["residual"] > 1e-13
+    assert (out / "trace.csv").read_text().startswith("# diracsphere-trace")
+    errors = [r for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].exc_info is None
+
+
 FUZZ_BASE = {
     "schema_version": 1, "J": 4, "grid_degree": 12,
     "Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},

@@ -20,7 +20,7 @@ def test_constant_q_converges_to_killing(const_solution):
     assert abs(float(ws.grid.integrate(nsq**2)) - 4 * math.pi) <= 1e-3
     assert np.abs(np.sqrt(nsq) - 1.0).max() <= 1e-4
     # the limit value sits at the lower window edge (1/4) tau^2 = pi
-    assert result.window_value == pytest.approx(math.pi, abs=1e-6)
+    assert result.value == pytest.approx(math.pi, abs=1e-6)
 
 
 def test_constant_q_stage_energies_monotone(const_solution):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from diracsphere.spectral import (AliasingError, SphereBasis, SpectralSpinor,
-                                  _check_same_basis, dirac_apply,
-                                  dirac_eigenvalue, dirac_multiplicity, h_inner,
-                                  load_spinor, save_spinor, split)
+                                  dirac_apply, dirac_eigenvalue,
+                                  dirac_multiplicity, h_inner, load_spinor,
+                                  save_spinor, split)
 from conftest import random_spinor, zero_spinor
 
 
@@ -148,6 +148,11 @@ def test_dirac_apply_examples(ws8):
     out = dirac_apply(e)
     assert out.coeff[i] == 3.0  # lambda = 1 + j at j = 2
     assert np.count_nonzero(out.coeff) == 1
+
+
+def _check_same_basis(a: SpectralSpinor, b: SpectralSpinor):
+    if a.basis is not b.basis and a.basis.J != b.basis.J:
+        raise ValueError("spinors live on different truncations")
 
 
 def l2_inner(psi: SpectralSpinor, phi: SpectralSpinor) -> complex:
