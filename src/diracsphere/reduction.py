@@ -86,6 +86,7 @@ def _neg_cg(weights: HessianWeights, rhs, tol):
     return x
 
 
+# cap on the Newton-CG steps of one reduction
 _REDUCE_STEPS = 60
 
 
