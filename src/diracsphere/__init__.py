@@ -2,12 +2,13 @@
 2-sphere, with conversion of nowhere-vanishing solutions into immersed
 surfaces of prescribed mean curvature.
 
-The layers, bottom up: ``clifford`` (fiber algebra), ``grid`` /
-``spectral`` (quadrature and the exact Dirac eigenbasis), ``conformal``
-(charts, bubbles, transport), ``energy`` (curvature fields and functionals),
-``reduction`` (saddle-point reduction, Nehari projection, continuation
-solver), ``geometry`` (nodal sets, curvature identities, Weierstrass
-immersion), and the ``cli`` driver.
+The layers, bottom up: ``grid`` / ``spectral`` (quadrature and the exact
+Dirac eigenbasis), ``chartexpr`` (the chart calculus of the bubble
+profiles), ``conformal`` (charts, bubbles, transport), ``energy`` (curvature
+fields and functionals), ``reduction`` (saddle-point reduction, Nehari
+projection, continuation solver), ``geometry`` (nodal sets, curvature
+identities with the package's one Clifford action, Weierstrass immersion),
+and the ``cli`` driver.
 """
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conformal import Bubble, bubble_energy_flat, bubble_to_sphere
+from .conformal import (Bubble, bubble_energy_flat, bubble_grid_degree,
+                        bubble_to_sphere)
 from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
                      constant_curvature, eval_L, spherical_harmonic_curvature)
 from .geometry import (edge_length_relative_error, export_obj, export_ply,
@@ -154,13 +155,21 @@ def validate_config(cfg: dict) -> None:
     if init["type"] == "state" and not isinstance(init.get("path"), str):
         raise ConfigError("init.path must name a state file")
     if init["type"] == "bubble":
-        rho = init.get("rho", 0.3)
-        if not (_is_number(rho) and rho > 0):
-            raise ConfigError("init.rho must be a positive number")
+        _check_rho("init.rho", init.get("rho", 0.3), J)
         center = init.get("center", "argmax")
         if center != "argmax" and not (_number_rows([center], 3) and any(center)):
             raise ConfigError("init.center must be 'argmax' or three numbers, "
                               "not all zero")
+
+
+def _check_rho(name: str, rho, J: int) -> None:
+    """A bubble scale is a positive number whose analysis grid is under the cap."""
+    if not (_is_number(rho) and rho > 0):
+        raise ConfigError(f"{name} must be a positive number")
+    try:
+        bubble_grid_degree(rho, J)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def build_workspace(cfg: dict) -> Workspace:
@@ -242,8 +251,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bubble(args) -> int:
     center = np.array(args.center, dtype=float)
-    if not (_is_number(args.rho) and args.rho > 0):
-        raise ConfigError("--rho must be a positive number")
+    _check_rho("--rho", args.rho, args.J)
     if not (_is_number(args.q) and args.q > 0):
         raise ConfigError("--q must be a positive number")
     if args.J < 1:

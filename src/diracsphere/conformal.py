@@ -275,18 +275,30 @@ def bubble_grid_values(bubble: Bubble, grid: QuadratureGrid) -> np.ndarray:
     return vals
 
 
+# cap on the 1/rho refinement of the analysis grid: a J=16 transport on the
+# degree-1000 grid peaks ~150 MB above its start, growing as the degree^2
+_MAX_BUBBLE_DEGREE = 1000
+
+
+def bubble_grid_degree(rho: float, J: int) -> int:
+    """Analysis-grid degree max(3J + 2, ceil(16 / rho)) for a bubble of scale
+    rho; ValueError, before any allocation, above the cap (rho < 0.016)."""
+    if 16.0 / rho > _MAX_BUBBLE_DEGREE:
+        raise ValueError(f"rho={rho:g} needs an analysis grid of degree "
+                         f"{16.0 / rho:.0f} > {_MAX_BUBBLE_DEGREE} (rho >= 0.016)")
+    return max(3 * J + 2, math.ceil(16.0 / rho))
+
+
 def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
-                     analysis_degree: int | None = None,
                      require_capture: bool = False) -> tuple[SpectralSpinor, TransportReport]:
     """Spectral coefficients of psi_{y,rho} and the truncation-loss report.
 
-    The analysis grid is refined with 1/rho so the concentrated profile is
-    resolved independently of the solver grid.  If ``require_capture`` and
-    the L^2 loss exceeds 1%, raises ValueError (lossy initializations must
-    be explicit, not silent).
+    The analysis grid (``bubble_grid_degree``) is refined with 1/rho so the
+    concentrated profile is resolved independently of the solver grid.  If
+    ``require_capture`` and the L^2 loss exceeds 1%, raises ValueError
+    (lossy initializations must be explicit, not silent).
     """
-    if analysis_degree is None:
-        analysis_degree = max(3 * basis.J + 2, int(math.ceil(16.0 / bubble.rho)))
+    analysis_degree = bubble_grid_degree(bubble.rho, basis.J)
     grid = QuadratureGrid(degree=analysis_degree)
     vals = bubble_grid_values(bubble, grid)
     coeff = basis.analyze(vals, grid)

@@ -38,61 +38,48 @@ from .spectral import SphereBasis, SpectralSpinor
 # -- curvature fields ---------------------------------------------------------
 
 
+def _derivative(terms, a):
+    """Exact d/dx_a of sum n c x^e over terms (c, n, e).
+
+    The integer factor n is carried apart from the coefficient c, so a
+    derivative of any order multiplies c once, at evaluation."""
+    return [(c, n * e[a], e[:a] + (e[a] - 1,) + e[a + 1:])
+            for c, n, e in terms if e[a]]
+
+
+def _evaluate_terms(terms, xyz) -> np.ndarray:
+    """sum n c x^e over terms (c, n, e) at points (..., 3)."""
+    out = np.zeros(xyz.shape[:-1])
+    for c, n, e in terms:
+        term = np.full(xyz.shape[:-1], c * n)
+        for d in range(3):
+            if e[d]:
+                term = term * xyz[..., d] ** e[d]
+        out += term
+    return out
+
+
 class PolynomialCurvature:
     """Q = sum c * x1^i x2^j x3^k restricted to the sphere; exact derivatives."""
 
     def __init__(self, terms):
         # terms: iterable of (i, j, k, coeff)
         self.terms = [(int(i), int(j), int(k), float(c)) for i, j, k, c in terms]
+        self._q = [(c, 1, (i, j, k)) for i, j, k, c in self.terms]
+        self._grad = [_derivative(self._q, a) for a in range(3)]
+        self._hess = [[_derivative(g, b) for b in range(3)] for g in self._grad]
 
     def evaluate(self, xyz):
-        xyz = np.asarray(xyz, dtype=float)
-        x1, x2, x3 = xyz[..., 0], xyz[..., 1], xyz[..., 2]
-        out = np.zeros(xyz.shape[:-1])
-        for i, j, k, c in self.terms:
-            out += c * x1**i * x2**j * x3**k
-        return out
+        return _evaluate_terms(self._q, np.asarray(xyz, dtype=float))
 
     def ambient_gradient(self, xyz):
         xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        x = [xyz[:, 0], xyz[:, 1], xyz[:, 2]]
-        out = np.zeros_like(xyz)
-        for i, j, k, c in self.terms:
-            e = (i, j, k)
-            for a in range(3):
-                if e[a] == 0:
-                    continue
-                term = c * e[a] * np.ones(xyz.shape[0])
-                for b in range(3):
-                    pw = e[b] - (1 if b == a else 0)
-                    if pw:
-                        term = term * x[b] ** pw
-                out[:, a] += term
-        return out
+        return np.stack([_evaluate_terms(g, xyz) for g in self._grad], axis=-1)
 
     def ambient_hessian(self, xyz):
         xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
-        x = [xyz[:, 0], xyz[:, 1], xyz[:, 2]]
-        out = np.zeros((xyz.shape[0], 3, 3))
-        for i, j, k, c in self.terms:
-            e = (i, j, k)
-            for a in range(3):
-                for b in range(3):
-                    ea = list(e)
-                    fac = ea[a]
-                    if fac == 0:
-                        continue
-                    ea[a] -= 1
-                    fac *= ea[b]
-                    if fac == 0:
-                        continue
-                    ea[b] -= 1
-                    term = c * fac * np.ones(xyz.shape[0])
-                    for d in range(3):
-                        if ea[d]:
-                            term = term * x[d] ** ea[d]
-                    out[:, a, b] += term
-        return out
+        return np.stack([np.stack([_evaluate_terms(h, xyz) for h in row], axis=-1)
+                         for row in self._hess], axis=-2)
 
     def is_affine(self) -> bool:
         return all(i + j + k <= 1 for i, j, k, _ in self.terms)

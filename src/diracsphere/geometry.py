@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import clifford_mul
-from .energy import Workspace
+from .energy import Workspace, _tangent_frame
 from .grid import chart_a_coords, chart_b_coords, conformal_factor
 from .spectral import SpectralSpinor, dirac_apply
 
@@ -66,20 +65,12 @@ def _fiber_norm_at(psi: SpectralSpinor, xyz) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) / conformal_factor(z))
 
 
-def _tangent_pair(xi):
-    """An orthonormal pair (e1, e2 = xi x e1) spanning the tangent plane at xi."""
-    a = np.array([1.0, 0, 0]) if abs(xi[0]) < 0.9 else np.array([0, 1.0, 0])
-    e1 = np.cross(xi, a)
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(xi, e1)
-
-
 def _refine_minimum(psi: SpectralSpinor, xi0, spread: float) -> np.ndarray:
     """Nelder-Mead polish of a local minimum of |psi| around xi0."""
     from scipy.optimize import minimize
 
     xi0 = np.asarray(xi0, dtype=float)
-    e1, e2 = _tangent_pair(xi0)
+    (e1,), (e2,) = _tangent_frame(xi0[None])
 
     def fun(s):
         xi = xi0 + s[0] * e1 + s[1] * e2
@@ -154,7 +145,7 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
 def _vanishing_order(psi, xi, dists):
     """Slope of log |psi| against log distance, over rings of four points."""
     xi = np.asarray(xi, dtype=float)
-    e1, e2 = _tangent_pair(xi)
+    (e1,), (e2,) = _tangent_frame(xi[None])
     ang = np.array([0.0, 1.57, 3.14, 4.71])[:, None]
     ring = np.cos(ang) * e1 + np.sin(ang) * e2
     d = np.asarray(dists, dtype=float)[:, None, None]
@@ -224,8 +215,7 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
     n2 = d2_c - 0.5j * d1_v[:, None] * (s3 * c)
     # nabla^Q over the unit frame
     q = ws.q_nodes
-    e1c = clifford_mul((1, 0), c)
-    e2c = clifford_mul((0, 1), c)
+    e1c, e2c = _frame_action(c)
     g1 = n1 / nf[:, None] + 0.5 * q[:, None] * e1c
     g2 = n2 / nf[:, None] + 0.5 * q[:, None] * e2c
     rhs = 2.0 * q**2 - 4.0 * (np.sum(np.abs(g1) ** 2, axis=1)
@@ -233,6 +223,13 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
     resid = np.abs(scal - rhs)
     l1 = float(grid.integrate(resid)) / (4.0 * math.pi)
     return ScalReport(l1_residual=l1, pde_residual=pde_res)
+
+
+def _frame_action(c):
+    """(e1 . c, e2 . c) for spinors c (n, 2), in the package's one Clifford
+    representation e_k . = -i sigma_k; i e1 e2 = sigma_3 splits c into its
+    +/- half-spinor components, as the chart Dirac operator assumes."""
+    return -1j * c[:, ::-1], np.stack([-c[:, 1], c[:, 0]], axis=1)
 
 
 # -- Willmore energy -------------------------------------------------------------

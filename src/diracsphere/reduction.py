@@ -52,31 +52,21 @@ class ReductionResult:
     iterations: int
 
 
-def _neg_cg(weights: HessianWeights, rhs, tol):
-    """Solve (-L_p'' restricted to E^-) x = rhs by CG in the H^{1/2} metric,
-    on E^- coefficient vectors, with every product at the psi of ``weights``.
-
-    The operator in Riesz form is x + M(x)/|lambda| on E^-, which is
-    >= identity, so plain CG converges fast.
-    """
-    basis = weights.ws.basis
-    lam = basis.abs_eigenvalues[basis.minus_mask]
-
-    def apply_op(x):
-        return -hessian_apply(weights, x, minus=True)
-
-    x = np.zeros_like(rhs)
-    r = rhs - apply_op(x)
-    d = r.copy()
+def _cg(apply_op, b, lam, tol, max_iter):
+    """CG for apply_op(x) = b in the metric sum lam |x|^2, from x = 0 and
+    r = b (no product of the zero vector), until the residual norm is at
+    most ``tol`` or after ``max_iter`` products.  Curvature d.Ad <= 1e-14 d.d
+    ends it with the iterate so far, or None before the first update."""
+    x = np.zeros_like(b)
+    r = d = b
     rr = float(np.sum(lam * np.abs(r) ** 2))
-    tol_sq = tol * tol
-    for _ in range(200):
-        if rr <= tol_sq:
+    for it in range(max_iter):
+        if rr <= tol * tol:
             break
         Ad = apply_op(d)
         dAd = float(np.sum(lam * np.real(d * np.conj(Ad))))
-        if dAd <= 0:
-            break
+        if dAd <= 1e-14 * float(np.sum(lam * np.abs(d) ** 2)):
+            return x if it else None
         alpha = rr / dAd
         x = x + alpha * d
         r = r - alpha * Ad
@@ -84,6 +74,15 @@ def _neg_cg(weights: HessianWeights, rhs, tol):
         d = r + (rr_new / rr) * d
         rr = rr_new
     return x
+
+
+def _neg_cg(weights: HessianWeights, rhs, tol):
+    """Solve (-L_p'' restricted to E^-) x = rhs on E^- coefficient vectors,
+    at the psi of ``weights``.  In Riesz form the operator is
+    x + M(x)/|lambda| >= identity, so CG converges fast and never breaks down."""
+    basis = weights.ws.basis
+    return _cg(lambda x: -hessian_apply(weights, x, minus=True), rhs,
+               basis.abs_eigenvalues[basis.minus_mask], tol, 200)
 
 
 # cap on the Newton-CG steps of one reduction
@@ -157,8 +156,6 @@ class NehariState:
     u: np.ndarray               # scaled E^+ coefficients, on N_p
     h: np.ndarray               # h_p(t u)
     value: float                # I_p(t u)
-    f_value: float              # F_p from the energy: ((2p/(p-2)) I)^{(p-2)/p}
-    f_value_rayleigh: float     # F_p = R_p(tu + h), the independent route
     ray_second_derivative: float  # d^2/dt^2 I_p(t u0) at the root, u0 = u/||u||
     reduction: ReductionResult  # the reduction at u; h and value are its own
 
@@ -261,11 +258,7 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_inner: float = 1e-10,
             slope(t_root)
         d2 = ray_curvature()
     red = cache["red"]
-    I_val = red.value
-    f_energy = ((2.0 * p / (p - 2.0)) * max(I_val, 0.0)) ** ((p - 2.0) / p)
-    f_ray = eval_rayleigh(red.psi, p, ws)
-    return NehariState(t=t_root / unorm, u=t_root * u0, h=red.h, value=I_val,
-                       f_value=f_energy, f_value_rayleigh=f_ray,
+    return NehariState(t=t_root / unorm, u=t_root * u0, h=red.h, value=red.value,
                        ray_second_derivative=d2, reduction=red)
 
 
@@ -287,15 +280,13 @@ class TauEstimate:
 def estimate_tau(p: float, ws: Workspace, samples) -> TauEstimate:
     """Upper estimate of tau_p = inf F_p from a fixed set of E^+ directions.
 
-    ``values`` uses the physical Q; ``values_normalized`` rescales to the
-    integral-one normalization of Q under which p -> F_p(u) is pointwise
-    non-increasing.  (The two differ by the constant (int Q)^{2/p}.)
+    F_p(u) = R_p(t u + h_p(t u)) at the Nehari scale t.  ``values`` uses the
+    physical Q; ``values_normalized`` rescales to the integral-one
+    normalization of Q under which p -> F_p(u) is pointwise non-increasing.
+    (The two differ by the constant (int Q)^{2/p}.)
     """
-    out = []
-    for u in samples:
-        st = nehari_project(u, p, ws)
-        out.append(st.f_value_rayleigh)
-    vals = np.array(out)
+    vals = np.array([eval_rayleigh(nehari_project(u, p, ws).reduction.psi, p, ws)
+                     for u in samples])
     vals_norm = vals * ws.q_integral ** (2.0 / p)
     return TauEstimate(values=vals, values_normalized=vals_norm,
                        minimum=float(vals.min()))
@@ -615,25 +606,8 @@ def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
         return w - (h_inner(ws.basis, n_vec, w) / nn) * n_vec
 
     b = project_t(-gplus)
-    x = np.zeros_like(u)
-    r = b.copy()
-    d = r.copy()
-    rr = h_inner(ws.basis, r, r)
-    tol_cg = max(1e-4 * math.sqrt(rr), 1e-14)
-    for _ in range(40):
-        if math.sqrt(rr) <= tol_cg:
-            break
-        Ad = project_t(_reduced_hessian(weights, d, tol_inner))
-        dAd = h_inner(ws.basis, d, Ad)
-        if dAd <= 1e-14 * h_inner(ws.basis, d, d):
-            return None if h_inner(ws.basis, x, x) == 0 else x
-        alpha = rr / dAd
-        x = x + alpha * d
-        r = r - alpha * Ad
-        rr_new = h_inner(ws.basis, r, r)
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    return x
+    return _cg(lambda d: project_t(_reduced_hessian(weights, d, tol_inner)), b,
+               ws.basis.abs_eigenvalues, max(1e-4 * h_norm(ws.basis, b), 1e-14), 40)
 
 
 def _local_mass_center(values, p, ws, center, radius) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies
 
 import diracsphere
 from diracsphere.cli import ConfigError, build_workspace, main, validate_config
+from diracsphere.grid import QuadratureGrid
 
 CONFIG = {
     "schema_version": 1,
@@ -29,6 +30,18 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+@pytest.fixture
+def no_large_grid(monkeypatch):
+    """Fail, instead of exhausting memory, on any grid above degree 1000."""
+    build = QuadratureGrid.__post_init__
+
+    def guarded(grid):
+        assert grid.degree <= 1000, f"allocated a degree-{grid.degree} grid"
+        build(grid)
+
+    monkeypatch.setattr(QuadratureGrid, "__post_init__", guarded)
 
 
 def cli_env(**overrides) -> dict:
@@ -165,15 +178,17 @@ def test_console_entry_point():
     {"Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, -2.0]]}},
     {"output_dir": 5},
     {"init": {"type": "bubble", "rho": 0.3, "center": [0.0, 0.0, 0.0]}},
+    {"init": {"type": "bubble", "rho": 1e-4}},
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
         "poly_term", "rho", "tolerances_number", "tolerances_list",
         "max_outer", "clamp_radius", "poly_exponent", "q_negative",
-        "q_sign_change", "output_dir", "zero_center"])
-def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
-    """Wrongly typed or missing config fields, and a curvature that is not
-    positive at the nodes, are configuration errors: exit 2 with a one-line
-    message, before any compute and with no traceback, from solve and from
-    diagnose."""
+        "q_sign_change", "output_dir", "zero_center", "rho_tiny"])
+def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
+                                                override):
+    """Wrongly typed or missing config fields, a curvature that is not
+    positive at the nodes, and a bubble too narrow for a bounded analysis
+    grid are configuration errors: exit 2 with a one-line message, before
+    any compute and with no traceback, from solve and from diagnose."""
     bad = write_config(tmp_path, **override)
     for argv in (["solve", str(bad), "--output", str(tmp_path / "out")],
                  ["diagnose", str(tmp_path / "state.txt"), "--config", str(bad)]):
@@ -187,6 +202,7 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
 
 @pytest.mark.parametrize("argv, message", [
     (["bubble", "--rho", "0"], "--rho"),
+    (["bubble", "--rho", "1e-4"], "--rho"),
     (["bubble", "--q", "-1"], "--q"),
     (["bubble", "--J", "-2"], "--J"),
     (["bubble", "--center", "0", "0", "0"], "--center"),
@@ -194,12 +210,13 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, override):
     (["spectrum", "--j-max", "-1"], "--j-max"),
     (["immerse", "missing-state.txt", "--config", "missing.json",
       "--out", "mesh.stl"], "mesh format 'stl'"),
-], ids=["rho_zero", "q_negative", "J_negative", "zero_center", "m_one",
-        "j_max_negative", "stl_out"])
-def test_bad_argument_exits_2_with_one_line(caplog, argv, message):
+], ids=["rho_zero", "rho_tiny", "q_negative", "J_negative", "zero_center",
+        "m_one", "j_max_negative", "stl_out"])
+def test_bad_argument_exits_2_with_one_line(caplog, no_large_grid, argv, message):
     """Out-of-range command-line arguments are configuration errors: exit 2
     with a one-line message naming the argument and no traceback.  The mesh
-    format is checked before the config or the state is read."""
+    format is checked before the config or the state is read, and a bubble
+    scale before its analysis grid is built."""
     assert main(argv) == 2
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None

@@ -1,8 +1,37 @@
+"""The package's one Clifford representation of Cl(R^2) on the spinor fiber,
+
+    e1 . = -i sigma_1 = [[0, -i], [-i, 0]],   e2 . = -i sigma_2 = [[0, -1], [1, 0]],
+
+its Dirac-bundle axioms, and the written-out action that ``geometry`` uses."""
+
 import numpy as np
 
-from diracsphere.clifford import (E1, E2, VOLUME_ELEMENT, check_dirac_bundle_axioms,
-                                  clifford_matrix, clifford_mul, fiber_norm_sq,
-                                  hermitian)
+from diracsphere.geometry import _frame_action
+
+E1 = np.array([[0.0, -1.0j], [-1.0j, 0.0]])
+E2 = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+# i e1. e2. , the complex volume element
+VOLUME_ELEMENT = 1j * (E1 @ E2)
+
+
+def clifford_matrix(x):
+    """Matrix of Clifford multiplication by x = (x1, x2), stacked over (..., 2)."""
+    x = np.asarray(x)
+    return x[..., 0, None, None] * E1 + x[..., 1, None, None] * E2
+
+
+def clifford_mul(x, phi):
+    """X . phi for x of shape (..., 2) and phi of shape (..., 2)."""
+    return (clifford_matrix(x) @ np.asarray(phi, dtype=complex)[..., None])[..., 0]
+
+
+def hermitian(phi, chi):
+    """Hermitian product (phi, chi) on the fiber, antilinear in chi."""
+    return np.sum(np.asarray(phi) * np.conj(chi), axis=-1)
+
+
+def fiber_norm_sq(phi):
+    return np.sum(np.abs(np.asarray(phi)) ** 2, axis=-1)
 
 
 def test_axiom_anticommutation_exact():
@@ -15,6 +44,8 @@ def test_axiom_anticommutation_exact():
 
 
 def test_axiom_skew_adjoint_random():
+    for a in (E1, E2):
+        assert np.allclose(a.conj().T, -a, atol=1e-14)
     rng = np.random.default_rng(0)
     for _ in range(100):
         phi = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -65,4 +96,11 @@ def test_hermitian_properties():
 
 def test_volume_element_is_sigma3():
     assert np.array_equal(VOLUME_ELEMENT, np.diag([1.0, -1.0]).astype(complex))
-    check_dirac_bundle_axioms()
+
+
+def test_geometry_frame_action_matches_representation():
+    rng = np.random.default_rng(4)
+    c = rng.normal(size=(50, 2)) + 1j * rng.normal(size=(50, 2))
+    e1c, e2c = _frame_action(c)
+    assert np.array_equal(e1c, (E1 @ c.T).T)
+    assert np.array_equal(e2c, (E2 @ c.T).T)

@@ -1,0 +1,54 @@
+"""Design guards: the public surface and the settable options do not grow
+unnoticed.  Raising a pinned number needs a caller that sets the new value
+to something other than its default."""
+
+import dataclasses
+import importlib
+import inspect
+
+import diracsphere
+
+# the modules whose options are counted
+MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
+SETTABLE_OPTIONS = 44
+PUBLIC_NAMES = 35
+
+
+def _defaults(fn):
+    return [p.name for p in inspect.signature(fn).parameters.values()
+            if p.default is not inspect.Parameter.empty]
+
+
+def settable_options() -> list[str]:
+    """Every parameter with a default of the modules' functions and of their
+    classes' own methods, plus every dataclass field with a default or a
+    default factory.  A method counts only when its code is in the module's
+    file, so a dataclass's generated ``__init__`` is not counted again."""
+    found = []
+    for name in MODULES:
+        mod = importlib.import_module(f"diracsphere.{name}")
+        path = inspect.getfile(mod)
+        for key, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found += [f"{name}.{key}({p})" for p in _defaults(obj)]
+            elif inspect.isclass(obj):
+                for meth, fn in vars(obj).items():
+                    fn = getattr(fn, "__func__", fn)
+                    if inspect.isfunction(fn) and fn.__code__.co_filename == path:
+                        found += [f"{name}.{key}.{meth}({p})" for p in _defaults(fn)]
+                if dataclasses.is_dataclass(obj):
+                    found += [f"{name}.{key}.{f.name}" for f in dataclasses.fields(obj)
+                              if f.default is not dataclasses.MISSING
+                              or f.default_factory is not dataclasses.MISSING]
+    return found
+
+
+def test_settable_options_pinned():
+    options = settable_options()
+    assert len(options) == SETTABLE_OPTIONS, options
+
+
+def test_public_names_pinned():
+    assert len(diracsphere.__all__) == PUBLIC_NAMES

@@ -248,6 +248,37 @@ def test_intrinsic_derivatives_polynomial():
     assert eigs == pytest.approx([-0.6, -0.6], abs=1e-10)
 
 
+def test_sextic_curvature_derivatives_match_central_differences():
+    """A Q with a degree-6 term: the ambient gradient and Hessian match
+    central differences of evaluate and of the gradient, and the sphere
+    gradient and Hessian match differences along great circles."""
+    Q = PolynomialCurvature([(0, 0, 0, 1.0), (0, 0, 2, 0.3), (3, 3, 0, 0.5),
+                             (1, 2, 1, -0.2)])
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(20, 3))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    h = 1e-5
+    grad, hess = Q.ambient_gradient(x), Q.ambient_hessian(x)
+    for a in range(3):
+        e = np.zeros(3)
+        e[a] = h
+        fd = (Q.evaluate(x + e) - Q.evaluate(x - e)) / (2 * h)
+        assert np.allclose(grad[:, a], fd, rtol=1e-7, atol=1e-9)
+        fd2 = (Q.ambient_gradient(x + e) - Q.ambient_gradient(x - e)) / (2 * h)
+        assert np.allclose(hess[:, :, a], fd2, rtol=1e-7, atol=1e-9)
+    frame = np.stack(energy._tangent_frame(x), axis=1)
+    g_s, h_s = intrinsic_gradient(Q, x), intrinsic_hessian(Q, x)
+    h = 1e-4
+    for k in range(2):
+        v = frame[:, k]
+        # the great circle cos(t) x + sin(t) v is a geodesic with speed v
+        q_t = [Q.evaluate(np.cos(t) * x + np.sin(t) * v) for t in (-h, 0.0, h)]
+        fd = (q_t[2] - q_t[0]) / (2 * h)
+        assert np.allclose(np.sum(g_s * v, axis=1), fd, rtol=1e-7, atol=1e-9)
+        fd2 = (q_t[2] - 2 * q_t[1] + q_t[0]) / h**2
+        assert np.allclose(h_s[:, k, k], fd2, rtol=1e-5, atol=1e-6)
+
+
 def test_spherical_harmonic_curvature_evaluates():
     Q = spherical_harmonic_curvature([(0, 0, 2.0 * math.sqrt(math.pi)), (2, 0, 0.1)])
     assert isinstance(Q, PolynomialCurvature)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
 from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
-from diracsphere.energy import HessianWeights, eval_A, eval_L
+from diracsphere.energy import HessianWeights, eval_A, eval_L, eval_rayleigh
 import diracsphere.reduction as reduction
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_defect, nehari_project,
@@ -270,7 +270,9 @@ def test_quotient_max_equals_reduced_energy_relation(ws8):
     for p in (3.0, 3.7, 4.0):
         u = _plus(ws8, random_spinor(ws8, rng))
         st = nehari_project(u, p, ws8)
-        assert st.f_value == pytest.approx(st.f_value_rayleigh, rel=1e-8)
+        f_energy = ((2.0 * p / (p - 2.0)) * max(st.value, 0.0)) ** ((p - 2.0) / p)
+        f_rayleigh = eval_rayleigh(st.reduction.psi, p, ws8)
+        assert f_energy == pytest.approx(f_rayleigh, rel=1e-8)
 
 
 def test_nehari_defect_derivative_inequality(ws8):

@@ -141,22 +141,25 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
 
 
 # calls inside solve_continuation for the criterion-9 J=8 solve, recorded
-# before the per-psi Hessian weights and the E^- block transforms
-WORK_COUNTS = {"hessian_apply": 1511, "synthesize": 1825, "analyze": 1717,
+# after both Krylov solves moved to one CG that starts from r = b
+WORK_COUNTS = {"hessian_apply": 1285, "synthesize": 1574, "analyze": 1491,
                "reduce_minus": 87}
 
 
-def test_criterion_9_solve_work_counts(tmp_path, monkeypatch):
-    """The criterion-9 J=8 solve makes exactly the recorded numbers of
-    Hessian products, transforms and inner reductions, so a faster product
-    cannot silently change the work."""
+@pytest.fixture(scope="module")
+def criterion9_work(tmp_path_factory):
+    """Run the criterion-9 J=8 solve through the CLI once, counting the calls
+    made inside solve_continuation; returns (counts, the number of Hessian
+    products of an all-zero vector)."""
     import json
 
     from diracsphere import cli
     from diracsphere.spectral import SphereBasis
 
     counts = dict.fromkeys(WORK_COUNTS, 0)
+    zero_products = [0]
     inside = [False]
+    monkeypatch = pytest.MonkeyPatch()
 
     def counted(owner, name, key=None):
         fn = getattr(owner, name)
@@ -164,6 +167,8 @@ def test_criterion_9_solve_work_counts(tmp_path, monkeypatch):
         def wrapper(*args, **kwargs):
             if inside[0]:
                 counts[key or name] += 1
+                if name == "hessian_apply" and not np.any(args[1]):
+                    zero_products[0] += 1
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
@@ -188,7 +193,26 @@ def test_criterion_9_solve_work_counts(tmp_path, monkeypatch):
         "init": {"type": "bubble", "rho": 0.35, "center": [0.0, 0.0, 1.0]},
         "tolerances": {"final": 1e-6}, "seed": 7,
     }
+    tmp_path = tmp_path_factory.mktemp("criterion9")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert cli.main(["solve", str(path), "--output", str(tmp_path / "out")]) == 0
+    try:
+        assert cli.main(["solve", str(path), "--output", str(tmp_path / "out")]) == 0
+    finally:
+        monkeypatch.undo()
+    return counts, zero_products[0]
+
+
+def test_criterion_9_solve_work_counts(criterion9_work):
+    """The criterion-9 J=8 solve makes exactly the recorded numbers of
+    Hessian products, transforms and inner reductions, so a faster product
+    cannot silently change the work."""
+    counts, _ = criterion9_work
     assert counts == WORK_COUNTS
+
+
+def test_no_hessian_product_of_the_zero_vector(criterion9_work):
+    """Every CG starts from r = b: no product inside the solve is spent on
+    an all-zero vector."""
+    _, zero_products = criterion9_work
+    assert zero_products == 0
