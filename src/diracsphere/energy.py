@@ -337,8 +337,10 @@ class Workspace:
         return np.sum(np.abs(values) ** 2, axis=1) / self.grid.f_pref
 
     def fiber_re_inner(self, v1, v2) -> np.ndarray:
-        """real(psi, chi) at the nodes."""
-        return np.sum(np.real(v1 * np.conj(v2)), axis=1) / self.grid.f_pref
+        """real(psi, chi) at the nodes, in real arithmetic: per component
+        re re + im im, then the two components summed."""
+        re = v1.real * v2.real + v1.imag * v2.imag
+        return (re[:, 0] + re[:, 1]) / self.grid.f_pref
 
     def spinor(self, coeff) -> SpectralSpinor:
         return SpectralSpinor(self.basis, np.asarray(coeff, dtype=complex))

@@ -49,13 +49,15 @@ each k as it runs, with O(points) memory.  Wirtinger derivatives come from
 the z^k factor and d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1},
 with no division, so they are finite at z = 0.  The grid transforms are
 separable: each grid ring lies in one chart, where a basis column is one
-longitude mode times its phi = 0 value, so a transform is a sparse map
-between coefficients and ring modes plus an FFT along each ring.  At degree
-2J+1 the modes +-(J+1) share a bin and agree at the nodes.  The E^- block
-maps (``minus=True``) are the E^- columns of that sparse map and the E^-
-rows of its adjoint: they take E^- coefficient vectors to nodal values and
-back, for the inner E^- problem of the solver, with the same sums as the
-full maps less their zero E^+ terms.
+longitude mode times its phi = 0 value, so a transform is a ring map
+between coefficients and ring modes plus an FFT along each ring (the per-m
+stage of libsharp, Reinecke & Seljebotn 2013).  The ring map groups the
+columns by k, which share one mode per chart and component, and runs as
+stacked real matrix products on (re, im) pairs; unlike complex
+matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
+The E^- block maps (``minus=True``), for the solver's inner E^- problem,
+have their own table, and the full maps add the E^+ sums to the E^- sums,
+so a block map has the bits of the full map with zero E^+ coefficients.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .grid import QuadratureGrid
 
@@ -290,45 +291,76 @@ class SphereBasis:
                                 "transforms would alias")
 
     def synthesis_matrix(self, grid: QuadratureGrid, minus: bool = False):
-        """Cached per grid degree: the sparse map S from coefficients to each
-        ring's longitude modes, (n_theta*2*n_phi, n_basis), holding the
-        basis on the phi = 0 meridian, and its conjugate transpose.  With
-        ``minus``, the E^- block: the E^- columns of S and rows of S^H,
-        sliced from the full pair on first use."""
+        """Cached per grid degree: the ring map between coefficients and each
+        ring's longitude modes, as (bins, phase, table, cols), with the
+        columns grouped by angular index k.  ``table[s, g, row, w]`` is real,
+        zero-padded to one width, and times ``phase[g, row]`` it is the
+        basis on the phi = 0 meridian at row (ring, component) for slot w of
+        group g, in block s = 0 (E^-) or 1 (E^+); ``cols[s, g, w]`` is the
+        slot's position in the coefficient vector, or that vector's length
+        for a padding slot.  With ``minus``, the E^- block alone, its
+        ``cols`` indexing the E^- vector.  The group sums of a row go to the
+        ring-mode bins ``bins[g, row]``."""
         self._require_grid(grid)
-        maps = self._matrix_cache.get(grid.degree)
-        if maps is None:
+        ring = self._matrix_cache.get(grid.degree)
+        if ring is None:
             n_p = grid.n_phi
             radial = self.evaluate_matrix(grid.z_pref[::n_p], grid.use_a[::n_p])
-            mode = self.modes[np.where(grid.use_a[::n_p], 0, 1)]
-            rows = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * n_p + mode % n_p
-            cols = np.broadcast_to(np.arange(self.n_basis), radial.shape)
-            # CSC stores O(nonzeros) on bubble transport's fine grids
-            S = sparse.csc_matrix((radial.ravel(), (rows.ravel(), cols.ravel())),
-                                  shape=(2 * grid.n_nodes, self.n_basis))
-            maps = self._matrix_cache[grid.degree] = {False: (S, S.conj().T)}
-        if minus not in maps:
-            # dropping the zero E^+ columns leaves each row's sum bit-equal
-            S_minus = maps[False][0][:, self.minus_mask]
-            maps[True] = (S_minus, S_minus.conj().T)
-        return maps[minus]
+            radial = np.pad(radial.reshape(2 * grid.n_theta, self.n_basis),
+                            ((0, 0), (0, 1)))                      # padding column
+            # groups k = -(J+1)..J: _cols keeps (+, k), (-, k), (+, -1-k),
+            # (-, -1-k) at each level j = |k + 1/2| - 1/2 + slot
+            cols = np.array([np.concatenate([self._cols[::-1, :, 3 - s],
+                                             self._cols[:, :, 1 - s]]) for s in range(2)])
+            table = radial[:, cols].transpose(1, 2, 0, 3)
+            # a group's values at one row are all real or all imaginary, so an
+            # exact quarter turn per row leaves a real table
+            imag = np.abs(table.imag).sum(axis=(0, 3)) > np.abs(table.real).sum(axis=(0, 3))
+            phase = np.where(imag, 1j, 1.0)
+            table = (table * np.conj(phase)[..., None]).real.copy()
+            # (ring, component, g), from each group's first column
+            mode = self.modes[np.where(grid.use_a[::n_p], 0, 1)][..., cols[0][:, 0]]
+            # a row's 2J+2 consecutive modes fill distinct bins, n_phi >= 2J+2
+            # (at degree 2J+1, +-(J+1) share a bin, and a row has one of them)
+            bins = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * n_p + mode % n_p
+            bins = bins.reshape(-1, bins.shape[-1]).T
+            # the E^- position of each E^- column, n_minus for padding
+            local = np.cumsum(np.append(self.minus_mask, True)) - 1
+            ring = self._matrix_cache[grid.degree] = (
+                bins, phase, (table, cols), (table[0], local[cols[0]]))
+        bins, phase, full, minus_block = ring
+        return (bins, phase, *(minus_block if minus else full))
 
     def synthesize(self, coeff, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
         """Weighted chart values of the field at the nodes, shape (n_nodes, 2);
         with ``minus``, ``coeff`` holds the E^- coefficients only."""
-        S, _ = self.synthesis_matrix(grid, minus)
-        modes = (S @ np.asarray(coeff, dtype=complex)).reshape(grid.n_theta, 2, grid.n_phi)
-        vals = np.fft.ifft(modes, axis=-1, norm="forward")
+        bins, phase, table, cols = self.synthesis_matrix(grid, minus)
+        x = np.append(np.asarray(coeff, dtype=complex), 0.0)
+        # real products on (re, im) pairs
+        sums = np.matmul(table, x[cols].view(float).reshape(*cols.shape, 2))
+        if not minus:
+            # the E^- sum plus the E^+ sum: zero E^+ coefficients leave the
+            # E^- block's bits
+            sums = sums[0] + sums[1]
+        modes = np.zeros(2 * grid.n_nodes, dtype=complex)
+        modes[bins] = phase * sums.view(complex)[..., 0]
+        vals = np.fft.ifft(modes.reshape(grid.n_theta, 2, grid.n_phi), axis=-1,
+                           norm="forward")
         return vals.transpose(0, 2, 1).reshape(grid.n_nodes, 2)
 
     def analyze(self, values, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
         """L^2 projection of nodal values onto the basis (adjoint transform):
-        an FFT along each ring, then the conjugate transpose of the table;
-        with ``minus``, onto the E^- members only."""
-        _, SH = self.synthesis_matrix(grid, minus)
+        an FFT along each ring, then the transposed table; with ``minus``,
+        onto the E^- members only."""
+        bins, phase, table, cols = self.synthesis_matrix(grid, minus)
         wf = (grid.weights / grid.f_pref)[:, None]
         rings = (np.asarray(values) * wf).reshape(grid.n_theta, grid.n_phi, 2)
-        return SH @ np.fft.fft(rings.transpose(0, 2, 1), axis=-1).ravel()
+        modes = np.fft.fft(rings.transpose(0, 2, 1), axis=-1).ravel()
+        f = (modes[bins] * np.conj(phase)).view(float).reshape(*bins.shape, 2)
+        n = np.count_nonzero(self.minus_mask) if minus else self.n_basis
+        out = np.empty(n + 1, dtype=complex)
+        out[cols] = np.matmul(table.swapaxes(-1, -2), f).view(complex)[..., 0]
+        return out[:n]
 
 
 @dataclass

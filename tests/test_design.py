@@ -5,6 +5,10 @@ to something other than its default."""
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import diracsphere
 
@@ -52,3 +56,17 @@ def test_settable_options_pinned():
 
 def test_public_names_pinned():
     assert len(diracsphere.__all__) == PUBLIC_NAMES
+
+
+def test_cli_import_loads_no_scipy():
+    """A fresh process that imports the CLI holds no scipy module: the
+    transforms are numpy only, and scipy's two users (the Nehari bracketing
+    fallback and the nodal zero polish) import it when first called."""
+    src = str(Path(diracsphere.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, diracsphere.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diracsphere
 from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from diracsphere.spectral import (AliasingError, SphereBasis, SpectralSpinor,
                                   dirac_apply, dirac_eigenvalue,
@@ -64,7 +69,11 @@ def test_analyze_matches_conjugate_table_formula(basis5, grid5):
     assert np.abs(basis5.analyze(values, grid5) - ref).max() <= 1e-14
 
 
-@pytest.mark.parametrize("J, degree", [(0, 1), (1, 3), (5, 11), (5, 12), (16, 48)])
+# odd and even n_phi, and degree 2J+1, where the modes +-(J+1) share a bin
+TRANSFORM_CASES = [(0, 1), (1, 3), (5, 11), (5, 12), (8, 17), (12, 36), (16, 48)]
+
+
+@pytest.mark.parametrize("J, degree", TRANSFORM_CASES)
 def test_transforms_match_dense_formulas(J, degree):
     """The separable transforms against the dense table contraction, on odd
     and even n_phi and at degree 2J+1, where the modes +-(J+1) share a bin."""
@@ -113,14 +122,65 @@ def test_columns_are_single_longitude_modes():
 
 
 def test_cached_transform_table_is_small():
-    """The J=16, degree-48 table holds one entry per ring, component and
-    column (the dense table was 24 MB)."""
+    """The J=16, degree-48 ring map holds one real entry per ring, component
+    and padded group slot, for E^- and E^+; the E^- block is a view of the
+    full map's table (the dense table was 24 MB)."""
     basis = SphereBasis(16)
     grid = QuadratureGrid(degree=48)
-    mats = basis.synthesis_matrix(grid)
-    size = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in mats)
-    assert size < 2 * 2**20
+    bins, phase, table, cols = basis.synthesis_matrix(grid)
+    _, _, minus_table, minus_cols = basis.synthesis_matrix(grid, minus=True)
+    assert minus_table.base is table
+    assert sum(a.nbytes for a in (bins, phase, table, cols, minus_cols)) < 2 * 2**20
     assert list(basis._matrix_cache) == [48]
+
+
+@pytest.mark.parametrize("J, degree", TRANSFORM_CASES)
+def test_minus_block_is_full_map_with_zero_plus(J, degree):
+    """The E^- block maps give the bits of the full maps applied with zero
+    E^+ coefficients (synthesize) and restricted to the E^- rows (analyze)."""
+    basis = SphereBasis(J)
+    grid = QuadratureGrid(degree=degree)
+    neg = basis.minus_mask
+    rng = np.random.default_rng(J + degree + 1)
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    values = (rng.normal(size=(grid.n_nodes, 2))
+              + 1j * rng.normal(size=(grid.n_nodes, 2)))
+    padded = basis.synthesize(np.where(neg, coeff, 0.0), grid)
+    assert basis.synthesize(coeff[neg], grid, minus=True).tobytes() == padded.tobytes()
+    full = basis.analyze(values, grid)
+    assert basis.analyze(values, grid, minus=True).tobytes() == full[neg].tobytes()
+
+
+_THREAD_PROBE = """
+import hashlib
+import numpy as np
+from diracsphere.grid import QuadratureGrid
+from diracsphere.spectral import SphereBasis
+
+basis, grid = SphereBasis(48), QuadratureGrid(degree=144)
+rng = np.random.default_rng(17)
+coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+values = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
+for minus, c in ((False, coeff), (True, coeff[basis.minus_mask])):
+    for out in (basis.synthesize(c, grid, minus), basis.analyze(values, grid, minus)):
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_transforms_bit_equal_at_one_and_two_blas_threads():
+    """At J=48 on the degree-144 grid, synthesize and analyze, full and
+    E^-, give the same bytes at 1 and at 2 BLAS threads."""
+    src = str(Path(diracsphere.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_eigen_relation_residual(basis5, grid5):
