@@ -29,9 +29,9 @@ from .conformal import (Bubble, bubble_energy_flat, bubble_grid_degree,
                         bubble_to_sphere)
 from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
                      constant_curvature, eval_L, spherical_harmonic_curvature)
-from .geometry import (edge_length_relative_error, export_obj, export_ply,
-                       gauss_bonnet_defect, nodal_analysis,
-                       reconstruct_immersion, scal_identity_check, willmore)
+from .geometry import (export_obj, export_ply, gauss_bonnet_defect,
+                       nodal_analysis, reconstruct_immersion,
+                       scal_identity_check, willmore)
 from .grid import QuadratureGrid
 from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
                         solve_continuation)
@@ -245,7 +245,7 @@ def cmd_spectrum(args) -> int:
         print(f"# Gram residual at J={basis.J}: {err:.3e}")
         if err > 1e-10:
             log.error("Gram validation failed")
-            return 1
+            return EXIT_POSTCONDITION
     return EXIT_OK
 
 
@@ -457,11 +457,10 @@ def cmd_immerse(args) -> int:
     summary = _json_ready({
         "vertices": mesh.vertices.shape[0],
         "euler_characteristic": mesh.euler_characteristic(),
-        "alignment_residual": mesh.alignment_residual,
         "closure_defect": mesh.closure_defect,
         "closedness_precheck": mesh.closedness_precheck,
         "gauss_bonnet_defect": gauss_bonnet_defect(mesh.vertices, mesh.faces),
-        "edge_length_rel_error": edge_length_relative_error(mesh, psi),
+        "edge_length_rel_error": mesh.edge_length_rel_error,
         "mean_curvature_rel_l2": rel_l2,
         "mean_curvature_rel_max": float(rel.max()),
     })

@@ -334,7 +334,7 @@ class Workspace:
 
     def fiber_norm_sq(self, values) -> np.ndarray:
         """|psi|^2 at the nodes from weighted chart values."""
-        return np.sum(np.abs(values) ** 2, axis=1) / self.grid.f_pref
+        return self.fiber_re_inner(values, values)
 
     def fiber_re_inner(self, v1, v2) -> np.ndarray:
         """real(psi, chi) at the nodes, in real arithmetic: per component

@@ -17,9 +17,13 @@ itself.  Consequences used here:
           -(1/2)(phi_1^2 + conj(phi_2)^2),
           -i phi_1 conj(phi_2) ),
   X = 2 Re integral X_z dz, whose induced metric is |phi|^4 |dz|^2 = g1.
-  The reconstruction is validated a posteriori (period closure, round-sphere
-  exactness, discrete mean curvature against Q); it determines the surface
-  up to a rigid congruence of R^3.
+  The chart-B gauge makes X_w dw = X_z dz, so one spanning tree of the
+  icosphere integrates the form over the whole sphere, each edge read in
+  chart A when both its ends have x3 >= 0 and in chart B otherwise.  The
+  reconstruction is validated a posteriori (period closure over the
+  non-tree edges, seam-crossing cycles included; g1 edge lengths;
+  round-sphere exactness; discrete mean curvature against Q); it determines
+  the surface up to a rigid congruence of R^3.
 """
 
 from __future__ import annotations
@@ -53,14 +57,20 @@ class NodalReport:
     note: str = ""
 
 
+def _chart_coords(xyz, use_a) -> np.ndarray:
+    """Chart-A coordinates of the points where ``use_a``, chart-B ones
+    elsewhere."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # each pole is singular only in the chart it is not read in
+        return np.where(use_a, chart_a_coords(xyz), chart_b_coords(xyz))
+
+
 def _fiber_norm_at(psi: SpectralSpinor, xyz) -> np.ndarray:
     """|psi| at arbitrary sphere points, read like the grid nodes: chart A
     where x3 >= 0, chart B elsewhere."""
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     north = xyz[:, 2] >= 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # each pole is singular only in the chart it does not read
-        z = np.where(north, chart_a_coords(xyz), chart_b_coords(xyz))
+    z = _chart_coords(xyz, north)
     vals = psi.basis.evaluate(psi.coeff, z, north)
     return np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) / conformal_factor(z))
 
@@ -177,8 +187,7 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
     min_psi = math.sqrt(max(float(nsq_sphere.min()), 0.0))
     Dv = basis.synthesize(dirac_apply(psi).coeff, grid)
     pde = Dv - ws.q_nodes[:, None] * nsq_sphere[:, None] * values
-    pde_res = math.sqrt(abs(float(grid.integrate(
-        np.sum(np.abs(pde) ** 2, axis=1) / grid.f_pref))))
+    pde_res = math.sqrt(abs(float(grid.integrate(ws.fiber_norm_sq(pde)))))
     if require_solution:
         if min_psi <= 0:
             raise ValueError("unit spinor undefined: psi vanishes on the grid")
@@ -293,8 +302,8 @@ def mesh_edges(faces) -> np.ndarray:
 # -- Weierstrass integration ------------------------------------------------------
 
 
-def _weierstrass_integrand(psi: SpectralSpinor, z, use_a) -> np.ndarray:
-    vals = psi.basis.evaluate(psi.coeff, z, use_a)
+def _weierstrass_form(vals) -> np.ndarray:
+    """X_z of chart values phi, last axis the three components."""
     p1, p2 = vals[..., 0], vals[..., 1]
     c2 = np.conj(p2)
     return np.stack([0.5j * (p1**2 - c2**2),
@@ -323,56 +332,44 @@ _EDGE_T, _EDGE_W = np.polynomial.legendre.leggauss(4)
 _EDGE_T, _EDGE_W = 0.5 * (_EDGE_T + 1.0), 0.5 * _EDGE_W
 
 
-def _integrate_patch(psi, z_chart, edges, root, use_a):
-    """Spanning-tree integration of 2 Re integral X_z dz over a chart patch.
+def _edge_integrals(psi: SpectralSpinor, sphere_v, edges):
+    """Weierstrass increments 2 Re integral X_z dz and g1 lengths of the mesh
+    edges, from one evaluation at their Gauss points.  An edge is read in
+    chart A when both its ends have x3 >= 0, else in chart B; the gauge
+    phi_B(w) = diag(iz, -i zbar) phi_A(z), w = 1/z, makes X_w dw = X_z dz,
+    so both charts give the same form."""
+    north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
+    za, zb = (_chart_coords(sphere_v[end], north) for end in edges.T)
+    dz = zb - za
+    pts = za[:, None] + _EDGE_T[None, :] * dz[:, None]
+    vals = psi.basis.evaluate(psi.coeff, pts, north[:, None])
+    xz = np.tensordot(_weierstrass_form(vals), _EDGE_W, axes=([1], [0]))
+    incr = 2.0 * np.real(dz[:, None] * xz)
+    glen = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(dz)
+    return incr, glen
 
-    All edge integrals are evaluated in one vectorized pass, then a BFS
-    accumulates positions; the non-tree edges report the closure defect.
-    Returns (positions dict, closure defect).
-    """
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    za = z_chart[edges[:, 0]]
-    zb = z_chart[edges[:, 1]]
-    pts = za[:, None] + _EDGE_T[None, :] * (zb - za)[:, None]
-    xz = _weierstrass_integrand(psi, pts.ravel(), use_a).reshape(
-        edges.shape[0], _EDGE_T.size, 3)
-    incr = 2.0 * np.real((zb - za)[:, None] * np.tensordot(xz, _EDGE_W, axes=([1], [0])))
 
-    adj = {}
-    for ei, (a, b) in enumerate(edges):
-        adj.setdefault(int(a), []).append((int(b), ei, 1.0))
-        adj.setdefault(int(b), []).append((int(a), ei, -1.0))
-
-    pos = {root: np.zeros(3)}
+def _spanning_tree(nv, edges, incr, root):
+    """Positions from a BFS spanning tree rooted at ``root`` (at the origin)
+    that sums the edge increments; the closure defect is the largest
+    mismatch over the non-tree edges."""
+    adj = [[] for _ in range(nv)]
+    for ei, (a, b) in enumerate(edges.tolist()):
+        adj[a].append((b, ei, 1.0))
+        adj[b].append((a, ei, -1.0))
+    pos = np.zeros((nv, 3))
+    seen = np.zeros(nv, dtype=bool)
+    tree = np.zeros(edges.shape[0], dtype=bool)
+    seen[root] = True
     order = [root]
-    seen = {root}
-    tree = set()
-    qi = 0
-    while qi < len(order):
-        a = order[qi]
-        qi += 1
-        for b, ei, sgn in adj.get(a, []):
-            if b in seen:
-                continue
-            seen.add(b)
-            pos[b] = pos[a] + sgn * incr[ei]
-            tree.add(ei)
-            order.append(b)
-    defects = [np.linalg.norm(pos[int(a)] + incr[ei] - pos[int(b)])
-               for ei, (a, b) in enumerate(edges)
-               if ei not in tree and int(a) in pos and int(b) in pos]
-    return pos, (max(defects) if defects else 0.0)
-
-
-def _kabsch(src, dst):
-    """Best orthogonal (reflections allowed) + translation alignment src -> dst."""
-    cs, cd = src.mean(axis=0), dst.mean(axis=0)
-    H = (src - cs).T @ (dst - cd)
-    U, _, Vt = np.linalg.svd(H)
-    R = (U @ Vt).T
-    t = cd - R @ cs
-    res = np.sqrt(np.mean(np.sum((src @ R.T + t - dst) ** 2, axis=1)))
-    return R, t, res
+    for a in order:                     # order grows as the BFS runs
+        for b, ei, sgn in adj[a]:
+            if not seen[b]:
+                seen[b] = tree[ei] = True
+                pos[b] = pos[a] + sgn * incr[ei]
+                order.append(b)
+    gap = np.linalg.norm(pos[edges[:, 0]] + incr - pos[edges[:, 1]], axis=1)
+    return pos, float(gap[~tree].max())
 
 
 @dataclass
@@ -383,8 +380,8 @@ class ImmersionMesh:
     conf_factor: np.ndarray      # |psi|^4 per vertex
     mean_curvature: np.ndarray   # discrete cotangent estimate
     target_q: np.ndarray
-    alignment_residual: float
     closure_defect: float
+    edge_length_rel_error: float  # RMS of (mesh length - g1 length) / g1 length
     closedness_precheck: float
 
     def euler_characteristic(self) -> int:
@@ -392,17 +389,12 @@ class ImmersionMesh:
         return self.vertices.shape[0] - ne + self.faces.shape[0]
 
 
-# half-width in x3 of the band where the two chart patches overlap
-_BAND = 0.35
-
-
 def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
                           subdivisions: int = 4,
                           nodal: NodalReport | None = None) -> ImmersionMesh:
-    """Integrate the Weierstrass form over two chart patches and glue.
-
-    The chart-A patch covers x3 >= -_BAND, the chart-B patch x3 <= _BAND,
-    and the vertices of the overlap band align the two.
+    """Integrate the Weierstrass form along one spanning tree of the
+    icosphere, rooted at its north vertex, each edge read by the chart rule
+    of ``_edge_integrals``.
 
     Requires a zero-free solution (pass its NodalReport, or one is computed);
     refuses otherwise since the conformal factor degenerates at zeros.
@@ -417,40 +409,20 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
 
     pre = closedness_defect(psi, 0.9 * np.exp(1j * np.linspace(0, 6.2, 40)), True)
 
-    north_mask = sphere_v[:, 2] >= -_BAND
-    south_mask = sphere_v[:, 2] <= _BAND
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # coordinates at the excluded antipodal vertex are never used
-        za = chart_a_coords(sphere_v)
-        zb = chart_b_coords(sphere_v)
-
-    def patch(mask, z_chart, use_a, root_idx):
-        keep = mask[edges[:, 0]] & mask[edges[:, 1]]
-        return _integrate_patch(psi, z_chart, edges[keep], root_idx, use_a)
-
-    root_a = int(np.argmax(sphere_v[:, 2]))
-    root_b = int(np.argmin(sphere_v[:, 2]))
-    pos_a, def_a = patch(north_mask, za, True, root_a)
-    pos_b, def_b = patch(south_mask, zb, False, root_b)
-
-    overlap = [i for i in range(sphere_v.shape[0])
-               if abs(sphere_v[i, 2]) <= _BAND and i in pos_a and i in pos_b]
-    src = np.array([pos_b[i] for i in overlap])
-    dst = np.array([pos_a[i] for i in overlap])
-    R, t, align_res = _kabsch(src, dst)
-
-    # each vertex comes from the patch of the chart its hemisphere reads
-    verts = np.array([pos_a[i] if v[2] >= 0 else R @ pos_b[i] + t
-                      for i, v in enumerate(sphere_v)])
+    incr, glen = _edge_integrals(psi, sphere_v, edges)
+    verts, closure = _spanning_tree(sphere_v.shape[0], edges, incr,
+                                    int(np.argmax(sphere_v[:, 2])))
     verts -= verts.mean(axis=0)
+    elen = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
+    rel = (elen - glen) / glen
 
     conf = _fiber_norm_at(psi, sphere_v) ** 4
     target_q = np.asarray(ws.Q.evaluate(sphere_v), dtype=float)
     H = cotangent_mean_curvature(verts, faces)
     return ImmersionMesh(vertices=verts, faces=faces, sphere_points=sphere_v,
                          conf_factor=conf, mean_curvature=H, target_q=target_q,
-                         alignment_residual=align_res,
-                         closure_defect=max(def_a, def_b),
+                         closure_defect=closure,
+                         edge_length_rel_error=float(np.sqrt(np.mean(rel**2))),
                          closedness_precheck=pre)
 
 
@@ -538,23 +510,6 @@ def gauss_bonnet_defect(verts, faces) -> float:
             np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
         total -= np.sum(np.arccos(np.clip(cosang, -1, 1)))
     return total - 4.0 * math.pi
-
-
-def edge_length_relative_error(mesh: ImmersionMesh, psi: SpectralSpinor) -> float:
-    """RMS relative mismatch between mesh edge lengths and g1 lengths; an edge
-    is read in chart A when both its ends have x3 >= 0, else in chart B."""
-    edges = mesh_edges(mesh.faces)
-    sv = mesh.sphere_points
-    north = (sv[edges[:, 0], 2] >= 0) & (sv[edges[:, 1], 2] >= 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        za, zb = (np.where(north, chart_a_coords(sv[end]), chart_b_coords(sv[end]))
-                  for end in edges.T)
-    pts = za[:, None] + _EDGE_T[None, :] * (zb - za)[:, None]
-    vals = psi.basis.evaluate(psi.coeff, pts, north[:, None])
-    glen = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(zb - za)
-    elen = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
-    rel = (elen - glen) / glen
-    return float(np.sqrt(np.mean(rel**2)))
 
 
 # -- mesh I/O ---------------------------------------------------------------------

@@ -352,10 +352,11 @@ def barycenter(values, ws: Workspace, pole, clamp_radius: float) -> np.ndarray:
     pole = np.asarray(pole, dtype=float)
     chart = StereoChart(center=-pole / np.linalg.norm(pole))
     rotated = np.stack([_rows_dot(ws.grid.xyz, row) for row in chart.rotation], axis=1)
-    # nodes at the projection pole would map to infinity; nudge off it,
-    # the clamp sends them to the boundary circle anyway
-    rotated[:, 2] = np.maximum(rotated[:, 2], -1.0 + 1e-12)
-    z = (rotated[:, 0] + 1j * rotated[:, 1]) / (1.0 + rotated[:, 2])
+    # a node within 1e-12 of the projection pole maps to infinity in a
+    # direction roundoff picks; it gets zeta = 0, the mean of the clamp circle
+    at_pole = rotated[:, 2] <= -1.0 + 1e-12
+    z = np.where(at_pole, 0.0, rotated[:, 0] + 1j * rotated[:, 1]) / np.where(
+        at_pole, 1.0, 1.0 + rotated[:, 2])
     pts = np.stack([z.real, z.imag], axis=1)
     r = np.linalg.norm(pts, axis=1)
     scalefac = np.where(r > clamp_radius, clamp_radius / np.maximum(r, 1e-300), 1.0)

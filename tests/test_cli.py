@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies
 import diracsphere
 from diracsphere.cli import ConfigError, build_workspace, main, validate_config
 from diracsphere.grid import QuadratureGrid
+from diracsphere.spectral import SphereBasis
 
 CONFIG = {
     "schema_version": 1,
@@ -62,6 +63,14 @@ def test_spectrum_general_m(capsys):
     assert main(["spectrum", "--m", "3", "--j-max", "0", "--skip-validation"]) == 0
     out = capsys.readouterr().out
     assert "+-1.5  2" in out
+
+
+def test_spectrum_failed_gram_check_exits_5(monkeypatch, capsys):
+    """A failed Gram check is a postcondition failure, exit 5."""
+    good = SphereBasis.evaluate_matrix
+    monkeypatch.setattr(SphereBasis, "evaluate_matrix",
+                        lambda self, *a, **k: 1.01 * good(self, *a, **k))
+    assert main(["spectrum", "--j-max", "2"]) == 5
 
 
 def test_bubble_command(capsys):

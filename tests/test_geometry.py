@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.geometry import (closedness_defect, cotangent_mean_curvature,
-                                  edge_length_relative_error, export_obj,
+from diracsphere.geometry import (_weierstrass_form, closedness_defect,
+                                  cotangent_mean_curvature, export_obj,
                                   export_ply, gauss_bonnet_defect, icosphere,
                                   mesh_edges, nodal_analysis, read_obj, read_ply,
                                   reconstruct_immersion, scal_identity_check,
                                   willmore)
-from diracsphere.spectral import SpectralSpinor
+from diracsphere.spectral import SpectralSpinor, SphereBasis
 from conftest import random_spinor
 
 
@@ -149,10 +149,39 @@ def test_round_sphere_reconstruction(ws8, killing_state):
     rel = mesh.mean_curvature - 1.0
     assert math.sqrt(np.mean(rel**2)) <= 0.02
     assert abs(gauss_bonnet_defect(mesh.vertices, mesh.faces)) <= 0.01 * 4 * math.pi
-    assert edge_length_relative_error(mesh, killing_state) <= 0.02
+    assert mesh.edge_length_rel_error <= 0.02
     assert mesh.closure_defect <= 1e-8
     assert mesh.closedness_precheck <= 1e-10
-    assert mesh.alignment_residual <= 1e-8
+
+
+def test_immersion_evaluates_each_edge_once(ws8, killing_state, monkeypatch):
+    """One evaluation at the Gauss points of every edge, plus the vertices
+    and the 120-point closedness pre-check; no second chart patch."""
+    report = nodal_analysis(killing_state, ws8)
+    points = []
+    inner = SphereBasis.evaluate
+
+    def counted(self, coeff, z, *args, **kwargs):
+        points.append(np.asarray(z).size)
+        return inner(self, coeff, z, *args, **kwargs)
+
+    monkeypatch.setattr(SphereBasis, "evaluate", counted)
+    reconstruct_immersion(killing_state, ws8, subdivisions=4, nodal=report)
+    verts, faces = icosphere(4)
+    n_edges = mesh_edges(faces).shape[0]
+    assert sum(points) <= 4 * n_edges + verts.shape[0] + 120
+
+
+def test_weierstrass_form_is_chart_independent(ws8):
+    """X_w dw = X_z dz under the chart-B gauge phi_B(w) = diag(iz, -i zbar)
+    phi_A(z), w = 1/z, for any spinor: dw = -dz / z^2."""
+    rng = np.random.default_rng(13)
+    coeff = random_spinor(ws8, rng)
+    z = np.sqrt(rng.uniform(0.2, 5.0, 50)) * np.exp(2j * np.pi * rng.uniform(size=50))
+    xa = _weierstrass_form(ws8.basis.evaluate(coeff, z, True))
+    xb = _weierstrass_form(ws8.basis.evaluate(coeff, 1.0 / z, False))
+    np.testing.assert_allclose(xb * (-1.0 / z**2)[:, None], xa,
+                               rtol=0, atol=1e-12 * np.abs(xa).max())
 
 
 def test_reconstruction_refuses_zero_state(ws8):

@@ -442,6 +442,16 @@ def test_barycenter_properties(ws8):
         barycenter(np.zeros_like(vals2), ws8, pole, clamp_radius=1.0)
 
 
+def test_barycenter_sends_the_projection_pole_node_to_zero(ws8):
+    """All the mass on a node at the projection pole: that node has no chart
+    image, so it sits at zeta = 0, the mean of the clamp circle."""
+    i = 5 * ws8.grid.xyz.shape[0] // 7
+    vals = np.zeros((ws8.grid.xyz.shape[0], 2), complex)
+    vals[i] = 1.0
+    bar = barycenter(vals, ws8, ws8.grid.xyz[i], clamp_radius=1.0)
+    assert bar[0] == 0.0 and bar[1] == 0.0
+
+
 def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
     """A reduction is never repeated: no call starts at the previous call's u
     from the h that call returned (the projections hand their reductions to
