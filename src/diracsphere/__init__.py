@@ -13,7 +13,7 @@ and the ``cli`` driver.
 
 __version__ = "0.1.0"
 
-from .conformal import Bubble, StereoChart, bubble_energy_flat, bubble_to_sphere
+from .conformal import Bubble, bubble_energy_flat, bubble_to_sphere
 from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
                      constant_curvature, eval_L, eval_rayleigh,
                      spherical_harmonic_curvature)
@@ -28,7 +28,7 @@ from .spectral import (BasisIndex, SphereBasis, SpectralSpinor, dirac_apply,
                        save_spinor, split)
 
 __all__ = [
-    "Bubble", "StereoChart", "bubble_energy_flat", "bubble_to_sphere",
+    "Bubble", "bubble_energy_flat", "bubble_to_sphere",
     "PolynomialCurvature", "Workspace", "check_q_hypothesis",
     "constant_curvature", "eval_L", "eval_rayleigh",
     "spherical_harmonic_curvature", "ImmersionMesh", "nodal_analysis",

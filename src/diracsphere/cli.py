@@ -349,7 +349,8 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     trace.to_csv(outdir / "trace.csv")
     save_spinor(outdir / "state.txt", psi)
 
-    nodal, e4, diag = _diagnostics(psi, ws)
+    nodal, diag = _diagnostics(psi, ws)
+    e4 = nodal.int_q_psi4
     q_max = hyp.q_max
     window = (4.0 * math.pi / q_max, 8.0 * math.pi / q_max)
     margin = min(e4 - window[0], window[1] - e4)
@@ -383,16 +384,14 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
 
 
 def _diagnostics(psi, ws: Workspace):
-    """What solve and diagnose report on a state: the nodal report,
-    int Q |psi|^4, and the Willmore and scal-identity report blocks."""
+    """What solve and diagnose report on a state: the nodal report (which
+    holds int Q |psi|^4) and the Willmore and scal-identity report blocks."""
     nodal = nodal_analysis(psi, ws)
     W, embedded = willmore(psi, ws)
     scal = scal_identity_check(psi, ws, require_solution=False)
-    nsq = ws.fiber_norm_sq(ws.synthesize(psi.coeff))
-    e4 = float(ws.grid.integrate(ws.q_nodes * nsq**2))
-    return nodal, e4, {"willmore": {"value": W, "embedded": embedded},
-                       "scal_identity": {"l1_residual": scal.l1_residual,
-                                         "pde_residual": scal.pde_residual}}
+    return nodal, {"willmore": {"value": W, "embedded": embedded},
+                   "scal_identity": {"l1_residual": scal.l1_residual,
+                                     "pde_residual": scal.pde_residual}}
 
 
 def _nearest_critical(hyp, point):
@@ -421,12 +420,12 @@ def cmd_diagnose(args) -> int:
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = _read(load_spinor, args.state, ws.basis)
-    nodal, e4, diag = _diagnostics(psi, ws)
+    nodal, diag = _diagnostics(psi, ws)
     out = _json_ready({
         "config": cfg,
         "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
                   "bound": nodal.zero_count_bound, "note": nodal.note},
-        "energy": {"int_Q_psi4": e4},
+        "energy": {"int_Q_psi4": nodal.int_q_psi4},
         **diag,
     })
     json.dump(out, sys.stdout, indent=2, sort_keys=True)

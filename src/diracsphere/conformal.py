@@ -8,10 +8,10 @@ the diagonal factor
 
     phi_rot(m(z)) = diag(g(z), conj(g(z))) phi(z),  g(z) = -conj(beta) z + conj(alpha),
 
-with a fixed global-phase gauge (the SU(2) pair is determined up to sign by
-the rotation; it is fitted from point correspondences and its sign fixed
-by the leading nonzero component).  The
-chart-A/chart-B transition is the special case (alpha, beta) = (0, i).
+where (alpha, beta) is the closed-form pair of the rotation along the great
+circle from y to the north pole (``rotation_pair``).  The chart-A/chart-B
+transition is the special case (alpha, beta) = (0, i): phi_B = diag(i z,
+-i conj(z)) phi_A.
 
 The bubble family: on the flat plane
 
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chartexpr import ChartExpr, PowerCache
-from .grid import QuadratureGrid, chart_a_coords, chart_a_point, conformal_factor
+from .grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from .spectral import SphereBasis, SpectralSpinor
 
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -74,90 +74,26 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
-def mobius_of_rotation(R) -> tuple[complex, complex]:
-    """SU(2) pair (alpha, beta) with S_A(R xi) = (alpha z + beta)/(-conj(beta) z + conj(alpha)).
+def rotation_pair(y) -> tuple[complex, complex]:
+    """SU(2) pair (alpha, beta) of ``rotation_to_north(y)`` acting on chart A,
+    S_A(R xi) = (alpha z + beta)/(-conj(beta) z + conj(alpha)).
 
-    Fitted from point correspondences (convention-proof) and verified; the
-    sign of the pair is fixed by the first nonzero fitted component.
+    With a = S_A(y) the map is z -> (z - a)/(1 + conj(a) z), the pair
+    (1, -a)/sqrt(1 + |a|^2) (Penrose & Rindler, Spinors and Space-Time 1,
+    ch. 1); at the poles it follows the snaps of ``rotation_to_north``.
     """
-    R = np.asarray(R, dtype=float)
-    pts = np.array(
-        [
-            [0.6, 0.0, 0.8],
-            [0.0, 0.6, 0.8],
-            [0.48, -0.6, 0.64],
-            [-0.8, 0.0, 0.6],
-            [0.36, 0.48, -0.8],
-        ]
-    )
-    z = chart_a_coords(pts)
-    zp = chart_a_coords(pts @ R.T)
-    # z' (-conj(beta) z + conj(alpha)) = alpha z + beta, that is
-    # alpha z + beta - conj(alpha) z' + conj(beta) z z' = 0, is linear in
-    # (re a, im a, re b, im b): a z - conj(a) z' = re(a)(z - z') +
-    # i im(a)(z + z') and b + conj(b) z z' = re(b)(1 + z z') + i im(b)(1 - z z');
-    # split each equation into its real and imaginary part
-    rows = []
-    for zi, zpi in zip(z, zp):
-        coeffs = [zi - zpi, 1j * (zi + zpi), 1 + zi * zpi, 1j * (1 - zi * zpi)]
-        rows.append([c.real for c in coeffs])
-        rows.append([c.imag for c in coeffs])
-    # the pair is the null vector of the system
-    v = np.linalg.svd(np.array(rows))[2][-1]
-    alpha = v[0] + 1j * v[1]
-    beta = v[2] + 1j * v[3]
-    nrm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-    alpha, beta = alpha / nrm, beta / nrm
-    # deterministic sign gauge
-    lead = alpha if abs(alpha) > 1e-8 else beta
-    phase = 1.0 if (lead.real > 0 or (lead.real == 0 and lead.imag > 0)) else -1.0
-    if lead.real == 0 and abs(lead.imag) < 1e-300:
-        phase = 1.0
-    alpha, beta = alpha * phase, beta * phase
-    # verify on fresh points
-    chk = np.array([[0.2, 0.3, math.sqrt(1 - 0.13)], [-0.5, 0.1, math.sqrt(0.74)]])
-    zc = chart_a_coords(chk)
-    pred = (alpha * zc + beta) / (-np.conj(beta) * zc + np.conj(alpha))
-    if not np.allclose(pred, chart_a_coords(chk @ R.T), atol=1e-9):
-        raise RuntimeError("Moebius fit failed to reproduce the rotation")
-    return complex(alpha), complex(beta)
-
-
-def mobius_apply(alpha: complex, beta: complex, z):
-    return (alpha * z + beta) / (-np.conj(beta) * z + np.conj(alpha))
-
-
-def transition_g(alpha: complex, beta: complex, z):
-    """Spinor transition factor g(z); components map by diag(g, conj(g))."""
-    return -np.conj(beta) * z + np.conj(alpha)
-
-
-CHART_AB = (0.0 + 0.0j, 1j)  # (alpha, beta) of the chart A -> chart B transition
-
-
-@dataclass(frozen=True)
-class StereoChart:
-    """Stereographic chart centered at ``center`` (its antipode is the pole)."""
-
-    center: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c = c / np.linalg.norm(c)
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "rotation", rotation_to_north(c))
-
-    def to_plane(self, xyz) -> np.ndarray:
-        """Chart coordinate; the center maps to 0."""
-        return chart_a_coords(np.asarray(xyz) @ self.rotation.T)
-
-    def from_plane(self, z) -> np.ndarray:
-        return chart_a_point(z) @ self.rotation
-
-    @staticmethod
-    def factor(z) -> np.ndarray:
-        """Conformal factor f(x) = 2/(1+|x|^2) of the chart."""
-        return conformal_factor(z)
+    y = np.asarray(y, dtype=float)
+    y = y / np.linalg.norm(y)
+    c = float(y @ NORTH)
+    if c > 1.0 - 1e-14:
+        return 1.0 + 0.0j, 0.0j
+    if c < -1.0 + 1e-14:
+        # the half turn about the x1 axis is z -> 1/z
+        return 0.0j, -1j
+    # a = 1 / chart-B coordinate in the south, where 1 + y3 cancels
+    a = complex(chart_a_coords(y) if c >= 0.0 else 1.0 / chart_b_coords(y))
+    nrm = math.sqrt(1.0 + abs(a) ** 2)
+    return complex(1.0 / nrm), -a / nrm
 
 
 # -- bubbles -----------------------------------------------------------------
@@ -258,20 +194,17 @@ class TransportReport:
 
 def bubble_grid_values(bubble: Bubble, grid: QuadratureGrid) -> np.ndarray:
     """Weighted chart values of psi_{y,rho} at the grid nodes (preferred charts)."""
-    R = rotation_to_north(bubble.center)
-    alpha, beta = mobius_of_rotation(R)
+    alpha, beta = rotation_pair(bubble.center)
     z = grid.chart_a
-    zy = mobius_apply(alpha, beta, z)
-    g = transition_g(alpha, beta, z)
+    g = -np.conj(beta) * z + np.conj(alpha)
+    zy = (alpha * z + beta) / g
     g = np.where(np.abs(g) < 1e-150, 1e-150, g)
     vals_y = bubble.eval_plane(zy)
-    vals_a = np.stack([vals_y[:, 0] / g, vals_y[:, 1] / np.conj(g)], axis=1)
-    # convert chart A -> chart B on the southern nodes
-    gab = transition_g(*CHART_AB, z)
-    vals = vals_a.copy()
+    vals = np.stack([vals_y[:, 0] / g, vals_y[:, 1] / np.conj(g)], axis=1)
+    # chart A -> chart B on the southern nodes: phi_B = diag(i z, -i zbar) phi_A
     south = ~grid.use_a
-    vals[south, 0] = gab[south] * vals_a[south, 0]
-    vals[south, 1] = np.conj(gab[south]) * vals_a[south, 1]
+    gab = 1j * z[south]
+    vals[south] *= np.stack([gab, np.conj(gab)], axis=1)
     return vals
 
 

@@ -52,6 +52,7 @@ class NodalReport:
     min_psi_grid: float
     candidates: list
     zero_count_bound: float     # gamma - 1 + int Q^2 |psi|^4 / (4 pi), gamma = 0
+    int_q_psi4: float           # int Q |psi|^4
     window_chain: bool          # int Q |psi|^4 < 8 pi / Q_max
     verdict: str                # 'zero-free' | 'zeros' | 'inconclusive'
     note: str = ""
@@ -148,7 +149,8 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
     else:
         verdict = "zero-free"
     return NodalReport(min_psi_grid=min_grid, candidates=candidates,
-                       zero_count_bound=bound, window_chain=window_chain,
+                       zero_count_bound=bound, int_q_psi4=e4,
+                       window_chain=window_chain,
                        verdict=verdict, note=note)
 
 
@@ -272,24 +274,23 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], dtype=int)
     for _ in range(subdivisions):
-        vlist = list(verts)
-        cache = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = vlist[i] + vlist[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(vlist)
-                vlist.append(m)
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-        verts = np.array(vlist)
-        faces = np.array(new_faces, dtype=int)
+        # the edges ab, bc, ca of every face in order; a new vertex is
+        # numbered by the first appearance of its edge
+        ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+        ends.sort(axis=1)
+        _, first, inverse = np.unique(ends[:, 0] * len(verts) + ends[:, 1],
+                                      return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(verts), len(verts) + len(order))
+        a, b, c = faces.T
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        m = verts[ends[first[order], 0]] + verts[ends[first[order], 1]]
+        # the norm as a stacked matmul keeps the bits of a per-vertex dot product
+        m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0])
+        verts = np.vstack([verts, m])
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
     return verts, faces
 
 

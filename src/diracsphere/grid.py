@@ -112,13 +112,6 @@ def chart_b_coords(xyz) -> np.ndarray:
     return (xyz[..., 0] - 1j * xyz[..., 1]) / (1.0 - xyz[..., 2])
 
 
-def chart_a_point(z) -> np.ndarray:
-    """Inverse of chart A: complex coordinate -> point on S^2."""
-    z = np.asarray(z, dtype=complex)
-    u = 1.0 + np.abs(z) ** 2
-    return np.stack([2.0 * z.real / u, 2.0 * z.imag / u, (2.0 - u) / u], axis=-1)
-
-
 def conformal_factor(z) -> np.ndarray:
     """f(z) = 2 / (1 + |z|^2), the conformal factor of either chart."""
     z = np.asarray(z)

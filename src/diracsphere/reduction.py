@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import Bubble, StereoChart, bubble_to_sphere
+from .conformal import _MAX_BUBBLE_DEGREE, Bubble, bubble_to_sphere, rotation_to_north
 from .energy import (HessianWeights, Workspace, eval_A, eval_L_parts,
                      eval_rayleigh, hessian_apply, nonlinear_projection,
                      _check_p)
@@ -350,8 +350,8 @@ def barycenter(values, ws: Workspace, pole, clamp_radius: float) -> np.ndarray:
     """Clamped barycenter of the |psi|^4 mass in the chart that projects from
     ``pole`` (the chart covers the sphere minus the pole)."""
     pole = np.asarray(pole, dtype=float)
-    chart = StereoChart(center=-pole / np.linalg.norm(pole))
-    rotated = np.stack([_rows_dot(ws.grid.xyz, row) for row in chart.rotation], axis=1)
+    rotation = rotation_to_north(-pole / np.linalg.norm(pole))
+    rotated = np.stack([_rows_dot(ws.grid.xyz, row) for row in rotation], axis=1)
     # a node within 1e-12 of the projection pole maps to infinity in a
     # direction roundoff picks; it gets zeta = 0, the mean of the clamp circle
     at_pole = rotated[:, 2] <= -1.0 + 1e-12
@@ -625,13 +625,10 @@ def _local_mass_center(values, p, ws, center, radius) -> np.ndarray:
 
 
 def _bubble_profile_distance(psi_coeff, center, rho_hat, q_at, ws) -> float:
-    """Relative L^2 distance between an iterate and the fitted bubble profile."""
-    rho = min(max(rho_hat, 1e-3), 2.0)
-    try:
-        bub, _ = bubble_to_sphere(Bubble(center=center, rho=rho, q_center=q_at),
-                                  ws.basis)
-    except Exception:
-        return float("nan")
+    """Relative L^2 distance between an iterate and the fitted bubble profile;
+    the scale is clamped to the smallest one the transport grid resolves."""
+    rho = min(max(rho_hat, 16.0 / _MAX_BUBBLE_DEGREE), 2.0)
+    bub, _ = bubble_to_sphere(Bubble(center=center, rho=rho, q_center=q_at), ws.basis)
     a = np.asarray(psi_coeff)
     b = bub.coeff
     na, nb = np.linalg.norm(a), np.linalg.norm(b)

@@ -12,12 +12,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from diracsphere.conformal import Bubble, StereoChart, bubble_energy_flat, bubble_to_sphere
+from diracsphere.conformal import Bubble, bubble_energy_flat, bubble_to_sphere
 from diracsphere.energy import check_q_hypothesis, eval_A, eval_L, eval_rayleigh
 from diracsphere.geometry import (gauss_bonnet_defect, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check,
                                   willmore)
-from diracsphere.grid import QuadratureGrid
+from diracsphere.grid import QuadratureGrid, chart_a_coords
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_project, reduce_minus)
 from diracsphere.spectral import SphereBasis, dirac_apply, dirac_multiplicity
@@ -236,8 +236,7 @@ def test_criterion_8_blowup_monitor():
         y = np.array([0.6, 0.0, 0.8])
         y /= np.linalg.norm(y)
         pole = np.array([0.0, 0.0, -1.0])
-        chart0 = StereoChart(center=-pole)
-        target = chart0.to_plane(y[None])[0]
+        target = chart_a_coords(y)
         radii = np.linspace(0.05, math.pi, 120)
         capture = []
         bary_err = []

@@ -2,33 +2,77 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from diracsphere.conformal import (Bubble, StereoChart, bubble_energy_flat,
-                                   bubble_grid_values, bubble_to_sphere,
-                                   mobius_apply, mobius_of_rotation,
-                                   rotation_to_north, transition_g)
-from diracsphere.grid import QuadratureGrid, chart_a_coords
+from diracsphere.conformal import (Bubble, bubble_energy_flat, bubble_grid_values,
+                                   bubble_to_sphere, rotation_pair,
+                                   rotation_to_north)
+from diracsphere.energy import eval_L
+from diracsphere.grid import QuadratureGrid, chart_a_coords, conformal_factor
 from diracsphere.spectral import SphereBasis, dirac_apply
 from conftest import make_workspace
 
 
+def chart_a_point(z) -> np.ndarray:
+    """Inverse of chart A: complex coordinate -> point on S^2."""
+    z = np.asarray(z, dtype=complex)
+    u = 1.0 + np.abs(z) ** 2
+    return np.stack([2.0 * z.real / u, 2.0 * z.imag / u, (2.0 - u) / u], axis=-1)
+
+
+def mobius(alpha, beta, z):
+    return (alpha * z + beta) / (-np.conj(beta) * z + np.conj(alpha))
+
+
+def fitted_pair(R) -> tuple[complex, complex]:
+    """The SU(2) pair of a rotation fitted from five point correspondences
+    (the null vector of the linear system for (alpha, beta)), sign fixed by
+    the leading component: an oracle independent of the closed form."""
+    pts = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8], [0.48, -0.6, 0.64],
+                    [-0.8, 0.0, 0.6], [0.36, 0.48, -0.8]])
+    z, zp = chart_a_coords(pts), chart_a_coords(pts @ R.T)
+    # alpha z + beta - conj(alpha) z' + conj(beta) z z' = 0, linear in
+    # (re alpha, im alpha, re beta, im beta); real and imaginary parts
+    coeffs = np.stack([z - zp, 1j * (z + zp), 1 + z * zp, 1j * (1 - z * zp)], axis=1)
+    v = np.linalg.svd(np.concatenate([coeffs.real, coeffs.imag]))[2][-1]
+    alpha, beta = complex(v[0], v[1]), complex(v[2], v[3])
+    lead = alpha if abs(alpha) > 1e-8 else beta
+    sign = 1.0 if (lead.real > 0 or (lead.real == 0 and lead.imag > 0)) else -1.0
+    nrm = sign * math.hypot(abs(alpha), abs(beta))
+    return alpha / nrm, beta / nrm
+
+
+def great_circle_rotation(y) -> np.ndarray:
+    """Rotation taking y to the north pole about y x N, by the angle
+    atan2(|y x N|, y3): accurate at every distance from the poles."""
+    axis = np.cross(y, [0.0, 0.0, 1.0])
+    s = np.linalg.norm(axis)
+    K = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]],
+                  [-axis[1], axis[0], 0]]) / s
+    angle = math.atan2(s, y[2])
+    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+
+
 def test_chart_maps_and_conformal_factor():
+    """The chart centered at y (chart A after rotation_to_north(y)) sends y
+    to 0, and its inverse pulls the round metric back to f^2 g_flat."""
     y = np.array([0.48, -0.6, 0.64])
-    chart = StereoChart(center=y)
-    assert abs(chart.to_plane(y[None])[0]) < 1e-14
+    R = rotation_to_north(y)
+    assert abs(chart_a_coords(y @ R.T)) < 1e-14
     rng = np.random.default_rng(0)
     z = rng.normal(size=6) + 1j * rng.normal(size=6)
-    back = chart.to_plane(chart.from_plane(z))
+    back = chart_a_coords(chart_a_point(z) @ R @ R.T)
     assert np.abs(back - z).max() < 1e-12
     # (S^-1)* g_sphere = f^2 g_flat: finite-difference the inverse chart map
     h = 1e-6
     for zz in z[:3]:
-        p0 = chart.from_plane(np.array([zz]))[0]
-        px = chart.from_plane(np.array([zz + h]))[0]
-        py = chart.from_plane(np.array([zz + 1j * h]))[0]
+        p0 = chart_a_point(zz) @ R
+        px = chart_a_point(zz + h) @ R
+        py = chart_a_point(zz + 1j * h) @ R
         gx = np.linalg.norm(px - p0) / h
         gy = np.linalg.norm(py - p0) / h
-        f = chart.factor(zz)
+        f = conformal_factor(zz)
         assert abs(gx - f) < 1e-4 and abs(gy - f) < 1e-4
 
 
@@ -43,21 +87,72 @@ def test_chart_volume_form():
     assert abs(area - 4 * math.pi) < 1e-8
 
 
+def _pole_centres():
+    """The poles and centres 1e-7, 2e-7 and 1e-6 rad from each pole; 1e-7
+    lies inside the pole snap of rotation_to_north, 2e-7 just outside."""
+    out = []
+    for dist in (0.0, 1e-7, 2e-7, 1e-6):
+        for theta in (dist, math.pi - dist):
+            out.append(np.array([math.sin(theta) * math.cos(0.3),
+                                 math.sin(theta) * math.sin(0.3), math.cos(theta)]))
+    return out
+
+
+def _chart_points(rng) -> np.ndarray:
+    """Random sphere points off the south cap, where chart A is well
+    conditioned."""
+    pts = rng.normal(size=(300, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts[pts[:, 2] > -0.9]
+
+
 def test_mobius_of_rotation_consistency():
+    """rotation_pair(y) acts on chart A as rotation_to_north(y) does: on
+    random points the mapped chart points, read back on the sphere (where
+    the comparison is well conditioned), agree to 1e-12."""
     rng = np.random.default_rng(1)
-    for _ in range(5):
+    pts = _chart_points(rng)
+    z = chart_a_coords(pts)
+    for _ in range(50):
         y = rng.normal(size=3)
         y /= np.linalg.norm(y)
-        R = rotation_to_north(y)
-        alpha, beta = mobius_of_rotation(R)
-        assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-12
-        pts = rng.normal(size=(10, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts = pts[pts[:, 2] > -0.9]
-        z = chart_a_coords(pts)
-        mapped = mobius_apply(alpha, beta, z)
-        target = chart_a_coords(pts @ R.T)
-        assert np.abs(mapped - target).max() < 1e-9
+        alpha, beta = rotation_pair(y)
+        assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-15
+        assert alpha.real > 0 and alpha.imag == 0
+        assert abs(mobius(alpha, beta, chart_a_coords(y))) < 1e-15
+        err = chart_a_point(mobius(alpha, beta, z)) - pts @ rotation_to_north(y).T
+        assert np.abs(err).max() < 1e-12
+
+
+def test_rotation_pair_at_and_near_the_poles():
+    """At the poles rotation_pair is the pair of rotation_to_north's snaps,
+    (1, 0) and (0, -i).  Near them rotation_to_north loses digits in
+    acos(x3), so the mapped points are checked against an atan2 rotation."""
+    assert rotation_pair([0.0, 0.0, 1.0]) == (1.0, 0.0)
+    assert rotation_pair([0.0, 0.0, -1.0]) == (0.0, -1j)
+    pts = _chart_points(np.random.default_rng(4))
+    z = chart_a_coords(pts)
+    for y in _pole_centres():
+        alpha, beta = rotation_pair(y)
+        snapped = abs(y[2]) > 1.0 - 1e-14
+        R = rotation_to_north(y) if snapped else great_circle_rotation(y)
+        err = chart_a_point(mobius(alpha, beta, z)) - pts @ R.T
+        assert np.abs(err).max() < 1e-12, y
+
+
+def test_rotation_pair_matches_fitted_pair():
+    """The closed form agrees with the pair fitted to rotation_to_north away
+    from the poles (within ~2e-7 rad of a pole the fit carries the acos
+    roundoff of the rotation)."""
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        y = rng.normal(size=3)
+        y /= np.linalg.norm(y)
+        if abs(y[2]) > 0.999:
+            continue
+        alpha, beta = rotation_pair(y)
+        fa, fb = fitted_pair(rotation_to_north(y))
+        assert max(abs(alpha - fa), abs(beta - fb)) <= 1e-13
 
 
 def test_bubble_pointwise_laws():
@@ -203,17 +298,36 @@ def test_conformal_push_values(ws8):
 
 def test_transition_factor_magnitude():
     rng = np.random.default_rng(5)
-    y = np.array([0.6, 0.64, 0.48])
-    R = rotation_to_north(y)
-    alpha, beta = mobius_of_rotation(R)
+    alpha, beta = rotation_pair([0.6, 0.64, 0.48])
     z = rng.normal(size=10) + 1j * rng.normal(size=10)
-    g = transition_g(alpha, beta, z)
-    m = mobius_apply(alpha, beta, z)
+    g = -np.conj(beta) * z + np.conj(alpha)
+    m = mobius(alpha, beta, z)
     # |g|^2 = f(m(z))/f(z), the conformal weight of the transition
     # (equivalently f(m) |m'| = f with m' = g^-2)
     f = 2.0 / (1 + np.abs(z) ** 2)
     fm = 2.0 / (1 + np.abs(m) ** 2)
     assert np.abs(np.abs(g) ** 2 - fm / f).max() < 1e-12
+
+
+@pytest.fixture(scope="module")
+def north_value(ws12):
+    psi, _ = bubble_to_sphere(Bubble(rho=0.5), ws12.basis)
+    return eval_L(psi.coeff, 4.0, ws12).value
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(x3=st.floats(-1.0, 1.0), lon=st.floats(0.0, 2.0 * math.pi))
+@example(x3=1.0, lon=0.0)
+@example(x3=-1.0, lon=0.0)
+@example(x3=math.cos(2e-7), lon=1.0)
+@example(x3=-math.cos(2e-7), lon=1.0)
+def test_transported_bubble_value_is_rotation_invariant(ws12, north_value, x3, lon):
+    """For constant Q, L_4 of the transported bubble does not depend on its
+    centre: the transport is a rotation of one profile."""
+    r = math.sqrt(max(0.0, 1.0 - x3 * x3))
+    y = np.array([r * math.cos(lon), r * math.sin(lon), x3])
+    psi, _ = bubble_to_sphere(Bubble(center=y, rho=0.5), ws12.basis)
+    assert abs(eval_L(psi.coeff, 4.0, ws12).value - north_value) <= 1e-13
 
 
 def test_bubble_to_sphere_matches_dense_adjoint():

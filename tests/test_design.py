@@ -2,6 +2,7 @@
 unnoticed.  Raising a pinned number needs a caller that sets the new value
 to something other than its default."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -15,7 +16,7 @@ import diracsphere
 # the modules whose options are counted
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
 SETTABLE_OPTIONS = 44
-PUBLIC_NAMES = 35
+PUBLIC_NAMES = 34
 
 
 def _defaults(fn):
@@ -70,3 +71,33 @@ def test_cli_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def _listed_targets(path: Path, name: str) -> list[tuple[str, str]]:
+    """The (module, attribute) pairs of the module-level list ``name`` in the
+    file at ``path``, read from its syntax tree (the file is not run)."""
+    tree = ast.parse(path.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    raise AssertionError(f"{name} not found in {path}")
+
+
+def test_benchmark_wrapper_targets_resolve():
+    """Every function the benchmark's tracer wraps and every set-up end its
+    entry point stamps exists in the package, as the tracer looks it up:
+    a function in its module, a method in its class's own namespace."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    targets = (_listed_targets(bench / "tracer.py", "TARGETS")
+               + _listed_targets(bench / "cli_entry.py", "SETUP_END"))
+    assert len(targets) > 20
+    missing = []
+    for mod_name, attr in targets:
+        owner = importlib.import_module(f"diracsphere.{mod_name}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or vars(owner).get(leaf) is None:
+            missing.append(f"{mod_name}.{attr}")
+    assert not missing, missing

@@ -139,6 +139,37 @@ def test_icosphere_counts():
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0, atol=1e-14)
 
 
+def _icosphere_loop(subdivisions):
+    """Reference subdivision, one midpoint at a time: the edges ab, bc, ca
+    of each face in order, a new vertex per edge not seen before."""
+    verts, faces = icosphere(0)
+    for _ in range(subdivisions):
+        vlist, cache, new_faces = list(verts), {}, []
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = vlist[i] + vlist[j]
+                cache[key] = len(vlist)
+                vlist.append(m / np.linalg.norm(m))
+            return cache[key]
+
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        verts, faces = np.array(vlist), np.array(new_faces, dtype=faces.dtype)
+    return verts, faces
+
+
+def test_icosphere_matches_loop_reference():
+    """The vectorised subdivision numbers vertices and faces as the loop
+    does, with the same bits."""
+    for k in range(5):
+        verts, faces = icosphere(k)
+        ref_v, ref_f = _icosphere_loop(k)
+        assert verts.tobytes() == ref_v.tobytes() and faces.tobytes() == ref_f.tobytes()
+
+
 def test_round_sphere_reconstruction(ws8, killing_state):
     mesh = reconstruct_immersion(killing_state, ws8, subdivisions=4)
     assert mesh.vertices.shape[0] == 2562

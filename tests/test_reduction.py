@@ -10,8 +10,9 @@ import scipy.optimize
 from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
-from diracsphere.conformal import Bubble, StereoChart, bubble_to_sphere
+from diracsphere.conformal import Bubble, bubble_to_sphere
 from diracsphere.energy import HessianWeights, eval_A, eval_L, eval_rayleigh
+from diracsphere.grid import chart_a_coords
 import diracsphere.reduction as reduction
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_defect, nehari_project,
@@ -423,7 +424,6 @@ def test_concentration_profile_longitude_roll_property(degree, shift, seed):
 def test_barycenter_properties(ws8):
     basis = ws8.basis
     pole = np.array([0.0, 0.0, -1.0])
-    chart0 = StereoChart(center=-pole)
     # concentrated at the chart center -> barycenter near 0
     b, _ = bubble_to_sphere(Bubble(center=[0, 0, 1], rho=0.2), basis)
     vals = ws8.synthesize(b.coeff)
@@ -431,7 +431,7 @@ def test_barycenter_properties(ws8):
     assert np.linalg.norm(bar) < 0.01
     # bubble at y -> zeta(S0(y)), and the clamp bounds the output
     y = np.array([0.6, 0.0, 0.8])
-    target = chart0.to_plane(y[None])[0]
+    target = chart_a_coords(y)
     b2, _ = bubble_to_sphere(Bubble(center=y, rho=0.1), basis)
     vals2 = ws8.synthesize(b2.coeff)
     bar2 = barycenter(vals2, ws8, pole, clamp_radius=10.0)
@@ -450,6 +450,15 @@ def test_barycenter_sends_the_projection_pole_node_to_zero(ws8):
     vals[i] = 1.0
     bar = barycenter(vals, ws8, ws8.grid.xyz[i], clamp_radius=1.0)
     assert bar[0] == 0.0 and bar[1] == 0.0
+
+
+def test_profile_distance_is_finite_below_the_transport_floor(ws8):
+    """A fitted scale below the transport cap's rho = 0.016 is clamped to
+    it, so the blow-up report holds a finite distance, not NaN."""
+    y = np.array([0.6, 0.0, 0.8])
+    psi, _ = bubble_to_sphere(Bubble(center=y, rho=0.2), ws8.basis)
+    dist = reduction._bubble_profile_distance(psi.coeff, y, 0.01, 1.0, ws8)
+    assert math.isfinite(dist) and 0.0 <= dist <= 2.0
 
 
 def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
