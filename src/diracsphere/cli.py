@@ -31,7 +31,7 @@ from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
                      constant_curvature, eval_L, spherical_harmonic_curvature)
 from .geometry import (export_obj, export_ply, gauss_bonnet_defect,
                        nodal_analysis, reconstruct_immersion,
-                       scal_identity_check, willmore)
+                       scal_identity_check)
 from .grid import QuadratureGrid
 from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
                         solve_continuation)
@@ -385,11 +385,12 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
 
 def _diagnostics(psi, ws: Workspace):
     """What solve and diagnose report on a state: the nodal report (which
-    holds int Q |psi|^4) and the Willmore and scal-identity report blocks."""
+    holds int Q |psi|^4 and W = int Q^2 |psi|^4) and the Willmore (W and
+    the Li-Yau flag W < 8 pi) and scal-identity report blocks."""
     nodal = nodal_analysis(psi, ws)
-    W, embedded = willmore(psi, ws)
+    W = nodal.int_q2_psi4
     scal = scal_identity_check(psi, ws, require_solution=False)
-    return nodal, {"willmore": {"value": W, "embedded": embedded},
+    return nodal, {"willmore": {"value": W, "embedded": W < 8.0 * math.pi},
                    "scal_identity": {"l1_residual": scal.l1_residual,
                                      "pde_residual": scal.pde_residual}}
 

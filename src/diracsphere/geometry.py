@@ -53,6 +53,7 @@ class NodalReport:
     candidates: list
     zero_count_bound: float     # gamma - 1 + int Q^2 |psi|^4 / (4 pi), gamma = 0
     int_q_psi4: float           # int Q |psi|^4
+    int_q2_psi4: float          # int Q^2 |psi|^4, the Willmore energy
     window_chain: bool          # int Q |psi|^4 < 8 pi / Q_max
     verdict: str                # 'zero-free' | 'zeros' | 'inconclusive'
     note: str = ""
@@ -149,7 +150,7 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
     else:
         verdict = "zero-free"
     return NodalReport(min_psi_grid=min_grid, candidates=candidates,
-                       zero_count_bound=bound, int_q_psi4=e4,
+                       zero_count_bound=bound, int_q_psi4=e4, int_q2_psi4=q4,
                        window_chain=window_chain,
                        verdict=verdict, note=note)
 
@@ -531,17 +532,6 @@ def export_obj(path, mesh: ImmersionMesh) -> None:
                      f"{float(mesh.target_q[i])!r}\n")
 
 
-def read_obj(path):
-    verts, faces = [], []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("v "):
-                verts.append([float(x) for x in line.split()[1:4]])
-            elif line.startswith("f "):
-                faces.append([int(x.split("/")[0]) - 1 for x in line.split()[1:4]])
-    return np.array(verts), np.array(faces, dtype=int)
-
-
 def export_ply(path, mesh: ImmersionMesh) -> None:
     """Binary little-endian PLY, float64 positions plus the three per-vertex
     scalar properties (conf_factor, mean_curvature, target_q)."""
@@ -565,22 +555,3 @@ def export_ply(path, mesh: ImmersionMesh) -> None:
         body = b"".join(counts[i].tobytes() + mesh.faces[i].astype("<i4").tobytes()
                         for i in range(nf))
         fh.write(body)
-
-
-def read_ply(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    head_end = data.index(b"end_header\n") + len(b"end_header\n")
-    header = data[:head_end].decode()
-    nv = int([l for l in header.splitlines() if l.startswith("element vertex")][0].split()[-1])
-    nf = int([l for l in header.splitlines() if l.startswith("element face")][0].split()[-1])
-    vbytes = nv * 6 * 8
-    vdata = np.frombuffer(data[head_end:head_end + vbytes], dtype="<f8").reshape(nv, 6)
-    faces = np.empty((nf, 3), dtype=int)
-    off = head_end + vbytes
-    for i in range(nf):
-        cnt = data[off]
-        off += 1
-        faces[i] = np.frombuffer(data[off:off + 4 * cnt], dtype="<i4")
-        off += 4 * cnt
-    return vdata[:, :3].copy(), faces, vdata[:, 3:].copy()

@@ -1,28 +1,23 @@
 """Reduction couple, Nehari projection, tau estimation and the continuation solver.
 
-The saddle structure of L_p is removed in two steps:
-
-* ``reduce``: for u in E^+, the unique maximizer h_p(u) of the strictly
-  concave v -> L_p(u + v) on E^- (Newton-CG; the Hessian satisfies
-  L_p'' <= -id there, so the shifted operator is positive definite and CG is
-  unconditionally safe).  I_p(u) = L_p(u + h_p(u)).
-* ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0, landing on
-  the natural constraint N_p = {I_p'(u)[u] = 0}.  I_p(t u) has a single
-  interior maximum on each ray (Szulkin-Weth), so Newton in t started at the
-  incoming scale is safe; its derivative d^2/dt^2 I_p(t u) comes from one
-  reduced Hessian product.  Bracketing + Brent is the fallback when the
-  Newton safeguard trips.
-
-Critical points of I_p restricted to N_p are found by projected gradient
-descent in the spectral H^{1/2} metric with a tangent-space Newton endgame.
 The continuation driver walks a schedule p_0 < p_1 < ... < 4, warm starting
-each stage, and watches the concentration function
+each stage, and solves L_p'(psi) = 0 for the full psi = u + h by Newton,
+each step by MINRES in the H^{1/2} metric.  It watches the concentration
+function Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol and a clamped
+barycenter of the |psi|^4 mass; persistent capture of 90% mass at radii of a
+few grid spacings is declared blow-up and reported with the concentration
+point and a fitted bubble profile.
 
-    Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol
+The reduction of the saddle structure scales the start onto the Nehari set
+and serves ``estimate_tau`` and the variational checks:
 
-together with a clamped barycenter of the |psi|^4 mass; persistent capture of
-90% mass at radii of a few grid spacings is declared blow-up and reported
-with the concentration point and a fitted bubble profile.
+* ``reduce_minus``: for u in E^+, the unique maximizer h_p(u) of the strictly
+  concave v -> L_p(u + v) on E^- (Newton-CG; L_p'' <= -id there, so CG is
+  unconditionally safe).  I_p(u) = L_p(u + h_p(u)).
+* ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0, on the
+  natural constraint N_p = {I_p'(u)[u] = 0}; I_p(t u) has a single interior
+  maximum on each ray (Szulkin-Weth), so Newton in t is safe, with
+  bracketing + Brent as the fallback.
 """
 
 from __future__ import annotations
@@ -33,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import _MAX_BUBBLE_DEGREE, Bubble, bubble_to_sphere, rotation_to_north
-from .energy import (HessianWeights, Workspace, eval_A, eval_L_parts,
-                     eval_rayleigh, hessian_apply, nonlinear_projection,
-                     _check_p)
+from .energy import (EnergyReport, HessianWeights, Workspace, eval_A,
+                     eval_L_parts, eval_rayleigh, hessian_apply,
+                     nonlinear_projection, _check_p)
 from .spectral import SpectralSpinor, h_inner, h_norm
 
 # -- inner problem: maximize over E^- -----------------------------------------
@@ -50,6 +45,13 @@ class ReductionResult:
     grad: np.ndarray            # full H^{1/2} gradient of L_p at psi
     residual_minus: float       # H^{1/2} norm of the E^- gradient (Eq. hlm proxy)
     iterations: int
+
+
+def _gradient(psi, values, p: float, ws: Workspace) -> np.ndarray:
+    """Full H^{1/2} gradient of L_p at psi, from its nodal values."""
+    basis = ws.basis
+    return (np.sign(basis.eigenvalues) * psi
+            - nonlinear_projection(values, p, ws) / basis.abs_eigenvalues)
 
 
 def _cg(apply_op, b, lam, tol, max_iter):
@@ -113,8 +115,7 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     scale = max(1.0, A_u ** ((p - 1.0) / p))
     tol_eff = tol_inner * scale
     for it in range(_REDUCE_STEPS + 1):
-        N = nonlinear_projection(values, p, ws)
-        grad = np.sign(basis.eigenvalues) * psi - N / basis.abs_eigenvalues
+        grad = _gradient(psi, values, p, ws)
         g = np.where(neg, grad, 0.0)
         res = h_norm(basis, g)
         finite = math.isfinite(res) and math.isfinite(val)
@@ -208,8 +209,8 @@ def _bracket_root(slope, t: float, s: float) -> float:
                   rtol=8.8817841970012523e-16)
 
 
-def nehari_project(u_coeff, p: float, ws: Workspace, tol_inner: float = 1e-10,
-                   h0=None) -> NehariState:
+def nehari_project(u_coeff, p: float, ws: Workspace,
+                   tol_inner: float = 1e-10) -> NehariState:
     """Scale u onto the Nehari set: the unique root of s(t) = d/dt I_p(t u0).
 
     Newton in t from the incoming scale t = ||u||, with s'(t) from one
@@ -225,7 +226,7 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_inner: float = 1e-10,
     if unorm == 0:
         raise ValueError("cannot project the zero direction")
     u0 = u_coeff / unorm
-    cache = {"h": None if h0 is None else h0.copy()}
+    cache = {"h": None}
 
     def slope(t):
         red = reduce_minus(t * u0, p, ws, v0=cache["h"], tol_inner=tol_inner)
@@ -262,9 +263,12 @@ def nehari_project(u_coeff, p: float, ws: Workspace, tol_inner: float = 1e-10,
                        ray_second_derivative=d2, reduction=red)
 
 
-def nehari_defect(u_coeff, p: float, ws: Workspace, red: ReductionResult) -> float:
-    """H_p(u) = I_p'(u)[u], zero on the Nehari set."""
-    return h_inner(ws.basis, red.grad, np.where(ws.basis.plus_mask, u_coeff, 0.0))
+def nehari_defect(u_coeff, p: float, ws: Workspace,
+                  state: ReductionResult | EnergyReport) -> float:
+    """L_p'(psi)[u] for the E^+ part u of psi, from the full gradient
+    ``state.grad`` at psi.  At psi = u + h_p(u) it is H_p(u) = I_p'(u)[u],
+    zero on the Nehari set."""
+    return h_inner(ws.basis, state.grad, np.where(ws.basis.plus_mask, u_coeff, 0.0))
 
 
 # -- F_p and tau ----------------------------------------------------------------
@@ -441,8 +445,54 @@ class ContinuationResult:
     value: float                # L_4 at psi
 
 
-# outer-iteration residual below which the tangent Newton step is tried
-_NEWTON_SWITCH = 1e-3
+# Newton-MINRES: products per MINRES, the largest forcing term (the MINRES
+# relative tolerance is min(_FORCING, ||L_p'||)), step halvings per step
+_MINRES_STEPS = 200
+_FORCING = 1e-2
+_BACKTRACK = 30
+
+
+def _minres(apply_op, b, lam, rtol, max_iter):
+    """MINRES (Paige-Saunders) for apply_op(x) = b, apply_op self-adjoint in
+    the real metric sum lam re(x conj y), from x = 0, until the residual norm
+    is at most ``rtol`` ||b|| or after ``max_iter`` products.  The inner
+    products are numpy pairwise sums (no BLAS dot: the same bits at any BLAS
+    thread count).  The Krylov space of b stays in the range of apply_op, so
+    a singular but consistent system gets a finite solution."""
+    def dot(a, c):
+        return float(np.sum(lam * np.real(a * np.conj(c))))
+
+    x = np.zeros_like(b)
+    beta1 = math.sqrt(max(dot(b, b), 0.0))
+    if beta1 == 0:
+        return x
+    v_prev, v, beta = x, b / beta1, 0.0
+    d_prev = d = x
+    phi, c, s, dbar, eps = beta1, -1.0, 0.0, 0.0, 0.0
+    for _ in range(max_iter):
+        # Lanczos: beta_next v_next = A v - alpha v - beta v_prev
+        Av = apply_op(v)
+        alpha = dot(v, Av)
+        Av = Av - alpha * v - beta * v_prev
+        beta_next = math.sqrt(max(dot(Av, Av), 0.0))
+        # the previous Givens rotation on the new tridiagonal column, then
+        # the rotation that annihilates beta_next
+        delta = c * dbar + s * alpha
+        gbar = s * dbar - c * alpha
+        eps_next = s * beta_next
+        dbar = -c * beta_next
+        gamma = math.hypot(gbar, beta_next)
+        if gamma == 0:
+            break
+        c, s = gbar / gamma, beta_next / gamma
+        d_prev, d = d, (v - delta * d - eps * d_prev) / gamma
+        x = x + (c * phi) * d
+        phi *= s
+        eps = eps_next
+        if phi <= rtol * beta1 or beta_next == 0:
+            break
+        v_prev, v, beta = v, Av / beta_next, beta_next
+    return x
 
 
 def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
@@ -458,6 +508,13 @@ def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
     return cap_r, center, bary, min_psi
 
 
+def _newton_state(psi, values, p: float, ws: Workspace) -> EnergyReport:
+    """L_p and its full gradient at psi, from its nodal values."""
+    rep = eval_L_parts(psi, p, ws, values=values)
+    rep.grad = _gradient(psi, values, p, ws)
+    return rep
+
+
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                        tol_final: float = 1e-7, tol_stage: float = 1e-6,
                        tol_inner: float = 1e-10, max_outer: int = 200,
@@ -467,13 +524,18 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                        config_echo: dict | None = None) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
 
-    Gradient steps switch to tangent Newton steps once the residual is at
-    most ``_NEWTON_SWITCH``.  The monitor's barycenter chart projects from
-    the node where Q is least.
+    The start is scaled onto the first stage's Nehari set once, with inner
+    reductions to ``tol_inner``.  Each stage then makes at most ``max_outer``
+    Newton steps on psi: MINRES on L_p'' delta = -L_p'(psi) to the relative
+    tolerance min(1e-2, ||L_p'||) (``hessian_apply`` is the Riesz form of
+    L_p'', spectrum near +-1: no preconditioner), then halving s until
+    ||L_p'|| falls by the factor 1 - 1e-4 s.  The residual is the full
+    gradient norm ||L_p'(psi)||.  The monitor's barycenter chart projects
+    from the node where Q is least.
 
     Raises BlowUpDetected or StagnationDetected on the corresponding failure
-    modes, and SolveFailure when an inner reduction misses tol_inner or an
-    iterate is not finite; each carries the trace.
+    modes, and SolveFailure when the start's inner reduction misses
+    tol_inner or an iterate is not finite; each carries the trace.
     """
     schedule = list(schedule)
     if not schedule or abs(schedule[-1] - 4.0) > 1e-12:
@@ -485,9 +547,10 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
         psi0, _ = bubble_to_sphere(init, ws.basis, require_capture=True)
     else:
         psi0 = init
-    u = np.where(ws.basis.plus_mask, psi0.coeff, 0.0)
+    basis = ws.basis
+    u = np.where(basis.plus_mask, psi0.coeff, 0.0)
     with np.errstate(over="ignore"):
-        unorm = h_norm(ws.basis, u)
+        unorm = h_norm(basis, u)
     if unorm == 0:
         raise ValueError("initialization has no E^+ part")
 
@@ -505,59 +568,48 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     try:
         for stage, p in enumerate(schedule):
             tol = tol_final if stage == len(schedule) - 1 else tol_stage
-            st = nehari_project(u, p, ws, tol_inner=tol_inner)
-            # red is always the reduction at u: each projection hands over the
-            # one it ends on, so no point is reduced twice
-            u, red = st.u, st.reduction
-            warm_I = st.value
-            step = 1.0
+            if stage == 0:
+                cur = nehari_project(u, p, ws, tol_inner=tol_inner).reduction
+                psi, values = cur.psi, cur.values
+            else:
+                cur = _newton_state(psi, values, p, ws)
+            warm_value = cur.value
+            res = h_norm(basis, cur.grad)
             it = 0
             for it in range(max_outer):
-                gplus = np.where(ws.basis.plus_mask, red.grad, 0.0)
-                res = h_norm(ws.basis, gplus)
                 if not math.isfinite(res):
                     raise SolveFailure(
                         f"non-finite iterate at stage {stage}, iteration {it}")
-                defect = nehari_defect(u, p, ws, red)
-                trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=red.value,
-                              residual=res, nehari_defect=defect)
+                trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=cur.value,
+                              residual=res, nehari_defect=nehari_defect(psi, p, ws, cur))
                 if res <= tol:
                     break
-                if res <= _NEWTON_SWITCH:
-                    delta = _tangent_newton_step(u, p, ws, red, gplus, tol_inner)
-                else:
-                    delta = None
-                moved = False
-                if delta is not None:
-                    st_try = nehari_project(u + delta, p, ws, tol_inner=tol_inner, h0=red.h)
-                    if st_try.value <= red.value + 1e-12 * abs(red.value):
-                        u, red = st_try.u, st_try.reduction
-                        moved = True
-                if not moved:
-                    for _ in range(25):
-                        st_try = nehari_project(u - step * gplus, p, ws,
-                                                tol_inner=tol_inner, h0=red.h)
-                        if st_try.value < red.value - 1e-4 * step * res * res:
-                            u, red = st_try.u, st_try.reduction
-                            step = min(step * 1.4, 1e3)
-                            moved = True
-                            break
-                        step *= 0.4
-                    if not moved:
+                weights = HessianWeights(values, p, ws)
+                delta = _minres(lambda d: hessian_apply(weights, d), -cur.grad,
+                                basis.abs_eigenvalues, min(_FORCING, res), _MINRES_STEPS)
+                step = 1.0
+                for _ in range(_BACKTRACK):
+                    psi_try = psi + step * delta
+                    values_try = ws.synthesize(psi_try)
+                    trial = _newton_state(psi_try, values_try, p, ws)
+                    res_try = h_norm(basis, trial.grad)
+                    if res_try <= (1.0 - 1e-4 * step) * res:
+                        psi, values, cur, res = psi_try, values_try, trial, res_try
                         break
-            res = h_norm(ws.basis, np.where(ws.basis.plus_mask, red.grad, 0.0))
-            defect = nehari_defect(u, p, ws, red)
-            values = red.values
+                    step *= 0.5
+                else:
+                    break
+            defect = nehari_defect(psi, p, ws, cur)
             cap_r, center, bary, min_psi = _stage_diagnostics(
                 values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
-            trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=red.value,
+            trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=cur.value,
                           residual=res, nehari_defect=defect,
                           capture_radius=cap_r, bary_x=float(bary[0]),
                           bary_y=float(bary[1]), min_psi=min_psi)
             trace.stages.append(StageSummary(
-                p=p, iterations=it + 1, value=red.value, residual=res,
+                p=p, iterations=it + 1, value=cur.value, residual=res,
                 capture_radius=cap_r, barycenter=bary, min_psi=min_psi,
-                warm_start_value=warm_I))
+                warm_start_value=warm_value))
 
             capture_small = cap_r <= blowup_spacing_factor * spacing
             if capture_small and prev_capture_small:
@@ -565,7 +617,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                 nsq_max = float(ws.fiber_norm_sq(values).max())
                 q_at = float(ws.Q.evaluate(center[None])[0])
                 rho_hat = 1.0 / max(q_at * nsq_max, 1e-300)
-                prof_dist = _bubble_profile_distance(red.psi, center, rho_hat, q_at, ws)
+                prof_dist = _bubble_profile_distance(psi, center, rho_hat, q_at, ws)
                 raise BlowUpDetected(
                     f"concentration captured {blowup_capture:.0%} of |psi|^p mass "
                     f"within {cap_r:.3f} rad at stages p={schedule[stage-1]:.3g}, "
@@ -582,33 +634,8 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
             exc.trace = trace
         raise
 
-    return ContinuationResult(psi=SpectralSpinor(ws.basis, red.psi), trace=trace,
-                              final_residual=res, value=red.value)
-
-
-def _tangent_newton_step(u, p, ws, red: ReductionResult, gplus, tol_inner):
-    """One inexact Newton step for I_p on the tangent space of the Nehari set.
-
-    Each reduced Hessian product solves the inner E^- correction h'(u) w by
-    CG; curvature failures return None and the caller falls back to gradient.
-    """
-    pos = ws.basis.plus_mask
-    weights = HessianWeights(red.values, p, ws)
-
-    # Nehari normal direction: Riesz vector of H_p'(u)
-    un = np.where(pos, u, 0.0)
-    n_vec = (np.where(pos, red.grad, 0.0)
-             + _reduced_hessian(weights, un, tol_inner))
-    nn = h_inner(ws.basis, n_vec, n_vec)
-
-    def project_t(w):
-        if nn <= 0:
-            return w
-        return w - (h_inner(ws.basis, n_vec, w) / nn) * n_vec
-
-    b = project_t(-gplus)
-    return _cg(lambda d: project_t(_reduced_hessian(weights, d, tol_inner)), b,
-               ws.basis.abs_eigenvalues, max(1e-4 * h_norm(ws.basis, b), 1e-14), 40)
+    return ContinuationResult(psi=SpectralSpinor(basis, psi), trace=trace,
+                              final_residual=res, value=cur.value)
 
 
 def _local_mass_center(values, p, ws, center, radius) -> np.ndarray:

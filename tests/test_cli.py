@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies
 
 import diracsphere
 from diracsphere.cli import ConfigError, build_workspace, main, validate_config
+from diracsphere.energy import check_q_hypothesis
 from diracsphere.grid import QuadratureGrid
 from diracsphere.spectral import SphereBasis
 
@@ -150,6 +152,52 @@ def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):
     assert main(["solve", str(cfg)]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["status"] == "blow-up"
+
+
+def _bench_workloads():
+    """The benchmark's workload module, which defines the solve-j16 configs
+    and their reference L_value."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _solve_j16(tmp_path, cfg):
+    """Exit code and report.json of a CLI solve of ``cfg``."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["solve", str(path), "--output", str(out)])
+    return code, json.loads((out / "report.json").read_text())
+
+
+def test_grid_node_start_reaches_the_reference(tmp_path):
+    """The solve-j16 config of rotation seed 5, started from the grid node
+    nearest the maximum of Q (0.0095 rad from it), ends at the reference
+    value.  Projected descent on the Nehari set left the reference branch
+    there for a saddle and exited 0 at the concentrated state, L 2.4935."""
+    bench = _bench_workloads()
+    cfg = bench.solve_j16_config(5)
+    ws = build_workspace(cfg)
+    y = check_q_hypothesis(ws.Q).max_points[0].position
+    cfg["init"]["center"] = ws.grid.xyz[int(np.argmax(ws.grid.xyz @ y))].tolist()
+    code, report = _solve_j16(tmp_path, cfg)
+    assert code == 0
+    ref = bench.REF_L_VALUE
+    assert abs(report["energy"]["L_value"] - ref) <= 1e-9 * ref
+
+
+def test_direct_critical_stage_does_not_pass_a_concentrated_state(tmp_path):
+    """The seed-0 solve-j16 config with the single stage p = 4 converged to
+    the concentrated state (L 2.4935) and exited 0; a solve of it that exits
+    0 must end at the reference value."""
+    bench = _bench_workloads()
+    cfg = dict(bench.solve_j16_config(0), schedule=[4.0])
+    code, report = _solve_j16(tmp_path, cfg)
+    ref = bench.REF_L_VALUE
+    assert code != 0 or abs(report["energy"]["L_value"] - ref) <= 1e-9 * ref
 
 
 def test_determinism_bit_identical(tmp_path):

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import diracsphere
 
 # the modules whose options are counted
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
-SETTABLE_OPTIONS = 44
+SETTABLE_OPTIONS = 43
 PUBLIC_NAMES = 34
 
 
@@ -59,18 +60,27 @@ def test_public_names_pinned():
     assert len(diracsphere.__all__) == PUBLIC_NAMES
 
 
-def test_cli_import_loads_no_scipy():
-    """A fresh process that imports the CLI holds no scipy module: the
-    transforms are numpy only, and scipy's two users (the Nehari bracketing
+def test_solve_process_loads_no_scipy(tmp_path):
+    """A fresh process that runs the criterion-9 J=8 solve through the CLI
+    exits 0 and holds no scipy module: the transforms and the Newton-MINRES
+    solve are numpy only, and scipy's two users (the Nehari bracketing
     fallback and the nodal zero polish) import it when first called."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "J": 8,
+        "Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
+        "schedule": [3.0, 3.5, 4.0],
+        "init": {"type": "bubble", "rho": 0.35, "center": [0.0, 0.0, 1.0]},
+        "tolerances": {"final": 1e-6}, "seed": 7}))
     probe = ("import sys, diracsphere.cli\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    run = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]"
+             "code = diracsphere.cli.main(['solve', sys.argv[1], '--output', sys.argv[2]])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    run = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "0 []"
 
 
 def _listed_targets(path: Path, name: str) -> list[tuple[str, str]]:

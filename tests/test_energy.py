@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings, strategies as st
 from scipy.special import sph_harm_y
 
 from diracsphere import energy
@@ -168,6 +168,22 @@ def test_hessian_apply_matches_one_shot_oracle(ws8q, zeros):
             padded = hessian_oracle(values, p, ws8q, np.where(neg, w, 0.0))
             assert np.array_equal(hessian_apply(weights, w[neg], minus=True),
                                   padded[neg])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       p=st.floats(2.0, 4.0, exclude_min=True))
+def test_hessian_of_the_phase_direction_is_the_rotated_gradient(ws8q, seed, p):
+    """L_p is invariant under psi -> e^{i theta} psi, so its gradient is
+    equivariant, and d/dtheta at 0 gives L_p''(psi)[i psi] = i L_p'(psi) at
+    every psi, not only at solutions: the Newton operator is exact along
+    the phase orbit."""
+    coeff = random_spinor(ws8q, np.random.default_rng(seed))
+    weights = HessianWeights(ws8q.synthesize(coeff), p, ws8q)
+    lhs = hessian_apply(weights, 1j * coeff)
+    rhs = 1j * eval_L(coeff, p, ws8q).grad
+    assert np.sqrt(_h_pair(ws8q, lhs - rhs, lhs - rhs)) <= 1e-12 * np.sqrt(
+        _h_pair(ws8q, rhs, rhs))
 
 
 def test_monotone_lp_means(ws8):

@@ -6,7 +6,7 @@ import pytest
 from diracsphere.geometry import (_weierstrass_form, closedness_defect,
                                   cotangent_mean_curvature, export_obj,
                                   export_ply, gauss_bonnet_defect, icosphere,
-                                  mesh_edges, nodal_analysis, read_obj, read_ply,
+                                  mesh_edges, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check,
                                   willmore)
 from diracsphere.spectral import SpectralSpinor, SphereBasis
@@ -116,6 +116,8 @@ def test_willmore_killing_and_bound(ws8, killing_state):
     nsq = ws8.fiber_norm_sq(values)
     e4 = float(ws8.grid.integrate(ws8.q_nodes * nsq**2))
     assert W <= ws8.q_nodes.max() * e4 + 1e-12
+    # the nodal report carries the same integral, which the CLI reports
+    assert nodal_analysis(killing_state, ws8).int_q2_psi4 == W
 
 
 def test_conformal_measure_spot_check(ws8, killing_state):
@@ -230,6 +232,39 @@ def test_cotangent_estimator_on_spheres():
     for radius in (1.0, 2.5):
         H = cotangent_mean_curvature(radius * verts, faces)
         assert np.abs(H - 1.0 / radius).max() <= 0.01 / radius
+
+
+def read_obj(path):
+    """Vertices and 0-based faces of an OBJ file."""
+    verts, faces = [], []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("v "):
+                verts.append([float(x) for x in line.split()[1:4]])
+            elif line.startswith("f "):
+                faces.append([int(x.split("/")[0]) - 1 for x in line.split()[1:4]])
+    return np.array(verts), np.array(faces, dtype=int)
+
+
+def read_ply(path):
+    """Vertices, faces and the per-vertex scalar columns of a binary PLY file
+    as ``export_ply`` writes it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    head_end = data.index(b"end_header\n") + len(b"end_header\n")
+    header = data[:head_end].decode()
+    nv = int([l for l in header.splitlines() if l.startswith("element vertex")][0].split()[-1])
+    nf = int([l for l in header.splitlines() if l.startswith("element face")][0].split()[-1])
+    vbytes = nv * 6 * 8
+    vdata = np.frombuffer(data[head_end:head_end + vbytes], dtype="<f8").reshape(nv, 6)
+    faces = np.empty((nf, 3), dtype=int)
+    off = head_end + vbytes
+    for i in range(nf):
+        cnt = data[off]
+        off += 1
+        faces[i] = np.frombuffer(data[off:off + 4 * cnt], dtype="<i4")
+        off += 4 * cnt
+    return vdata[:, :3].copy(), faces, vdata[:, 3:].copy()
 
 
 def test_mesh_io_round_trip(tmp_path, ws8, killing_state):

@@ -217,7 +217,7 @@ def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
     d = _plus(ws8, random_spinor(ws8, rng))
     u1 = st.u + 1e-3 * h_norm(ws8.basis, st.u) * d / h_norm(ws8.basis, d)
     calls = _counting(monkeypatch, "reduce_minus")
-    st1 = nehari_project(u1, p, ws8, h0=st.h)
+    st1 = nehari_project(u1, p, ws8)
     assert len(calls) <= 4
     red = reduce_minus(st1.u, p, ws8, v0=st1.h)
     assert abs(nehari_defect(st1.u, p, ws8, red)) <= 1e-8

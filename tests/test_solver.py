@@ -32,8 +32,9 @@ def test_constant_q_stage_energies_monotone(const_solution):
 
 
 def test_warm_start_continuity(const_solution):
-    """max_t I_{p_{n+1}}(t u_n) stays within a small gap of the converged
-    level once the previous stage residual is small."""
+    """L_{p_{n+1}}(psi_n), the value a stage starts from, stays within a
+    small gap of the converged level once the previous stage residual is
+    small."""
     _, result = const_solution
     for s in result.trace.stages[1:]:
         assert abs(s.warm_start_value - s.value) <= 1e-3 * max(1.0, abs(s.value))
@@ -140,10 +141,48 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
     assert info.value.trace.config == {"case": case}
 
 
+def _minres_residual(d, x, b, lam):
+    r = b - d * x
+    return math.sqrt(float(np.sum(lam * np.abs(r) ** 2)))
+
+
+def test_minres_solves_an_indefinite_system_to_its_tolerance():
+    """An operator that is diagonal in the metric sum lam |x|^2 with both
+    signs on its diagonal (the shape of L_p'' in the H^{1/2} metric, where CG
+    would break down): each requested relative tolerance is met."""
+    rng = np.random.default_rng(41)
+    n = 80
+    lam = rng.uniform(0.5, 6.0, n)
+    d = rng.uniform(0.05, 3.0, n) * np.where(np.arange(n) % 3, 1.0, -1.0)
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    bnorm = _minres_residual(d, 0.0, b, lam)
+    for rtol in (1e-2, 1e-6, 1e-10):
+        x = reduction._minres(lambda v: d * v, b, lam, rtol, 400)
+        assert _minres_residual(d, x, b, lam) <= rtol * bnorm
+
+
+def test_minres_singular_consistent_system():
+    """A diagonal operator with a null space and a right-hand side in its
+    range: the solution is finite, meets the tolerance and has no component
+    along the null space (the Krylov space never leaves the range)."""
+    rng = np.random.default_rng(42)
+    n = 60
+    lam = rng.uniform(0.5, 6.0, n)
+    d = rng.uniform(0.1, 2.0, n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+    null = np.arange(n) % 7 == 0
+    d[null] = 0.0
+    b = np.where(null, 0.0, rng.normal(size=n) + 1j * rng.normal(size=n))
+    bnorm = _minres_residual(d, 0.0, b, lam)
+    x = reduction._minres(lambda v: d * v, b, lam, 1e-9, 400)
+    assert np.all(np.isfinite(x))
+    assert _minres_residual(d, x, b, lam) <= 1e-9 * bnorm
+    assert not np.any(x[null])
+
+
 # calls inside solve_continuation for the criterion-9 J=8 solve, recorded
-# after both Krylov solves moved to one CG that starts from r = b
-WORK_COUNTS = {"hessian_apply": 1285, "synthesize": 1574, "analyze": 1491,
-               "reduce_minus": 87}
+# after each stage became a Newton-MINRES solve in the full space
+WORK_COUNTS = {"hessian_apply": 206, "synthesize": 240, "analyze": 239,
+               "reduce_minus": 5}
 
 
 @pytest.fixture(scope="module")
