@@ -108,7 +108,12 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
     bound = -1.0 + q4 / (4.0 * math.pi)
     window_chain = e4 < 8.0 * math.pi / q_max
 
-    scale = math.sqrt(float(np.median(nsq)))
+    # the median as the middle of the sorted values: np.median has the same
+    # bits but imports numpy.ma on first use
+    ordered = np.sort(nsq)
+    mid = ordered.size // 2
+    median = ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+    scale = math.sqrt(float(median))
     min_grid = math.sqrt(max(float(nsq.min()), 0.0))
     spacing = ws.grid.mean_spacing()
     candidates = []
@@ -198,8 +203,7 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
             raise ValueError(
                 f"psi is not a solution (PDE residual {pde_res:.2e} > 0.0001)")
 
-    d10, d01, d11 = (basis.evaluate(psi.coeff, grid.z_pref, grid.use_a, d)
-                     for d in ((1, 0), (0, 1), (1, 1)))
+    d10, d01, d11 = basis.synthesize_derivatives(psi.coeff, grid)
 
     phi = values
     nf = np.sum(np.abs(phi) ** 2, axis=1)          # e^v = |phi|^2, chartwise
@@ -296,9 +300,13 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mesh_edges(faces) -> np.ndarray:
+    """The distinct edges (a, b), a < b, of a triangle mesh, sorted by
+    rows: one sort of the keys a * n + b."""
     e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     e.sort(axis=1)
-    return np.unique(e, axis=0)
+    n = int(faces.max()) + 1
+    key = np.unique(e[:, 0] * n + e[:, 1])
+    return np.stack([key // n, key % n], axis=1)
 
 
 # -- Weierstrass integration ------------------------------------------------------
@@ -354,22 +362,31 @@ def _edge_integrals(psi: SpectralSpinor, sphere_v, edges):
 def _spanning_tree(nv, edges, incr, root):
     """Positions from a BFS spanning tree rooted at ``root`` (at the origin)
     that sums the edge increments; the closure defect is the largest
-    mismatch over the non-tree edges."""
-    adj = [[] for _ in range(nv)]
-    for ei, (a, b) in enumerate(edges.tolist()):
-        adj[a].append((b, ei, 1.0))
-        adj[b].append((a, ei, -1.0))
+    mismatch over the non-tree edges.  The BFS runs one level at a time: a
+    new vertex hangs from the first vertex of the level, in BFS order, that
+    reaches it, each vertex's edges taken in index order, as a
+    vertex-at-a-time BFS over adjacency lists in edge order would pick."""
+    ne = edges.shape[0]
+    # half-edge h runs edge h forward (h < ne) or edge h - ne backward
+    src, dst = edges.T.ravel(), edges[:, ::-1].T.ravel()
+    by_src = np.lexsort((np.arange(2 * ne) % ne, src))   # a vertex's, by edge
+    start = np.searchsorted(src[by_src], np.arange(nv + 1))
     pos = np.zeros((nv, 3))
     seen = np.zeros(nv, dtype=bool)
-    tree = np.zeros(edges.shape[0], dtype=bool)
+    tree = np.zeros(ne, dtype=bool)
     seen[root] = True
-    order = [root]
-    for a in order:                     # order grows as the BFS runs
-        for b, ei, sgn in adj[a]:
-            if not seen[b]:
-                seen[b] = tree[ei] = True
-                pos[b] = pos[a] + sgn * incr[ei]
-                order.append(b)
+    level = np.array([root])
+    while level.size:
+        # the level's half-edges to unseen vertices, in that order
+        count = start[level + 1] - start[level]
+        first_slot = np.repeat(start[level] - np.cumsum(count) + count, count)
+        h = by_src[first_slot + np.arange(count.sum())]
+        h = h[~seen[dst[h]]]
+        _, first = np.unique(dst[h], return_index=True)
+        h = h[np.sort(first)]
+        level, ei = dst[h], h % ne
+        seen[level] = tree[ei] = True
+        pos[level] = pos[src[h]] + np.where(h < ne, 1.0, -1.0)[:, None] * incr[ei]
     gap = np.linalg.norm(pos[edges[:, 0]] + incr - pos[edges[:, 1]], axis=1)
     return pos, float(gap[~tree].max())
 
@@ -551,7 +568,8 @@ def export_ply(path, mesh: ImmersionMesh) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode())
         fh.write(vdata.astype("<f8").tobytes())
-        counts = np.full((nf, 1), 3, dtype=np.uint8)
-        body = b"".join(counts[i].tobytes() + mesh.faces[i].astype("<i4").tobytes()
-                        for i in range(nf))
-        fh.write(body)
+        # one packed record per face: the count 3 and the three indices
+        body = np.empty(nf, dtype=[("count", "u1"), ("vertex_indices", "<i4", (3,))])
+        body["count"] = 3
+        body["vertex_indices"] = mesh.faces
+        fh.write(body.tobytes())

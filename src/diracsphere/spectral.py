@@ -44,20 +44,30 @@ keeps every term O(1), so the basis is accurate at any J.
 Evaluation.  Only ``SphereBasis`` picks a chart, from ``use_a``: a bool or
 a mask shaped like the chart points, True reading chart A.  The table
 ``evaluate_matrix`` and one field at arbitrary points, ``evaluate``, run the
-same recurrence; ``evaluate`` sums the coefficients into the Jacobi sums of
-each k as it runs, with O(points) memory.  Wirtinger derivatives come from
-the z^k factor and d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1},
-with no division, so they are finite at z = 0.  The grid transforms are
-separable: each grid ring lies in one chart, where a basis column is one
-longitude mode times its phi = 0 value, so a transform is a ring map
-between coefficients and ring modes plus an FFT along each ring (the per-m
-stage of libsharp, Reinecke & Seljebotn 2013).  The ring map groups the
+same recurrence, one pass per angular index k that stacks the degrees
+d = 0..J-k into one array.  The table scatters the columns of each k once,
+for the points of both charts together; ``evaluate`` sums the degrees
+against the coefficients with one real matrix product per k, over blocks
+of ``_CHUNK`` points, so its memory is bounded whatever the point count.
+Wirtinger derivatives come from the z^k factor and
+d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1}, with no division, so
+they are finite at z = 0.  The grid transforms are separable: each grid
+ring lies in one chart, where a basis column is one longitude mode times
+its phi = 0 value, so a transform is a ring map between coefficients and
+ring modes plus an FFT along each ring (the per-m stage of libsharp,
+Reinecke & Seljebotn 2013; SHTns, Schaeffer 2013).  The ring map groups the
 columns by k, which share one mode per chart and component, and runs as
 stacked real matrix products on (re, im) pairs; unlike complex
 matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
 The E^- block maps (``minus=True``), for the solver's inner E^- problem,
 have their own table, and the full maps add the E^+ sums to the E^- sums,
 so a block map has the bits of the full map with zero E^+ coefficients.
+A Wirtinger derivative of a column is again one longitude mode times its
+phi = 0 value, the mode shifted by nzbar - nz in chart A and nz - nzbar in
+chart B.  So ``synthesize_derivatives`` gives the (1,0), (0,1) and (1,1)
+derivatives at the nodes from one order-2 radial pass on the phi = 0
+meridian, which sums the coefficients of each group apart, and an FFT per
+ring; it builds no table.  Off-grid points go through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -110,21 +120,28 @@ def _jacobi_coefficients(k: int, n_max: int, order: int):
     return diag, off, scale, start
 
 
-def _jacobi(x, k: int, n_max: int, order: int):
+def _jacobi(x, k: int, n_max: int, order: int) -> np.ndarray:
     """Normalized Jacobi polynomials of the families (k, k+1) and (k+1, k)
-    at points x, and ``order`` x-derivatives, for degrees n = 0..n_max: one
-    (order+1, 2, x.size) array per degree.  Row l runs the families
+    at points x, and ``order`` x-derivatives, for degrees n = 0..n_max, in
+    one (order+1, 2, n_max+1, x.size) array.  Row l runs the families
     (k+l, k+1+l) from degree 0 at n = l (zero before), scaled by the
     derivative rule; both share the recurrence but for its diagonal's sign.
     """
     diag, off, scale, start = _jacobi_coefficients(k, n_max, order)
+    out = np.empty((order + 1, 2, n_max + 1, x.size))
     p_prev, p = np.zeros((2, order + 1, 2, x.size))
     for n in range(n_max + 1):
         if n:
-            p, p_prev = ((x - diag[n - 1]) * p - off[n - 2] * p_prev) / off[n - 1], p
+            # ((x - diag) p - off p_prev) / off, in place on one new array
+            q = x - diag[n - 1]
+            q *= p
+            q -= off[n - 2] * p_prev
+            q /= off[n - 1]
+            p, p_prev = q, p
         if n <= order:
             p[n] = start[n]
-        yield scale[n] * p
+        np.multiply(scale[n], p, out=out[:, :, n])
+    return out
 
 
 def _atom(v, t, rho_t, k: int, e: int, base, prev, P, deriv):
@@ -157,6 +174,20 @@ _WEIGHTS = np.array([
     [[[1, 1, 0, 0], [0, 0, -1, -1]], [[1j, -1j, 0, 0], [0, 0, -1j, 1j]]],
     [[[0, 0, 1, -1], [1, -1, 0, 0]], [[0, 0, 1j, 1j], [1j, 1j, 0, 0]]],
 ])
+
+
+# points per block of ``SphereBasis.evaluate``: its Jacobi array for one k
+# then holds at most (order+1) x 2 x (J+1) x 4096 doubles (1.1 MB for values
+# at J=16), whatever the number of points
+_CHUNK = 4096
+
+
+def _ring_values(grid: QuadratureGrid, modes) -> np.ndarray:
+    """Nodal values, shape (n_nodes, 2), of ring modes (n_theta, 2, n_phi):
+    an inverse FFT along each ring."""
+    vals = np.fft.ifft(modes.reshape(grid.n_theta, 2, grid.n_phi), axis=-1,
+                       norm="forward")
+    return vals.transpose(0, 2, 1).reshape(grid.n_nodes, 2)
 
 
 @dataclass(frozen=True)
@@ -228,57 +259,69 @@ class SphereBasis:
                 out[sel] = fill(z[sel], chart)
         return out
 
-    def _radial_stage(self, v, deriv):
-        """For k = 0..J: (k, degrees, components), with ``degrees`` the
-        ``_jacobi`` values at d = 0..J-k and ``components(S)`` the spinor
-        components F_0 + conj(F_1), F_1 + conj(F_0) (``_atom``) of Jacobi
-        sums S[order, e, h], h = 1 for conj(F_e); used before advancing."""
+    def _radial_stage(self, v, order: int):
+        """For k = 0..J: (k, P, components), with P the ``_jacobi`` values
+        at d = 0..J-k, shape (order+1, 2, J-k+1, v.size), and
+        ``components(S, deriv)`` the spinor components F_0 + conj(F_1),
+        F_1 + conj(F_0) (``_atom``) of the Wirtinger derivative ``deriv`` of
+        Jacobi sums S[order, e, h], h = 1 for conj(F_e); used before
+        advancing."""
         rho = (v * np.conj(v)).real
         t = 1.0 / (1.0 + rho)
         rho_t = rho * t
         omega = 2.0 * v * t                         # sin(theta) e^{i phi}
-        deriv = tuple(deriv)
         base = prev = np.full(v.shape, math.pi ** -0.5, dtype=complex)
         for k in range(self.J + 1):
-            def components(S):
+            def components(S, deriv):
                 def atom(e, h, dv):
                     return _atom(v, t, rho_t, k, e, base, prev, S[:, e, h], dv)
                 return (atom(0, 0, deriv) + np.conj(atom(1, 1, deriv[::-1])),
                         atom(1, 0, deriv) + np.conj(atom(0, 1, deriv[::-1])))
-            yield k, _jacobi(t - rho_t, k, self.J - k, sum(deriv)), components
+            yield k, _jacobi(t - rho_t, k, self.J - k, order), components
             prev, base = base, base * omega
 
     def evaluate_matrix(self, z, use_a, deriv=(0, 0)) -> np.ndarray:
         """Basis values (or their exact Wirtinger derivative ``deriv`` =
-        (nz, nzbar), each 0 or 1) at chart points z: shape z.shape + (2, n_basis)."""
-        def fill(v, chart):
-            tab = np.zeros((v.size, 2, self.n_basis + 1), dtype=complex)
-            w = _WEIGHTS[chart].copy()
-            w[:, 1] = np.conj(w[:, 1])
-            for k, degrees, components in self._radial_stage(v, deriv):
-                for d, P in enumerate(degrees):
-                    S = (-1) ** (d * chart) * w[..., None] * P[:, :, None, None, :]
-                    tab[:, :, self._cols[k, d]] = np.transpose(components(S), (2, 0, 1))
-            return tab[:, :, :-1]
-
-        return self._by_chart(z, use_a, (2, self.n_basis), fill)
+        (nz, nzbar), each 0 or 1) at chart points z: shape z.shape + (2, n_basis).
+        One radial pass over the points of both charts, one scatter per k."""
+        z, deriv = np.asarray(z, dtype=complex), tuple(deriv)
+        v = z.ravel()
+        chart = np.where(np.broadcast_to(use_a, z.shape).ravel(), 0, 1)
+        w = _WEIGHTS.copy()
+        w[:, :, 1] = np.conj(w[:, :, 1])
+        w = np.moveaxis(w[chart], 0, -1)[:, :, None]     # [e, h, 1, column, point]
+        tab = np.zeros((v.size, 2, self.n_basis + 1), dtype=complex)
+        for k, P, components in self._radial_stage(v, sum(deriv)):
+            n_d = P.shape[2]
+            sign = (-1.0) ** (np.arange(n_d)[:, None] * chart)
+            # S[order, e, h, d, column, point]
+            S = sign[:, None] * w * P[:, :, None, :, None, :]
+            tab[:, :, self._cols[k, :n_d]] = np.moveaxis(components(S, deriv), -1, 0)
+        return tab[:, :, :-1].reshape(z.shape + (2, self.n_basis))
 
     def evaluate(self, coeff, z, use_a, deriv=(0, 0)) -> np.ndarray:
         """The field ``coeff`` (or its ``deriv`` derivative) at chart points z,
-        shape z.shape + (2,): the coefficients are summed into the Jacobi
-        sums of each k as the recurrence runs, with no table."""
+        shape z.shape + (2,), with no table: per k, one real matrix product
+        sums the Jacobi values of all degrees against the coefficients, over
+        ``_CHUNK`` points at a time."""
         blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
+        deriv = tuple(deriv)
 
         def fill(v, chart):
             w = np.einsum("ehc,kdc->kdeh", _WEIGHTS[chart], blocks)
             w *= (-1.0) ** (chart * np.arange(self.J + 1))[:, None, None]
             w[..., 1] = np.conj(w[..., 1])
+            # real weights [k, e, d, (h, re/im)]: the product's rows are the
+            # (re, im) pairs of the Jacobi sums S[order, e, h]
+            w = w.view(float).transpose(0, 2, 1, 3).copy()
             out = np.zeros(v.shape + (2,), dtype=complex)
-            for k, degrees, components in self._radial_stage(v, deriv):
-                S = np.zeros((sum(deriv) + 1, 2, 2, v.size), dtype=complex)
-                for d, P in enumerate(degrees):
-                    S += w[k, d, ..., None] * P[:, :, None, :]
-                out += np.stack(components(S), axis=-1)
+            for start in range(0, v.size, _CHUNK):
+                chunk = out[start:start + _CHUNK]
+                for k, P, components in self._radial_stage(v[start:start + _CHUNK],
+                                                           sum(deriv)):
+                    S = np.matmul(P.swapaxes(-1, -2), w[k, :, :P.shape[2]])
+                    chunk += np.stack(components(S.view(complex).swapaxes(-1, -2), deriv),
+                                      axis=-1)
             return out
 
         return self._by_chart(z, use_a, (2,), fill)
@@ -344,9 +387,50 @@ class SphereBasis:
             sums = sums[0] + sums[1]
         modes = np.zeros(2 * grid.n_nodes, dtype=complex)
         modes[bins] = phase * sums.view(complex)[..., 0]
-        vals = np.fft.ifft(modes.reshape(grid.n_theta, 2, grid.n_phi), axis=-1,
-                           norm="forward")
-        return vals.transpose(0, 2, 1).reshape(grid.n_nodes, 2)
+        return _ring_values(grid, modes)
+
+    def synthesize_derivatives(self, coeff, grid: QuadratureGrid):
+        """The Wirtinger derivatives (1, 0), (0, 1) and (1, 1) of the field
+        at the nodes, in each node's chart: three (n_nodes, 2) arrays.  One
+        order-2 radial pass on the phi = 0 meridian sums the coefficients of
+        each angular index k apart, as ``evaluate`` does for all of them;
+        each such group sum is one longitude mode on its ring, the mode
+        shifted by nzbar - nz in chart A and nz - nzbar in chart B, and an
+        FFT per ring gives the nodes.  No table is built."""
+        self._require_grid(grid)
+        J, n_p = self.J, grid.n_phi
+        derivs = ((1, 0), (0, 1), (1, 1))
+        blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
+        blocks = blocks.reshape(J + 1, J + 1, 2, 2)             # [k, d, g, column]
+
+        def fill(v, chart):
+            # weights [k, d, e, h, g]: g = 0 sums the columns of angular
+            # index k, g = 1 those of -1-k
+            w = np.einsum("ehgc,kdgc->kdehg", _WEIGHTS[chart].reshape(2, 2, 2, 2), blocks)
+            w *= (-1.0) ** (chart * np.arange(J + 1))[:, None, None, None]
+            w[..., 1, :] = np.conj(w[..., 1, :])
+            out = np.zeros((v.size, 3, 2, 2 * J + 2), dtype=complex)
+            for k, P, components in self._radial_stage(v, 2):
+                S = np.einsum("dehg,oedn->oehgn", w[k, :P.shape[2]], P)
+                for i, deriv in enumerate(derivs):
+                    # groups are ordered k = -(J+1)..J
+                    out[:, i][..., [J + 1 + k, J - k]] = np.moveaxis(
+                        components(S, deriv), -1, 0)
+            return out
+
+        use_a = grid.use_a[::n_p]
+        sums = self._by_chart(grid.z_pref[::n_p], use_a, (3, 2, 2 * J + 2), fill)
+        # each group's mode per (ring, component), as in ``modes``; a row's
+        # 2J+2 consecutive modes, shifted alike, fill distinct bins
+        chart = np.where(use_a, 0, 1)[:, None, None]
+        mode = np.arange(-(J + 1), J + 1) + (np.arange(2)[:, None] != chart)
+        values = []
+        for i, (nz, nzb) in enumerate(derivs):
+            modes = np.zeros((grid.n_theta, 2, n_p), dtype=complex)
+            np.put_along_axis(modes, (mode + (nzb - nz) * (1 - 2 * chart)) % n_p,
+                              sums[:, i], axis=-1)
+            values.append(_ring_values(grid, modes))
+        return tuple(values)
 
     def analyze(self, values, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
         """L^2 projection of nodal values onto the basis (adjoint transform):

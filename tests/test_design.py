@@ -64,7 +64,8 @@ def test_solve_process_loads_no_scipy(tmp_path):
     """A fresh process that runs the criterion-9 J=8 solve through the CLI
     exits 0 and holds no scipy module: the transforms and the Newton-MINRES
     solve are numpy only, and scipy's two users (the Nehari bracketing
-    fallback and the nodal zero polish) import it when first called."""
+    fallback and the nodal zero polish) import it when first called.  Nor
+    does it hold ``numpy.ma``, which ``np.median`` imports on first use."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -77,7 +78,8 @@ def test_solve_process_loads_no_scipy(tmp_path):
         "tolerances": {"final": 1e-6}, "seed": 7}))
     probe = ("import sys, diracsphere.cli\n"
              "code = diracsphere.cli.main(['solve', sys.argv[1], '--output', sys.argv[2]])\n"
-             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+             "                   or m.split('.')[:2] == ['numpy', 'ma']))")
     run = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "0 []"

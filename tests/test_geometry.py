@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.geometry import (_weierstrass_form, closedness_defect,
+from diracsphere.geometry import (ImmersionMesh, _spanning_tree,
+                                  _weierstrass_form, closedness_defect,
                                   cotangent_mean_curvature, export_obj,
                                   export_ply, gauss_bonnet_defect, icosphere,
                                   mesh_edges, nodal_analysis,
@@ -172,6 +173,54 @@ def test_icosphere_matches_loop_reference():
         assert verts.tobytes() == ref_v.tobytes() and faces.tobytes() == ref_f.tobytes()
 
 
+def _spanning_tree_loop(nv, edges, incr, root):
+    """Reference BFS, one vertex at a time over adjacency lists in edge
+    order."""
+    adj = [[] for _ in range(nv)]
+    for ei, (a, b) in enumerate(edges.tolist()):
+        adj[a].append((b, ei, 1.0))
+        adj[b].append((a, ei, -1.0))
+    pos = np.zeros((nv, 3))
+    seen = np.zeros(nv, dtype=bool)
+    tree = np.zeros(edges.shape[0], dtype=bool)
+    seen[root] = True
+    order = [root]
+    for a in order:
+        for b, ei, sgn in adj[a]:
+            if not seen[b]:
+                seen[b] = tree[ei] = True
+                pos[b] = pos[a] + sgn * incr[ei]
+                order.append(b)
+    gap = np.linalg.norm(pos[edges[:, 0]] + incr - pos[edges[:, 1]], axis=1)
+    return pos, float(gap[~tree].max())
+
+
+def test_spanning_tree_matches_vertex_loop():
+    """The level-at-a-time BFS picks the loop's tree: the same positions,
+    bit for bit, and the same closure defect, for random increments."""
+    rng = np.random.default_rng(8)
+    for k in range(5):
+        verts, faces = icosphere(k)
+        edges = mesh_edges(faces)
+        incr = rng.normal(size=(len(edges), 3))
+        for root in (int(np.argmax(verts[:, 2])), 0, len(verts) - 1):
+            pos, gap = _spanning_tree(len(verts), edges, incr, root)
+            ref_pos, ref_gap = _spanning_tree_loop(len(verts), edges, incr, root)
+            assert pos.tobytes() == ref_pos.tobytes() and gap == ref_gap
+
+
+def test_mesh_edges_match_row_unique():
+    """The edges from one sort of the keys a * n + b are the sorted unique
+    rows that np.unique(axis=0) gives, with the same bits."""
+    for k in range(5):
+        _, faces = icosphere(k)
+        e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        e.sort(axis=1)
+        ref = np.unique(e, axis=0)
+        got = mesh_edges(faces)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
 def test_round_sphere_reconstruction(ws8, killing_state):
     mesh = reconstruct_immersion(killing_state, ws8, subdivisions=4)
     assert mesh.vertices.shape[0] == 2562
@@ -267,6 +316,45 @@ def read_ply(path):
     return vdata[:, :3].copy(), faces, vdata[:, 3:].copy()
 
 
+def _export_ply_loop(path, mesh):
+    """Reference PLY writer: the header, the vertex block, and each face
+    record joined one at a time."""
+    nv, nf = mesh.vertices.shape[0], mesh.faces.shape[0]
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        "comment diracsphere immersion mesh\n"
+        f"element vertex {nv}\n"
+        "property float64 x\nproperty float64 y\nproperty float64 z\n"
+        "property float64 conf_factor\nproperty float64 mean_curvature\n"
+        "property float64 target_q\n"
+        f"element face {nf}\n"
+        "property list uchar int32 vertex_indices\nend_header\n"
+    )
+    vdata = np.hstack([mesh.vertices, mesh.conf_factor[:, None],
+                       mesh.mean_curvature[:, None], mesh.target_q[:, None]])
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(vdata.astype("<f8").tobytes())
+        counts = np.full((nf, 1), 3, dtype=np.uint8)
+        fh.write(b"".join(counts[i].tobytes() + mesh.faces[i].astype("<i4").tobytes()
+                          for i in range(nf)))
+
+
+def test_export_ply_matches_loop_writer(tmp_path):
+    """The packed face records give the bytes of the per-face loop."""
+    verts, faces = icosphere(4)
+    rng = np.random.default_rng(5)
+    mesh = ImmersionMesh(vertices=verts + 0.1 * rng.normal(size=verts.shape),
+                         faces=faces, sphere_points=verts,
+                         conf_factor=rng.uniform(size=len(verts)),
+                         mean_curvature=rng.normal(size=len(verts)),
+                         target_q=rng.normal(size=len(verts)), closure_defect=0.0,
+                         edge_length_rel_error=0.0, closedness_precheck=0.0)
+    export_ply(tmp_path / "a.ply", mesh)
+    _export_ply_loop(tmp_path / "b.ply", mesh)
+    assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()
+
+
 def test_mesh_io_round_trip(tmp_path, ws8, killing_state):
     mesh = reconstruct_immersion(killing_state, ws8, subdivisions=2)
     obj = tmp_path / "m.obj"
@@ -290,8 +378,9 @@ def test_closedness_defect_on_solution(ws8, killing_state):
 
 
 def test_scal_identity_caches_no_derivative_tables(ws8):
-    """The derivatives come from the off-grid evaluator, so the basis keeps
-    only the synthesis table of its grid."""
+    """The derivatives come from ring maps built for the call and dropped
+    after it (``synthesize_derivatives``), so the basis keeps only the
+    synthesis table of its grid."""
     rng = np.random.default_rng(21)
     psi = ws8.spinor(random_spinor(ws8, rng))
     scal_identity_check(psi, ws8, require_solution=False)

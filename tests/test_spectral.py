@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import diracsphere
 from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
-from diracsphere.spectral import (AliasingError, SphereBasis, SpectralSpinor,
+from diracsphere.spectral import (_CHUNK, _WEIGHTS, AliasingError, SphereBasis,
+                                  SpectralSpinor, _atom, _jacobi_coefficients,
                                   dirac_apply, dirac_eigenvalue,
                                   dirac_multiplicity, h_inner, load_spinor,
                                   save_spinor, split)
@@ -330,21 +331,101 @@ def test_basis_chart_transition_consistency():
 
 def test_evaluate_matches_table_contraction():
     """The recurrence-summed evaluator agrees with contracting the basis
-    table, for the value and each Wirtinger derivative, with both charts
-    in one call."""
-    basis = SphereBasis(16)
+    table, for the value and each Wirtinger derivative: with both charts
+    in one call, and with more points than one chunk, all in chart A."""
     rng = np.random.default_rng(12)
-    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
-    xyz = rng.normal(size=(200, 3))
+    for J, n_points, north in ((16, 200, False), (5, _CHUNK + 100, True)):
+        basis = SphereBasis(J)
+        coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+        xyz = rng.normal(size=(n_points, 3))
+        xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+        if north:
+            xyz[:, 2] = np.abs(xyz[:, 2])
+        use_a = xyz[:, 2] >= 0
+        assert use_a.all() if north else 0 < use_a.sum() < use_a.size
+        z = np.where(use_a, chart_a_coords(xyz), chart_b_coords(xyz))
+        for d in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            got = basis.evaluate(coeff, z, use_a, d)
+            ref = np.tensordot(basis.evaluate_matrix(z, use_a, d), coeff,
+                               axes=([2], [0]))
+            assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def _jacobi_by_degree(x, k, n_max, order):
+    """The Jacobi recurrence one degree at a time, as first written."""
+    diag, off, scale, start = _jacobi_coefficients(k, n_max, order)
+    p_prev, p = np.zeros((2, order + 1, 2, x.size))
+    for n in range(n_max + 1):
+        if n:
+            p, p_prev = ((x - diag[n - 1]) * p - off[n - 2] * p_prev) / off[n - 1], p
+        if n <= order:
+            p[n] = start[n]
+        yield scale[n] * p
+
+
+def _table_by_degree(basis, z, use_a, deriv):
+    """Reference ``evaluate_matrix``: the columns of each (k, d) pair
+    computed and scattered on their own."""
+    out = np.empty(z.shape + (2, basis.n_basis), dtype=complex)
+    for chart, sel in enumerate((use_a, ~use_a)):
+        v = z[sel]
+        tab = np.zeros((v.size, 2, basis.n_basis + 1), dtype=complex)
+        w = _WEIGHTS[chart].copy()
+        w[:, 1] = np.conj(w[:, 1])
+        rho = (v * np.conj(v)).real
+        t = 1.0 / (1.0 + rho)
+        omega = 2.0 * v * t
+        base = prev = np.full(v.shape, math.pi ** -0.5, dtype=complex)
+        for k in range(basis.J + 1):
+            for d, P in enumerate(_jacobi_by_degree(t - rho * t, k, basis.J - k, sum(deriv))):
+                S = (-1) ** (d * chart) * w[..., None] * P[:, :, None, None, :]
+
+                def atom(e, h, dv):
+                    return _atom(v, t, rho * t, k, e, base, prev, S[:, e, h], dv)
+
+                comps = (atom(0, 0, deriv) + np.conj(atom(1, 1, deriv[::-1])),
+                         atom(1, 0, deriv) + np.conj(atom(0, 1, deriv[::-1])))
+                tab[:, :, basis._cols[k, d]] = np.transpose(comps, (2, 0, 1))
+            prev, base = base, base * omega
+        out[sel] = tab[:, :, :-1]
+    return out
+
+
+@pytest.mark.parametrize("J", [5, 16])
+def test_evaluate_matrix_matches_per_degree_loop(J):
+    """One Jacobi pass and one scatter per angular index k give the bits of
+    the per-(k, d) loop, for the value and each Wirtinger derivative, at
+    points of both charts (the grid transforms and stored states rely on
+    the value table's bits)."""
+    basis = SphereBasis(J)
+    rng = np.random.default_rng(J)
+    xyz = rng.normal(size=(60, 3))
     xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
     use_a = xyz[:, 2] >= 0
     assert 0 < use_a.sum() < use_a.size
     z = np.where(use_a, chart_a_coords(xyz), chart_b_coords(xyz))
     for d in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        got = basis.evaluate(coeff, z, use_a, d)
-        ref = np.tensordot(basis.evaluate_matrix(z, use_a, d), coeff,
-                           axes=([2], [0]))
-        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+        got = np.ascontiguousarray(basis.evaluate_matrix(z, use_a, d))
+        assert got.tobytes() == _table_by_degree(basis, z, use_a, d).tobytes()
+
+
+@pytest.mark.parametrize("J, degree", [(5, 15), (16, 48), (5, 11)])
+def test_ring_map_derivatives_match_evaluate(J, degree):
+    """The (1,0), (0,1) and (1,1) Wirtinger derivatives at the nodes from
+    the ring modes agree with the off-grid evaluator, in the chart-A and in
+    the chart-B nodes, on degree-3J grids and at degree 2J+1, where a row's
+    modes fill every bin; nothing is cached."""
+    basis = SphereBasis(J)
+    grid = QuadratureGrid(degree=degree)
+    rng = np.random.default_rng(J + 3)
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    derivs = basis.synthesize_derivatives(coeff, grid)
+    assert not basis._matrix_cache
+    for d, got in zip(((1, 0), (0, 1), (1, 1)), derivs):
+        ref = basis.evaluate(coeff, grid.z_pref, grid.use_a, d)
+        assert got.shape == ref.shape == (grid.n_nodes, 2)
+        for sel in (grid.use_a, ~grid.use_a):
+            assert np.abs(got[sel] - ref[sel]).max() <= 1e-13 * np.abs(ref[sel]).max()
 
 
 # -- exact-rational oracle for the sign and phase convention ------------------
