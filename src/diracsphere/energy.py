@@ -326,11 +326,11 @@ class Workspace:
                              "the nodes")
         self.q_integral = float(self.grid.integrate(self.q_nodes))
 
-    def synthesize(self, coeff, minus: bool = False) -> np.ndarray:
-        return self.basis.synthesize(coeff, self.grid, minus)
+    def synthesize(self, coeff) -> np.ndarray:
+        return self.basis.synthesize(coeff, self.grid)
 
-    def analyze(self, values, minus: bool = False) -> np.ndarray:
-        return self.basis.analyze(values, self.grid, minus)
+    def analyze(self, values) -> np.ndarray:
+        return self.basis.analyze(values, self.grid)
 
     def fiber_norm_sq(self, values) -> np.ndarray:
         """|psi|^2 at the nodes from weighted chart values."""
@@ -404,8 +404,8 @@ def eval_L(coeff, p: float, ws: Workspace) -> EnergyReport:
 
 class HessianWeights:
     """The pointwise weights of L_p''(psi) at one psi, built once and shared
-    by every Hessian product at that psi (a CG makes all of its products at
-    one psi):
+    by every Hessian product at that psi (a Krylov solve makes all of its
+    products at one psi):
 
         lin  = Q |psi|^{p-2},
         quad = (p-2) Q |psi|^{p-4}  (used where |psi| > 0, 0 at zeros).
@@ -421,34 +421,25 @@ class HessianWeights:
         self.lin = (pw * ws.q_nodes)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             self.quad = (p - 2.0) * ws.q_nodes * pw / nsq
-        basis = ws.basis
-        sign = np.sign(basis.eigenvalues)
-        neg = basis.minus_mask
-        # (sign, |lambda|) of the full basis and of its E^- block
-        self.spectrum = {False: (sign, basis.abs_eigenvalues),
-                         True: (sign[neg], basis.abs_eigenvalues[neg])}
 
 
-def hessian_apply(weights: HessianWeights, w_coeff, minus: bool = False) -> np.ndarray:
+def hessian_apply(weights: HessianWeights, w_coeff) -> np.ndarray:
     """H^{1/2} Riesz representative of L_p''(psi)[w, .], as a coefficient map,
     at the psi of ``weights``.
 
     L_p''(psi)[w, v] = real int (Dw, v) - int Q |psi|^{p-2} real(w, v)
                        - (p-2) int Q |psi|^{p-4} real(psi, w) real(psi, v).
-
-    With ``minus``, w and the result are E^- coefficient vectors (the E^-
-    block of the map), and the transforms touch only the E^- columns.
     """
     ws = weights.ws
     w_coeff = np.asarray(w_coeff, dtype=complex)
-    w_values = ws.synthesize(w_coeff, minus)
+    w_values = ws.synthesize(w_coeff)
     dot = ws.fiber_re_inner(weights.values, w_values)
     # |psi|^{p-4} real(psi,w): continuous at zeros for p > 2, set 0 there
     quad = np.where(weights.pos, weights.quad * dot, 0.0)
     field = weights.lin * w_values + quad[:, None] * weights.values
-    M = ws.analyze(field, minus)
-    sign, lam = weights.spectrum[minus]
-    return sign * w_coeff - M / lam
+    M = ws.analyze(field)
+    basis = ws.basis
+    return np.sign(basis.eigenvalues) * w_coeff - M / basis.abs_eigenvalues
 
 
 # -- Rayleigh quotient --------------------------------------------------------

@@ -82,9 +82,14 @@ def _neg_cg(weights: HessianWeights, rhs, tol):
     """Solve (-L_p'' restricted to E^-) x = rhs on E^- coefficient vectors,
     at the psi of ``weights``.  In Riesz form the operator is
     x + M(x)/|lambda| >= identity, so CG converges fast and never breaks down."""
-    basis = weights.ws.basis
-    return _cg(lambda x: -hessian_apply(weights, x, minus=True), rhs,
-               basis.abs_eigenvalues[basis.minus_mask], tol, 200)
+    neg = weights.ws.basis.minus_mask
+
+    def apply_op(x):
+        full = np.zeros(neg.shape, dtype=complex)
+        full[neg] = x
+        return -hessian_apply(weights, full)[neg]
+
+    return _cg(apply_op, rhs, weights.ws.basis.abs_eigenvalues[neg], tol, 200)
 
 
 # cap on the Newton-CG steps of one reduction

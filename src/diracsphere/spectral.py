@@ -59,10 +59,8 @@ Reinecke & Seljebotn 2013; SHTns, Schaeffer 2013).  The ring map groups the
 columns by k, which share one mode per chart and component, and runs as
 stacked real matrix products on (re, im) pairs; unlike complex
 matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
-The E^- block maps (``minus=True``), for the solver's inner E^- problem,
-have their own table, and the full maps add the E^+ sums to the E^- sums,
-so a block map has the bits of the full map with zero E^+ coefficients.
-A Wirtinger derivative of a column is again one longitude mode times its
+The table keeps the E^- and E^+ columns of a group in two blocks, and
+``synthesize`` adds the E^+ sum to the E^- sum.  A Wirtinger derivative of a column is again one longitude mode times its
 phi = 0 value, the mode shifted by nzbar - nz in chart A and nz - nzbar in
 chart B.  So ``synthesize_derivatives`` gives the (1,0), (0,1) and (1,1)
 derivatives at the nodes from one order-2 radial pass on the phi = 0
@@ -333,7 +331,7 @@ class SphereBasis:
             raise AliasingError(f"grid degree {grid.degree} < 2J+1 = {2 * self.J + 1}: "
                                 "transforms would alias")
 
-    def synthesis_matrix(self, grid: QuadratureGrid, minus: bool = False):
+    def synthesis_matrix(self, grid: QuadratureGrid):
         """Cached per grid degree: the ring map between coefficients and each
         ring's longitude modes, as (bins, phase, table, cols), with the
         columns grouped by angular index k.  ``table[s, g, row, w]`` is real,
@@ -341,9 +339,8 @@ class SphereBasis:
         basis on the phi = 0 meridian at row (ring, component) for slot w of
         group g, in block s = 0 (E^-) or 1 (E^+); ``cols[s, g, w]`` is the
         slot's position in the coefficient vector, or that vector's length
-        for a padding slot.  With ``minus``, the E^- block alone, its
-        ``cols`` indexing the E^- vector.  The group sums of a row go to the
-        ring-mode bins ``bins[g, row]``."""
+        for a padding slot.  The group sums of a row go to the ring-mode
+        bins ``bins[g, row]``."""
         self._require_grid(grid)
         ring = self._matrix_cache.get(grid.degree)
         if ring is None:
@@ -352,7 +349,10 @@ class SphereBasis:
             radial = np.pad(radial.reshape(2 * grid.n_theta, self.n_basis),
                             ((0, 0), (0, 1)))                      # padding column
             # groups k = -(J+1)..J: _cols keeps (+, k), (-, k), (+, -1-k),
-            # (-, -1-k) at each level j = |k + 1/2| - 1/2 + slot
+            # (-, -1-k) at each level j = |k + 1/2| - 1/2 + slot.  The two
+            # sign blocks stay apart, their sums added in ``synthesize``: one
+            # merged block would sum in another order and move the bits of
+            # every stored state.
             cols = np.array([np.concatenate([self._cols[::-1, :, 3 - s],
                                              self._cols[:, :, 1 - s]]) for s in range(2)])
             table = radial[:, cols].transpose(1, 2, 0, 3)
@@ -367,24 +367,16 @@ class SphereBasis:
             # (at degree 2J+1, +-(J+1) share a bin, and a row has one of them)
             bins = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * n_p + mode % n_p
             bins = bins.reshape(-1, bins.shape[-1]).T
-            # the E^- position of each E^- column, n_minus for padding
-            local = np.cumsum(np.append(self.minus_mask, True)) - 1
-            ring = self._matrix_cache[grid.degree] = (
-                bins, phase, (table, cols), (table[0], local[cols[0]]))
-        bins, phase, full, minus_block = ring
-        return (bins, phase, *(minus_block if minus else full))
+            ring = self._matrix_cache[grid.degree] = (bins, phase, table, cols)
+        return ring
 
-    def synthesize(self, coeff, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
-        """Weighted chart values of the field at the nodes, shape (n_nodes, 2);
-        with ``minus``, ``coeff`` holds the E^- coefficients only."""
-        bins, phase, table, cols = self.synthesis_matrix(grid, minus)
+    def synthesize(self, coeff, grid: QuadratureGrid) -> np.ndarray:
+        """Weighted chart values of the field at the nodes, shape (n_nodes, 2)."""
+        bins, phase, table, cols = self.synthesis_matrix(grid)
         x = np.append(np.asarray(coeff, dtype=complex), 0.0)
-        # real products on (re, im) pairs
+        # real products on (re, im) pairs, then the E^- sum plus the E^+ sum
         sums = np.matmul(table, x[cols].view(float).reshape(*cols.shape, 2))
-        if not minus:
-            # the E^- sum plus the E^+ sum: zero E^+ coefficients leave the
-            # E^- block's bits
-            sums = sums[0] + sums[1]
+        sums = sums[0] + sums[1]
         modes = np.zeros(2 * grid.n_nodes, dtype=complex)
         modes[bins] = phase * sums.view(complex)[..., 0]
         return _ring_values(grid, modes)
@@ -432,19 +424,17 @@ class SphereBasis:
             values.append(_ring_values(grid, modes))
         return tuple(values)
 
-    def analyze(self, values, grid: QuadratureGrid, minus: bool = False) -> np.ndarray:
+    def analyze(self, values, grid: QuadratureGrid) -> np.ndarray:
         """L^2 projection of nodal values onto the basis (adjoint transform):
-        an FFT along each ring, then the transposed table; with ``minus``,
-        onto the E^- members only."""
-        bins, phase, table, cols = self.synthesis_matrix(grid, minus)
+        an FFT along each ring, then the transposed table."""
+        bins, phase, table, cols = self.synthesis_matrix(grid)
         wf = (grid.weights / grid.f_pref)[:, None]
         rings = (np.asarray(values) * wf).reshape(grid.n_theta, grid.n_phi, 2)
         modes = np.fft.fft(rings.transpose(0, 2, 1), axis=-1).ravel()
         f = (modes[bins] * np.conj(phase)).view(float).reshape(*bins.shape, 2)
-        n = np.count_nonzero(self.minus_mask) if minus else self.n_basis
-        out = np.empty(n + 1, dtype=complex)
+        out = np.empty(self.n_basis + 1, dtype=complex)
         out[cols] = np.matmul(table.swapaxes(-1, -2), f).view(complex)[..., 0]
-        return out[:n]
+        return out[:-1]
 
 
 @dataclass

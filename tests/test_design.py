@@ -16,7 +16,7 @@ import diracsphere
 
 # the modules whose options are counted
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
-SETTABLE_OPTIONS = 43
+SETTABLE_OPTIONS = 37
 PUBLIC_NAMES = 34
 
 

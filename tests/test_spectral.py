@@ -124,32 +124,12 @@ def test_columns_are_single_longitude_modes():
 
 def test_cached_transform_table_is_small():
     """The J=16, degree-48 ring map holds one real entry per ring, component
-    and padded group slot, for E^- and E^+; the E^- block is a view of the
-    full map's table (the dense table was 24 MB)."""
+    and padded group slot, for E^- and E^+ (the dense table was 24 MB)."""
     basis = SphereBasis(16)
     grid = QuadratureGrid(degree=48)
     bins, phase, table, cols = basis.synthesis_matrix(grid)
-    _, _, minus_table, minus_cols = basis.synthesis_matrix(grid, minus=True)
-    assert minus_table.base is table
-    assert sum(a.nbytes for a in (bins, phase, table, cols, minus_cols)) < 2 * 2**20
+    assert sum(a.nbytes for a in (bins, phase, table, cols)) < 2 * 2**20
     assert list(basis._matrix_cache) == [48]
-
-
-@pytest.mark.parametrize("J, degree", TRANSFORM_CASES)
-def test_minus_block_is_full_map_with_zero_plus(J, degree):
-    """The E^- block maps give the bits of the full maps applied with zero
-    E^+ coefficients (synthesize) and restricted to the E^- rows (analyze)."""
-    basis = SphereBasis(J)
-    grid = QuadratureGrid(degree=degree)
-    neg = basis.minus_mask
-    rng = np.random.default_rng(J + degree + 1)
-    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
-    values = (rng.normal(size=(grid.n_nodes, 2))
-              + 1j * rng.normal(size=(grid.n_nodes, 2)))
-    padded = basis.synthesize(np.where(neg, coeff, 0.0), grid)
-    assert basis.synthesize(coeff[neg], grid, minus=True).tobytes() == padded.tobytes()
-    full = basis.analyze(values, grid)
-    assert basis.analyze(values, grid, minus=True).tobytes() == full[neg].tobytes()
 
 
 _THREAD_PROBE = """
@@ -162,15 +142,14 @@ basis, grid = SphereBasis(48), QuadratureGrid(degree=144)
 rng = np.random.default_rng(17)
 coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
 values = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
-for minus, c in ((False, coeff), (True, coeff[basis.minus_mask])):
-    for out in (basis.synthesize(c, grid, minus), basis.analyze(values, grid, minus)):
-        print(hashlib.sha256(out.tobytes()).hexdigest())
+for out in (basis.synthesize(coeff, grid), basis.analyze(values, grid)):
+    print(hashlib.sha256(out.tobytes()).hexdigest())
 """
 
 
 def test_transforms_bit_equal_at_one_and_two_blas_threads():
-    """At J=48 on the degree-144 grid, synthesize and analyze, full and
-    E^-, give the same bytes at 1 and at 2 BLAS threads."""
+    """At J=48 on the degree-144 grid, synthesize and analyze give the same
+    bytes at 1 and at 2 BLAS threads."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -180,7 +159,7 @@ def test_transforms_bit_equal_at_one_and_two_blas_threads():
         run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
                              capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
-    assert len(outputs[0].split()) == 4
+    assert len(outputs[0].split()) == 2
     assert outputs[0] == outputs[1]
 
 
