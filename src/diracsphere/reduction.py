@@ -12,8 +12,9 @@ The reduction of the saddle structure scales the start onto the Nehari set
 and serves ``estimate_tau`` and the variational checks:
 
 * ``reduce_minus``: for u in E^+, the unique maximizer h_p(u) of the strictly
-  concave v -> L_p(u + v) on E^- (Newton-CG; L_p'' <= -id there, so CG is
-  unconditionally safe).  I_p(u) = L_p(u + h_p(u)).
+  concave v -> L_p(u + v) on E^- (Newton, each step by the same MINRES on
+  full-length vectors that vanish on E^+; L_p'' <= -id there, so the
+  system is definite and well conditioned).  I_p(u) = L_p(u + h_p(u)).
 * ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0, on the
   natural constraint N_p = {I_p'(u)[u] = 0}; I_p(t u) has a single interior
   maximum on each ray (Szulkin-Weth), so Newton in t is safe, with
@@ -54,52 +55,14 @@ def _gradient(psi, values, p: float, ws: Workspace) -> np.ndarray:
             - nonlinear_projection(values, p, ws) / basis.abs_eigenvalues)
 
 
-def _cg(apply_op, b, lam, tol, max_iter):
-    """CG for apply_op(x) = b in the metric sum lam |x|^2, from x = 0 and
-    r = b (no product of the zero vector), until the residual norm is at
-    most ``tol`` or after ``max_iter`` products.  Curvature d.Ad <= 1e-14 d.d
-    ends it with the iterate so far, or None before the first update."""
-    x = np.zeros_like(b)
-    r = d = b
-    rr = float(np.sum(lam * np.abs(r) ** 2))
-    for it in range(max_iter):
-        if rr <= tol * tol:
-            break
-        Ad = apply_op(d)
-        dAd = float(np.sum(lam * np.real(d * np.conj(Ad))))
-        if dAd <= 1e-14 * float(np.sum(lam * np.abs(d) ** 2)):
-            return x if it else None
-        alpha = rr / dAd
-        x = x + alpha * d
-        r = r - alpha * Ad
-        rr_new = float(np.sum(lam * np.abs(r) ** 2))
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    return x
-
-
-def _neg_cg(weights: HessianWeights, rhs, tol):
-    """Solve (-L_p'' restricted to E^-) x = rhs on E^- coefficient vectors,
-    at the psi of ``weights``.  In Riesz form the operator is
-    x + M(x)/|lambda| >= identity, so CG converges fast and never breaks down."""
-    neg = weights.ws.basis.minus_mask
-
-    def apply_op(x):
-        full = np.zeros(neg.shape, dtype=complex)
-        full[neg] = x
-        return -hessian_apply(weights, full)[neg]
-
-    return _cg(apply_op, rhs, weights.ws.basis.abs_eigenvalues[neg], tol, 200)
-
-
-# cap on the Newton-CG steps of one reduction
+# cap on the Newton steps of one reduction
 _REDUCE_STEPS = 60
 
 
 def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
                  tol_inner: float = 1e-10) -> ReductionResult:
     """h_p(u): the unique E^- maximizer of v -> L_p(u + v), in at most
-    ``_REDUCE_STEPS`` Newton-CG steps.
+    ``_REDUCE_STEPS`` Newton steps.
 
     An accepted line-search trial keeps its nodal values, so each iterate is
     synthesized once, and the result carries the last iterate's value,
@@ -126,8 +89,7 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
         finite = math.isfinite(res) and math.isfinite(val)
         if res <= tol_eff or it == _REDUCE_STEPS or not finite:
             break
-        delta = np.zeros_like(v)
-        delta[neg] = _neg_cg(HessianWeights(values, p, ws), g[neg],
+        delta = _minus_solve(HessianWeights(values, p, ws), g,
                              tol=min(0.1 * res, res * res, tol_eff))
         step = 1.0
         for _ in range(30):
@@ -170,15 +132,13 @@ def _reduced_hessian(weights: HessianWeights, w, tol_inner: float):
     """E^+ Riesz representative of I_p''(u)[w, .] at psi = u + h_p(u), the
     psi of ``weights``.
 
-    The inner correction h_p'(u) w solves the E^- block by CG; then
+    The inner correction h_p'(u) w solves the E^- block; then
     I_p''(u)[w, .] = L_p''(psi)[w + h_p'(u) w, .] on E^+.
     """
     basis = weights.ws.basis
-    neg = basis.minus_mask
     full = np.where(basis.plus_mask, w, 0.0)
-    rhs_for_corr = hessian_apply(weights, full)
-    tot = full.copy()
-    tot[neg] += _neg_cg(weights, rhs_for_corr[neg], tol=0.01 * tol_inner ** 0.5)
+    rhs = np.where(basis.minus_mask, hessian_apply(weights, full), 0.0)
+    tot = full + _minus_solve(weights, rhs, tol=0.01 * tol_inner ** 0.5)
     out = hessian_apply(weights, tot)
     return np.where(basis.plus_mask, out, 0.0)
 
@@ -460,7 +420,8 @@ _BACKTRACK = 30
 def _minres(apply_op, b, lam, rtol, max_iter):
     """MINRES (Paige-Saunders) for apply_op(x) = b, apply_op self-adjoint in
     the real metric sum lam re(x conj y), from x = 0, until the residual norm
-    is at most ``rtol`` ||b|| or after ``max_iter`` products.  The inner
+    is at most ``rtol`` ||b|| or after ``max_iter`` products; with
+    ``rtol`` >= 1 it makes no product.  The inner
     products are numpy pairwise sums (no BLAS dot: the same bits at any BLAS
     thread count).  The Krylov space of b stays in the range of apply_op, so
     a singular but consistent system gets a finite solution."""
@@ -475,6 +436,8 @@ def _minres(apply_op, b, lam, rtol, max_iter):
     d_prev = d = x
     phi, c, s, dbar, eps = beta1, -1.0, 0.0, 0.0, 0.0
     for _ in range(max_iter):
+        if phi <= rtol * beta1:
+            break
         # Lanczos: beta_next v_next = A v - alpha v - beta v_prev
         Av = apply_op(v)
         alpha = dot(v, Av)
@@ -494,10 +457,22 @@ def _minres(apply_op, b, lam, rtol, max_iter):
         x = x + (c * phi) * d
         phi *= s
         eps = eps_next
-        if phi <= rtol * beta1 or beta_next == 0:
+        if beta_next == 0:
             break
         v_prev, v, beta = v, Av / beta_next, beta_next
     return x
+
+
+def _minus_solve(weights: HessianWeights, rhs, tol):
+    """Solve (-L_p'' restricted to E^-) x = rhs for rhs in E^-, at the psi of
+    ``weights``, by ``_minres`` on full-length vectors that vanish on E^+,
+    until the residual norm is at most ``tol``.  In Riesz form the operator
+    is x + M(x)/|lambda| >= identity on E^-, so MINRES converges fast."""
+    basis = weights.ws.basis
+    neg = basis.minus_mask
+    return _minres(lambda x: np.where(neg, -hessian_apply(weights, x), 0.0), rhs,
+                   basis.abs_eigenvalues, tol / max(h_norm(basis, rhs), tol),
+                   _MINRES_STEPS)
 
 
 def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):

@@ -251,7 +251,7 @@ def test_criterion_9_solve_work_counts(criterion9_work):
 
 
 def test_no_hessian_product_of_the_zero_vector(criterion9_work):
-    """Every CG starts from r = b: no product inside the solve is spent on
-    an all-zero vector."""
+    """Every MINRES starts from v = b / ||b||: no product inside the solve is
+    spent on an all-zero vector."""
     _, zero_products = criterion9_work
     assert zero_products == 0
