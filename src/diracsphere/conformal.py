@@ -59,10 +59,10 @@ def rotation_to_north(y) -> np.ndarray:
     if c < -1.0 + 1e-14:
         # south pole: half turn about the x1 axis (fixed deterministic choice)
         return np.diag([1.0, -1.0, -1.0])
+    # the angle from both its sine and cosine: acos(c) alone loses half the
+    # digits near the poles
     axis = np.cross(y, NORTH)
-    axis /= np.linalg.norm(axis)
-    angle = math.acos(c)
-    return rotation_matrix(axis, angle)
+    return rotation_matrix(axis, math.atan2(float(np.linalg.norm(axis)), c))
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:

@@ -448,11 +448,19 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
 # -- discrete curvature -----------------------------------------------------------
 
 
+def _vertex_sums(nv: int, index, weights) -> np.ndarray:
+    """Per-vertex sums of the rows of ``weights`` (n,) or (n, d), added in the
+    order of ``index``: one ``np.bincount`` per coordinate, which rounds
+    like ``np.add.at`` over the same order."""
+    if weights.ndim == 1:
+        return np.bincount(index, weights, minlength=nv)
+    return np.stack([np.bincount(index, w, minlength=nv) for w in weights.T], axis=1)
+
+
 def _mixed_voronoi_areas(verts, faces) -> np.ndarray:
     """Meyer et al. mixed areas: Voronoi for non-obtuse triangles, else
     T/2 at the obtuse corner and T/4 at the others."""
-    nv = verts.shape[0]
-    area = np.zeros(nv)
+    contribs = []
     vi = verts[faces]
     for corner in range(3):
         p = vi[:, corner]
@@ -475,18 +483,15 @@ def _mixed_voronoi_areas(verts, faces) -> np.ndarray:
             return num / np.maximum(den, 1e-300)
         vor = (np.sum(e1 * e1, axis=1) * cot(r, p, q)
                + np.sum(e2 * e2, axis=1) * cot(q, r, p)) / 8.0
-        contrib = np.where(obtuse_p, tri_area / 2.0,
-                           np.where(obtuse_other, tri_area / 4.0, vor))
-        np.add.at(area, faces[:, corner], contrib)
-    return area
+        contribs.append(np.where(obtuse_p, tri_area / 2.0,
+                                 np.where(obtuse_other, tri_area / 4.0, vor)))
+    return _vertex_sums(verts.shape[0], faces.T.ravel(), np.concatenate(contribs))
 
 
 def vertex_normals(verts, faces) -> np.ndarray:
     fn = np.cross(verts[faces[:, 1]] - verts[faces[:, 0]],
                   verts[faces[:, 2]] - verts[faces[:, 0]])
-    vn = np.zeros_like(verts)
-    for c in range(3):
-        np.add.at(vn, faces[:, c], fn)
+    vn = _vertex_sums(verts.shape[0], faces.T.ravel(), np.tile(fn, (3, 1)))
     # orient outward from the centroid (winding may flip under reflections)
     centroid = verts.mean(axis=0)
     score = np.sum(vn * (verts - centroid))
@@ -498,8 +503,7 @@ def vertex_normals(verts, faces) -> np.ndarray:
 def cotangent_mean_curvature(verts, faces) -> np.ndarray:
     """Signed discrete mean curvature: cotangent Laplacian with mixed Voronoi
     areas, sign from the outward vertex normal (sphere of radius r gives 1/r)."""
-    nv = verts.shape[0]
-    K = np.zeros((nv, 3))
+    index, terms = [], []
     for corner in range(3):
         a = faces[:, corner]
         b = faces[:, (corner + 1) % 3]
@@ -509,8 +513,9 @@ def cotangent_mean_curvature(verts, faces) -> np.ndarray:
         cot_c = np.sum(u * v, axis=1) / np.maximum(
             np.linalg.norm(np.cross(u, v), axis=1), 1e-300)
         diff = verts[a] - verts[b]
-        np.add.at(K, a, 0.5 * cot_c[:, None] * diff)
-        np.add.at(K, b, -0.5 * cot_c[:, None] * diff)
+        index += [a, b]
+        terms += [0.5 * cot_c[:, None] * diff, -0.5 * cot_c[:, None] * diff]
+    K = _vertex_sums(verts.shape[0], np.concatenate(index), np.concatenate(terms))
     area = _mixed_voronoi_areas(verts, faces)
     K /= 2.0 * area[:, None]
     normals = vertex_normals(verts, faces)

@@ -124,6 +124,19 @@ def test_mobius_of_rotation_consistency():
         assert np.abs(err).max() < 1e-12
 
 
+def test_rotation_to_north_is_exact_near_the_poles():
+    """Centres 2e-7 to 1e-5 rad from either pole, at 50 longitudes each, are
+    turned to within 1e-15 rad of the north pole (an angle from acos of
+    the pole cosine missed by 8e-11)."""
+    for dist in np.geomspace(2e-7, 1e-5, 5):
+        for theta in (dist, math.pi - dist):
+            for lon in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
+                y = np.array([math.sin(theta) * math.cos(lon),
+                              math.sin(theta) * math.sin(lon), math.cos(theta)])
+                x = rotation_to_north(y) @ y
+                assert math.atan2(math.hypot(x[0], x[1]), x[2]) <= 1e-15
+
+
 def test_rotation_pair_at_and_near_the_poles():
     """At the poles rotation_pair is the pair of rotation_to_north's snaps,
     (1, 0) and (0, -i).  Near them rotation_to_north loses digits in

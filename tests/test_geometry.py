@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.geometry import (ImmersionMesh, _spanning_tree,
-                                  _weierstrass_form, closedness_defect,
+from diracsphere.geometry import (ImmersionMesh, _mixed_voronoi_areas,
+                                  _spanning_tree, _weierstrass_form,
+                                  closedness_defect,
                                   cotangent_mean_curvature, export_obj,
                                   export_ply, gauss_bonnet_defect, icosphere,
                                   mesh_edges, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check,
-                                  willmore)
+                                  vertex_normals, willmore)
 from diracsphere.spectral import SpectralSpinor, SphereBasis
 from conftest import random_spinor
 
@@ -281,6 +282,56 @@ def test_cotangent_estimator_on_spheres():
     for radius in (1.0, 2.5):
         H = cotangent_mean_curvature(radius * verts, faces)
         assert np.abs(H - 1.0 / radius).max() <= 0.01 / radius
+
+
+def _cot(u, v):
+    return np.sum(u * v, axis=1) / np.maximum(np.linalg.norm(np.cross(u, v), axis=1),
+                                              1e-300)
+
+
+def _add_at_curvature(verts, faces):
+    """The mixed areas, vertex normal sums and cotangent sums K accumulated
+    by one ``np.add.at`` per corner (and per end of an edge), in the order
+    the library's per-vertex sums must reproduce."""
+    nv = verts.shape[0]
+    area, vn, K = np.zeros(nv), np.zeros((nv, 3)), np.zeros((nv, 3))
+    fn = np.cross(verts[faces[:, 1]] - verts[faces[:, 0]],
+                  verts[faces[:, 2]] - verts[faces[:, 0]])
+    for corner in range(3):
+        p, q, r = (verts[faces[:, (corner + i) % 3]] for i in range(3))
+        e1, e2 = q - p, r - p
+        tri = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+        other = ((np.sum((p - q) * (r - q), axis=1) < 0)
+                 | (np.sum((p - r) * (q - r), axis=1) < 0))
+        vor = (np.sum(e1 * e1, axis=1) * _cot(p - r, q - r)
+               + np.sum(e2 * e2, axis=1) * _cot(r - q, p - q)) / 8.0
+        np.add.at(area, faces[:, corner], np.where(
+            np.sum(e1 * e2, axis=1) < 0, tri / 2.0, np.where(other, tri / 4.0, vor)))
+    for corner in range(3):
+        np.add.at(vn, faces[:, corner], fn)
+    for corner in range(3):
+        a, b, c = (faces[:, (corner + i) % 3] for i in range(3))
+        cot_c = _cot(verts[a] - verts[c], verts[b] - verts[c])
+        diff = verts[a] - verts[b]
+        np.add.at(K, a, 0.5 * cot_c[:, None] * diff)
+        np.add.at(K, b, -0.5 * cot_c[:, None] * diff)
+    return area, vn, K
+
+
+def test_vertex_sums_are_bit_equal_to_add_at():
+    """On a perturbed subdivisions-4 icosphere, the mixed areas, the vertex
+    normals and the mean curvature have the bytes of per-corner
+    ``np.add.at`` accumulation."""
+    verts, faces = icosphere(4)
+    verts = verts * (1.0 + 0.05 * np.random.default_rng(7).normal(size=(len(verts), 1)))
+    area, vn, K = _add_at_curvature(verts, faces)
+    assert _mixed_voronoi_areas(verts, faces).tobytes() == area.tobytes()
+    centroid = verts.mean(axis=0)
+    vn = -vn if np.sum(vn * (verts - centroid)) < 0 else vn
+    normals = vn / np.maximum(np.linalg.norm(vn, axis=1, keepdims=True), 1e-300)
+    assert vertex_normals(verts, faces).tobytes() == normals.tobytes()
+    H = np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
+    assert cotangent_mean_curvature(verts, faces).tobytes() == H.tobytes()
 
 
 def read_obj(path):
