@@ -304,7 +304,11 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
             else:
                 center = ws.grid.xyz[int(np.argmax(ws.q_nodes))]
         else:
+            # onto the sphere before Q is read there; the max-scaling keeps
+            # the norm of a tiny centre from underflowing
             center = np.asarray(center_spec, dtype=float)
+            center = center / np.abs(center).max()
+            center /= np.linalg.norm(center)
         qy = float(ws.Q.evaluate(center[None])[0])
         init = Bubble(center=center, rho=float(init_cfg.get("rho", 0.3)), q_center=qy)
         report["init"] = _json_ready({"type": "bubble", "center": center,

@@ -460,3 +460,45 @@ def test_determinism_across_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append([(out / name).read_bytes() for name in ("trace.csv", "state.txt")])
     assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(J=strategies.sampled_from([4, 5]),
+       points=strategies.lists(strategies.floats(2.05, 3.99), max_size=2, unique=True),
+       terms=strategies.lists(strategies.tuples(
+           *[strategies.integers(0, 2)] * 3, strategies.floats(-0.3, 0.3)), max_size=3),
+       rho=strategies.floats(0.4, 1.0),
+       direction=strategies.tuples(*[strategies.floats(-1.0, 1.0)] * 3).filter(any),
+       scale=strategies.integers(-200, 2))
+def test_fuzzed_solves_exit_with_a_known_code(tmp_path_factory, J, points, terms,
+                                              rho, direction, scale):
+    """Whole CLI solves at J = 4, 5 with one to three schedule points ending at
+    4.0, Q = 1 plus small monomials and a bubble start of random scale and
+    centre (of any length) exit with a documented code, and every code but
+    2 leaves a report."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = dict(CONFIG, J=J, schedule=sorted(points) + [4.0],
+               Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0]] + list(map(list, terms))},
+               init={"type": "bubble", "rho": rho,
+                     "center": [c * 10.0 ** scale for c in direction]})
+    (tmp / "config.json").write_text(json.dumps(cfg))
+    code = main(["solve", str(tmp / "config.json"), "--output", str(tmp / "out")])
+    assert code in (0, 2, 3, 4, 5, 6)
+    assert code == 2 or (tmp / "out" / "report.json").is_file()
+
+
+def test_bubble_centre_of_any_length_is_read_on_the_sphere(tmp_path):
+    """An explicit bubble centre is put on the sphere before Q is read at it:
+    centres 1, 3 and 1e-200 times the north pole give the same start and
+    the same state."""
+    states = []
+    for i, length in enumerate((1.0, 3.0, 1e-200)):
+        cfg = write_config(tmp_path, J=4, schedule=[3.5, 4.0],
+                           Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
+                           init={"type": "bubble", "rho": 0.5, "center": [0.0, 0.0, length]})
+        out = tmp_path / f"out{i}"
+        assert main(["solve", str(cfg), "--output", str(out)]) == 0
+        init = json.loads((out / "report.json").read_text())["init"]
+        assert init["center"] == [0.0, 0.0, 1.0] and init["q_center"] == 1.3
+        states.append((out / "state.txt").read_bytes())
+    assert states[0] == states[1] == states[2]
