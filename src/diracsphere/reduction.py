@@ -421,10 +421,10 @@ def _minres(apply_op, b, lam, rtol, max_iter):
     """MINRES (Paige-Saunders) for apply_op(x) = b, apply_op self-adjoint in
     the real metric sum lam re(x conj y), from x = 0, until the residual norm
     is at most ``rtol`` ||b|| or after ``max_iter`` products; with
-    ``rtol`` >= 1 it makes no product.  The inner
-    products are numpy pairwise sums (no BLAS dot: the same bits at any BLAS
-    thread count).  The Krylov space of b stays in the range of apply_op, so
-    a singular but consistent system gets a finite solution."""
+    ``rtol`` >= 1 it makes no product.  The inner products are numpy
+    pairwise sums (no BLAS dot: the same bits at any BLAS thread count).
+    The Krylov space of b stays in the range of apply_op, so a singular but
+    consistent system gets a finite solution."""
     def dot(a, c):
         return float(np.sum(lam * np.real(a * np.conj(c))))
 

@@ -60,8 +60,10 @@ columns by k, which share one mode per chart and component, and runs as
 stacked real matrix products on (re, im) pairs; unlike complex
 matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
 The table keeps the E^- and E^+ columns of a group in two blocks, and
-``synthesize`` adds the E^+ sum to the E^- sum.  A Wirtinger derivative of a column is again one longitude mode times its
-phi = 0 value, the mode shifted by nzbar - nz in chart A and nz - nzbar in
+``synthesize`` adds the E^+ sum to the E^- sum; the solver's inner E^-
+problem uses the same maps on vectors that vanish on E^+.  A Wirtinger
+derivative of a column is again one longitude mode times its phi = 0
+value, the mode shifted by nzbar - nz in chart A and nz - nzbar in
 chart B.  So ``synthesize_derivatives`` gives the (1,0), (0,1) and (1,1)
 derivatives at the nodes from one order-2 radial pass on the phi = 0
 meridian, which sums the coefficients of each group apart, and an FFT per
