@@ -16,9 +16,10 @@ and serves ``estimate_tau`` and the variational checks:
   full-length vectors that vanish on E^+; L_p'' <= -id there, so the
   system is definite and well conditioned).  I_p(u) = L_p(u + h_p(u)).
 * ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0, on the
-  natural constraint N_p = {I_p'(u)[u] = 0}; I_p(t u) has a single interior
-  maximum on each ray (Szulkin-Weth), so Newton in t is safe, with
-  bracketing + Brent as the fallback.
+  natural constraint N_p = {I_p'(u)[u] = 0}; I_p'(t u)[u]/t decreases
+  strictly, so each ray meets N_p once (Szulkin-Weth), and one safeguarded
+  Newton in t^(p-2), started where the ray meets the Nehari set of L_p
+  itself, finds it at any scale of u.
 """
 
 from __future__ import annotations
@@ -143,89 +144,55 @@ def _reduced_hessian(weights: HessianWeights, w, tol_inner: float):
     return np.where(basis.plus_mask, out, 0.0)
 
 
-# relative tolerance on the Nehari scale t, for Newton and for Brent
+# relative tolerance on the Nehari scale t, and the cap on its Newton steps
 _TOL_T = 1e-12
-
-
-def _bracket_root(slope, t: float, s: float) -> float:
-    """Root of a slope that is positive near 0 and negative far out, from a
-    point t whose slope s is already known: double t while the slope stays
-    positive, or halve it while it stays negative, then Brent on the last
-    two points, which reuses their slopes."""
-    known = {t: s}
-
-    def known_slope(x):
-        if x not in known:
-            known[x] = slope(x)
-        return known[x]
-
-    factor = 2.0 if s > 0 else 0.5
-    for _ in range(80):
-        t_next = t * factor
-        s_next = known_slope(t_next)
-        if (s_next > 0) != (s > 0):
-            break
-        t, s = t_next, s_next
-    else:
-        raise RuntimeError("Nehari bracketing failed: the slope keeps its sign")
-    from scipy.optimize import brentq
-
-    return brentq(known_slope, min(t, t_next), max(t, t_next), xtol=_TOL_T,
-                  rtol=8.8817841970012523e-16)
+_NEHARI_STEPS = 40
 
 
 def nehari_project(u_coeff, p: float, ws: Workspace,
                    tol_inner: float = 1e-10) -> NehariState:
-    """Scale u onto the Nehari set: the unique root of s(t) = d/dt I_p(t u0).
-
-    Newton in t from the incoming scale t = ||u||, with s'(t) from one
-    reduced Hessian product; it stops once |s/s'| <= _TOL_T max(t, 1).  A
-    step with s' >= 0 or leaving [t/2, 2t], or more than 8 steps, hands
-    over to bracketing outward from the last Newton t, and Brent.  The
-    reduction at the accepted t is the last one made, so the root costs no
-    extra solve.
-    """
+    """Scale u onto the Nehari set: the root of s(t) = d/dt I_p(t u0), u0 =
+    u/||u||, where g = s/t decreases strictly.  From the root for L_p on the
+    ray alone, t = A(u0)^(-1/(p-2)) at any scale of u, each step makes one
+    reduction (g) and one reduced Hessian product (s') and takes Newton in
+    x = t^(p-2), t <- t (1 - (p-2) g/(s' - g))^(1/(p-2)), exact for a pure
+    power law, until the step is at most _TOL_T t.  A step outside the sign
+    bracket of g seen so far takes its geometric midpoint, or doubles or
+    halves t while one end is open.  The reduction at the accepted t is the
+    last one made."""
     _check_p(p)
     u_coeff = np.asarray(u_coeff, dtype=complex)
-    unorm = h_norm(ws.basis, u_coeff)
-    if unorm == 0:
+    # scaled by its largest entry first: the norm of a tiny u underflows
+    umax = float(np.abs(u_coeff).max())
+    if umax == 0:
         raise ValueError("cannot project the zero direction")
-    u0 = u_coeff / unorm
-    cache = {"h": None}
-
-    def slope(t):
-        red = reduce_minus(t * u0, p, ws, v0=cache["h"], tol_inner=tol_inner)
-        cache["h"] = red.h
-        cache["red"] = red
-        cache["t"] = t
-        return h_inner(ws.basis, red.grad, u0)
-
-    def ray_curvature():
-        weights = HessianWeights(cache["red"].values, p, ws)
-        return h_inner(ws.basis, _reduced_hessian(weights, u0, tol_inner), u0)
-
-    t_root = None
-    t = unorm
-    for _ in range(8):
-        s = slope(t)
-        d2 = ray_curvature()
-        if not d2 < 0:
-            break
-        step = s / d2
-        if abs(step) <= _TOL_T * max(t, 1.0):
-            t_root = t
-            break
-        if not 0.5 * t <= t - step <= 2.0 * t:
-            break
-        t -= step
-    if t_root is None:
-        t_root = _bracket_root(slope, cache["t"], s)
-        if cache["t"] != t_root:
-            slope(t_root)
-        d2 = ray_curvature()
-    red = cache["red"]
-    return NehariState(t=t_root / unorm, u=t_root * u0, h=red.h, value=red.value,
-                       ray_second_derivative=d2, reduction=red)
+    unit = u_coeff / umax
+    unorm = h_norm(ws.basis, unit)
+    u0 = unit / unorm
+    t = eval_A(u0, p, ws) ** (-1.0 / (p - 2.0))
+    lo, hi, red = 0.0, math.inf, None
+    for _ in range(_NEHARI_STEPS):
+        red = reduce_minus(t * u0, p, ws, v0=None if red is None else red.h,
+                           tol_inner=tol_inner)
+        g = h_inner(ws.basis, red.grad, u0) / t
+        d2 = h_inner(ws.basis, _reduced_hessian(HessianWeights(red.values, p, ws),
+                                                u0, tol_inner), u0)
+        # x_new / x for Newton in x = t^(p-2) (d2 < g because g decreases);
+        # its power is the exp of a clipped log, so it cannot overflow
+        ratio = 1.0 - (p - 2.0) * g / (d2 - g) if d2 < g else math.nan
+        t_new = (t * math.exp(min(math.log(ratio) / (p - 2.0), 700.0))
+                 if ratio > 0 else math.nan)
+        if abs(t_new - t) <= _TOL_T * t:
+            return NehariState(t=t / unorm / umax, u=t * u0, h=red.h,
+                               value=red.value, ray_second_derivative=d2,
+                               reduction=red)
+        lo, hi = (t, hi) if g > 0 else (lo, t)
+        if not lo < t_new < hi:
+            t_new = 2.0 * lo if hi == math.inf else (
+                0.5 * hi if lo == 0 else math.sqrt(lo * hi))
+        t = t_new
+    raise SolveFailure(f"Nehari projection did not converge in {_NEHARI_STEPS} "
+                       f"steps (t {t:.6e}, bracket [{lo:.6e}, {hi:.6e}])")
 
 
 def nehari_defect(u_coeff, p: float, ws: Workspace,
@@ -514,8 +481,9 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     from the node where Q is least.
 
     Raises BlowUpDetected or StagnationDetected on the corresponding failure
-    modes, and SolveFailure when the start's inner reduction misses
-    tol_inner or an iterate is not finite; each carries the trace.
+    modes, and SolveFailure when the start's Nehari projection fails (an
+    inner reduction misses tol_inner, or its Newton does not converge) or an
+    iterate is not finite; each carries the trace.
     """
     schedule = list(schedule)
     if not schedule or abs(schedule[-1] - 4.0) > 1e-12:
@@ -529,10 +497,10 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
         psi0 = init
     basis = ws.basis
     u = np.where(basis.plus_mask, psi0.coeff, 0.0)
+    if not np.any(u):
+        raise ValueError("initialization has no E^+ part")
     with np.errstate(over="ignore"):
         unorm = h_norm(basis, u)
-    if unorm == 0:
-        raise ValueError("initialization has no E^+ part")
 
     monitor_pole = ws.grid.xyz[int(np.argmin(ws.q_nodes))]
     spacing = ws.grid.mean_spacing()

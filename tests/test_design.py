@@ -61,11 +61,12 @@ def test_public_names_pinned():
 
 
 def test_solve_process_loads_no_scipy(tmp_path):
-    """A fresh process that runs the criterion-9 J=8 solve through the CLI
-    exits 0 and holds no scipy module: the transforms and the Newton-MINRES
-    solve are numpy only, and scipy's two users (the Nehari bracketing
-    fallback and the nodal zero polish) import it when first called.  Nor
-    does it hold ``numpy.ma``, which ``np.median`` imports on first use."""
+    """A fresh process that runs the criterion-9 J=8 solve through the CLI,
+    then a Nehari projection of a random direction scaled by 1e3, exits 0 and
+    holds no scipy module: the transforms, the Nehari Newton and the
+    Newton-MINRES solve are numpy only, and scipy's one user (the nodal
+    zero polish) imports it when first called.  Nor does it hold
+    ``numpy.ma``, which ``np.median`` imports on first use."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -76,8 +77,13 @@ def test_solve_process_loads_no_scipy(tmp_path):
         "schedule": [3.0, 3.5, 4.0],
         "init": {"type": "bubble", "rho": 0.35, "center": [0.0, 0.0, 1.0]},
         "tolerances": {"final": 1e-6}, "seed": 7}))
-    probe = ("import sys, diracsphere.cli\n"
-             "code = diracsphere.cli.main(['solve', sys.argv[1], '--output', sys.argv[2]])\n"
+    probe = ("import sys, numpy as np, diracsphere.cli as cli\n"
+             "from diracsphere.reduction import nehari_project\n"
+             "code = cli.main(['solve', sys.argv[1], '--output', sys.argv[2]])\n"
+             "ws = cli.build_workspace(cli.load_config(sys.argv[1]))\n"
+             "rng = np.random.default_rng(112)\n"
+             "u = rng.normal(size=ws.basis.n_basis) + 1j * rng.normal(size=ws.basis.n_basis)\n"
+             "nehari_project(1e3 * np.where(ws.basis.plus_mask, u, 0), 3.0, ws)\n"
              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
              "                   or m.split('.')[:2] == ['numpy', 'ma']))")
     run = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],

@@ -6,7 +6,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings, strategies
 from scipy.optimize import brentq
 
@@ -192,7 +191,7 @@ def test_nehari_second_derivative_matches_central_difference(ws8):
 
 def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
     """An outer iterate that arrives near the Nehari set is projected in a
-    few Newton steps, without bracketing."""
+    few Newton steps."""
     rng = np.random.default_rng(111)
     p = 3.5
     st = nehari_project(_plus(ws8, random_spinor(ws8, rng)), p, ws8)
@@ -205,34 +204,33 @@ def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
     assert abs(nehari_defect(st1.u, p, ws8, red)) <= 1e-8
 
 
-def test_nehari_fallback_matches_brent_oracle(ws8, monkeypatch):
-    """A direction scaled by 1e3 starts Newton far from the root, so its
-    safeguard trips; the bracketing fallback lands on the root of the slope.
-    It brackets from the last Newton t and its known slope: 18 reductions,
-    where a bracket restarted at [0.5, 2] took 23."""
+def test_nehari_root_matches_brent_oracle_at_any_scale(ws8, monkeypatch):
+    """The projection starts where the ray meets the Nehari set of L_p, which
+    does not depend on the scale of u: directions scaled by 1e-3, 1e3,
+    1e-100 and 2^+-300 land on the root of the slope (scipy's brentq, as an
+    oracle only) within 1e-10 relative, in at most 5 reductions each."""
     rng = np.random.default_rng(112)
     p = 3.0
-    u = 1e3 * _plus(ws8, random_spinor(ws8, rng))
-    # the fallback imports brentq when it runs
-    brent_calls = _counting(monkeypatch, "brentq", owner=scipy.optimize)
-    reductions = _counting(monkeypatch, "reduce_minus")
-    st = nehari_project(u, p, ws8)
-    assert brent_calls
-    assert len(reductions) <= 18
+    u = _plus(ws8, random_spinor(ws8, rng))
     unorm = h_norm(ws8.basis, u)
     u0 = u / unorm
 
     def slope(t):
         return h_inner(ws8.basis, reduce_minus(t * u0, p, ws8).grad, u0)
 
-    t_star = st.t * unorm
+    t_star = nehari_project(u, p, ws8).t * unorm
     oracle = brentq(slope, 0.5 * t_star, 2.0 * t_star, xtol=1e-13)
-    assert st.t == pytest.approx(oracle / unorm, rel=1e-10)
+    reductions = _counting(monkeypatch, "reduce_minus")
+    for scale in (1e-3, 1e3, 1e-100, 2.0 ** -300, 2.0 ** 300):
+        reductions.clear()
+        st = nehari_project(scale * u, p, ws8)
+        assert len(reductions) <= 5
+        assert st.t * scale == pytest.approx(oracle / unorm, rel=1e-10)
 
 
 def test_nehari_max_matches_saddle_value(ws8):
-    """max_t I_p(t u) equals max over W(u) = span{u} + E^- of L_p: the brent
-    value against a dense t-scan of the same reduced functional."""
+    """max_t I_p(t u) equals max over W(u) = span{u} + E^- of L_p: the
+    projected value against a dense t-scan of the same reduced functional."""
     rng = np.random.default_rng(105)
     p = 3.3
     u = _plus(ws8, random_spinor(ws8, rng))

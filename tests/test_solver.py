@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.conformal import Bubble
+from diracsphere.conformal import Bubble, bubble_to_sphere
 from diracsphere.energy import PolynomialCurvature
 from diracsphere import reduction
 from diracsphere.reduction import (BlowUpDetected, SolveFailure,
@@ -94,6 +94,22 @@ def test_init_requires_positive_part(ws8):
                            zero_spinor(ws8.basis))
 
 
+def test_start_scale_does_not_change_the_solve(ws8q):
+    """The Nehari start is found from the direction of the initial state
+    alone: the J=8 bubble coefficients times 2^-300, 1e-100 and 2^300 end
+    within 1e-13 of the unscaled solve's L_value."""
+    psi0, _ = bubble_to_sphere(Bubble(center=[0, 0, 1], rho=0.35, q_center=1.3),
+                               ws8q.basis)
+
+    def value(scale):
+        init = SpectralSpinor(ws8q.basis, scale * psi0.coeff)
+        return solve_continuation(ws8q, [3.0, 3.5, 4.0], init, tol_final=1e-6).value
+
+    ref = value(1.0)
+    for scale in (2.0 ** -300, 1e-100, 2.0 ** 300):
+        assert value(scale) == pytest.approx(ref, rel=0, abs=1e-13)
+
+
 def test_lossy_bubble_init_refused(ws8):
     with pytest.raises(ValueError):
         solve_continuation(ws8, [3.0, 4.0], Bubble(center=[0, 0, 1], rho=0.05))
@@ -180,9 +196,10 @@ def test_minres_singular_consistent_system():
 
 
 # calls inside solve_continuation for the criterion-9 J=8 solve, recorded
-# after each stage became a Newton-MINRES solve in the full space
-WORK_COUNTS = {"hessian_apply": 206, "synthesize": 240, "analyze": 239,
-               "reduce_minus": 5}
+# after the Nehari projection became one Newton in t^(p-2) from the ray's
+# L_p root
+WORK_COUNTS = {"hessian_apply": 166, "synthesize": 194, "analyze": 193,
+               "reduce_minus": 4}
 
 
 @pytest.fixture(scope="module")
