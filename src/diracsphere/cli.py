@@ -137,8 +137,11 @@ def validate_config(cfg: dict) -> None:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object")
-    for key in SOLVER_TOLERANCES:
-        if key in tols and not (_is_number(tols[key]) and tols[key] > 0):
+    for key, value in tols.items():
+        if key not in SOLVER_TOLERANCES:
+            raise ConfigError(f"unknown tolerance '{key}' (known: "
+                              f"{', '.join(SOLVER_TOLERANCES)})")
+        if not (_is_number(value) and value > 0):
             raise ConfigError(f"tolerance '{key}' must be a positive number")
     if "max_outer" in cfg and not (_is_number(cfg["max_outer"], int)
                                    and cfg["max_outer"] > 0):
@@ -277,7 +280,6 @@ def cmd_bubble(args) -> int:
 def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     t_start = time.time()
     ws = build_workspace(cfg)
-    outdir.mkdir(parents=True, exist_ok=True)
     report = {"config": cfg, "version": __version__}
 
     hyp = check_q_hypothesis(ws.Q)
@@ -290,6 +292,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         else:
             log.error("%s; set allow_hypothesis_failure to proceed", msg)
             report["status"] = "config-error"
+            outdir.mkdir(parents=True, exist_ok=True)
             _write_report(outdir, report)
             return EXIT_CONFIG
 
@@ -297,22 +300,24 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     if init_cfg["type"] == "state":
         init = _read(load_spinor, init_cfg["path"], ws.basis)
     else:
-        center_spec = init_cfg.get("center", "argmax")
-        if center_spec == "argmax":
-            if hyp.max_points:
-                center = hyp.max_points[0].position
-            else:
-                center = ws.grid.xyz[int(np.argmax(ws.q_nodes))]
-        else:
-            # onto the sphere before Q is read there; the max-scaling keeps
-            # the norm of a tiny centre from underflowing
-            center = np.asarray(center_spec, dtype=float)
-            center = center / np.abs(center).max()
-            center /= np.linalg.norm(center)
-        qy = float(ws.Q.evaluate(center[None])[0])
-        init = Bubble(center=center, rho=float(init_cfg.get("rho", 0.3)), q_center=qy)
+        center = init_cfg.get("center", "argmax")
+        if center == "argmax":
+            center = (hyp.max_points[0].position if hyp.max_points
+                      else ws.grid.xyz[int(np.argmax(ws.q_nodes))])
+        try:
+            # Bubble puts the centre on the sphere, and Q is read there
+            center = Bubble(center=center).center
+            qy = float(ws.Q.evaluate(center[None])[0])
+            bubble = Bubble(center=center, rho=float(init_cfg.get("rho", 0.3)),
+                            q_center=qy)
+            init, _ = bubble_to_sphere(bubble, ws.basis, require_capture=True)
+        except ValueError as exc:
+            raise ConfigError(f"init: {exc}") from None
         report["init"] = _json_ready({"type": "bubble", "center": center,
-                                      "rho": init.rho, "q_center": qy})
+                                      "rho": bubble.rho, "q_center": qy})
+    if not np.any(init.coeff[ws.basis.plus_mask]):
+        raise ConfigError("init: the initial state has no E^+ part")
+    outdir.mkdir(parents=True, exist_ok=True)
 
     # settings absent from the config keep solve_continuation's defaults
     tols = cfg.get("tolerances", {})

@@ -112,8 +112,10 @@ class Bubble:
             raise ValueError("bubble scale rho must be positive")
         if self.q_center <= 0:
             raise ValueError("Q(y) must be positive")
-        self.center = np.asarray(self.center, dtype=float)
-        self.center /= np.linalg.norm(self.center)
+        center = np.asarray(self.center, dtype=float)
+        # scaled by its largest entry first: the norm of a tiny centre underflows
+        center = center / np.abs(center).max()
+        self.center = center / np.linalg.norm(center)
 
     def component_exprs(self) -> tuple[ChartExpr, ChartExpr]:
         """Components as ChartExpr in the scaled coordinate zeta = z/rho.

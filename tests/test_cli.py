@@ -218,6 +218,16 @@ def test_console_entry_point():
     assert proc.returncode == 0
 
 
+def _minus_only_state(tmp_path) -> dict:
+    """Config override: a J=4 state file whose E^+ coefficients are all 0."""
+    from diracsphere.spectral import SpectralSpinor, save_spinor
+
+    basis = SphereBasis(4)
+    path = tmp_path / "minus.txt"
+    save_spinor(path, SpectralSpinor(basis, np.where(basis.minus_mask, 1.0 + 0j, 0.0)))
+    return {"J": 4, "init": {"type": "state", "path": str(path)}}
+
+
 @pytest.mark.parametrize("override", [
     {"grid_degree": "12"},
     {"init": {"type": "state"}},
@@ -236,16 +246,23 @@ def test_console_entry_point():
     {"output_dir": 5},
     {"init": {"type": "bubble", "rho": 0.3, "center": [0.0, 0.0, 0.0]}},
     {"init": {"type": "bubble", "rho": 1e-4}},
+    {"tolerances": {"final": 1e-6, "finall": 3}},
+    {"J": 4, "init": {"type": "bubble", "rho": 0.05}},
+    _minus_only_state,
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
         "poly_term", "rho", "tolerances_number", "tolerances_list",
         "max_outer", "clamp_radius", "poly_exponent", "q_negative",
-        "q_sign_change", "output_dir", "zero_center", "rho_tiny"])
+        "q_sign_change", "output_dir", "zero_center", "rho_tiny",
+        "tolerance_unknown_key", "lossy_transport", "state_minus_only"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
                                                 override):
-    """Wrongly typed or missing config fields, a curvature that is not
-    positive at the nodes, and a bubble too narrow for a bounded analysis
-    grid are configuration errors: exit 2 with a one-line message, before
-    any compute and with no traceback, from solve and from diagnose."""
+    """Wrongly typed, unknown or missing config fields, a curvature that is
+    not positive at the nodes, a bubble too narrow for a bounded analysis
+    grid or for the basis, and a start with no E^+ part are configuration
+    errors: exit 2 with a one-line message, before the solve and with no
+    traceback, from solve and from diagnose."""
+    if callable(override):
+        override = override(tmp_path)
     bad = write_config(tmp_path, **override)
     for argv in (["solve", str(bad), "--output", str(tmp_path / "out")],
                  ["diagnose", str(tmp_path / "state.txt"), "--config", str(bad)]):
@@ -485,6 +502,16 @@ def test_fuzzed_solves_exit_with_a_known_code(tmp_path_factory, J, points, terms
     code = main(["solve", str(tmp / "config.json"), "--output", str(tmp / "out")])
     assert code in (0, 2, 3, 4, 5, 6)
     assert code == 2 or (tmp / "out" / "report.json").is_file()
+
+
+def test_bubble_command_reads_a_tiny_centre_on_the_sphere(capsys):
+    """The bubble subcommand puts a centre of length 1e-200 on the sphere:
+    it prints what the unit centre prints, with no NaN."""
+    outputs = []
+    for length in ("1e-200", "1"):
+        assert main(["bubble", "--center", length, "0", "0", "--J", "4"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "nan" not in outputs[0]
 
 
 def test_bubble_centre_of_any_length_is_read_on_the_sphere(tmp_path):
