@@ -5,10 +5,10 @@ surfaces of prescribed mean curvature.
 The layers, bottom up: ``grid`` / ``spectral`` (quadrature and the exact
 Dirac eigenbasis), ``chartexpr`` (the chart calculus of the bubble
 profiles), ``conformal`` (charts, bubbles, transport), ``energy`` (curvature
-fields and functionals), ``reduction`` (saddle-point reduction, Nehari
-projection, continuation solver), ``geometry`` (nodal sets, curvature
-identities with the package's one Clifford action, Weierstrass immersion),
-and the ``cli`` driver.
+fields, the one L_p evaluator), ``reduction`` (saddle-point reduction,
+Nehari projection, continuation solver), ``geometry`` (nodal sets and the
+Willmore integral, curvature identities with the one Clifford action,
+Weierstrass immersion, discrete curvature) and the ``cli`` driver.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +18,7 @@ from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
                      constant_curvature, eval_L, eval_rayleigh,
                      spherical_harmonic_curvature)
 from .geometry import (ImmersionMesh, nodal_analysis, reconstruct_immersion,
-                       scal_identity_check, willmore)
+                       scal_identity_check)
 from .grid import QuadratureGrid
 from .reduction import (BlowUpDetected, ContinuationResult, StagnationDetected,
                         barycenter, concentration_profile, estimate_tau,
@@ -32,7 +32,7 @@ __all__ = [
     "PolynomialCurvature", "Workspace", "check_q_hypothesis",
     "constant_curvature", "eval_L", "eval_rayleigh",
     "spherical_harmonic_curvature", "ImmersionMesh", "nodal_analysis",
-    "reconstruct_immersion", "scal_identity_check", "willmore",
+    "reconstruct_immersion", "scal_identity_check",
     "QuadratureGrid", "BlowUpDetected", "ContinuationResult",
     "StagnationDetected", "barycenter", "concentration_profile",
     "estimate_tau", "nehari_project", "reduce_minus", "solve_continuation",

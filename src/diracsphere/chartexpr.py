@@ -106,10 +106,6 @@ class ChartExpr:
             out += c * cache.zp(a) * cache.zbp(b) * cache.uinv(M)
         return out
 
-    def __repr__(self):
-        bits = [f"({c:+.3g}) z^{a} zb^{b} u^-{M}" for (a, b, M), c in sorted(self.terms.items())]
-        return " + ".join(bits) if bits else "0"
-
 
 class PowerCache:
     """Caches powers of z, conj(z) and 1/u for repeated ChartExpr evaluation."""

@@ -47,8 +47,12 @@ EXIT_STAGNATION = 4
 EXIT_POSTCONDITION = 5
 EXIT_SOLVE_FAILURE = 6
 
+CONFIG_KEYS = ("schema_version", "J", "grid_degree", "Q", "schedule", "init",
+               "tolerances", "max_outer", "clamp_radius", "output_dir", "seed",
+               "allow_hypothesis_failure")
 DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
+INIT_KEYS = {"bubble": ("type", "rho", "center"), "state": ("type", "path")}
 # config "tolerances" keys -> solve_continuation keyword arguments
 SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage", "inner": "tol_inner",
                      "blowup_capture": "blowup_capture",
@@ -118,9 +122,17 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _check_keys(what: str, obj: dict, known) -> None:
+    """Refuse the first key of ``obj`` that is not in ``known``."""
+    for key in obj:
+        if key not in known:
+            raise ConfigError(f"unknown {what} '{key}' (known: {', '.join(known)})")
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict) or cfg.get("schema_version") != 1:
         raise ConfigError("config schema_version must be 1")
+    _check_keys("config key", cfg, CONFIG_KEYS)
     J = cfg.get("J")
     if not _is_number(J, int) or J < 4:
         raise ConfigError("J must be an integer >= 4")
@@ -137,10 +149,8 @@ def validate_config(cfg: dict) -> None:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object")
+    _check_keys("tolerance", tols, SOLVER_TOLERANCES)
     for key, value in tols.items():
-        if key not in SOLVER_TOLERANCES:
-            raise ConfigError(f"unknown tolerance '{key}' (known: "
-                              f"{', '.join(SOLVER_TOLERANCES)})")
         if not (_is_number(value) and value > 0):
             raise ConfigError(f"tolerance '{key}' must be a positive number")
     if "max_outer" in cfg and not (_is_number(cfg["max_outer"], int)
@@ -151,10 +161,13 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("clamp_radius must be a positive number")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise ConfigError("output_dir must be a string")
+    if not isinstance(cfg.get("allow_hypothesis_failure", False), bool):
+        raise ConfigError("allow_hypothesis_failure must be true or false")
     curvature_from_spec(cfg.get("Q", {"family": "constant"}))
     init = cfg.get("init", DEFAULT_INIT)
     if not isinstance(init, dict) or init.get("type") not in ("bubble", "state"):
         raise ConfigError("init.type must be 'bubble' or 'state'")
+    _check_keys("init key", init, INIT_KEYS[init["type"]])
     if init["type"] == "state" and not isinstance(init.get("path"), str):
         raise ConfigError("init.path must name a state file")
     if init["type"] == "bubble":
@@ -328,8 +341,6 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         result = solve_continuation(
             ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, config_echo=cfg,
             **options)
-        trace = result.trace
-        psi = result.psi
     except BlowUpDetected as exc:
         log.error("blow-up detected: %s", exc)
         report["status"] = "blow-up"
@@ -355,10 +366,10 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         _write_report(outdir, report)
         return EXIT_SOLVE_FAILURE
 
-    trace.to_csv(outdir / "trace.csv")
-    save_spinor(outdir / "state.txt", psi)
+    result.trace.to_csv(outdir / "trace.csv")
+    save_spinor(outdir / "state.txt", result.psi)
 
-    nodal, diag = _diagnostics(psi, ws)
+    nodal, diag = _diagnostics(result.psi, ws)
     e4 = nodal.int_q_psi4
     q_max = hyp.q_max
     window = (4.0 * math.pi / q_max, 8.0 * math.pi / q_max)
@@ -368,12 +379,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     report.update(_json_ready({
         "status": "ok",
         "final_residual": result.final_residual,
-        "stages": [{"p": s.p, "iterations": s.iterations, "value": s.value,
-                    "residual": s.residual, "min_psi": s.min_psi,
-                    "capture_radius": s.capture_radius,
-                    "barycenter": s.barycenter,
-                    "warm_start_value": s.warm_start_value}
-                   for s in trace.stages],
+        "stages": _stage_reports(result.trace.rows),
         "energy": {"int_Q_psi4": e4, "window": window, "window_margin": margin,
                    "window_ok": window_ok, "L_value": result.value},
         "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
@@ -390,6 +396,19 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     log.info("solve finished: residual %.2e, int Q|psi|^4 = %.6f, W = %.6f",
              result.final_residual, e4, diag["willmore"]["value"])
     return EXIT_OK
+
+
+def _stage_reports(rows) -> list:
+    """The report's stages: one per ``kind="stage"`` trace row, with the
+    stage's Newton steps plus one and the value of its ``iter`` 0 row."""
+    warm = {r["stage"]: r["value"] for r in rows
+            if r["kind"] == "iter" and r["iter"] == 0}
+    return [{"p": r["p"], "iterations": r["iter"] + 1, "value": r["value"],
+             "residual": r["residual"], "min_psi": r["min_psi"],
+             "capture_radius": r["capture_radius"],
+             "barycenter": [r["bary_x"], r["bary_y"]],
+             "warm_start_value": warm[r["stage"]]}
+            for r in rows if r["kind"] == "stage"]
 
 
 def _diagnostics(psi, ws: Workspace):

@@ -49,10 +49,19 @@ def sphere_volume(m: int) -> float:
 # -- rotations and their Moebius action -------------------------------------
 
 
+def _unit(y) -> np.ndarray:
+    """y / |y| for any nonzero length: a y with an entry beyond 1e+-150 (its
+    squares under- or overflow) is divided by its largest entry first."""
+    y = np.asarray(y, dtype=float)
+    big = float(np.abs(y).max())
+    if not 1e-150 <= big <= 1e150:
+        y = y / big
+    return y / np.linalg.norm(y)
+
+
 def rotation_to_north(y) -> np.ndarray:
     """Rotation matrix R with R y = north pole, along the connecting great circle."""
-    y = np.asarray(y, dtype=float)
-    y = y / np.linalg.norm(y)
+    y = _unit(y)
     c = float(y @ NORTH)
     if c > 1.0 - 1e-14:
         return np.eye(3)
@@ -82,8 +91,7 @@ def rotation_pair(y) -> tuple[complex, complex]:
     (1, -a)/sqrt(1 + |a|^2) (Penrose & Rindler, Spinors and Space-Time 1,
     ch. 1); at the poles it follows the snaps of ``rotation_to_north``.
     """
-    y = np.asarray(y, dtype=float)
-    y = y / np.linalg.norm(y)
+    y = _unit(y)
     c = float(y @ NORTH)
     if c > 1.0 - 1e-14:
         return 1.0 + 0.0j, 0.0j

@@ -10,8 +10,9 @@ The strongly indefinite energy at exponent p in (2, 4]:
 
     L_p(psi) = 1/2 (||psi^+||^2 - ||psi^-||^2) - (1/p) integral Q |psi|^p,
 
-with || . || the spectral H^{1/2} norm.  Gradients are always returned as
-H^{1/2} Riesz representatives, coefficientwise
+with || . || the spectral H^{1/2} norm.  ``eval_L`` alone evaluates L_p (one
+analysis, and one synthesis unless given the nodal values); its gradients
+are H^{1/2} Riesz representatives, coefficientwise
 
     grad_k = sign(lambda_k) a_k - N_k / |lambda_k|,
     N = projection of Q |psi|^{p-2} psi,
@@ -354,10 +355,8 @@ def _check_p(p: float):
 @dataclass
 class EnergyReport:
     value: float
-    grad: np.ndarray | None  # H^{1/2} Riesz representative, coefficient vector
+    grad: np.ndarray        # H^{1/2} Riesz representative, coefficient vector
     nonlinear: float        # A(psi) = integral Q |psi|^p
-    plus_sq: float
-    minus_sq: float
 
 
 def eval_A(coeff, p: float, ws: Workspace, values=None) -> float:
@@ -376,30 +375,22 @@ def nonlinear_projection(values, p: float, ws: Workspace) -> np.ndarray:
     return ws.analyze(values * factor[:, None])
 
 
-def eval_L_parts(coeff, p: float, ws: Workspace, values=None) -> EnergyReport:
-    """Value of L_p and its split parts, without the gradient (no analyze);
-    ``grad`` is left None."""
+def eval_L(coeff, p: float, ws: Workspace, values=None) -> EnergyReport:
+    """Value and H^{1/2} gradient of L_p at psi, from its nodal ``values``
+    when given (else one synthesis); one analysis either way."""
     _check_p(p)
     coeff = np.asarray(coeff, dtype=complex)
     basis = ws.basis
-    plus_sq = float(np.sum(basis.abs_eigenvalues[basis.plus_mask]
-                           * np.abs(coeff[basis.plus_mask]) ** 2))
-    minus_sq = float(np.sum(basis.abs_eigenvalues[basis.minus_mask]
-                            * np.abs(coeff[basis.minus_mask]) ** 2))
+    if values is None:
+        values = ws.synthesize(coeff)
+    sq = basis.abs_eigenvalues * np.abs(coeff) ** 2
+    plus_sq, minus_sq = (float(np.sum(sq[mask]))
+                         for mask in (basis.plus_mask, basis.minus_mask))
     A = eval_A(coeff, p, ws, values=values)
-    return EnergyReport(value=0.5 * (plus_sq - minus_sq) - A / p, grad=None,
-                        nonlinear=A, plus_sq=plus_sq, minus_sq=minus_sq)
-
-
-def eval_L(coeff, p: float, ws: Workspace) -> EnergyReport:
-    """Value and H^{1/2} gradient of L_p; the report carries the split parts."""
-    coeff = np.asarray(coeff, dtype=complex)
-    basis = ws.basis
-    values = ws.synthesize(coeff)
-    rep = eval_L_parts(coeff, p, ws, values=values)
-    N = nonlinear_projection(values, p, ws)
-    rep.grad = np.sign(basis.eigenvalues) * coeff - N / basis.abs_eigenvalues
-    return rep
+    grad = (np.sign(basis.eigenvalues) * coeff
+            - nonlinear_projection(values, p, ws) / basis.abs_eigenvalues)
+    return EnergyReport(value=0.5 * (plus_sq - minus_sq) - A / p, grad=grad,
+                        nonlinear=A)
 
 
 class HessianWeights:

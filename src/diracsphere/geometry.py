@@ -248,17 +248,6 @@ def _frame_action(c):
     return -1j * c[:, ::-1], np.stack([-c[:, 1], c[:, 0]], axis=1)
 
 
-# -- Willmore energy -------------------------------------------------------------
-
-
-def willmore(psi: SpectralSpinor, ws: Workspace) -> tuple[float, bool]:
-    """W = integral Q^2 |psi|^4 dvol and the Li-Yau embeddedness flag W < 8 pi."""
-    values = ws.synthesize(psi.coeff)
-    nsq = ws.fiber_norm_sq(values)
-    w = float(ws.grid.integrate(ws.q_nodes**2 * nsq**2))
-    return w, w < 8.0 * math.pi
-
-
 # -- triangulated sphere ---------------------------------------------------------
 
 
@@ -457,69 +446,54 @@ def _vertex_sums(nv: int, index, weights) -> np.ndarray:
     return np.stack([np.bincount(index, w, minlength=nv) for w in weights.T], axis=1)
 
 
-def _mixed_voronoi_areas(verts, faces) -> np.ndarray:
-    """Meyer et al. mixed areas: Voronoi for non-obtuse triangles, else
-    T/2 at the obtuse corner and T/4 at the others."""
-    contribs = []
+def _curvature_sums(verts, faces):
+    """Per-vertex Meyer et al. mixed areas (Voronoi for non-obtuse triangles,
+    else T/2 at the obtuse corner and T/4 at the others), outward unit
+    normals and cotangent Laplacian sums K, from one pass over the corners.
+    Corner c of a face is its vertex v_c, with edges e = v_{c+1} - v_c and
+    f = v_{c+2} - v_c (indices mod 3); e.f, e x f and the cotangent
+    e.f / |e x f| are computed once per corner, and each sum adds in the
+    order of a loop over the three corners."""
+    nv = verts.shape[0]
     vi = verts[faces]
-    for corner in range(3):
-        p = vi[:, corner]
-        q = vi[:, (corner + 1) % 3]
-        r = vi[:, (corner + 2) % 3]
-        e1, e2 = q - p, r - p
-        cross = np.cross(e1, e2)
-        tri_area = 0.5 * np.linalg.norm(cross, axis=1)
-        cos_p = np.sum(e1 * e2, axis=1)
-        cos_q = np.sum((p - q) * (r - q), axis=1)
-        cos_r = np.sum((p - r) * (q - r), axis=1)
-        obtuse_p = cos_p < 0
-        obtuse_other = (cos_q < 0) | (cos_r < 0)
-        # Voronoi part: (|e1|^2 cot(angle at r) + |e2|^2 cot(angle at q)) / 8
-        def cot(a, b, c):
-            # angle at a between b-a, c-a
-            u, v = b - a, c - a
-            num = np.sum(u * v, axis=1)
-            den = np.linalg.norm(np.cross(u, v), axis=1)
-            return num / np.maximum(den, 1e-300)
-        vor = (np.sum(e1 * e1, axis=1) * cot(r, p, q)
-               + np.sum(e2 * e2, axis=1) * cot(q, r, p)) / 8.0
-        contribs.append(np.where(obtuse_p, tri_area / 2.0,
-                                 np.where(obtuse_other, tri_area / 4.0, vor)))
-    return _vertex_sums(verts.shape[0], faces.T.ravel(), np.concatenate(contribs))
+    e, f = np.roll(vi, -1, axis=1) - vi, np.roll(vi, -2, axis=1) - vi
+    dots = np.sum(e * f, axis=2)
+    cross = np.cross(e, f)
+    vn = _vertex_sums(nv, faces.T.ravel(), np.tile(cross[:, 0], (3, 1)))
+    twice_area = np.linalg.norm(cross, axis=2)
+    del vi, f, cross            # freed early: peak memory stays below a per-corner loop
+    cot = dots / np.maximum(twice_area, 1e-300)
 
+    # mixed area at corner c: the Voronoi part is
+    # (|e|^2 cot(corner c+2) + |f|^2 cot(corner c+1)) / 8, and |f| = |e| of c+2
+    sq = np.sum(e * e, axis=2)
+    vor = (sq * np.roll(cot, -2, axis=1)
+           + np.roll(sq, -2, axis=1) * np.roll(cot, -1, axis=1)) / 8.0
+    tri = 0.5 * twice_area
+    obtuse = dots < 0
+    other = np.roll(obtuse, -1, axis=1) | np.roll(obtuse, -2, axis=1)
+    area = _vertex_sums(nv, faces.T.ravel(), np.where(
+        obtuse, tri / 2.0, np.where(other, tri / 4.0, vor)).T.ravel())
 
-def vertex_normals(verts, faces) -> np.ndarray:
-    fn = np.cross(verts[faces[:, 1]] - verts[faces[:, 0]],
-                  verts[faces[:, 2]] - verts[faces[:, 0]])
-    vn = _vertex_sums(verts.shape[0], faces.T.ravel(), np.tile(fn, (3, 1)))
     # orient outward from the centroid (winding may flip under reflections)
-    centroid = verts.mean(axis=0)
-    score = np.sum(vn * (verts - centroid))
-    if score < 0:
+    if np.sum(vn * (verts - verts.mean(axis=0))) < 0:
         vn = -vn
-    return vn / np.maximum(np.linalg.norm(vn, axis=1, keepdims=True), 1e-300)
+    normals = vn / np.maximum(np.linalg.norm(vn, axis=1, keepdims=True), 1e-300)
+
+    # edge c (v_c to v_{c+1}) pulls v_c by cot(corner c+2) (v_c - v_{c+1}) / 2
+    # and v_{c+1} by the opposite; one coordinate at a time
+    half_cot = 0.5 * np.roll(cot, -2, axis=1).T
+    ends = np.concatenate([faces.T, np.roll(faces, -1, axis=1).T], axis=1).ravel()
+    K = np.stack([_vertex_sums(nv, ends, np.concatenate([w, -w], axis=1).ravel())
+                  for w in half_cot * -e.transpose(2, 1, 0)], axis=1)
+    return area, normals, K
 
 
 def cotangent_mean_curvature(verts, faces) -> np.ndarray:
     """Signed discrete mean curvature: cotangent Laplacian with mixed Voronoi
     areas, sign from the outward vertex normal (sphere of radius r gives 1/r)."""
-    index, terms = [], []
-    for corner in range(3):
-        a = faces[:, corner]
-        b = faces[:, (corner + 1) % 3]
-        c = faces[:, (corner + 2) % 3]
-        u = verts[a] - verts[c]
-        v = verts[b] - verts[c]
-        cot_c = np.sum(u * v, axis=1) / np.maximum(
-            np.linalg.norm(np.cross(u, v), axis=1), 1e-300)
-        diff = verts[a] - verts[b]
-        index += [a, b]
-        terms += [0.5 * cot_c[:, None] * diff, -0.5 * cot_c[:, None] * diff]
-    K = _vertex_sums(verts.shape[0], np.concatenate(index), np.concatenate(terms))
-    area = _mixed_voronoi_areas(verts, faces)
-    K /= 2.0 * area[:, None]
-    normals = vertex_normals(verts, faces)
-    return np.sum(K * normals, axis=1)
+    area, normals, K = _curvature_sums(verts, faces)
+    return np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
 
 
 def gauss_bonnet_defect(verts, faces) -> float:

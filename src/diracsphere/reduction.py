@@ -1,12 +1,13 @@
 """Reduction couple, Nehari projection, tau estimation and the continuation solver.
 
 The continuation driver walks a schedule p_0 < p_1 < ... < 4, warm starting
-each stage, and solves L_p'(psi) = 0 for the full psi = u + h by Newton,
-each step by MINRES in the H^{1/2} metric.  It watches the concentration
-function Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol and a clamped
-barycenter of the |psi|^4 mass; persistent capture of 90% mass at radii of a
-few grid spacings is declared blow-up and reported with the concentration
-point and a fitted bubble profile.
+each stage, and solves L_p'(psi) = 0 for the full psi = u + h by Newton
+(each value and gradient of L_p one ``eval_L``, each step one MINRES in the
+H^{1/2} metric).  It watches Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol
+and a clamped barycenter of the |psi|^4 mass; persistent capture of 90% mass
+at radii of a few grid spacings is declared blow-up and reported with the
+concentration point and a fitted bubble profile.  A stage's trace row is
+its only record.
 
 The reduction of the saddle structure scales the start onto the Nehari set
 and serves ``estimate_tau`` and the variational checks:
@@ -30,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conformal import _MAX_BUBBLE_DEGREE, Bubble, bubble_to_sphere, rotation_to_north
-from .energy import (EnergyReport, HessianWeights, Workspace, eval_A,
-                     eval_L_parts, eval_rayleigh, hessian_apply,
-                     nonlinear_projection, _check_p)
+from .energy import (EnergyReport, HessianWeights, Workspace, eval_A, eval_L,
+                     eval_rayleigh, hessian_apply, _check_p)
 from .spectral import SpectralSpinor, h_inner, h_norm
 
 # -- inner problem: maximize over E^- -----------------------------------------
@@ -49,13 +49,6 @@ class ReductionResult:
     iterations: int
 
 
-def _gradient(psi, values, p: float, ws: Workspace) -> np.ndarray:
-    """Full H^{1/2} gradient of L_p at psi, from its nodal values."""
-    basis = ws.basis
-    return (np.sign(basis.eigenvalues) * psi
-            - nonlinear_projection(values, p, ws) / basis.abs_eigenvalues)
-
-
 # cap on the Newton steps of one reduction
 _REDUCE_STEPS = 60
 
@@ -65,9 +58,10 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     """h_p(u): the unique E^- maximizer of v -> L_p(u + v), in at most
     ``_REDUCE_STEPS`` Newton steps.
 
-    An accepted line-search trial keeps its nodal values, so each iterate is
-    synthesized once, and the result carries the last iterate's value,
-    gradient and values.
+    Each line-search trial is scored by ``eval_L`` on its own nodal values,
+    and an accepted one keeps them with its value and gradient, so each
+    iterate is synthesized and analyzed once; the result carries the last
+    iterate's value, gradient and values.
     """
     _check_p(p)
     basis = ws.basis
@@ -76,7 +70,7 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     v = np.zeros_like(u_coeff) if v0 is None else np.where(neg, v0, 0.0)
     psi = u_coeff + v
     values = ws.synthesize(psi)
-    val = eval_L_parts(psi, p, ws, values=values).value
+    cur = eval_L(psi, p, ws, values=values)
     # absolute tolerance for O(1) fields; large-amplitude states carry a
     # proportionally larger roundoff floor in the gradient.  With v0=None
     # the start values are u's own.
@@ -84,10 +78,9 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     scale = max(1.0, A_u ** ((p - 1.0) / p))
     tol_eff = tol_inner * scale
     for it in range(_REDUCE_STEPS + 1):
-        grad = _gradient(psi, values, p, ws)
-        g = np.where(neg, grad, 0.0)
+        g = np.where(neg, cur.grad, 0.0)
         res = h_norm(basis, g)
-        finite = math.isfinite(res) and math.isfinite(val)
+        finite = math.isfinite(res) and math.isfinite(cur.value)
         if res <= tol_eff or it == _REDUCE_STEPS or not finite:
             break
         delta = _minus_solve(HessianWeights(values, p, ws), g,
@@ -97,23 +90,23 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
             v_try = v + step * delta
             psi_try = u_coeff + v_try
             values_try = ws.synthesize(psi_try)
-            val_try = eval_L_parts(psi_try, p, ws, values=values_try).value
-            if val_try >= val - 1e-14 * abs(val):
-                v, psi, values, val = v_try, psi_try, values_try, val_try
+            trial = eval_L(psi_try, p, ws, values=values_try)
+            if trial.value >= cur.value - 1e-14 * abs(cur.value):
+                v, psi, values, cur = v_try, psi_try, values_try, trial
                 break
             step *= 0.5
         else:
             break
     if not finite:
         raise SolveFailure(f"non-finite iterate in the inner reduction "
-                           f"(value {val}, residual {res})")
+                           f"(value {cur.value}, residual {res})")
     if res > 10 * tol_eff:
         raise SolveFailure(
             f"inner reduction did not reach tol_inner={tol_inner:g} "
             f"(residual {res:.3e}); the problem is concave, this indicates "
             "an aliasing or conditioning issue")
-    return ReductionResult(h=v, psi=psi, values=values, value=val, grad=grad,
-                           residual_minus=res, iterations=it)
+    return ReductionResult(h=v, psi=psi, values=values, value=cur.value,
+                           grad=cur.grad, residual_minus=res, iterations=it)
 
 
 # -- Nehari projection ---------------------------------------------------------
@@ -331,23 +324,9 @@ class StagnationDetected(SolveFailure):
 
 
 @dataclass
-class StageSummary:
-    p: float
-    iterations: int
-    value: float
-    residual: float
-    capture_radius: float
-    barycenter: np.ndarray
-    min_psi: float
-    warm_start_value: float
-
-
-@dataclass
 class SolverTrace:
-    schedule: list
+    config: dict
     rows: list = field(default_factory=list)
-    stages: list = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     def add_row(self, **kw):
         self.rows.append(kw)
@@ -455,14 +434,7 @@ def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
     return cap_r, center, bary, min_psi
 
 
-def _newton_state(psi, values, p: float, ws: Workspace) -> EnergyReport:
-    """L_p and its full gradient at psi, from its nodal values."""
-    rep = eval_L_parts(psi, p, ws, values=values)
-    rep.grad = _gradient(psi, values, p, ws)
-    return rep
-
-
-def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
+def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                        tol_final: float = 1e-7, tol_stage: float = 1e-6,
                        tol_inner: float = 1e-10, max_outer: int = 200,
                        blowup_capture: float = 0.9,
@@ -471,8 +443,10 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                        config_echo: dict | None = None) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
 
-    The start is scaled onto the first stage's Nehari set once, with inner
-    reductions to ``tol_inner``.  Each stage then makes at most ``max_outer``
+    ``init`` is the start state; a bubble start is transported first
+    (``bubble_to_sphere(..., require_capture=True)``).  Its E^+ part is
+    scaled onto the first stage's Nehari set once, with inner reductions
+    to ``tol_inner``.  Each stage then makes at most ``max_outer``
     Newton steps on psi: MINRES on L_p'' delta = -L_p'(psi) to the relative
     tolerance min(1e-2, ||L_p'||) (``hessian_apply`` is the Riesz form of
     L_p'', spectrum near +-1: no preconditioner), then halving s until
@@ -491,12 +465,8 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or schedule[0] <= 2.0:
         raise ValueError("schedule must be strictly increasing inside (2, 4]")
 
-    if isinstance(init, Bubble):
-        psi0, _ = bubble_to_sphere(init, ws.basis, require_capture=True)
-    else:
-        psi0 = init
     basis = ws.basis
-    u = np.where(basis.plus_mask, psi0.coeff, 0.0)
+    u = np.where(basis.plus_mask, init.coeff, 0.0)
     if not np.any(u):
         raise ValueError("initialization has no E^+ part")
     with np.errstate(over="ignore"):
@@ -507,7 +477,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
     radii = np.array(sorted({round(k * spacing, 12) for k in (1, 2, 3, 4, 5, 6, 8)}
                             | {0.3, 0.5, 0.8, 1.2, 1.7, 2.3, math.pi}))
 
-    trace = SolverTrace(schedule=schedule, config=config_echo or {})
+    trace = SolverTrace(config=config_echo or {})
     if not math.isfinite(unorm):
         raise SolveFailure(f"non-finite iterate in the initial state "
                            f"(H^1/2 norm {unorm})", trace)
@@ -520,8 +490,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                 cur = nehari_project(u, p, ws, tol_inner=tol_inner).reduction
                 psi, values = cur.psi, cur.values
             else:
-                cur = _newton_state(psi, values, p, ws)
-            warm_value = cur.value
+                cur = eval_L(psi, p, ws, values=values)
             res = h_norm(basis, cur.grad)
             it = 0
             for it in range(max_outer):
@@ -539,7 +508,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                 for _ in range(_BACKTRACK):
                     psi_try = psi + step * delta
                     values_try = ws.synthesize(psi_try)
-                    trial = _newton_state(psi_try, values_try, p, ws)
+                    trial = eval_L(psi_try, p, ws, values=values_try)
                     res_try = h_norm(basis, trial.grad)
                     if res_try <= (1.0 - 1e-4 * step) * res:
                         psi, values, cur, res = psi_try, values_try, trial, res_try
@@ -547,17 +516,12 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor | Bubble,
                     step *= 0.5
                 else:
                     break
-            defect = nehari_defect(psi, p, ws, cur)
             cap_r, center, bary, min_psi = _stage_diagnostics(
                 values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
             trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=cur.value,
-                          residual=res, nehari_defect=defect,
+                          residual=res, nehari_defect=nehari_defect(psi, p, ws, cur),
                           capture_radius=cap_r, bary_x=float(bary[0]),
                           bary_y=float(bary[1]), min_psi=min_psi)
-            trace.stages.append(StageSummary(
-                p=p, iterations=it + 1, value=cur.value, residual=res,
-                capture_radius=cap_r, barycenter=bary, min_psi=min_psi,
-                warm_start_value=warm_value))
 
             capture_small = cap_r <= blowup_spacing_factor * spacing
             if capture_small and prev_capture_small:

