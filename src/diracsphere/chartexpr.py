@@ -1,14 +1,13 @@
-"""Exact chart calculus for closed-form spinor components.
+"""Exact chart calculus for the closed-form bubble profiles.
 
-Every closed-form field this package manipulates on a stereographic chart
-(eigenspinor components, bubbles, their Wirtinger derivatives) is a finite sum
-of monomials
+The bubble components (``conformal.Bubble``) and their Wirtinger derivatives
+are finite sums of monomials
 
     c * z^a * conj(z)^b * (1 + z*conj(z))^(-M),      a, b, M >= 0 integers.
 
-This family is closed under d/dz, d/dzbar, complex conjugation and products,
-so derivatives of any order are available exactly: no finite differences and
-no AD anywhere in the spectral core.
+Sums of such monomials are closed under addition, d/dz and d/dzbar, so
+derivatives of any order are available exactly: no finite differences and
+no AD.
 """
 
 from __future__ import annotations
@@ -46,27 +45,6 @@ class ChartExpr:
         for key, c in other.terms.items():
             out._add_term(key, c)
         return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def scale(self, s):
-        s = complex(s)
-        return ChartExpr({k: c * s for k, c in self.terms.items() if c * s != 0})
-
-    def __mul__(self, other):
-        if not isinstance(other, ChartExpr):
-            return self.scale(other)
-        out = ChartExpr()
-        for (a1, b1, m1), c1 in self.terms.items():
-            for (a2, b2, m2), c2 in other.terms.items():
-                out._add_term((a1 + a2, b1 + b2, m1 + m2), c1 * c2)
-        return out
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return ChartExpr({(b, a, M): np.conj(c) for (a, b, M), c in self.terms.items()})
 
     def dz(self):
         """d/dz, with dz(u^-M) = -M zbar u^-(M+1)."""

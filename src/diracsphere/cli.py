@@ -29,9 +29,8 @@ from .conformal import (Bubble, bubble_energy_flat, bubble_grid_degree,
                         bubble_to_sphere)
 from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
                      constant_curvature, eval_L, spherical_harmonic_curvature)
-from .geometry import (export_obj, export_ply, gauss_bonnet_defect,
-                       nodal_analysis, reconstruct_immersion,
-                       scal_identity_check)
+from .geometry import (export_obj, export_ply, nodal_analysis,
+                       reconstruct_immersion, scal_identity_check)
 from .grid import QuadratureGrid
 from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
                         solve_continuation)
@@ -48,14 +47,13 @@ EXIT_POSTCONDITION = 5
 EXIT_SOLVE_FAILURE = 6
 
 CONFIG_KEYS = ("schema_version", "J", "grid_degree", "Q", "schedule", "init",
-               "tolerances", "max_outer", "clamp_radius", "output_dir", "seed",
+               "tolerances", "max_outer", "output_dir", "seed",
                "allow_hypothesis_failure")
 DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
 INIT_KEYS = {"bubble": ("type", "rho", "center"), "state": ("type", "path")}
 # config "tolerances" keys -> solve_continuation keyword arguments
 SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage", "inner": "tol_inner",
-                     "blowup_capture": "blowup_capture",
                      "blowup_spacing_factor": "blowup_spacing_factor"}
 
 
@@ -156,9 +154,6 @@ def validate_config(cfg: dict) -> None:
     if "max_outer" in cfg and not (_is_number(cfg["max_outer"], int)
                                    and cfg["max_outer"] > 0):
         raise ConfigError("max_outer must be a positive integer")
-    if "clamp_radius" in cfg and not (_is_number(cfg["clamp_radius"])
-                                      and cfg["clamp_radius"] > 0):
-        raise ConfigError("clamp_radius must be a positive number")
     if not isinstance(cfg.get("output_dir", ""), str):
         raise ConfigError("output_dir must be a string")
     if not isinstance(cfg.get("allow_hypothesis_failure", False), bool):
@@ -335,8 +330,8 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     # settings absent from the config keep solve_continuation's defaults
     tols = cfg.get("tolerances", {})
     options = {kw: tols[key] for key, kw in SOLVER_TOLERANCES.items() if key in tols}
-    options.update({key: cfg[key] for key in ("max_outer", "clamp_radius")
-                    if key in cfg})
+    if "max_outer" in cfg:
+        options["max_outer"] = cfg["max_outer"]
     try:
         result = solve_continuation(
             ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, config_echo=cfg,
@@ -487,7 +482,7 @@ def cmd_immerse(args) -> int:
         "euler_characteristic": mesh.euler_characteristic(),
         "closure_defect": mesh.closure_defect,
         "closedness_precheck": mesh.closedness_precheck,
-        "gauss_bonnet_defect": gauss_bonnet_defect(mesh.vertices, mesh.faces),
+        "gauss_bonnet_defect": mesh.gauss_bonnet_defect,
         "edge_length_rel_error": mesh.edge_length_rel_error,
         "mean_curvature_rel_l2": rel_l2,
         "mean_curvature_rel_max": float(rel.max()),

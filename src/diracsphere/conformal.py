@@ -9,7 +9,8 @@ the diagonal factor
     phi_rot(m(z)) = diag(g(z), conj(g(z))) phi(z),  g(z) = -conj(beta) z + conj(alpha),
 
 where (alpha, beta) is the closed-form pair of the rotation along the great
-circle from y to the north pole (``rotation_pair``).  The chart-A/chart-B
+circle from y to the north pole (``rotation_pair``); ``chart_at`` returns
+m(z) and g(z), the one map into the chart centered at y.  The chart-A/chart-B
 transition is the special case (alpha, beta) = (0, i): phi_B = diag(i z,
 -i conj(z)) phi_A.
 
@@ -59,37 +60,16 @@ def _unit(y) -> np.ndarray:
     return y / np.linalg.norm(y)
 
 
-def rotation_to_north(y) -> np.ndarray:
-    """Rotation matrix R with R y = north pole, along the connecting great circle."""
-    y = _unit(y)
-    c = float(y @ NORTH)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        # south pole: half turn about the x1 axis (fixed deterministic choice)
-        return np.diag([1.0, -1.0, -1.0])
-    # the angle from both its sine and cosine: acos(c) alone loses half the
-    # digits near the poles
-    axis = np.cross(y, NORTH)
-    return rotation_matrix(axis, math.atan2(float(np.linalg.norm(axis)), c))
-
-
-def rotation_matrix(axis, angle: float) -> np.ndarray:
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    K = np.array(
-        [[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]]
-    )
-    return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
-
-
 def rotation_pair(y) -> tuple[complex, complex]:
-    """SU(2) pair (alpha, beta) of ``rotation_to_north(y)`` acting on chart A,
+    """SU(2) pair (alpha, beta) of the rotation R taking y to the north pole
+    along their great circle, acting on chart A as
     S_A(R xi) = (alpha z + beta)/(-conj(beta) z + conj(alpha)).
 
     With a = S_A(y) the map is z -> (z - a)/(1 + conj(a) z), the pair
     (1, -a)/sqrt(1 + |a|^2) (Penrose & Rindler, Spinors and Space-Time 1,
-    ch. 1); at the poles it follows the snaps of ``rotation_to_north``.
+    ch. 1).  Within 1e-14 of a pole in y3 the pole snaps: the identity
+    (1, 0) at the north pole, and at the south pole the half turn about
+    the x1 axis, z -> 1/z, with pair (0, -i).
     """
     y = _unit(y)
     c = float(y @ NORTH)
@@ -102,6 +82,18 @@ def rotation_pair(y) -> tuple[complex, complex]:
     a = complex(chart_a_coords(y) if c >= 0.0 else 1.0 / chart_b_coords(y))
     nrm = math.sqrt(1.0 + abs(a) ** 2)
     return complex(1.0 / nrm), -a / nrm
+
+
+def chart_at(y, z) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates in the chart centred at y of chart-A points z, with the
+    transition factor: (zeta, g), zeta = (alpha z + beta)/g and
+    g = -conj(beta) z + conj(alpha) for (alpha, beta) = ``rotation_pair(y)``.
+    1 + |zeta|^2 = (1 + |z|^2)/|g|^2; at the antipode of y, g = 0 and zeta
+    is not finite."""
+    alpha, beta = rotation_pair(y)
+    g = -np.conj(beta) * z + np.conj(alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (alpha * z + beta) / g, g
 
 
 # -- bubbles -----------------------------------------------------------------
@@ -204,10 +196,8 @@ class TransportReport:
 
 def bubble_grid_values(bubble: Bubble, grid: QuadratureGrid) -> np.ndarray:
     """Weighted chart values of psi_{y,rho} at the grid nodes (preferred charts)."""
-    alpha, beta = rotation_pair(bubble.center)
     z = grid.chart_a
-    g = -np.conj(beta) * z + np.conj(alpha)
-    zy = (alpha * z + beta) / g
+    zy, g = chart_at(bubble.center, z)
     g = np.where(np.abs(g) < 1e-150, 1e-150, g)
     vals_y = bubble.eval_plane(zy)
     vals = np.stack([vals_y[:, 0] / g, vals_y[:, 1] / np.conj(g)], axis=1)

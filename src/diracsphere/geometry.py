@@ -56,7 +56,7 @@ class NodalReport:
     int_q2_psi4: float          # int Q^2 |psi|^4, the Willmore energy
     window_chain: bool          # int Q |psi|^4 < 8 pi / Q_max
     verdict: str                # 'zero-free' | 'zeros' | 'inconclusive'
-    note: str = ""
+    note: str
 
 
 def _chart_coords(xyz, use_a) -> np.ndarray:
@@ -388,6 +388,7 @@ class ImmersionMesh:
     conf_factor: np.ndarray      # |psi|^4 per vertex
     mean_curvature: np.ndarray   # discrete cotangent estimate
     target_q: np.ndarray
+    gauss_bonnet_defect: float   # total angle defect minus 4 pi
     closure_defect: float
     edge_length_rel_error: float  # RMS of (mesh length - g1 length) / g1 length
     closedness_precheck: float
@@ -426,10 +427,10 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
 
     conf = _fiber_norm_at(psi, sphere_v) ** 4
     target_q = np.asarray(ws.Q.evaluate(sphere_v), dtype=float)
-    H = cotangent_mean_curvature(verts, faces)
+    H, gauss_bonnet = discrete_curvature(verts, faces)
     return ImmersionMesh(vertices=verts, faces=faces, sphere_points=sphere_v,
                          conf_factor=conf, mean_curvature=H, target_q=target_q,
-                         closure_defect=closure,
+                         gauss_bonnet_defect=gauss_bonnet, closure_defect=closure,
                          edge_length_rel_error=float(np.sqrt(np.mean(rel**2))),
                          closedness_precheck=pre)
 
@@ -449,11 +450,12 @@ def _vertex_sums(nv: int, index, weights) -> np.ndarray:
 def _curvature_sums(verts, faces):
     """Per-vertex Meyer et al. mixed areas (Voronoi for non-obtuse triangles,
     else T/2 at the obtuse corner and T/4 at the others), outward unit
-    normals and cotangent Laplacian sums K, from one pass over the corners.
-    Corner c of a face is its vertex v_c, with edges e = v_{c+1} - v_c and
-    f = v_{c+2} - v_c (indices mod 3); e.f, e x f and the cotangent
-    e.f / |e x f| are computed once per corner, and each sum adds in the
-    order of a loop over the three corners."""
+    normals, cotangent Laplacian sums K and the sum of the corner angles,
+    from one pass over the corners.  Corner c of a face is its vertex v_c,
+    with edges e = v_{c+1} - v_c and f = v_{c+2} - v_c (indices mod 3);
+    e.f, e x f, the cotangent e.f / |e x f| and the angle
+    atan2(|e x f|, e.f) are computed once per corner, and each vertex sum
+    adds in the order of a loop over the three corners."""
     nv = verts.shape[0]
     vi = verts[faces]
     e, f = np.roll(vi, -1, axis=1) - vi, np.roll(vi, -2, axis=1) - vi
@@ -463,6 +465,7 @@ def _curvature_sums(verts, faces):
     twice_area = np.linalg.norm(cross, axis=2)
     del vi, f, cross            # freed early: peak memory stays below a per-corner loop
     cot = dots / np.maximum(twice_area, 1e-300)
+    angle_sum = float(np.sum(np.arctan2(twice_area, dots)))
 
     # mixed area at corner c: the Voronoi part is
     # (|e|^2 cot(corner c+2) + |f|^2 cot(corner c+1)) / 8, and |f| = |e| of c+2
@@ -486,28 +489,18 @@ def _curvature_sums(verts, faces):
     ends = np.concatenate([faces.T, np.roll(faces, -1, axis=1).T], axis=1).ravel()
     K = np.stack([_vertex_sums(nv, ends, np.concatenate([w, -w], axis=1).ravel())
                   for w in half_cot * -e.transpose(2, 1, 0)], axis=1)
-    return area, normals, K
+    return area, normals, K, angle_sum
 
 
-def cotangent_mean_curvature(verts, faces) -> np.ndarray:
-    """Signed discrete mean curvature: cotangent Laplacian with mixed Voronoi
-    areas, sign from the outward vertex normal (sphere of radius r gives 1/r)."""
-    area, normals, K = _curvature_sums(verts, faces)
-    return np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
-
-
-def gauss_bonnet_defect(verts, faces) -> float:
-    """Total angle defect minus 4 pi (should vanish for a sphere mesh)."""
-    total = 2.0 * math.pi * verts.shape[0]
-    for corner in range(3):
-        p = verts[faces[:, corner]]
-        q = verts[faces[:, (corner + 1) % 3]]
-        r = verts[faces[:, (corner + 2) % 3]]
-        u, v = q - p, r - p
-        cosang = np.sum(u * v, axis=1) / (
-            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
-        total -= np.sum(np.arccos(np.clip(cosang, -1, 1)))
-    return total - 4.0 * math.pi
+def discrete_curvature(verts, faces) -> tuple[np.ndarray, float]:
+    """Signed discrete mean curvature per vertex, the cotangent Laplacian
+    with mixed Voronoi areas and its sign from the outward vertex normal
+    (a sphere of radius r gives 1/r), and the Gauss-Bonnet defect, the
+    total angle defect minus 4 pi (zero for a sphere mesh up to roundoff),
+    from one corner pass."""
+    area, normals, K, angle_sum = _curvature_sums(verts, faces)
+    H = np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
+    return H, 2.0 * math.pi * verts.shape[0] - angle_sum - 4.0 * math.pi
 
 
 # -- mesh I/O ---------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conformal import _MAX_BUBBLE_DEGREE, Bubble, bubble_to_sphere, rotation_to_north
+from .conformal import _MAX_BUBBLE_DEGREE, Bubble, bubble_to_sphere, chart_at
 from .energy import (EnergyReport, HessianWeights, Workspace, eval_A, eval_L,
                      eval_rayleigh, hessian_apply, _check_p)
 from .spectral import SpectralSpinor, h_inner, h_norm
@@ -72,10 +72,10 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
     values = ws.synthesize(psi)
     cur = eval_L(psi, p, ws, values=values)
     # absolute tolerance for O(1) fields; large-amplitude states carry a
-    # proportionally larger roundoff floor in the gradient.  With v0=None
-    # the start values are u's own.
-    A_u = eval_A(u_coeff, p, ws, values=values if v0 is None else None)
-    scale = max(1.0, A_u ** ((p - 1.0) / p))
+    # proportionally larger roundoff floor in the gradient.  The scale is A
+    # at the start u + v0: A(u) itself when v0 is None, and of the same size
+    # for a warm start
+    scale = max(1.0, cur.nonlinear ** ((p - 1.0) / p))
     tol_eff = tol_inner * scale
     for it in range(_REDUCE_STEPS + 1):
         g = np.where(neg, cur.grad, 0.0)
@@ -277,25 +277,25 @@ def _weighted_sum(density, points) -> np.ndarray:
 
 def barycenter(values, ws: Workspace, pole, clamp_radius: float) -> np.ndarray:
     """Clamped barycenter of the |psi|^4 mass in the chart that projects from
-    ``pole`` (the chart covers the sphere minus the pole)."""
-    pole = np.asarray(pole, dtype=float)
-    rotation = rotation_to_north(-pole / np.linalg.norm(pole))
-    rotated = np.stack([_rows_dot(ws.grid.xyz, row) for row in rotation], axis=1)
-    # a node within 1e-12 of the projection pole maps to infinity in a
+    ``pole`` (the chart covers the sphere minus the pole), the chart centred
+    at -pole of ``chart_at``."""
+    z = ws.grid.chart_a
+    zeta, g = chart_at(-np.asarray(pole, dtype=float), z)
+    # a node within 1e-12 of the projection pole (1 + x3 <= 1e-12 after the
+    # rotation, i.e. 2 |g|^2 <= 1e-12 (1 + |z|^2)) maps to infinity in a
     # direction roundoff picks; it gets zeta = 0, the mean of the clamp circle
-    at_pole = rotated[:, 2] <= -1.0 + 1e-12
-    z = np.where(at_pole, 0.0, rotated[:, 0] + 1j * rotated[:, 1]) / np.where(
-        at_pole, 1.0, 1.0 + rotated[:, 2])
-    pts = np.stack([z.real, z.imag], axis=1)
+    at_pole = 2.0 * np.abs(g) ** 2 <= 1e-12 * (1.0 + np.abs(z) ** 2)
+    zeta = np.where(at_pole, 0.0, zeta)
+    pts = np.stack([zeta.real, zeta.imag], axis=1)
     r = np.linalg.norm(pts, axis=1)
     scalefac = np.where(r > clamp_radius, clamp_radius / np.maximum(r, 1e-300), 1.0)
-    zeta = pts * scalefac[:, None]
+    pts = pts * scalefac[:, None]
     nsq = ws.fiber_norm_sq(np.asarray(values))
     density = ws.grid.weights * nsq**2
     total = float(density.sum())
     if total <= 0:
         raise ValueError("barycenter undefined: |psi|^4 mass vanishes")
-    return _weighted_sum(density, zeta) / total
+    return _weighted_sum(density, pts) / total
 
 
 # -- continuation driver ----------------------------------------------------------
@@ -421,25 +421,29 @@ def _minus_solve(weights: HessianWeights, rhs, tol):
                    _MINRES_STEPS)
 
 
-def _stage_diagnostics(values, p, ws, radii, pole, clamp_radius, capture):
+# the monitor: the |psi|^p mass fraction a cap must hold to count as captured,
+# and the clamp radius of the barycenter chart
+_CAPTURE = 0.9
+_CLAMP_RADIUS = 10.0
+
+
+def _stage_diagnostics(values, p, ws, radii, pole):
     theta, centers = concentration_profile(values, p, ws, radii)
     nsq = ws.fiber_norm_sq(values)
     total = float(ws.grid.integrate(nsq ** (p / 2.0)))
     min_psi = float(np.sqrt(max(nsq.min(), 0.0)))
     frac = theta / max(total, 1e-300)
-    above = np.nonzero(frac >= capture)[0]
+    above = np.nonzero(frac >= _CAPTURE)[0]
     cap_r = float(radii[above[0]]) if above.size else float("inf")
     center = ws.grid.xyz[centers[above[0]]] if above.size else ws.grid.xyz[centers[-1]]
-    bary = barycenter(values, ws, pole, clamp_radius)
+    bary = barycenter(values, ws, pole, _CLAMP_RADIUS)
     return cap_r, center, bary, min_psi
 
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                        tol_final: float = 1e-7, tol_stage: float = 1e-6,
                        tol_inner: float = 1e-10, max_outer: int = 200,
-                       blowup_capture: float = 0.9,
                        blowup_spacing_factor: float = 5.0,
-                       clamp_radius: float = 10.0,
                        config_echo: dict | None = None) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
 
@@ -517,7 +521,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                 else:
                     break
             cap_r, center, bary, min_psi = _stage_diagnostics(
-                values, p, ws, radii, monitor_pole, clamp_radius, blowup_capture)
+                values, p, ws, radii, monitor_pole)
             trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=cur.value,
                           residual=res, nehari_defect=nehari_defect(psi, p, ws, cur),
                           capture_radius=cap_r, bary_x=float(bary[0]),
@@ -531,7 +535,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                 rho_hat = 1.0 / max(q_at * nsq_max, 1e-300)
                 prof_dist = _bubble_profile_distance(psi, center, rho_hat, q_at, ws)
                 raise BlowUpDetected(
-                    f"concentration captured {blowup_capture:.0%} of |psi|^p mass "
+                    f"concentration captured {_CAPTURE:.0%} of |psi|^p mass "
                     f"within {cap_r:.3f} rad at stages p={schedule[stage-1]:.3g}, "
                     f"p={p:.3g}", trace, point=center, stage_p=p, rho_hat=rho_hat,
                     profile_distance=prof_dist)

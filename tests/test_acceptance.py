@@ -14,8 +14,8 @@ import pytest
 
 from diracsphere.conformal import Bubble, bubble_energy_flat, bubble_to_sphere
 from diracsphere.energy import check_q_hypothesis, eval_A, eval_L, eval_rayleigh
-from diracsphere.geometry import (gauss_bonnet_defect, nodal_analysis,
-                                  reconstruct_immersion, scal_identity_check)
+from diracsphere.geometry import (nodal_analysis, reconstruct_immersion,
+                                  scal_identity_check)
 from diracsphere.grid import QuadratureGrid, chart_a_coords
 from diracsphere.reduction import (barycenter, concentration_profile,
                                    estimate_tau, nehari_project, reduce_minus)
@@ -188,8 +188,7 @@ def test_criterion_5_exact_solve_constant_q(const_solution):
         assert np.abs(radial - 1.0).max() <= 1e-2
         rel = mesh.mean_curvature - 1.0
         assert math.sqrt(float(np.mean(rel**2))) <= 0.02
-        assert abs(gauss_bonnet_defect(mesh.vertices, mesh.faces)) \
-            <= 0.01 * 4 * math.pi
+        assert abs(mesh.gauss_bonnet_defect) <= 0.01 * 4 * math.pi
 
 
 def test_criterion_6_perturbed_q(perturbed_solution, perturbed_q):

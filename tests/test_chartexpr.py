@@ -23,17 +23,6 @@ def test_wirtinger_derivatives_match_finite_differences():
         assert abs(expr.dzbar()(np.array([z]))[0] - fd_zb) < 1e-7
 
 
-def test_product_and_conjugate():
-    rng = np.random.default_rng(8)
-    a = ChartExpr.monomial(1.0 + 2j, 1, 0, 1) + ChartExpr.monomial(0.5, 0, 0, 0)
-    b = ChartExpr.monomial(-1j, 0, 1, 2)
-    z = rng.normal(size=6) + 1j * rng.normal(size=6)
-    assert np.allclose((a * b)(z), a(z) * b(z), atol=1e-14)
-    assert np.allclose(a.conj()(z), np.conj(a(z)), atol=1e-14)
-    assert np.allclose((a - b)(z), a(z) - b(z), atol=1e-14)
-    assert np.allclose(a.scale(3j)(z), 3j * a(z), atol=1e-14)
-
-
 def test_power_cache_consistency():
     z = np.array([0.3 + 0.4j, -2.0 + 1j])
     cache = PowerCache(z)

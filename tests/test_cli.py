@@ -277,12 +277,15 @@ def _minus_only_state(tmp_path) -> dict:
     {"max_outr": 5},
     {"init": {"type": "bubble", "rho": 0.3, "centre": [0, 0, 1]}},
     {"allow_hypothesis_failure": "no"},
+    {"clamp_radius": 10.0},
+    {"tolerances": {"blowup_capture": 0.9}},
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
         "poly_term", "rho", "tolerances_number", "tolerances_list",
         "max_outer", "clamp_radius", "poly_exponent", "q_negative",
         "q_sign_change", "output_dir", "zero_center", "rho_tiny",
         "tolerance_unknown_key", "lossy_transport", "state_minus_only",
-        "unknown_key", "init_unknown_key", "allow_hypothesis_failure_string"])
+        "unknown_key", "init_unknown_key", "allow_hypothesis_failure_string",
+        "removed_clamp_radius", "removed_blowup_capture"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
                                                 override):
     """Wrongly typed, unknown or missing config fields, a curvature that is
@@ -354,7 +357,7 @@ FUZZ_BASE = {
     "schedule": [3.0, 3.5, 4.0],
     "init": {"type": "bubble", "rho": 0.3, "center": [0.0, 0.0, 1.0]},
     "tolerances": {"final": 1e-6, "inner": 1e-10},
-    "max_outer": 50, "clamp_radius": 10.0, "output_dir": "out",
+    "max_outer": 50, "output_dir": "out",
 }
 
 

@@ -6,8 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracsphere.conformal import (Bubble, bubble_energy_flat, bubble_grid_values,
-                                   bubble_to_sphere, rotation_pair,
-                                   rotation_to_north)
+                                   bubble_to_sphere, rotation_pair)
 from diracsphere.energy import eval_L
 from diracsphere.grid import QuadratureGrid, chart_a_coords, conformal_factor
 from diracsphere.spectral import SphereBasis, dirac_apply
@@ -54,11 +53,24 @@ def great_circle_rotation(y) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
+def snapped_rotation(y) -> np.ndarray:
+    """``great_circle_rotation`` with the pole snaps of ``rotation_pair``:
+    the identity within 1e-14 of the north pole in y3, and the half turn
+    about the x1 axis within 1e-14 of the south pole."""
+    y = np.asarray(y, dtype=float) / np.linalg.norm(y)
+    if y[2] > 1.0 - 1e-14:
+        return np.eye(3)
+    if y[2] < -1.0 + 1e-14:
+        return np.diag([1.0, -1.0, -1.0])
+    return great_circle_rotation(y)
+
+
 def test_chart_maps_and_conformal_factor():
-    """The chart centered at y (chart A after rotation_to_north(y)) sends y
-    to 0, and its inverse pulls the round metric back to f^2 g_flat."""
+    """The chart centered at y (chart A after the rotation taking y to the
+    north pole) sends y to 0, and its inverse pulls the round metric back
+    to f^2 g_flat."""
     y = np.array([0.48, -0.6, 0.64])
-    R = rotation_to_north(y)
+    R = great_circle_rotation(y)
     assert abs(chart_a_coords(y @ R.T)) < 1e-14
     rng = np.random.default_rng(0)
     z = rng.normal(size=6) + 1j * rng.normal(size=6)
@@ -89,7 +101,7 @@ def test_chart_volume_form():
 
 def _pole_centres():
     """The poles and centres 1e-7, 2e-7 and 1e-6 rad from each pole; 1e-7
-    lies inside the pole snap of rotation_to_north, 2e-7 just outside."""
+    lies inside the pole snap of rotation_pair, 2e-7 just outside."""
     out = []
     for dist in (0.0, 1e-7, 2e-7, 1e-6):
         for theta in (dist, math.pi - dist):
@@ -107,9 +119,10 @@ def _chart_points(rng) -> np.ndarray:
 
 
 def test_mobius_of_rotation_consistency():
-    """rotation_pair(y) acts on chart A as rotation_to_north(y) does: on
-    random points the mapped chart points, read back on the sphere (where
-    the comparison is well conditioned), agree to 1e-12."""
+    """rotation_pair(y) acts on chart A as the rotation taking y to the
+    north pole along their great circle does: on random points the mapped
+    chart points, read back on the sphere (where the comparison is well
+    conditioned), agree to 1e-12."""
     rng = np.random.default_rng(1)
     pts = _chart_points(rng)
     z = chart_a_coords(pts)
@@ -120,43 +133,27 @@ def test_mobius_of_rotation_consistency():
         assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-15
         assert alpha.real > 0 and alpha.imag == 0
         assert abs(mobius(alpha, beta, chart_a_coords(y))) < 1e-15
-        err = chart_a_point(mobius(alpha, beta, z)) - pts @ rotation_to_north(y).T
+        err = chart_a_point(mobius(alpha, beta, z)) - pts @ snapped_rotation(y).T
         assert np.abs(err).max() < 1e-12
 
 
-def test_rotation_to_north_is_exact_near_the_poles():
-    """Centres 2e-7 to 1e-5 rad from either pole, at 50 longitudes each, are
-    turned to within 1e-15 rad of the north pole (an angle from acos of
-    the pole cosine missed by 8e-11)."""
-    for dist in np.geomspace(2e-7, 1e-5, 5):
-        for theta in (dist, math.pi - dist):
-            for lon in np.linspace(0.0, 2 * math.pi, 50, endpoint=False):
-                y = np.array([math.sin(theta) * math.cos(lon),
-                              math.sin(theta) * math.sin(lon), math.cos(theta)])
-                x = rotation_to_north(y) @ y
-                assert math.atan2(math.hypot(x[0], x[1]), x[2]) <= 1e-15
-
-
 def test_rotation_pair_at_and_near_the_poles():
-    """At the poles rotation_pair is the pair of rotation_to_north's snaps,
-    (1, 0) and (0, -i).  Near them rotation_to_north loses digits in
-    acos(x3), so the mapped points are checked against an atan2 rotation."""
+    """At the poles rotation_pair is the pair of its snaps, (1, 0) and
+    (0, -i); near them the mapped points are checked against the atan2
+    rotation, snapped where the pair snaps."""
     assert rotation_pair([0.0, 0.0, 1.0]) == (1.0, 0.0)
     assert rotation_pair([0.0, 0.0, -1.0]) == (0.0, -1j)
     pts = _chart_points(np.random.default_rng(4))
     z = chart_a_coords(pts)
     for y in _pole_centres():
         alpha, beta = rotation_pair(y)
-        snapped = abs(y[2]) > 1.0 - 1e-14
-        R = rotation_to_north(y) if snapped else great_circle_rotation(y)
-        err = chart_a_point(mobius(alpha, beta, z)) - pts @ R.T
+        err = chart_a_point(mobius(alpha, beta, z)) - pts @ snapped_rotation(y).T
         assert np.abs(err).max() < 1e-12, y
 
 
 def test_rotation_pair_matches_fitted_pair():
-    """The closed form agrees with the pair fitted to rotation_to_north away
-    from the poles (within ~2e-7 rad of a pole the fit carries the acos
-    roundoff of the rotation)."""
+    """The closed form agrees with the pair fitted to the great-circle
+    rotation away from the poles."""
     rng = np.random.default_rng(6)
     for _ in range(300):
         y = rng.normal(size=3)
@@ -164,23 +161,19 @@ def test_rotation_pair_matches_fitted_pair():
         if abs(y[2]) > 0.999:
             continue
         alpha, beta = rotation_pair(y)
-        fa, fb = fitted_pair(rotation_to_north(y))
+        fa, fb = fitted_pair(snapped_rotation(y))
         assert max(abs(alpha - fa), abs(beta - fb)) <= 1e-13
 
 
 def test_rotations_of_tiny_and_huge_vectors():
-    """rotation_to_north and rotation_pair of a vector of length 1e-200,
-    2^-600 or 1e200 give the unit vector's result, with no warning: bit for
-    bit along an axis, to 1e-15 along a general direction."""
+    """rotation_pair of a vector of length 1e-200, 2^-600 or 1e200 gives the
+    unit vector's result, with no warning: bit for bit along an axis, to
+    1e-15 along a general direction."""
     d = np.array([0.6, -0.64, 0.48])
     with np.errstate(all="raise"):
         for scale in (1e-200, 2.0 ** -600, 1e200):
             for axis in np.eye(3):
-                assert rotation_to_north(scale * axis).tobytes() \
-                    == rotation_to_north(axis).tobytes()
                 assert rotation_pair(scale * axis) == rotation_pair(axis)
-            assert np.abs(rotation_to_north(scale * d) - rotation_to_north(d)).max() \
-                <= 1e-15
             assert np.abs(np.subtract(rotation_pair(scale * d),
                                       rotation_pair(d))).max() <= 1e-15
 

@@ -5,9 +5,8 @@ import pytest
 
 from diracsphere.geometry import (ImmersionMesh, _curvature_sums,
                                   _spanning_tree, _weierstrass_form,
-                                  closedness_defect,
-                                  cotangent_mean_curvature, export_obj,
-                                  export_ply, gauss_bonnet_defect, icosphere,
+                                  closedness_defect, discrete_curvature,
+                                  export_obj, export_ply, icosphere,
                                   mesh_edges, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check)
 from diracsphere.spectral import SpectralSpinor, SphereBasis
@@ -229,7 +228,7 @@ def test_round_sphere_reconstruction(ws8, killing_state):
     assert np.abs(r - 1.0).max() <= 1e-2           # radius 1/Q with Q = 1
     rel = mesh.mean_curvature - 1.0
     assert math.sqrt(np.mean(rel**2)) <= 0.02
-    assert abs(gauss_bonnet_defect(mesh.vertices, mesh.faces)) <= 0.01 * 4 * math.pi
+    assert abs(mesh.gauss_bonnet_defect) <= 0.01 * 4 * math.pi
     assert mesh.edge_length_rel_error <= 0.02
     assert mesh.closure_defect <= 1e-8
     assert mesh.closedness_precheck <= 1e-10
@@ -278,7 +277,7 @@ def test_reconstruction_refuses_zero_state(ws8):
 def test_cotangent_estimator_on_spheres():
     verts, faces = icosphere(3)
     for radius in (1.0, 2.5):
-        H = cotangent_mean_curvature(radius * verts, faces)
+        H, _ = discrete_curvature(radius * verts, faces)
         assert np.abs(H - 1.0 / radius).max() <= 0.01 / radius
 
 
@@ -323,7 +322,7 @@ def test_vertex_sums_are_bit_equal_to_add_at():
     verts, faces = icosphere(4)
     verts = verts * (1.0 + 0.05 * np.random.default_rng(7).normal(size=(len(verts), 1)))
     area, vn, K = _add_at_curvature(verts, faces)
-    got_area, got_normals, got_K = _curvature_sums(verts, faces)
+    got_area, got_normals, got_K, _ = _curvature_sums(verts, faces)
     assert got_area.tobytes() == area.tobytes()
     centroid = verts.mean(axis=0)
     vn = -vn if np.sum(vn * (verts - centroid)) < 0 else vn
@@ -331,7 +330,7 @@ def test_vertex_sums_are_bit_equal_to_add_at():
     assert got_normals.tobytes() == normals.tobytes()
     assert got_K.tobytes() == K.tobytes()
     H = np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
-    assert cotangent_mean_curvature(verts, faces).tobytes() == H.tobytes()
+    assert discrete_curvature(verts, faces)[0].tobytes() == H.tobytes()
 
 
 def _per_corner_mixed_areas(verts, faces):
@@ -394,11 +393,38 @@ def test_corner_pass_is_bit_equal_to_per_corner_estimator(seed):
                     axis=2) < 0
     assert obtuse.sum() > 500
     for v in (verts, -verts):
-        area, normals, _ = _curvature_sums(v, faces)
+        area, normals, _, _ = _curvature_sums(v, faces)
         assert area.tobytes() == _per_corner_mixed_areas(v, faces).tobytes()
         assert normals.tobytes() == _per_corner_normals(v, faces).tobytes()
-        assert (cotangent_mean_curvature(v, faces).tobytes()
+        assert (discrete_curvature(v, faces)[0].tobytes()
                 == _per_corner_mean_curvature(v, faces).tobytes())
+
+
+def _arccos_gauss_bonnet(verts, faces):
+    """Total angle defect minus 4 pi, each corner angle the arccos of its
+    normalized edge dot product, summed corner by corner."""
+    total = 2.0 * math.pi * verts.shape[0]
+    for corner in range(3):
+        p, q, r = (verts[faces[:, (corner + i) % 3]] for i in range(3))
+        u, v = q - p, r - p
+        cosang = np.sum(u * v, axis=1) / (
+            np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
+        total -= np.sum(np.arccos(np.clip(cosang, -1, 1)))
+    return total - 4.0 * math.pi
+
+
+def test_corner_pass_gauss_bonnet_matches_arccos_angles():
+    """The Gauss-Bonnet defect from the corner pass's atan2 angles agrees
+    with the per-corner arccos sum to 1e-9 on a subdivisions-4 icosphere
+    moved off the sphere and along it, and both are roundoff: a closed
+    triangle mesh of genus 0 has total angle defect 4 pi exactly."""
+    verts, faces = icosphere(4)
+    rng = np.random.default_rng(3)
+    verts = (verts * (1.0 + 0.05 * rng.normal(size=(len(verts), 1)))
+             + 0.02 * rng.normal(size=verts.shape))
+    _, defect = discrete_curvature(verts, faces)
+    assert abs(defect - _arccos_gauss_bonnet(verts, faces)) <= 1e-9
+    assert abs(defect) <= 1e-9
 
 
 def read_obj(path):
@@ -466,7 +492,8 @@ def test_export_ply_matches_loop_writer(tmp_path):
                          faces=faces, sphere_points=verts,
                          conf_factor=rng.uniform(size=len(verts)),
                          mean_curvature=rng.normal(size=len(verts)),
-                         target_q=rng.normal(size=len(verts)), closure_defect=0.0,
+                         target_q=rng.normal(size=len(verts)),
+                         gauss_bonnet_defect=0.0, closure_defect=0.0,
                          edge_length_rel_error=0.0, closedness_precheck=0.0)
     export_ply(tmp_path / "a.ply", mesh)
     _export_ply_loop(tmp_path / "b.ply", mesh)
