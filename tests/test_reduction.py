@@ -477,8 +477,8 @@ def test_barycenter_matches_rotation_matrix_chart(ws8):
     ~eps |zeta| min(|zeta|, c).  So the bound is 1e-15 max(1, kappa), with
     kappa the |psi|^4-mean of |zeta| min(|zeta|, c) over the nodes off the
     projection pole.  A pole 0.2 rad from the mass gives kappa ~ 33 and a
-    difference of 1.05e-15; both readings are ~1e-15 off a 40-digit
-    reference there."""
+    difference of 1.05e-15; the readings are 5.6e-16 and 1.0e-15 off a
+    40-digit reference there."""
     rng = np.random.default_rng(31)
     b, _ = bubble_to_sphere(Bubble(center=[0.6, 0.0, 0.8], rho=0.3), ws8.basis)
     vals = ws8.synthesize(b.coeff)
