@@ -53,7 +53,7 @@ DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
 INIT_KEYS = {"bubble": ("type", "rho", "center"), "state": ("type", "path")}
 # config "tolerances" keys -> solve_continuation keyword arguments
-SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage", "inner": "tol_inner",
+SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage",
                      "blowup_spacing_factor": "blowup_spacing_factor"}
 
 
@@ -270,7 +270,7 @@ def cmd_bubble(args) -> int:
     if not (np.isfinite(center).all() and center.any()):
         raise ConfigError("--center must be three finite numbers, not all zero")
     bub = Bubble(center=center, rho=args.rho, q_center=args.q)
-    quad, ana = bubble_energy_flat(2, args.rho, args.q)
+    quad, ana = bubble_energy_flat(args.rho, args.q)
     print(f"flat critical energy: quadrature {quad!r}, analytic {ana!r} "
           f"(4 pi / Q(y)^2 = {4 * math.pi / args.q ** 2!r})")
     basis = SphereBasis(args.J)

@@ -42,11 +42,6 @@ NORTH = np.array([0.0, 0.0, 1.0])
 PHI0_DEFAULT = np.array([1.0 / math.sqrt(2.0), 0.0], dtype=complex)
 
 
-def sphere_volume(m: int) -> float:
-    """Volume of the unit m-sphere."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
-
-
 # -- rotations and their Moebius action -------------------------------------
 
 
@@ -160,26 +155,21 @@ class Bubble:
         return scale * base
 
 
-def bubble_energy_flat(m: int = 2, rho: float = 1.0,
-                       q_center: float = 1.0) -> tuple[float, float]:
-    """(quadrature, analytic) value of integral_{R^m} |phi_{y,rho}|^{2*} dx.
+def bubble_energy_flat(rho: float = 1.0, q_center: float = 1.0) -> tuple[float, float]:
+    """(quadrature, analytic) value of integral_{R^2} |phi_{y,rho}|^4 dx.
 
-    Analytic value: q^{-m} (m/2)^m omega_m, independent of rho.  The
-    quadrature integrates the closed-form radial profile on a compactified
-    axis by 200-point Gauss-Legendre and is the independent check.
-    Supports m = 2 and m = 3.
+    Analytic value: 4 pi / q^2, independent of rho.  The quadrature
+    integrates the closed-form radial profile on a compactified axis by
+    200-point Gauss-Legendre and is the independent check.
     """
-    if m not in (2, 3):
-        raise ValueError("radial quadrature implemented for m in {2, 3}")
-    analytic = q_center ** -m * (m / 2.0) ** m * sphere_volume(m)
-    # |phi_{y,rho}|^{2*} = q^-m (m/2)^m f(r/rho)^m, surface measure omega_{m-1} r^{m-1}
+    analytic = q_center ** -2 * (4.0 * math.pi)
+    # |phi_{y,rho}|^4 = q^-2 f(r/rho)^2, surface measure 2 pi r
     t, w = np.polynomial.legendre.leggauss(200)
     s = 0.5 * (t + 1.0)  # s in (0,1), r = rho s/(1-s)
     r = rho * s / (1.0 - s)
     dr = rho / (1.0 - s) ** 2 * 0.5
     f = 2.0 / (1.0 + (r / rho) ** 2)
-    omega_sm1 = 2.0 * math.pi if m == 2 else 4.0 * math.pi
-    integrand = (q_center * rho) ** -m * (m / 2.0) ** m * f ** m * omega_sm1 * r ** (m - 1)
+    integrand = (q_center * rho) ** -2 * f ** 2 * (2.0 * math.pi) * r
     quad = float(np.sum(w * integrand * dr))
     return quad, analytic
 

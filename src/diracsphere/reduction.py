@@ -1,21 +1,23 @@
 """Reduction couple, Nehari projection, tau estimation and the continuation solver.
 
+One Newton-MINRES iteration, ``_newton``, solves L_p' = 0 on a set of
+coefficients: each value and gradient of L_p is one ``eval_L``, each step
+one MINRES in the H^{1/2} metric on the Hessian restricted to the set.
+
 The continuation driver walks a schedule p_0 < p_1 < ... < 4, warm starting
-each stage, and solves L_p'(psi) = 0 for the full psi = u + h by Newton
-(each value and gradient of L_p one ``eval_L``, each step one MINRES in the
-H^{1/2} metric).  It watches Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol
-and a clamped barycenter of the |psi|^4 mass; persistent capture of 90% mass
-at radii of a few grid spacings is declared blow-up and reported with the
-concentration point and a fitted bubble profile.  A stage's trace row is
-its only record.
+each stage, and runs it on every coefficient of psi = u + h.  It watches
+Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol and a clamped barycenter of
+the |psi|^4 mass; persistent capture of 90% mass at radii of a few grid
+spacings is declared blow-up and reported with the concentration point and
+a fitted bubble profile.  A stage's trace row is its only record.
 
 The reduction of the saddle structure scales the start onto the Nehari set
 and serves ``estimate_tau`` and the variational checks:
 
 * ``reduce_minus``: for u in E^+, the unique maximizer h_p(u) of the strictly
-  concave v -> L_p(u + v) on E^- (Newton, each step by the same MINRES on
-  full-length vectors that vanish on E^+; L_p'' <= -id there, so the
-  system is definite and well conditioned).  I_p(u) = L_p(u + h_p(u)).
+  concave v -> L_p(u + v) on E^-, by the same iteration on the E^-
+  coefficients (L_p'' <= -id there, so the system is definite and well
+  conditioned).  I_p(u) = L_p(u + h_p(u)).
 * ``nehari_project``: the unique t(u) > 0 with d/dt I_p(t u) = 0, on the
   natural constraint N_p = {I_p'(u)[u] = 0}; I_p'(t u)[u]/t decreases
   strictly, so each ray meets N_p once (Szulkin-Weth), and one safeguarded
@@ -49,64 +51,47 @@ class ReductionResult:
     iterations: int
 
 
-# cap on the Newton steps of one reduction
+# cap on the Newton steps of one reduction, and its tolerance on the E^-
+# gradient of an O(1) field
 _REDUCE_STEPS = 60
+_TOL_INNER = 1e-10
 
 
-def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
-                 tol_inner: float = 1e-10) -> ReductionResult:
-    """h_p(u): the unique E^- maximizer of v -> L_p(u + v), in at most
-    ``_REDUCE_STEPS`` Newton steps.
+def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None) -> ReductionResult:
+    """h_p(u) for u in E^+: the unique E^- maximizer of v -> L_p(u + v), by
+    ``_newton`` on the E^- coefficients from u + v0 (u when v0 is None), in
+    at most ``_REDUCE_STEPS`` steps.
 
-    Each line-search trial is scored by ``eval_L`` on its own nodal values,
-    and an accepted one keeps them with its value and gradient, so each
-    iterate is synthesized and analyzed once; the result carries the last
-    iterate's value, gradient and values.
+    Each iterate is synthesized and analyzed once; the result carries the
+    last iterate's values, value and gradient.
     """
     _check_p(p)
-    basis = ws.basis
-    neg = basis.minus_mask
+    neg = ws.basis.minus_mask
     u_coeff = np.asarray(u_coeff, dtype=complex)
-    v = np.zeros_like(u_coeff) if v0 is None else np.where(neg, v0, 0.0)
-    psi = u_coeff + v
+    psi = u_coeff + np.where(neg, 0.0 if v0 is None else v0, 0.0)
     values = ws.synthesize(psi)
     cur = eval_L(psi, p, ws, values=values)
     # absolute tolerance for O(1) fields; large-amplitude states carry a
     # proportionally larger roundoff floor in the gradient.  The scale is A
     # at the start u + v0: A(u) itself when v0 is None, and of the same size
     # for a warm start
-    scale = max(1.0, cur.nonlinear ** ((p - 1.0) / p))
-    tol_eff = tol_inner * scale
-    for it in range(_REDUCE_STEPS + 1):
-        g = np.where(neg, cur.grad, 0.0)
-        res = h_norm(basis, g)
+    tol = _TOL_INNER * max(1.0, cur.nonlinear ** ((p - 1.0) / p))
+    for it, (psi, values, cur, res) in zip(range(_REDUCE_STEPS + 1),
+                                           _newton(psi, values, cur, p, ws, neg)):
         finite = math.isfinite(res) and math.isfinite(cur.value)
-        if res <= tol_eff or it == _REDUCE_STEPS or not finite:
-            break
-        delta = _minus_solve(HessianWeights(values, p, ws), g,
-                             tol=min(0.1 * res, res * res, tol_eff))
-        step = 1.0
-        for _ in range(30):
-            v_try = v + step * delta
-            psi_try = u_coeff + v_try
-            values_try = ws.synthesize(psi_try)
-            trial = eval_L(psi_try, p, ws, values=values_try)
-            if trial.value >= cur.value - 1e-14 * abs(cur.value):
-                v, psi, values, cur = v_try, psi_try, values_try, trial
-                break
-            step *= 0.5
-        else:
+        if res <= tol or not finite:
             break
     if not finite:
         raise SolveFailure(f"non-finite iterate in the inner reduction "
                            f"(value {cur.value}, residual {res})")
-    if res > 10 * tol_eff:
+    if res > 10 * tol:
         raise SolveFailure(
-            f"inner reduction did not reach tol_inner={tol_inner:g} "
+            f"inner reduction did not reach its tolerance {tol:.3e} "
             f"(residual {res:.3e}); the problem is concave, this indicates "
             "an aliasing or conditioning issue")
-    return ReductionResult(h=v, psi=psi, values=values, value=cur.value,
-                           grad=cur.grad, residual_minus=res, iterations=it)
+    return ReductionResult(h=np.where(neg, psi, 0.0), psi=psi, values=values,
+                           value=cur.value, grad=cur.grad, residual_minus=res,
+                           iterations=it)
 
 
 # -- Nehari projection ---------------------------------------------------------
@@ -116,23 +101,22 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None,
 class NehariState:
     t: float                    # scaling with t u on the Nehari set
     u: np.ndarray               # scaled E^+ coefficients, on N_p
-    h: np.ndarray               # h_p(t u)
-    value: float                # I_p(t u)
     ray_second_derivative: float  # d^2/dt^2 I_p(t u0) at the root, u0 = u/||u||
-    reduction: ReductionResult  # the reduction at u; h and value are its own
+    reduction: ReductionResult  # the reduction at u: h_p(t u) and I_p(t u)
 
 
-def _reduced_hessian(weights: HessianWeights, w, tol_inner: float):
+def _reduced_hessian(weights: HessianWeights, w):
     """E^+ Riesz representative of I_p''(u)[w, .] at psi = u + h_p(u), the
     psi of ``weights``.
 
-    The inner correction h_p'(u) w solves the E^- block; then
-    I_p''(u)[w, .] = L_p''(psi)[w + h_p'(u) w, .] on E^+.
+    The inner correction h_p'(u) w solves the E^- block of L_p'' against
+    -L_p''(psi)[w] on E^-, to the relative tolerance 0.01 sqrt(_TOL_INNER);
+    then I_p''(u)[w, .] = L_p''(psi)[w + h_p'(u) w, .] on E^+.
     """
     basis = weights.ws.basis
     full = np.where(basis.plus_mask, w, 0.0)
     rhs = np.where(basis.minus_mask, hessian_apply(weights, full), 0.0)
-    tot = full + _minus_solve(weights, rhs, tol=0.01 * tol_inner ** 0.5)
+    tot = full - _masked_solve(weights, rhs, basis.minus_mask, 0.01 * _TOL_INNER ** 0.5)
     out = hessian_apply(weights, tot)
     return np.where(basis.plus_mask, out, 0.0)
 
@@ -142,8 +126,7 @@ _TOL_T = 1e-12
 _NEHARI_STEPS = 40
 
 
-def nehari_project(u_coeff, p: float, ws: Workspace,
-                   tol_inner: float = 1e-10) -> NehariState:
+def nehari_project(u_coeff, p: float, ws: Workspace) -> NehariState:
     """Scale u onto the Nehari set: the root of s(t) = d/dt I_p(t u0), u0 =
     u/||u||, where g = s/t decreases strictly.  From the root for L_p on the
     ray alone, t = A(u0)^(-1/(p-2)) at any scale of u, each step makes one
@@ -165,20 +148,18 @@ def nehari_project(u_coeff, p: float, ws: Workspace,
     t = eval_A(u0, p, ws) ** (-1.0 / (p - 2.0))
     lo, hi, red = 0.0, math.inf, None
     for _ in range(_NEHARI_STEPS):
-        red = reduce_minus(t * u0, p, ws, v0=None if red is None else red.h,
-                           tol_inner=tol_inner)
+        red = reduce_minus(t * u0, p, ws, v0=None if red is None else red.h)
         g = h_inner(ws.basis, red.grad, u0) / t
         d2 = h_inner(ws.basis, _reduced_hessian(HessianWeights(red.values, p, ws),
-                                                u0, tol_inner), u0)
+                                                u0), u0)
         # x_new / x for Newton in x = t^(p-2) (d2 < g because g decreases);
         # its power is the exp of a clipped log, so it cannot overflow
         ratio = 1.0 - (p - 2.0) * g / (d2 - g) if d2 < g else math.nan
         t_new = (t * math.exp(min(math.log(ratio) / (p - 2.0), 700.0))
                  if ratio > 0 else math.nan)
         if abs(t_new - t) <= _TOL_T * t:
-            return NehariState(t=t / unorm / umax, u=t * u0, h=red.h,
-                               value=red.value, ray_second_derivative=d2,
-                               reduction=red)
+            return NehariState(t=t / unorm / umax, u=t * u0,
+                               ray_second_derivative=d2, reduction=red)
         lo, hi = (t, hi) if g > 0 else (lo, t)
         if not lo < t_new < hi:
             t_new = 2.0 * lo if hi == math.inf else (
@@ -409,16 +390,44 @@ def _minres(apply_op, b, lam, rtol, max_iter):
     return x
 
 
-def _minus_solve(weights: HessianWeights, rhs, tol):
-    """Solve (-L_p'' restricted to E^-) x = rhs for rhs in E^-, at the psi of
-    ``weights``, by ``_minres`` on full-length vectors that vanish on E^+,
-    until the residual norm is at most ``tol``.  In Riesz form the operator
-    is x + M(x)/|lambda| >= identity on E^-, so MINRES converges fast."""
-    basis = weights.ws.basis
-    neg = basis.minus_mask
-    return _minres(lambda x: np.where(neg, -hessian_apply(weights, x), 0.0), rhs,
-                   basis.abs_eigenvalues, tol / max(h_norm(basis, rhs), tol),
-                   _MINRES_STEPS)
+def _masked_solve(weights: HessianWeights, rhs, mask, rtol):
+    """Solve L_p'' x = rhs on the coefficients in ``mask``, at the psi of
+    ``weights``: ``_minres`` on full-length vectors that vanish off ``mask``
+    (rhs among them), with the operator np.where(mask, hessian_apply(x), 0),
+    to the relative tolerance ``rtol``.  ``hessian_apply`` is the Riesz form
+    of L_p'', with spectrum near +-1 (and <= -1 on E^-), so no
+    preconditioner is needed."""
+    return _minres(lambda x: np.where(mask, hessian_apply(weights, x), 0.0), rhs,
+                   weights.ws.basis.abs_eigenvalues, rtol, _MINRES_STEPS)
+
+
+def _newton(psi, values, cur, p: float, ws: Workspace, mask):
+    """Newton-MINRES for L_p'(psi) = 0 on the coefficients in ``mask``, the
+    others held.  Starting from psi, its nodal values and cur = eval_L at
+    psi, it yields (psi, values, report, residual) for the start and for
+    each accepted iterate, the residual being the H^{1/2} norm of the
+    gradient on ``mask``.  A step is ``_masked_solve`` of L_p'' delta = -L_p'
+    to the relative tolerance min(_FORCING, residual), then halving s until
+    the residual falls by the factor 1 - 1e-4 s; the iteration ends when no
+    halving does.  The caller stops it at its tolerance or step cap."""
+    basis = ws.basis
+    res = h_norm(basis, np.where(mask, cur.grad, 0.0))
+    while True:
+        yield psi, values, cur, res
+        delta = _masked_solve(HessianWeights(values, p, ws),
+                              np.where(mask, -cur.grad, 0.0), mask, min(_FORCING, res))
+        step = 1.0
+        for _ in range(_BACKTRACK):
+            psi_try = psi + step * delta
+            values_try = ws.synthesize(psi_try)
+            trial = eval_L(psi_try, p, ws, values=values_try)
+            res_try = h_norm(basis, np.where(mask, trial.grad, 0.0))
+            if res_try <= (1.0 - 1e-4 * step) * res:
+                psi, values, cur, res = psi_try, values_try, trial, res_try
+                break
+            step *= 0.5
+        else:
+            return
 
 
 # the monitor: the |psi|^p mass fraction a cap must hold to count as captured,
@@ -442,26 +451,22 @@ def _stage_diagnostics(values, p, ws, radii, pole):
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                        tol_final: float = 1e-7, tol_stage: float = 1e-6,
-                       tol_inner: float = 1e-10, max_outer: int = 200,
-                       blowup_spacing_factor: float = 5.0,
+                       max_outer: int = 200, blowup_spacing_factor: float = 5.0,
                        config_echo: dict | None = None) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
 
     ``init`` is the start state; a bubble start is transported first
     (``bubble_to_sphere(..., require_capture=True)``).  Its E^+ part is
-    scaled onto the first stage's Nehari set once, with inner reductions
-    to ``tol_inner``.  Each stage then makes at most ``max_outer``
-    Newton steps on psi: MINRES on L_p'' delta = -L_p'(psi) to the relative
-    tolerance min(1e-2, ||L_p'||) (``hessian_apply`` is the Riesz form of
-    L_p'', spectrum near +-1: no preconditioner), then halving s until
-    ||L_p'|| falls by the factor 1 - 1e-4 s.  The residual is the full
-    gradient norm ||L_p'(psi)||.  The monitor's barycenter chart projects
-    from the node where Q is least.
+    scaled onto the first stage's Nehari set once.  Each stage then makes at
+    most ``max_outer`` steps of ``_newton`` on every coefficient of psi, the
+    reduction's Newton-MINRES; the residual is the full gradient norm
+    ||L_p'(psi)||, and each iterate gets a trace row.  The monitor's
+    barycenter chart projects from the node where Q is least.
 
     Raises BlowUpDetected or StagnationDetected on the corresponding failure
     modes, and SolveFailure when the start's Nehari projection fails (an
-    inner reduction misses tol_inner, or its Newton does not converge) or an
-    iterate is not finite; each carries the trace.
+    inner reduction misses its tolerance, or its Newton does not converge)
+    or an iterate is not finite; each carries the trace.
     """
     schedule = list(schedule)
     if not schedule or abs(schedule[-1] - 4.0) > 1e-12:
@@ -470,6 +475,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
         raise ValueError("schedule must be strictly increasing inside (2, 4]")
 
     basis = ws.basis
+    every = np.ones(basis.n_basis, dtype=bool)
     u = np.where(basis.plus_mask, init.coeff, 0.0)
     if not np.any(u):
         raise ValueError("initialization has no E^+ part")
@@ -478,7 +484,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
 
     monitor_pole = ws.grid.xyz[int(np.argmin(ws.q_nodes))]
     spacing = ws.grid.mean_spacing()
-    radii = np.array(sorted({round(k * spacing, 12) for k in (1, 2, 3, 4, 5, 6, 8)}
+    radii = np.array(sorted({k * spacing for k in (1, 2, 3, 4, 5, 6, 8)}
                             | {0.3, 0.5, 0.8, 1.2, 1.7, 2.3, math.pi}))
 
     trace = SolverTrace(config=config_echo or {})
@@ -491,34 +497,18 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
         for stage, p in enumerate(schedule):
             tol = tol_final if stage == len(schedule) - 1 else tol_stage
             if stage == 0:
-                cur = nehari_project(u, p, ws, tol_inner=tol_inner).reduction
+                cur = nehari_project(u, p, ws).reduction
                 psi, values = cur.psi, cur.values
             else:
                 cur = eval_L(psi, p, ws, values=values)
-            res = h_norm(basis, cur.grad)
-            it = 0
-            for it in range(max_outer):
+            for it, (psi, values, cur, res) in zip(
+                    range(max_outer + 1), _newton(psi, values, cur, p, ws, every)):
                 if not math.isfinite(res):
                     raise SolveFailure(
                         f"non-finite iterate at stage {stage}, iteration {it}")
                 trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=cur.value,
                               residual=res, nehari_defect=nehari_defect(psi, p, ws, cur))
                 if res <= tol:
-                    break
-                weights = HessianWeights(values, p, ws)
-                delta = _minres(lambda d: hessian_apply(weights, d), -cur.grad,
-                                basis.abs_eigenvalues, min(_FORCING, res), _MINRES_STEPS)
-                step = 1.0
-                for _ in range(_BACKTRACK):
-                    psi_try = psi + step * delta
-                    values_try = ws.synthesize(psi_try)
-                    trial = eval_L(psi_try, p, ws, values=values_try)
-                    res_try = h_norm(basis, trial.grad)
-                    if res_try <= (1.0 - 1e-4 * step) * res:
-                        psi, values, cur, res = psi_try, values_try, trial, res_try
-                        break
-                    step *= 0.5
-                else:
                     break
             cap_r, center, bary, min_psi = _stage_diagnostics(
                 values, p, ws, radii, monitor_pole)

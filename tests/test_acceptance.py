@@ -65,7 +65,7 @@ def test_criterion_1_spectral_correctness():
 def test_criterion_2_bubble_laws():
     with criterion(2, "flat bubble energy 4pi and transported PDE residual at J=16"):
         for rho in (0.5, 1.0, 2.0):
-            quad, _ = bubble_energy_flat(2, rho)
+            quad, _ = bubble_energy_flat(rho)
             assert abs(quad - 4 * math.pi) <= 1e-6
         basis = SphereBasis(16)
         y = np.array([0.3, -0.5, 0.81])

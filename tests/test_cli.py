@@ -154,6 +154,23 @@ def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):
     assert report["status"] == "blow-up"
 
 
+def test_obstruction_family_at_j16_exits_3(tmp_path):
+    """The same obstruction family at J=16: at p = 3.95 and 4.0 the 90%
+    capture radius is 5 grid spacings, computed as the same float product
+    as the threshold 5.0 * spacing, so the monitor flags it and the solve
+    does not certify a curvature that has no solution."""
+    cfg = write_config(
+        tmp_path, J=16, grid_degree=48,
+        Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, 0.8]]},
+        schedule=[3.0, 3.5, 3.8, 3.95, 4.0], max_outer=100,
+        init={"type": "bubble", "rho": 0.35, "center": "argmax"},
+        tolerances={"final": 1e-6}, output_dir=str(tmp_path / "out"))
+    assert main(["solve", str(cfg)]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "blow-up"
+    assert report["blowup"]["stage_p"] == 4.0
+
+
 def _bench_workloads():
     """The benchmark's workload module, which defines the solve-j16 configs
     and their reference L_value."""
@@ -279,13 +296,14 @@ def _minus_only_state(tmp_path) -> dict:
     {"allow_hypothesis_failure": "no"},
     {"clamp_radius": 10.0},
     {"tolerances": {"blowup_capture": 0.9}},
+    {"tolerances": {"inner": 1e-10}},
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
         "poly_term", "rho", "tolerances_number", "tolerances_list",
         "max_outer", "clamp_radius", "poly_exponent", "q_negative",
         "q_sign_change", "output_dir", "zero_center", "rho_tiny",
         "tolerance_unknown_key", "lossy_transport", "state_minus_only",
         "unknown_key", "init_unknown_key", "allow_hypothesis_failure_string",
-        "removed_clamp_radius", "removed_blowup_capture"])
+        "removed_clamp_radius", "removed_blowup_capture", "removed_inner"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
                                                 override):
     """Wrongly typed, unknown or missing config fields, a curvature that is
@@ -356,7 +374,7 @@ FUZZ_BASE = {
     "Q": {"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 2, 0.3]]},
     "schedule": [3.0, 3.5, 4.0],
     "init": {"type": "bubble", "rho": 0.3, "center": [0.0, 0.0, 1.0]},
-    "tolerances": {"final": 1e-6, "inner": 1e-10},
+    "tolerances": {"final": 1e-6, "stage": 1e-6},
     "max_outer": 50, "output_dir": "out",
 }
 
@@ -417,13 +435,17 @@ def test_config_fuzzer_raises_only_config_errors(mutations):
 
 
 @pytest.mark.parametrize("case", ["tol_inner", "huge_state"])
-def test_solver_failure_exits_6_with_report(tmp_path, caplog, case):
-    """A SolveFailure (an inner reduction missing tol_inner, a non-finite
-    iterate) exits 6 with a report and the trace, and no traceback."""
+def test_solver_failure_exits_6_with_report(tmp_path, caplog, monkeypatch, case):
+    """A SolveFailure (an inner reduction missing its tolerance, set to 1e-30
+    in-process; a non-finite iterate) exits 6 with a report and the trace,
+    and no traceback; the non-finite case also in a fresh process, with one
+    line on stderr."""
+    from diracsphere import reduction
     from diracsphere.spectral import SphereBasis, SpectralSpinor, save_spinor
 
     if case == "tol_inner":
-        cfg = write_config(tmp_path, J=4, tolerances={"inner": 1e-30})
+        monkeypatch.setattr(reduction, "_TOL_INNER", 1e-30)
+        cfg = write_config(tmp_path, J=4)
     else:
         state = tmp_path / "state.txt"
         basis = SphereBasis(4)
@@ -438,6 +460,8 @@ def test_solver_failure_exits_6_with_report(tmp_path, caplog, case):
     assert (out / "trace.csv").read_text().startswith("# diracsphere-trace")
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None
+    if case == "tol_inner":
+        return
     # in a fresh process stderr holds that one line and no numpy warning
     proc = subprocess.run([sys.executable, "-m", "diracsphere.cli", "solve", str(cfg),
                            "--output", str(tmp_path / "p")],

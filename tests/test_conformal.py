@@ -202,14 +202,11 @@ def test_bubble_pointwise_laws():
 def test_bubble_energy_scale_invariance():
     vals = []
     for rho in (0.5, 1.0, 2.0):
-        quad, analytic = bubble_energy_flat(2, rho)
+        quad, analytic = bubble_energy_flat(rho)
         assert abs(quad - 4 * math.pi) <= 1e-6
         assert abs(analytic - 4 * math.pi) < 1e-14
         vals.append(quad)
     assert max(vals) - min(vals) <= 1e-8
-    quad3, analytic3 = bubble_energy_flat(3, 1.0)
-    assert analytic3 == pytest.approx((3 / 2) ** 3 * 2 * math.pi**2, rel=1e-14)
-    assert quad3 == pytest.approx(analytic3, rel=1e-10)
 
 
 def test_l2_mass_sphere_continuous_at_rho_one():

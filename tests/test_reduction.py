@@ -27,10 +27,10 @@ def _plus(ws, coeff):
 
 @pytest.mark.parametrize("zeros", [False, True])
 def test_minus_solve_meets_tol_against_oracle(ws8q, zeros, monkeypatch):
-    """The inner E^- solve returns a full-length vector that is exactly 0 on
-    E^+ and whose residual against the one-shot Hessian meets ``tol``, at
-    random psi and at psi with exact zero nodes; an rhs whose norm is at
-    most ``tol`` makes no Hessian product."""
+    """The masked solve on E^- returns a full-length vector that is exactly
+    0 on E^+ and whose residual against the one-shot Hessian meets ``tol``,
+    at random psi and at psi with exact zero nodes; an rhs whose norm is at
+    most ``tol`` (a relative tolerance >= 1) makes no Hessian product."""
     rng = np.random.default_rng(41 + zeros)
     neg = ws8q.basis.minus_mask
     products = [0]
@@ -45,14 +45,15 @@ def test_minus_solve_meets_tol_against_oracle(ws8q, zeros, monkeypatch):
         values = psi_values_with_zeros(ws8q, rng, zeros)
         weights = HessianWeights(values, p, ws8q)
         rhs = np.where(neg, random_spinor(ws8q, rng), 0.0)
-        x = reduction._minus_solve(weights, rhs, tol)
+        x = reduction._masked_solve(weights, rhs, neg, tol / h_norm(ws8q.basis, rhs))
         assert products[0] > 0
         assert not x[~neg].any()
-        residual = rhs + np.where(neg, hessian_oracle(values, p, ws8q, x), 0.0)
+        residual = rhs - np.where(neg, hessian_oracle(values, p, ws8q, x), 0.0)
         assert h_norm(ws8q.basis, residual) <= tol
         products[0] = 0
         small = rhs * (0.5 * tol / h_norm(ws8q.basis, rhs))
-        assert not reduction._minus_solve(weights, small, tol).any()
+        assert not reduction._masked_solve(weights, small, neg,
+                                           tol / h_norm(ws8q.basis, small)).any()
         assert products[0] == 0
 
 
@@ -68,11 +69,12 @@ def test_reduction_bound_100_states(ws8):
         assert red.residual_minus <= 1e-9
 
 
-def test_reduction_stationarity_hlm(ws8):
+def test_reduction_stationarity_hlm(ws8, monkeypatch):
     rng = np.random.default_rng(101)
     p = 3.5
     u = _plus(ws8, random_spinor(ws8, rng))
-    red = reduce_minus(u, p, ws8, tol_inner=1e-11)
+    monkeypatch.setattr(reduction, "_TOL_INNER", 1e-11)
+    red = reduce_minus(u, p, ws8)
     # sup over unit E^- directions of L'(u+h)[v] equals the E^- gradient norm
     gminus = np.where(ws8.basis.minus_mask, red.grad, 0.0)
     assert h_norm(ws8.basis, gminus) <= 1e-10
@@ -135,7 +137,7 @@ def test_nehari_ray_invariance_and_negativity(ws8):
     assert st3.t == pytest.approx(st.t / 3.0, rel=1e-8)
     assert st.ray_second_derivative < 0
     # on the Nehari set the defect vanishes
-    red = reduce_minus(st.u, p, ws8, v0=st.h)
+    red = reduce_minus(st.u, p, ws8, v0=st.reduction.h)
     assert abs(nehari_defect(st.u, p, ws8, red)) <= 1e-8
 
 
@@ -183,7 +185,7 @@ def test_nehari_second_derivative_matches_central_difference(ws8):
     u0 = u / unorm
     t = st.t * unorm
     dt = 1e-4 * t
-    vals = [reduce_minus(tt * u0, p, ws8, v0=st.h).value
+    vals = [reduce_minus(tt * u0, p, ws8, v0=st.reduction.h).value
             for tt in (t - dt, t, t + dt)]
     fd = (vals[0] - 2 * vals[1] + vals[2]) / dt**2
     assert st.ray_second_derivative == pytest.approx(fd, rel=1e-4)
@@ -200,7 +202,7 @@ def test_nehari_newton_warm_start_is_cheap(ws8, monkeypatch):
     calls = _counting(monkeypatch, "reduce_minus")
     st1 = nehari_project(u1, p, ws8)
     assert len(calls) <= 4
-    red = reduce_minus(st1.u, p, ws8, v0=st1.h)
+    red = reduce_minus(st1.u, p, ws8, v0=st1.reduction.h)
     assert abs(nehari_defect(st1.u, p, ws8, red)) <= 1e-8
 
 
@@ -243,7 +245,7 @@ def test_nehari_max_matches_saddle_value(ws8):
         red = reduce_minus(t * unorm, p, ws8, v0=h)
         h = red.h
         best = max(best, red.value)
-    assert st.value >= best - 1e-6
+    assert st.reduction.value >= best - 1e-6
 
 
 def test_quotient_max_equals_reduced_energy_relation(ws8):
@@ -251,7 +253,7 @@ def test_quotient_max_equals_reduced_energy_relation(ws8):
     for p in (3.0, 3.7, 4.0):
         u = _plus(ws8, random_spinor(ws8, rng))
         st = nehari_project(u, p, ws8)
-        f_energy = ((2.0 * p / (p - 2.0)) * max(st.value, 0.0)) ** ((p - 2.0) / p)
+        f_energy = ((2.0 * p / (p - 2.0)) * max(st.reduction.value, 0.0)) ** ((p - 2.0) / p)
         f_rayleigh = eval_rayleigh(st.reduction.psi, p, ws8)
         assert f_energy == pytest.approx(f_rayleigh, rel=1e-8)
 

@@ -135,20 +135,19 @@ def _nan_gradient(monkeypatch):
 
 
 @pytest.mark.parametrize("case, message", [
-    ("tol_inner", "did not reach tol_inner"),
+    ("tol_inner", "inner reduction did not reach"),
     ("huge_init", "non-finite iterate in the initial state"),
     ("nan_reduction", "non-finite iterate in the inner reduction"),
     ("nan_gradient", "non-finite iterate at stage 0, iteration 0"),
 ])
 def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message):
-    """An inner reduction that misses tol_inner, and a non-finite start, or a
-    non-finite iterate in reduce_minus or in the outer loop, end in a
-    SolveFailure with the trace."""
+    """An inner reduction that misses its tolerance (``_TOL_INNER`` set to
+    1e-30), and a non-finite start, or a non-finite iterate in reduce_minus
+    or in the outer loop, end in a SolveFailure with the trace."""
     ws = make_workspace(4)
     init = bubble_start(ws, center=[0, 0, 1], rho=0.5)
-    options = {}
     if case == "tol_inner":
-        options["tol_inner"] = 1e-30
+        monkeypatch.setattr(reduction, "_TOL_INNER", 1e-30)
     elif case == "huge_init":
         init = SpectralSpinor(ws.basis, np.full(ws.basis.n_basis, 1e200 + 0j))
     elif case == "nan_reduction":
@@ -157,8 +156,7 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
     else:
         _nan_gradient(monkeypatch)
     with np.errstate(all="ignore"), pytest.raises(SolveFailure) as info:
-        solve_continuation(ws, [3.0, 4.0], init, config_echo={"case": case},
-                           **options)
+        solve_continuation(ws, [3.0, 4.0], init, config_echo={"case": case})
     assert type(info.value) is SolveFailure
     assert message in str(info.value)
     assert info.value.trace.config == {"case": case}
@@ -204,9 +202,11 @@ def test_minres_singular_consistent_system():
 
 # calls inside solve_continuation for the criterion-9 J=8 solve, recorded
 # after the Nehari projection became one Newton in t^(p-2) from the ray's
-# L_p root, the CLI took over the bubble transport, and reduce_minus took
-# its tolerance scale from A at its start
-WORK_COUNTS = {"hessian_apply": 166, "synthesize": 191, "analyze": 192,
+# L_p root, the CLI took over the bubble transport, reduce_minus took its
+# tolerance scale from A at its start, and reduce_minus became the stages'
+# Newton-MINRES on E^-, with the reduced Hessian's E^- solve to a relative
+# tolerance
+WORK_COUNTS = {"hessian_apply": 173, "synthesize": 200, "analyze": 201,
                "reduce_minus": 4}
 
 
