@@ -35,7 +35,7 @@ import numpy as np
 
 from .energy import Workspace, _tangent_frame
 from .grid import chart_a_coords, chart_b_coords, conformal_factor
-from .spectral import SpectralSpinor, dirac_apply
+from .spectral import _CHUNK, SpectralSpinor, dirac_apply
 
 # -- nodal analysis -----------------------------------------------------------
 
@@ -333,18 +333,21 @@ _EDGE_T, _EDGE_W = 0.5 * (_EDGE_T + 1.0), 0.5 * _EDGE_W
 
 def _edge_integrals(psi: SpectralSpinor, sphere_v, edges):
     """Weierstrass increments 2 Re integral X_z dz and g1 lengths of the mesh
-    edges, from one evaluation at their Gauss points.  An edge is read in
-    chart A when both its ends have x3 >= 0, else in chart B; the gauge
-    phi_B(w) = diag(iz, -i zbar) phi_A(z), w = 1/z, makes X_w dw = X_z dz,
-    so both charts give the same form."""
+    edges from their Gauss points, per chart, ``_CHUNK`` points at a time.  An
+    edge is read in chart A when both its ends have x3 >= 0, else in chart B;
+    the gauge phi_B(w) = diag(iz, -i zbar) phi_A(z), w = 1/z, makes X_w dw = X_z dz."""
     north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
-    za, zb = (_chart_coords(sphere_v[end], north) for end in edges.T)
-    dz = zb - za
-    pts = za[:, None] + _EDGE_T[None, :] * dz[:, None]
-    vals = psi.basis.evaluate(psi.coeff, pts, north[:, None])
-    xz = np.tensordot(_weierstrass_form(vals), _EDGE_W, axes=([1], [0]))
-    incr = 2.0 * np.real(dz[:, None] * xz)
-    glen = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(dz)
+    incr, glen = np.empty((len(edges), 3)), np.empty(len(edges))
+    for chart_a in (True, False):
+        index = np.flatnonzero(north == chart_a)
+        for start in range(0, index.size, _CHUNK // _EDGE_T.size):
+            e = index[start:start + _CHUNK // _EDGE_T.size]
+            za, zb = (_chart_coords(sphere_v[end], chart_a) for end in edges[e].T)
+            dz = zb - za
+            vals = psi.basis.evaluate(psi.coeff, za[:, None] + _EDGE_T * dz[:, None], chart_a)
+            xz = np.tensordot(_weierstrass_form(vals), _EDGE_W, axes=([1], [0]))
+            incr[e] = 2.0 * np.real(dz[:, None] * xz)
+            glen[e] = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(dz)
     return incr, glen
 
 

@@ -43,12 +43,9 @@ keeps every term O(1), so the basis is accurate at any J.
 
 Evaluation.  Only ``SphereBasis`` picks a chart, from ``use_a``: a bool or
 a mask shaped like the chart points, True reading chart A.  The table
-``evaluate_matrix`` and one field at arbitrary points, ``evaluate``, run the
-same recurrence, one pass per angular index k that stacks the degrees
-d = 0..J-k into one array.  The table scatters the columns of each k once,
-for the points of both charts together; ``evaluate`` sums the degrees
-against the coefficients with one real matrix product per k, over blocks
-of ``_CHUNK`` points, so its memory is bounded whatever the point count.
+``evaluate_matrix``, one field at arbitrary points (``evaluate``) and the
+ring map below run the same recurrence, one pass per angular index k that
+stacks the degrees d = 0..J-k, and hold one k at a time beside their output.
 Wirtinger derivatives come from the z^k factor and
 d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1}, with no division, so
 they are finite at z = 0.  The grid transforms are separable: each grid
@@ -59,15 +56,10 @@ Reinecke & Seljebotn 2013; SHTns, Schaeffer 2013).  The ring map groups the
 columns by k, which share one mode per chart and component, and runs as
 stacked real matrix products on (re, im) pairs; unlike complex
 matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
-The table keeps the E^- and E^+ columns of a group in two blocks, and
-``synthesize`` adds the E^+ sum to the E^- sum; the solver's inner E^-
-problem uses the same maps on vectors that vanish on E^+.  A Wirtinger
-derivative of a column is again one longitude mode times its phi = 0
-value, the mode shifted by nzbar - nz in chart A and nz - nzbar in
-chart B.  So ``synthesize_derivatives`` gives the (1,0), (0,1) and (1,1)
-derivatives at the nodes from one order-2 radial pass on the phi = 0
-meridian, which sums the coefficients of each group apart, and an FFT per
-ring; it builds no table.  Off-grid points go through ``evaluate``.
+It is written one k at a time from the column pass that ``evaluate_matrix``
+scatters, the E^- and E^+ columns of a group in two blocks that
+``synthesize`` sums; ``synthesize_derivatives`` sums each group's
+coefficients on the meridian instead and builds no table.
 """
 
 from __future__ import annotations
@@ -240,10 +232,6 @@ class SphereBasis:
             for j in range(k, J + 1):
                 self._cols[k, j - k] = [pos[j, sg, kk] for kk in (k, -1 - k)
                                         for sg in (1, -1)]
-        # longitude mode per (chart A/B, component, column): eta_{j,k} is z^k,
-        # z^(k+1) times radial factors, and diag(i z, -i zbar) takes it to B
-        k = np.array([ix.k for ix in indices])
-        self.modes = np.array([[k, k + 1], [k + 1, k]])
         self._matrix_cache = {}
 
     # -- evaluation ---------------------------------------------------------
@@ -280,24 +268,29 @@ class SphereBasis:
             yield k, _jacobi(t - rho_t, k, self.J - k, order), components
             prev, base = base, base * omega
 
-    def evaluate_matrix(self, z, use_a, deriv=(0, 0)) -> np.ndarray:
-        """Basis values (or their exact Wirtinger derivative ``deriv`` =
-        (nz, nzbar), each 0 or 1) at chart points z: shape z.shape + (2, n_basis).
-        One radial pass over the points of both charts, one scatter per k."""
+    def _columns(self, z, use_a, deriv):
+        """For k = 0..J: (k, values[component, d, column, point]) of the
+        columns ``_cols[k, :J-k+1]`` at the chart points z of both charts."""
         z, deriv = np.asarray(z, dtype=complex), tuple(deriv)
         v = z.ravel()
         chart = np.where(np.broadcast_to(use_a, z.shape).ravel(), 0, 1)
         w = _WEIGHTS.copy()
         w[:, :, 1] = np.conj(w[:, :, 1])
         w = np.moveaxis(w[chart], 0, -1)[:, :, None]     # [e, h, 1, column, point]
-        tab = np.zeros((v.size, 2, self.n_basis + 1), dtype=complex)
         for k, P, components in self._radial_stage(v, sum(deriv)):
-            n_d = P.shape[2]
-            sign = (-1.0) ** (np.arange(n_d)[:, None] * chart)
+            sign = (-1.0) ** (np.arange(P.shape[2])[:, None] * chart)
             # S[order, e, h, d, column, point]
             S = sign[:, None] * w * P[:, :, None, :, None, :]
-            tab[:, :, self._cols[k, :n_d]] = np.moveaxis(components(S, deriv), -1, 0)
-        return tab[:, :, :-1].reshape(z.shape + (2, self.n_basis))
+            yield k, np.array(components(S, deriv))
+
+    def evaluate_matrix(self, z, use_a, deriv=(0, 0)) -> np.ndarray:
+        """Basis values (or their exact Wirtinger derivative ``deriv`` =
+        (nz, nzbar), each 0 or 1) at chart points z: shape z.shape + (2, n_basis).
+        One radial pass over the points of both charts, one scatter per k."""
+        tab = np.zeros((np.size(z), 2, self.n_basis + 1), dtype=complex)
+        for k, values in self._columns(z, use_a, deriv):
+            tab[:, :, self._cols[k, :values.shape[1]]] = np.moveaxis(values, -1, 0)
+        return tab[:, :, :-1].reshape(np.shape(z) + (2, self.n_basis))
 
     def evaluate(self, coeff, z, use_a, deriv=(0, 0)) -> np.ndarray:
         """The field ``coeff`` (or its ``deriv`` derivative) at chart points z,
@@ -333,6 +326,17 @@ class SphereBasis:
             raise AliasingError(f"grid degree {grid.degree} < 2J+1 = {2 * self.J + 1}: "
                                 "transforms would alias")
 
+    def _ring_bins(self, grid: QuadratureGrid, shift: int) -> np.ndarray:
+        """Ring-mode bins [g, row] of groups k = g - J - 1 at rows (ring,
+        component), modes shifted by ``shift`` in chart A, -shift in chart B:
+        eta_{j,k} is z^k, z^(k+1) times radial factors, and diag(i z, -i zbar)
+        takes it to B.  A row's 2J+2 modes fill distinct bins, n_phi >= 2J+2."""
+        chart = np.where(grid.use_a[::grid.n_phi], 0, 1)[:, None, None]
+        mode = np.arange(-(self.J + 1), self.J + 1) + (np.arange(2)[:, None] != chart)
+        bins = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * grid.n_phi + (
+            mode + shift * (1 - 2 * chart)) % grid.n_phi
+        return bins.reshape(-1, bins.shape[-1]).T.copy()
+
     def synthesis_matrix(self, grid: QuadratureGrid):
         """Cached per grid degree: the ring map between coefficients and each
         ring's longitude modes, as (bins, phase, table, cols), with the
@@ -346,10 +350,7 @@ class SphereBasis:
         self._require_grid(grid)
         ring = self._matrix_cache.get(grid.degree)
         if ring is None:
-            n_p = grid.n_phi
-            radial = self.evaluate_matrix(grid.z_pref[::n_p], grid.use_a[::n_p])
-            radial = np.pad(radial.reshape(2 * grid.n_theta, self.n_basis),
-                            ((0, 0), (0, 1)))                      # padding column
+            J, n_p, n_t = self.J, grid.n_phi, grid.n_theta
             # groups k = -(J+1)..J: _cols keeps (+, k), (-, k), (+, -1-k),
             # (-, -1-k) at each level j = |k + 1/2| - 1/2 + slot.  The two
             # sign blocks stay apart, their sums added in ``synthesize``: one
@@ -357,19 +358,20 @@ class SphereBasis:
             # every stored state.
             cols = np.array([np.concatenate([self._cols[::-1, :, 3 - s],
                                              self._cols[:, :, 1 - s]]) for s in range(2)])
-            table = radial[:, cols].transpose(1, 2, 0, 3)
-            # a group's values at one row are all real or all imaginary, so an
-            # exact quarter turn per row leaves a real table
-            imag = np.abs(table.imag).sum(axis=(0, 3)) > np.abs(table.real).sum(axis=(0, 3))
-            phase = np.where(imag, 1j, 1.0)
-            table = (table * np.conj(phase)[..., None]).real.copy()
-            # (ring, component, g), from each group's first column
-            mode = self.modes[np.where(grid.use_a[::n_p], 0, 1)][..., cols[0][:, 0]]
-            # a row's 2J+2 consecutive modes fill distinct bins, n_phi >= 2J+2
-            # (at degree 2J+1, +-(J+1) share a bin, and a row has one of them)
-            bins = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * n_p + mode % n_p
-            bins = bins.reshape(-1, bins.shape[-1]).T
-            ring = self._matrix_cache[grid.degree] = (bins, phase, table, cols)
+            table = np.zeros((2, 2 * J + 2, n_t, 2, J + 1))    # [s, g, ring, component, w]
+            phase = np.empty((2 * J + 2, n_t, 2), dtype=complex)
+            # k gives groups k and -1-k; a group's values at one row are all
+            # real or all imaginary, so an exact quarter turn leaves them real
+            for k, values in self._columns(grid.z_pref[::n_p], grid.use_a[::n_p], (0, 0)):
+                values = values.reshape(2, -1, 2, 2, n_t)   # [component, w, k|-1-k, +|-, ring]
+                imag, real = (np.abs(part).sum(axis=(1, 3)) for part in (values.imag, values.real))
+                g = [J + 1 + k, J - k]
+                phase[g] = np.where(imag > real, 1j, 1.0).transpose(1, 2, 0)
+                turned = values * np.conj(phase[g]).transpose(2, 0, 1)[:, None, :, None]
+                table[:, g, ..., :values.shape[1]] = turned.real.transpose(3, 2, 4, 0, 1)[::-1]
+            ring = self._matrix_cache[grid.degree] = (
+                self._ring_bins(grid, 0), phase.reshape(2 * J + 2, -1),
+                table.reshape(2, 2 * J + 2, -1, J + 1), cols)
         return ring
 
     def synthesize(self, coeff, grid: QuadratureGrid) -> np.ndarray:
@@ -412,19 +414,12 @@ class SphereBasis:
                         components(S, deriv), -1, 0)
             return out
 
-        use_a = grid.use_a[::n_p]
-        sums = self._by_chart(grid.z_pref[::n_p], use_a, (3, 2, 2 * J + 2), fill)
-        # each group's mode per (ring, component), as in ``modes``; a row's
-        # 2J+2 consecutive modes, shifted alike, fill distinct bins
-        chart = np.where(use_a, 0, 1)[:, None, None]
-        mode = np.arange(-(J + 1), J + 1) + (np.arange(2)[:, None] != chart)
-        values = []
+        sums = self._by_chart(grid.z_pref[::n_p], grid.use_a[::n_p], (3, 2, 2 * J + 2), fill)
+        sums = sums.transpose(1, 3, 0, 2).reshape(3, 2 * J + 2, -1)   # [deriv, g, row]
+        modes = np.zeros((3, 2 * grid.n_nodes), dtype=complex)
         for i, (nz, nzb) in enumerate(derivs):
-            modes = np.zeros((grid.n_theta, 2, n_p), dtype=complex)
-            np.put_along_axis(modes, (mode + (nzb - nz) * (1 - 2 * chart)) % n_p,
-                              sums[:, i], axis=-1)
-            values.append(_ring_values(grid, modes))
-        return tuple(values)
+            modes[i, self._ring_bins(grid, nzb - nz)] = sums[i]
+        return tuple(_ring_values(grid, m) for m in modes)
 
     def analyze(self, values, grid: QuadratureGrid) -> np.ndarray:
         """L^2 projection of nodal values onto the basis (adjoint transform):

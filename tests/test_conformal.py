@@ -289,6 +289,21 @@ def test_truncation_loss_reported_and_enforced():
         bubble_to_sphere(Bubble(rho=0.15), basis, require_capture=True)
 
 
+def test_transport_leaves_the_table_cache_as_found():
+    """The ring table of the refined analysis grid (degree 32 for rho 0.5)
+    is built for one transport and not kept; one that was already cached
+    stays, and the coefficients are the same bytes either way."""
+    basis = SphereBasis(4)
+    basis.synthesis_matrix(QuadratureGrid(degree=12))
+    psi, rep = bubble_to_sphere(Bubble(rho=0.5), basis)
+    assert rep.analysis_degree == 32
+    assert list(basis._matrix_cache) == [12]
+    ring = basis.synthesis_matrix(QuadratureGrid(degree=32))
+    again, _ = bubble_to_sphere(Bubble(rho=0.5), basis)
+    assert list(basis._matrix_cache) == [12, 32] and basis._matrix_cache[32] is ring
+    assert again.coeff.tobytes() == psi.coeff.tobytes()
+
+
 def conformal_push_values(values, h_nodes) -> np.ndarray:
     """Fiberwise isometry F to the metric h^2 g in weighted chart components.
 

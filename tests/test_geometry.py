@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracsphere.geometry import (ImmersionMesh, _curvature_sums,
+from diracsphere.geometry import (_EDGE_T, _EDGE_W, ImmersionMesh, _chart_coords,
+                                  _curvature_sums, _edge_integrals,
                                   _spanning_tree, _weierstrass_form,
                                   closedness_defect, discrete_curvature,
                                   export_obj, export_ply, icosphere,
@@ -250,6 +252,54 @@ def test_immersion_evaluates_each_edge_once(ws8, killing_state, monkeypatch):
     verts, faces = icosphere(4)
     n_edges = mesh_edges(faces).shape[0]
     assert sum(points) <= 4 * n_edges + verts.shape[0] + 120
+
+
+def _edge_integrals_one_shot(psi, sphere_v, edges):
+    """Reference ``_edge_integrals``: every Gauss point of the mesh in one
+    evaluation, each edge in its chart."""
+    north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
+    za, zb = (_chart_coords(sphere_v[end], north) for end in edges.T)
+    dz = zb - za
+    pts = za[:, None] + _EDGE_T[None, :] * dz[:, None]
+    vals = psi.basis.evaluate(psi.coeff, pts, north[:, None])
+    xz = np.tensordot(_weierstrass_form(vals), _EDGE_W, axes=([1], [0]))
+    incr = 2.0 * np.real(dz[:, None] * xz)
+    glen = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(dz)
+    return incr, glen
+
+
+@pytest.mark.parametrize("subdivisions", range(5))
+def test_edge_integrals_bytes_match_one_shot_evaluation(ws8, subdivisions):
+    """Blocks of one chart's edges give the bytes of one evaluation of all
+    the Gauss points, on meshes with edges in both charts."""
+    psi = ws8.spinor(random_spinor(ws8, np.random.default_rng(31)))
+    verts, faces = icosphere(subdivisions)
+    edges = mesh_edges(faces)
+    north = (verts[edges[:, 0], 2] >= 0) & (verts[edges[:, 1], 2] >= 0)
+    assert 0 < north.sum() < north.size
+    for got, ref in zip(_edge_integrals(psi, verts, edges),
+                        _edge_integrals_one_shot(psi, verts, edges)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_edge_integrals_memory_is_bounded(ws8):
+    """The traced peak of ``_edge_integrals`` at 5 subdivisions (30720
+    edges) exceeds its peak at 3 (1920 edges) by at most its outputs and
+    1 MB: no array over all the Gauss points is ever whole."""
+    psi = ws8.spinor(random_spinor(ws8, np.random.default_rng(32)))
+    peaks = {}
+    for subdivisions in (3, 5):
+        verts, faces = icosphere(subdivisions)
+        edges = mesh_edges(faces)
+        _edge_integrals(psi, verts, edges)
+        tracemalloc.start()
+        try:
+            out = _edge_integrals(psi, verts, edges)
+            peaks[subdivisions] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    out_bytes = sum(a.nbytes for a in out)
+    assert peaks[5] <= peaks[3] + out_bytes + 2**20, (peaks, out_bytes)
 
 
 def test_weierstrass_form_is_chart_independent(ws8):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,15 +111,18 @@ def test_transform_adjoint_identity(J, degree):
 def test_columns_are_single_longitude_modes():
     """Turning the chart points by e^{i alpha} multiplies each column by
     e^{i mode alpha} in chart A and by e^{-i mode alpha} in chart B, where
-    w ~ e^{-i phi}."""
+    w ~ e^{-i phi}; the modes are k, k+1 per component in chart A and
+    k+1, k in chart B."""
     basis = SphereBasis(16)
+    k = np.array([ix.k for ix in basis.indices])
+    modes = np.array([[k, k + 1], [k + 1, k]])
     rng = np.random.default_rng(13)
     z = 0.9 * (rng.normal(size=20) + 1j * rng.normal(size=20))
     rot = np.exp(0.7j)
     for chart, sign in ((0, 1), (1, -1)):
         use_a = chart == 0
         turned = basis.evaluate_matrix(rot * z, use_a)
-        phase = np.exp(sign * 0.7j * basis.modes[chart])
+        phase = np.exp(sign * 0.7j * modes[chart])
         assert np.abs(turned - phase * basis.evaluate_matrix(z, use_a)).max() <= 1e-13
 
 
@@ -130,6 +134,52 @@ def test_cached_transform_table_is_small():
     bins, phase, table, cols = basis.synthesis_matrix(grid)
     assert sum(a.nbytes for a in (bins, phase, table, cols)) < 2 * 2**20
     assert list(basis._matrix_cache) == [48]
+
+
+def _dense_ring_map(basis, grid):
+    """Reference ``synthesis_matrix``: the dense complex meridian table,
+    padded, gathered by group and turned by a quarter turn per row."""
+    n_p = grid.n_phi
+    radial = basis.evaluate_matrix(grid.z_pref[::n_p], grid.use_a[::n_p])
+    radial = np.pad(radial.reshape(2 * grid.n_theta, basis.n_basis), ((0, 0), (0, 1)))
+    cols = np.array([np.concatenate([basis._cols[::-1, :, 3 - s], basis._cols[:, :, 1 - s]])
+                     for s in range(2)])
+    table = radial[:, cols].transpose(1, 2, 0, 3)
+    imag = np.abs(table.imag).sum(axis=(0, 3)) > np.abs(table.real).sum(axis=(0, 3))
+    phase = np.where(imag, 1j, 1.0)
+    table = (table * np.conj(phase)[..., None]).real.copy()
+    k = np.array([ix.k for ix in basis.indices])
+    modes = np.array([[k, k + 1], [k + 1, k]])
+    mode = modes[np.where(grid.use_a[::n_p], 0, 1)][..., cols[0][:, 0]]
+    bins = np.arange(2 * grid.n_theta).reshape(-1, 2, 1) * n_p + mode % n_p
+    return bins.reshape(-1, bins.shape[-1]).T, phase, table, cols
+
+
+@pytest.mark.parametrize("J, degree", [(1, 3), (5, 11), (5, 15), (8, 24), (16, 48), (16, 54)])
+def test_ring_table_bytes_match_dense_construction(J, degree):
+    """The ring map written one angular index at a time has the bytes of the
+    dense construction (a flipped sign of zero fails), on degree-3J grids,
+    finer ones, and at degree 2J+1, where +-(J+1) share a bin."""
+    basis = SphereBasis(J)
+    grid = QuadratureGrid(degree=degree)
+    got = basis.synthesis_matrix(grid)
+    for a, b in zip(got, _dense_ring_map(basis, grid)):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def test_ring_table_build_memory_is_bounded():
+    """Building the J=32, degree-96 ring map allocates at its peak less than
+    twice the table it keeps: one angular index is held at a time, never
+    the dense complex meridian matrix (about 6 times the table)."""
+    basis, grid = SphereBasis(32), QuadratureGrid(degree=96)
+    tracemalloc.start()
+    try:
+        table = basis.synthesis_matrix(grid)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes, (peak, table.nbytes)
 
 
 _THREAD_PROBE = """
