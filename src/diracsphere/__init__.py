@@ -25,7 +25,7 @@ from .reduction import (BlowUpDetected, ContinuationResult, StagnationDetected,
                         nehari_project, reduce_minus, solve_continuation)
 from .spectral import (BasisIndex, SphereBasis, SpectralSpinor, dirac_apply,
                        dirac_eigenvalue, dirac_multiplicity, load_spinor,
-                       save_spinor, split)
+                       save_spinor)
 
 __all__ = [
     "Bubble", "bubble_energy_flat", "bubble_to_sphere",
@@ -38,5 +38,4 @@ __all__ = [
     "estimate_tau", "nehari_project", "reduce_minus", "solve_continuation",
     "BasisIndex", "SphereBasis", "SpectralSpinor", "dirac_apply",
     "dirac_eigenvalue", "dirac_multiplicity", "load_spinor", "save_spinor",
-    "split",
 ]

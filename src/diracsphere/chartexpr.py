@@ -74,41 +74,12 @@ class ChartExpr:
             expr = expr.dzbar()
         return expr
 
-    def __call__(self, z, cache=None):
-        """Evaluate on a complex array; ``cache`` is a PowerCache for reuse."""
+    def __call__(self, z):
+        """Evaluate on a complex array."""
         z = np.asarray(z, dtype=complex)
-        if cache is None:
-            cache = PowerCache(z)
+        zb = np.conj(z)
+        ui = 1.0 / (1.0 + np.abs(z) ** 2)
         out = np.zeros(z.shape, dtype=complex)
         for (a, b, M), c in self.terms.items():
-            out += c * cache.zp(a) * cache.zbp(b) * cache.uinv(M)
+            out += c * z**a * zb**b * ui**M
         return out
-
-
-class PowerCache:
-    """Caches powers of z, conj(z) and 1/u for repeated ChartExpr evaluation."""
-
-    def __init__(self, z):
-        z = np.asarray(z, dtype=complex)
-        self.z = z
-        self.zb = np.conj(z)
-        self.ui = 1.0 / (1.0 + np.abs(z) ** 2)
-        self._zp = {0: np.ones_like(z), 1: z}
-        self._zbp = {0: np.ones_like(z), 1: self.zb}
-        self._ui = {0: np.ones(z.shape), 1: self.ui}
-
-    def _pow(self, table, base, n):
-        have = table.get(n)
-        if have is None:
-            have = table[n - 1] * base if n - 1 in table else base**n
-            table[n] = have
-        return have
-
-    def zp(self, n):
-        return self._pow(self._zp, self.z, n)
-
-    def zbp(self, n):
-        return self._pow(self._zbp, self.zb, n)
-
-    def uinv(self, n):
-        return self._pow(self._ui, self.ui, n)

@@ -32,8 +32,8 @@ from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
 from .geometry import (export_obj, export_ply, nodal_analysis,
                        reconstruct_immersion, scal_identity_check)
 from .grid import QuadratureGrid
-from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
-                        solve_continuation)
+from .reduction import (_BLOWUP_SPACING, BlowUpDetected, SolveFailure,
+                        StagnationDetected, solve_continuation)
 from .spectral import (SphereBasis, dirac_eigenvalue, dirac_multiplicity,
                        load_spinor, save_spinor)
 
@@ -52,9 +52,9 @@ CONFIG_KEYS = ("schema_version", "J", "grid_degree", "Q", "schedule", "init",
 DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
 INIT_KEYS = {"bubble": ("type", "rho", "center"), "state": ("type", "path")}
-# config "tolerances" keys -> solve_continuation keyword arguments
-SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage",
-                     "blowup_spacing_factor": "blowup_spacing_factor"}
+# config "tolerances" keys -> solve_continuation keyword arguments; the key
+# "blowup_spacing_factor" may only restate the solver's fixed factor
+SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage"}
 
 
 class ConfigError(ValueError):
@@ -147,10 +147,13 @@ def validate_config(cfg: dict) -> None:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must be an object")
-    _check_keys("tolerance", tols, SOLVER_TOLERANCES)
+    _check_keys("tolerance", tols, [*SOLVER_TOLERANCES, "blowup_spacing_factor"])
     for key, value in tols.items():
         if not (_is_number(value) and value > 0):
             raise ConfigError(f"tolerance '{key}' must be a positive number")
+    if tols.get("blowup_spacing_factor", _BLOWUP_SPACING) != _BLOWUP_SPACING:
+        raise ConfigError(f"tolerance 'blowup_spacing_factor' is fixed at "
+                          f"{_BLOWUP_SPACING}")
     if "max_outer" in cfg and not (_is_number(cfg["max_outer"], int)
                                    and cfg["max_outer"] > 0):
         raise ConfigError("max_outer must be a positive integer")
@@ -334,8 +337,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         options["max_outer"] = cfg["max_outer"]
     try:
         result = solve_continuation(
-            ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, config_echo=cfg,
-            **options)
+            ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, **options)
     except BlowUpDetected as exc:
         log.error("blow-up detected: %s", exc)
         report["status"] = "blow-up"
@@ -343,25 +345,25 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
             "point": exc.point, "stage_p": exc.stage_p, "rho_hat": exc.rho_hat,
             "profile_distance": exc.profile_distance,
             "nearest_critical_point": _nearest_critical(hyp, exc.point)})
-        exc.trace.to_csv(outdir / "trace.csv")
+        exc.trace.to_csv(outdir / "trace.csv", cfg)
         _write_report(outdir, report)
         return EXIT_BLOWUP
     except StagnationDetected as exc:
         log.error("stagnation: %s", exc)
         report["status"] = "stagnation"
         report["stagnation"] = {"stage_p": exc.stage_p, "residual": exc.residual}
-        exc.trace.to_csv(outdir / "trace.csv")
+        exc.trace.to_csv(outdir / "trace.csv", cfg)
         _write_report(outdir, report)
         return EXIT_STAGNATION
     except SolveFailure as exc:
         log.error("solver failure: %s", exc)
         report["status"] = "solve-failure"
         report["solve_failure"] = str(exc)
-        exc.trace.to_csv(outdir / "trace.csv")
+        exc.trace.to_csv(outdir / "trace.csv", cfg)
         _write_report(outdir, report)
         return EXIT_SOLVE_FAILURE
 
-    result.trace.to_csv(outdir / "trace.csv")
+    result.trace.to_csv(outdir / "trace.csv", cfg)
     save_spinor(outdir / "state.txt", result.psi)
 
     nodal, diag = _diagnostics(result.psi, ws)
@@ -479,7 +481,7 @@ def cmd_immerse(args) -> int:
     rel_l2 = float(np.sqrt(np.mean(rel ** 2)))
     summary = _json_ready({
         "vertices": mesh.vertices.shape[0],
-        "euler_characteristic": mesh.euler_characteristic(),
+        "euler_characteristic": mesh.euler_characteristic,
         "closure_defect": mesh.closure_defect,
         "closedness_precheck": mesh.closedness_precheck,
         "gauss_bonnet_defect": mesh.gauss_bonnet_defect,

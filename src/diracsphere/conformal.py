@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chartexpr import ChartExpr, PowerCache
+from .chartexpr import ChartExpr
 from .grid import QuadratureGrid, chart_a_coords, chart_b_coords
 from .spectral import SphereBasis, SpectralSpinor
 
@@ -125,21 +125,16 @@ class Bubble:
         e2 = ChartExpr.monomial(2.0 * s * b, 0, 0, 1) + ChartExpr.monomial(2j * s * a, 1, 0, 1)
         return e1, e2
 
-    def eval_plane(self, x, deriv=(0, 0)) -> np.ndarray:
-        """Value (or exact Wirtinger derivative) at points of its own chart plane.
-
-        ``x`` is complex z = x1 + i x2 or an array of shape (..., 2).
-        """
-        x = np.asarray(x)
-        z = x[..., 0] + 1j * x[..., 1] if x.dtype != complex and x.shape[-1:] == (2,) else x
+    def eval_plane(self, z, deriv=(0, 0)) -> np.ndarray:
+        """Value (or exact Wirtinger derivative) at complex points z of its
+        own chart plane."""
         zeta = np.asarray(z, dtype=complex) / self.rho
-        cache = PowerCache(zeta)
         e1, e2 = self.component_exprs()
         if deriv != (0, 0):
             e1 = e1.derivative(*deriv)
             e2 = e2.derivative(*deriv)
         scale = self.rho ** -(deriv[0] + deriv[1])
-        return np.stack([scale * e1(zeta, cache), scale * e2(zeta, cache)], axis=-1)
+        return np.stack([scale * e1(zeta), scale * e2(zeta)], axis=-1)
 
     def l2_mass_sphere(self) -> float:
         """Exact L^2(S^2) mass of the transported field psi_{y,rho}."""

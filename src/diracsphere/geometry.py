@@ -395,10 +395,7 @@ class ImmersionMesh:
     closure_defect: float
     edge_length_rel_error: float  # RMS of (mesh length - g1 length) / g1 length
     closedness_precheck: float
-
-    def euler_characteristic(self) -> int:
-        ne = mesh_edges(self.faces).shape[0]
-        return self.vertices.shape[0] - ne + self.faces.shape[0]
+    euler_characteristic: int    # vertices - edges + faces
 
 
 def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
@@ -435,7 +432,8 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
                          conf_factor=conf, mean_curvature=H, target_q=target_q,
                          gauss_bonnet_defect=gauss_bonnet, closure_defect=closure,
                          edge_length_rel_error=float(np.sqrt(np.mean(rel**2))),
-                         closedness_precheck=pre)
+                         closedness_precheck=pre,
+                         euler_characteristic=len(verts) - len(edges) + len(faces))
 
 
 # -- discrete curvature -----------------------------------------------------------

@@ -7,7 +7,7 @@ one MINRES in the H^{1/2} metric on the Hessian restricted to the set.
 The continuation driver walks a schedule p_0 < p_1 < ... < 4, warm starting
 each stage, and runs it on every coefficient of psi = u + h.  It watches
 Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol and a clamped barycenter of
-the |psi|^4 mass; persistent capture of 90% mass at radii of a few grid
+the |psi|^4 mass; persistent capture of 90% mass within five grid
 spacings is declared blow-up and reported with the concentration point and
 a fitted bubble profile.  A stage's trace row is its only record.
 
@@ -306,20 +306,20 @@ class StagnationDetected(SolveFailure):
 
 @dataclass
 class SolverTrace:
-    config: dict
     rows: list = field(default_factory=list)
 
     def add_row(self, **kw):
         self.rows.append(kw)
 
-    def to_csv(self, path):
+    def to_csv(self, path, config: dict):
+        """Write the rows under a header that records ``config``."""
         import json
 
         cols = ["kind", "stage", "p", "iter", "value", "residual",
                 "nehari_defect", "capture_radius", "bary_x", "bary_y", "min_psi"]
         with open(path, "w") as fh:
             fh.write("# diracsphere-trace v1\n")
-            fh.write("# config " + json.dumps(self.config, sort_keys=True) + "\n")
+            fh.write("# config " + json.dumps(config, sort_keys=True) + "\n")
             fh.write(",".join(cols) + "\n")
             for row in self.rows:
                 out = []
@@ -431,8 +431,10 @@ def _newton(psi, values, cur, p: float, ws: Workspace, mask):
 
 
 # the monitor: the |psi|^p mass fraction a cap must hold to count as captured,
-# and the clamp radius of the barycenter chart
+# the capture radius in grid spacings at or below which two stages in a row
+# are blow-up, and the clamp radius of the barycenter chart
 _CAPTURE = 0.9
+_BLOWUP_SPACING = 5.0
 _CLAMP_RADIUS = 10.0
 
 
@@ -451,8 +453,7 @@ def _stage_diagnostics(values, p, ws, radii, pole):
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                        tol_final: float = 1e-7, tol_stage: float = 1e-6,
-                       max_outer: int = 200, blowup_spacing_factor: float = 5.0,
-                       config_echo: dict | None = None) -> ContinuationResult:
+                       max_outer: int = 200) -> ContinuationResult:
     """Walk the exponent schedule up to the critical p = 4, warm starting.
 
     ``init`` is the start state; a bubble start is transported first
@@ -487,7 +488,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
     radii = np.array(sorted({k * spacing for k in (1, 2, 3, 4, 5, 6, 8)}
                             | {0.3, 0.5, 0.8, 1.2, 1.7, 2.3, math.pi}))
 
-    trace = SolverTrace(config=config_echo or {})
+    trace = SolverTrace()
     if not math.isfinite(unorm):
         raise SolveFailure(f"non-finite iterate in the initial state "
                            f"(H^1/2 norm {unorm})", trace)
@@ -517,7 +518,7 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                           capture_radius=cap_r, bary_x=float(bary[0]),
                           bary_y=float(bary[1]), min_psi=min_psi)
 
-            capture_small = cap_r <= blowup_spacing_factor * spacing
+            capture_small = cap_r <= _BLOWUP_SPACING * spacing
             if capture_small and prev_capture_small:
                 center = _local_mass_center(values, p, ws, center, 2.5 * spacing)
                 nsq_max = float(ws.fiber_norm_sq(values).max())

@@ -452,13 +452,6 @@ def dirac_apply(psi: SpectralSpinor) -> SpectralSpinor:
     return SpectralSpinor(psi.basis, psi.coeff * psi.basis.eigenvalues)
 
 
-def split(psi: SpectralSpinor) -> tuple[SpectralSpinor, SpectralSpinor]:
-    """Spectral splitting psi = psi^+ + psi^- by eigenvalue sign."""
-    plus = np.where(psi.basis.plus_mask, psi.coeff, 0.0)
-    minus = np.where(psi.basis.minus_mask, psi.coeff, 0.0)
-    return SpectralSpinor(psi.basis, plus), SpectralSpinor(psi.basis, minus)
-
-
 def h_inner(basis: SphereBasis, a, b) -> float:
     """H^{1/2} pairing of coefficient arrays: real(|D|^{1/2} a, |D|^{1/2} b)_2."""
     return float(np.sum(basis.abs_eigenvalues * np.real(a * np.conj(b))))

@@ -1,6 +1,6 @@
 import numpy as np
 
-from diracsphere.chartexpr import ChartExpr, PowerCache
+from diracsphere.chartexpr import ChartExpr
 
 
 def _fd_wirtinger(expr, z, h=1e-6):
@@ -22,10 +22,3 @@ def test_wirtinger_derivatives_match_finite_differences():
         assert abs(expr.dz()(np.array([z]))[0] - fd_z) < 1e-7
         assert abs(expr.dzbar()(np.array([z]))[0] - fd_zb) < 1e-7
 
-
-def test_power_cache_consistency():
-    z = np.array([0.3 + 0.4j, -2.0 + 1j])
-    cache = PowerCache(z)
-    assert np.allclose(cache.zp(3), z**3)
-    assert np.allclose(cache.zbp(2), np.conj(z) ** 2)
-    assert np.allclose(cache.uinv(2), (1 + np.abs(z) ** 2) ** -2.0)

@@ -140,6 +140,28 @@ def test_immerse_refuses_state_with_zero(tmp_path, ws8):
     assert rc == 5
 
 
+def test_immerse_builds_the_edge_list_once(tmp_path, monkeypatch, ws8):
+    """One immerse call sorts the icosphere's edges once: the Euler
+    characteristic it reports comes from the reconstruction's edge list."""
+    from diracsphere import geometry
+    from diracsphere.spectral import SpectralSpinor, save_spinor
+
+    basis = ws8.basis
+    coeff = np.zeros(basis.n_basis, complex)
+    i = next(k for k, ix in enumerate(basis.indices) if ix.j == 0 and ix.sigma == 1)
+    coeff[i] = math.sqrt(4 * math.pi)          # a unit Killing spinor, zero-free
+    state = tmp_path / "killing.txt"
+    save_spinor(state, SpectralSpinor(basis, coeff))
+    calls = []
+    mesh_edges = geometry.mesh_edges
+    monkeypatch.setattr(geometry, "mesh_edges",
+                        lambda faces: calls.append(len(faces)) or mesh_edges(faces))
+    assert main(["immerse", str(state), "--config", str(write_config(tmp_path)),
+                 "--out", str(tmp_path / "m.ply"), "--subdivisions", "2"]) == 0
+    assert calls == [320]
+    assert json.loads((tmp_path / "m.ply.json").read_text())["euler_characteristic"] == 2
+
+
 def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):
     """The obstruction family Q = 1 + 0.8 x3 must be reported as blow-up
     under the solver's default capture threshold, with no override."""
@@ -179,6 +201,16 @@ def _bench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_benchmark_blowup_config_restates_the_fixed_spacing_factor():
+    """The benchmark's blow-up config sets ``blowup_spacing_factor`` to the
+    solver's fixed 5.0; the validator accepts that restatement as it is."""
+    cfg = _bench_workloads().blowup_j10_config(0)
+    assert cfg["tolerances"]["blowup_spacing_factor"] == 5.0
+    text = json.dumps(cfg)
+    validate_config(cfg)
+    assert json.dumps(cfg) == text
 
 
 def _solve_j16(tmp_path, cfg):
@@ -297,13 +329,15 @@ def _minus_only_state(tmp_path) -> dict:
     {"clamp_radius": 10.0},
     {"tolerances": {"blowup_capture": 0.9}},
     {"tolerances": {"inner": 1e-10}},
+    {"tolerances": {"blowup_spacing_factor": 3.0}},
 ], ids=["grid_degree", "state_path", "schedule", "center", "tolerance",
         "poly_term", "rho", "tolerances_number", "tolerances_list",
         "max_outer", "clamp_radius", "poly_exponent", "q_negative",
         "q_sign_change", "output_dir", "zero_center", "rho_tiny",
         "tolerance_unknown_key", "lossy_transport", "state_minus_only",
         "unknown_key", "init_unknown_key", "allow_hypothesis_failure_string",
-        "removed_clamp_radius", "removed_blowup_capture", "removed_inner"])
+        "removed_clamp_radius", "removed_blowup_capture", "removed_inner",
+        "fixed_blowup_spacing_factor"])
 def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
                                                 override):
     """Wrongly typed, unknown or missing config fields, a curvature that is

@@ -199,6 +199,53 @@ def test_bubble_pointwise_laws():
     assert np.abs(D0 - nl).max() <= 1e-8
 
 
+def _tabled_eval_plane(bubble, z, deriv=(0, 0)):
+    """``Bubble.eval_plane`` with the powers of zeta, conj(zeta) and
+    1/(1+|zeta|^2) kept in tables shared by both components, each power
+    the previous one times the base where that is tabled (else base**n)."""
+    zeta = np.asarray(z, dtype=complex) / bubble.rho
+    bases = (zeta, np.conj(zeta), 1.0 / (1.0 + np.abs(zeta) ** 2))
+    tables = [{0: np.ones_like(zeta), 1: bases[0]}, {0: np.ones_like(zeta), 1: bases[1]},
+              {0: np.ones(zeta.shape), 1: bases[2]}]
+
+    def power(i, n):
+        if n not in tables[i]:
+            tables[i][n] = tables[i][n - 1] * bases[i] if n - 1 in tables[i] else bases[i] ** n
+        return tables[i][n]
+
+    scale = bubble.rho ** -(deriv[0] + deriv[1])
+    out = []
+    for expr in bubble.component_exprs():
+        val = np.zeros(zeta.shape, dtype=complex)
+        for (a, b, M), c in expr.derivative(*deriv).terms.items():
+            val += c * power(0, a) * power(1, b) * power(2, M)
+        out.append(scale * val)
+    return np.stack(out, axis=-1)
+
+
+@pytest.mark.parametrize("rho, degree, center, q", [
+    (0.3, 54, (0.6, 0.0, 0.8), 1.3),
+    (0.35, 95, (0.3, -0.5, -0.8), 1.8),
+    (0.05, 320, (-0.4, 0.2, -0.3), 1.0),
+])
+def test_bubble_values_match_tabled_powers(monkeypatch, rho, degree, center, q):
+    """Each power evaluated afresh gives the bytes of shared power tables:
+    the grid values of the bubble, and its first Wirtinger derivatives at
+    the chart points; the second mixed derivative within 1e-15."""
+    bub = Bubble(center=center, rho=rho, q_center=q)
+    grid = QuadratureGrid(degree=degree)
+    got = bubble_grid_values(bub, grid)
+    for deriv in ((1, 0), (0, 1), (1, 1)):
+        d_got = bub.eval_plane(grid.chart_a, deriv=deriv)
+        d_ref = _tabled_eval_plane(bub, grid.chart_a, deriv)
+        if deriv == (1, 1):
+            assert np.abs(d_got - d_ref).max() <= 1e-15 * np.abs(d_ref).max()
+        else:
+            assert d_got.tobytes() == d_ref.tobytes()
+    monkeypatch.setattr(Bubble, "eval_plane", _tabled_eval_plane)
+    assert got.tobytes() == bubble_grid_values(bub, grid).tobytes()
+
+
 def test_bubble_energy_scale_invariance():
     vals = []
     for rho in (0.5, 1.0, 2.0):

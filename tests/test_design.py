@@ -17,9 +17,9 @@ import diracsphere
 
 # the modules whose options are counted
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
-SETTABLE_OPTIONS = 28
-PUBLIC_NAMES = 33
-SRC_LINES_CEILING = 3150
+SETTABLE_OPTIONS = 26
+PUBLIC_NAMES = 32
+SRC_LINES_CEILING = 3109
 
 
 def _defaults(fn):

@@ -224,7 +224,7 @@ def test_mesh_edges_match_row_unique():
 def test_round_sphere_reconstruction(ws8, killing_state):
     mesh = reconstruct_immersion(killing_state, ws8, subdivisions=4)
     assert mesh.vertices.shape[0] == 2562
-    assert mesh.euler_characteristic() == 2
+    assert mesh.euler_characteristic == 2
     center = mesh.vertices.mean(axis=0)
     r = np.linalg.norm(mesh.vertices - center, axis=1)
     assert np.abs(r - 1.0).max() <= 1e-2           # radius 1/Q with Q = 1
@@ -544,7 +544,8 @@ def test_export_ply_matches_loop_writer(tmp_path):
                          mean_curvature=rng.normal(size=len(verts)),
                          target_q=rng.normal(size=len(verts)),
                          gauss_bonnet_defect=0.0, closure_defect=0.0,
-                         edge_length_rel_error=0.0, closedness_precheck=0.0)
+                         edge_length_rel_error=0.0, closedness_precheck=0.0,
+                         euler_characteristic=2)
     export_ply(tmp_path / "a.ply", mesh)
     _export_ply_loop(tmp_path / "b.ply", mesh)
     assert (tmp_path / "a.ply").read_bytes() == (tmp_path / "b.ply").read_bytes()

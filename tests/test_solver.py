@@ -53,9 +53,10 @@ def test_trace_content_and_csv(tmp_path, const_solution):
     iters = [r for r in trace.rows if r["kind"] == "iter"]
     assert len(iters) >= len(SCHEDULE)           # residual recorded per iteration
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    trace.to_csv(path, {"J": 8})
     text = path.read_text().splitlines()
     assert text[0].startswith("# diracsphere-trace")
+    assert text[1] == '# config {"J": 8}'
     assert text[2].split(",")[0] == "kind"
     assert len(text) == 3 + len(trace.rows)
 
@@ -140,7 +141,8 @@ def _nan_gradient(monkeypatch):
     ("nan_reduction", "non-finite iterate in the inner reduction"),
     ("nan_gradient", "non-finite iterate at stage 0, iteration 0"),
 ])
-def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message):
+def test_solver_failures_are_reported_with_the_trace(tmp_path, monkeypatch, case,
+                                                     message):
     """An inner reduction that misses its tolerance (``_TOL_INNER`` set to
     1e-30), and a non-finite start, or a non-finite iterate in reduce_minus
     or in the outer loop, end in a SolveFailure with the trace."""
@@ -156,10 +158,13 @@ def test_solver_failures_are_reported_with_the_trace(monkeypatch, case, message)
     else:
         _nan_gradient(monkeypatch)
     with np.errstate(all="ignore"), pytest.raises(SolveFailure) as info:
-        solve_continuation(ws, [3.0, 4.0], init, config_echo={"case": case})
+        solve_continuation(ws, [3.0, 4.0], init)
     assert type(info.value) is SolveFailure
     assert message in str(info.value)
-    assert info.value.trace.config == {"case": case}
+    path = tmp_path / "trace.csv"
+    info.value.trace.to_csv(path, {"case": case})
+    assert path.read_text().startswith(
+        f'# diracsphere-trace v1\n# config {{"case": "{case}"}}\n')
 
 
 def _minres_residual(d, x, b, lam):
