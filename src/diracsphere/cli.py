@@ -3,7 +3,7 @@ solve, diagnostics on saved states, and immersion export.
 
 Run configuration is a single JSON document (schema_version 1); every run
 echoes the full configuration into its JSON report and the trace header, and
-identical configs, with the same numpy/scipy build, give bit-identical trace
+identical configs, with the same numpy build, give bit-identical trace
 and state files at any BLAS thread count (checked at 1 and 2 threads).
 
 Exit codes: 0 success, 2 configuration or command-line argument error,

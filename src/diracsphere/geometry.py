@@ -77,24 +77,40 @@ def _fiber_norm_at(psi: SpectralSpinor, xyz) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) / conformal_factor(z))
 
 
-def _refine_minimum(psi: SpectralSpinor, xi0, spread: float) -> np.ndarray:
-    """Nelder-Mead polish of a local minimum of |psi| around xi0."""
-    from scipy.optimize import minimize
+def _refine_minimum(psi: SpectralSpinor, xi0) -> tuple[np.ndarray, float]:
+    """Levenberg-Marquardt polish of a local minimum of |psi| from the node
+    xi0, in the chart xi0 is read in: least squares on the four real parts
+    of r(z) = phi(z) sqrt((1 + |z|^2) / 2), |r| = |psi|, with the Jacobian
+    from the exact Wirtinger derivatives of phi.  Returns the point and |psi|
+    there."""
+    sign = 1.0 if xi0[2] >= 0 else -1.0     # chart B is chart A of (x1, -x2, -x3)
+    z = complex(_chart_coords(xi0, sign > 0))
 
-    xi0 = np.asarray(xi0, dtype=float)
-    (e1,), (e2,) = _tangent_frame(xi0[None])
+    def residual(z):    # rows r, dr/dx, dr/dy as real 4-vectors, z = x + iy
+        vals, d10, d01 = (psi.basis.evaluate(psi.coeff, np.array([z]), sign > 0, d)[0]
+                          for d in ((0, 0), (1, 0), (0, 1)))
+        s = math.sqrt((1.0 + abs(z) ** 2) / 2.0)
+        return np.array([vals * s, (d10 + d01) * s + vals * (z.real / (2.0 * s)),
+                         1j * (d10 - d01) * s + vals * (z.imag / (2.0 * s))]).view(float)
 
-    def fun(s):
-        xi = xi0 + s[0] * e1 + s[1] * e2
-        xi = xi / np.linalg.norm(xi)
-        return float(_fiber_norm_at(psi, xi[None])[0])
-
-    res = minimize(fun, np.zeros(2), method="Nelder-Mead",
-                   options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 300,
-                            "initial_simplex": np.array(
-                                [[0, 0], [spread, 0], [0, spread]])})
-    xi = xi0 + res.x[0] * e1 + res.x[1] * e2
-    return xi / np.linalg.norm(xi)
+    rows, lam = residual(z), 1e-3
+    for _ in range(100):
+        # the normal equations' sums, written out: no BLAS call
+        (f, g1, g2), (_, a11, a12), (_, _, a22) = (rows[:, None] * rows).sum(axis=-1)
+        mu = lam * (a11 + a22) / 2.0
+        det = (a11 + mu) * (a22 + mu) - a12 * a12
+        if not det > 0:
+            break
+        step = complex(a12 * g2 - (a22 + mu) * g1, a12 * g1 - (a11 + mu) * g2) / det
+        trial = residual(z + step)
+        if (trial[0] ** 2).sum() < f:
+            z, rows, lam = z + step, trial, 0.3 * lam
+        else:
+            lam *= 10.0
+        if abs(step) <= 1e-13 * (1.0 + abs(z)) or lam > 1e12:
+            break
+    xi = np.array([2.0 * z.real, 2.0 * sign * z.imag, sign * (1.0 - abs(z) ** 2)])
+    return xi / (1.0 + abs(z) ** 2), math.sqrt((rows[0] ** 2).sum())
 
 
 def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
@@ -131,8 +147,7 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
             if any(np.arccos(np.clip(xi @ s, -1, 1)) < 2 * spacing for s in seen):
                 continue
             seen.append(xi)
-            xi_ref = _refine_minimum(psi, xi, spread=spacing)
-            val = float(_fiber_norm_at(psi, xi_ref[None])[0])
+            xi_ref, val = _refine_minimum(psi, xi)
             dists = spacing * np.array([0.25, 0.5, 1.0, 2.0])
             order = _vanishing_order(psi, xi_ref, dists)
             candidates.append(NodalCandidate(xi_ref, val, order))

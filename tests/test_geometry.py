@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diracsphere.geometry import (_EDGE_T, _EDGE_W, ImmersionMesh, _chart_coords,
                                   _curvature_sums, _edge_integrals,
+                                  _fiber_norm_at, _refine_minimum,
                                   _spanning_tree, _weierstrass_form,
                                   closedness_defect, discrete_curvature,
                                   export_obj, export_ply, icosphere,
@@ -34,13 +36,16 @@ def test_nodal_killing(ws8, killing_state):
     assert rep.window_chain
 
 
-def test_nodal_engineered_zero(ws8):
-    """A level-1 eigenspinor with angular index 1 vanishes linearly at the
-    north pole; the candidate search must localize it within a grid cell."""
+@pytest.mark.parametrize("k", [1, -2])
+def test_nodal_engineered_zero(ws8, k):
+    """A level-1 eigenspinor with angular index 1 or -2 vanishes linearly at
+    both poles; the candidate search must localize the zeros within a grid
+    cell, and the polish, from nodes read in chart A (north) and chart B
+    (south), must land on each pole within 1e-12 with |psi| <= 1e-18."""
     basis = ws8.basis
     coeff = np.zeros(basis.n_basis, complex)
-    i = next(k for k, ix in enumerate(basis.indices)
-             if ix.j == 1 and ix.sigma == 1 and ix.k == 1)
+    i = next(n for n, ix in enumerate(basis.indices)
+             if ix.j == 1 and ix.sigma == 1 and ix.k == k)
     coeff[i] = 2.0
     psi = SpectralSpinor(basis, coeff)
     rep = nodal_analysis(psi, ws8)
@@ -50,6 +55,25 @@ def test_nodal_engineered_zero(ws8):
     north = np.array([0.0, 0.0, 1.0])
     assert math.acos(np.clip(best.position @ north, -1, 1)) <= ws8.grid.mean_spacing()
     assert best.vanishing_order == pytest.approx(1.0, abs=0.2)
+    for pole in (north, -north):
+        # the chord, not the arccos of a dot product that rounds to 1
+        assert any(np.linalg.norm(c.position - pole) <= 1e-12 and c.value <= 1e-18
+                   for c in rep.candidates), pole
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), ring=st.integers(0, 5), lon=st.integers(0, 24))
+def test_polish_never_climbs(ws8, seed, ring, lon):
+    """From a node in each hemisphere of the degree-24 grid (13 rings of 25
+    nodes), the polish of a random J=8 state returns a unit vector, at which
+    |psi| is the value it reports and no larger than at the node."""
+    psi = SpectralSpinor(ws8.basis, random_spinor(ws8, np.random.default_rng(seed)))
+    for r in (ring, 12 - ring):
+        node = ws8.grid.xyz[25 * r + lon]
+        xi, value = _refine_minimum(psi, node)
+        assert abs(np.linalg.norm(xi) - 1.0) <= 1e-15
+        assert value == pytest.approx(_fiber_norm_at(psi, xi)[0], rel=1e-12)
+        assert value <= _fiber_norm_at(psi, node)[0] * (1.0 + 1e-15)
 
 
 def test_nodal_bound_monotone(ws8, killing_state):

@@ -533,9 +533,10 @@ def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
 _THREAD_PROBE = """
 import numpy as np
 from diracsphere.energy import Workspace, constant_curvature
+from diracsphere.geometry import nodal_analysis
 from diracsphere.grid import QuadratureGrid
 from diracsphere.reduction import barycenter
-from diracsphere.spectral import SphereBasis
+from diracsphere.spectral import SphereBasis, SpectralSpinor
 
 grid = QuadratureGrid(degree=144)
 ws = Workspace(SphereBasis(48), grid, constant_curvature())
@@ -544,12 +545,24 @@ f = rng.random(grid.n_nodes)
 values = rng.normal(size=(grid.n_nodes, 2)) + 1j * rng.normal(size=(grid.n_nodes, 2))
 print(repr(complex(grid.integrate(f))), repr(complex(grid.integrate(values[:, 0]))))
 print([repr(float(x)) for x in barycenter(values, ws, [0.3, -0.2, -1.0], 10.0)])
+
+# the nodal polish: a state with zeros at both poles and a random J=8 state
+ws8 = Workspace(SphereBasis(8), QuadratureGrid(degree=24), constant_curvature())
+j1 = next(n for n, ix in enumerate(ws8.basis.indices) if ix.j == 1 and ix.sigma == 1 and ix.k == 1)
+rng = np.random.default_rng(0)
+n = ws8.basis.n_basis
+for coeff in (np.where(np.arange(n) == j1, 2.0, 0j),
+              (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.5 ** ws8.basis.j_arr):
+    for c in nodal_analysis(SpectralSpinor(ws8.basis, coeff), ws8).candidates:
+        print([repr(float(x)) for x in c.position], repr(c.value))
 """
 
 
 def test_grid_sums_bit_equal_at_one_and_two_blas_threads():
     """On the degree-144 grid (the J=48 reference), integrals and the
-    monitor's barycenter give the same bits at 1 and at 2 BLAS threads."""
+    monitor's barycenter give the same bits at 1 and at 2 BLAS threads; so
+    do the polished nodal candidates (positions and |psi|) of a J=8 state
+    with zeros at both poles and of a random J=8 state."""
     src = str(Path(reduction.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -560,3 +573,5 @@ def test_grid_sums_bit_equal_at_one_and_two_blas_threads():
                              capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+    # two grid lines, then the 2 + 3 polished candidates
+    assert len(outputs[0].splitlines()) == 7
