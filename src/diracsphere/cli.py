@@ -483,7 +483,6 @@ def cmd_immerse(args) -> int:
         "vertices": mesh.vertices.shape[0],
         "euler_characteristic": mesh.euler_characteristic,
         "closure_defect": mesh.closure_defect,
-        "closedness_precheck": mesh.closedness_precheck,
         "gauss_bonnet_defect": mesh.gauss_bonnet_defect,
         "edge_length_rel_error": mesh.edge_length_rel_error,
         "mean_curvature_rel_l2": rel_l2,

@@ -17,13 +17,13 @@ itself.  Consequences used here:
           -(1/2)(phi_1^2 + conj(phi_2)^2),
           -i phi_1 conj(phi_2) ),
   X = 2 Re integral X_z dz, whose induced metric is |phi|^4 |dz|^2 = g1.
-  The chart-B gauge makes X_w dw = X_z dz, so one spanning tree of the
-  icosphere integrates the form over the whole sphere, each edge read in
-  chart A when both its ends have x3 >= 0 and in chart B otherwise.  The
-  reconstruction is validated a posteriori (period closure over the
-  non-tree edges, seam-crossing cycles included; g1 edge lengths;
-  round-sphere exactness; discrete mean curvature against Q); it determines
-  the surface up to a rigid congruence of R^3.
+  The chart-B gauge makes X_w dw = X_z dz, so in either chart
+  Delta_S X = (1 + |z|^2)^2 dzbar X_z, of degree 2J + 1 at truncation J: X
+  is one Poisson solve in spherical harmonics, exact on a Gauss grid of
+  twice that degree (Driscoll & Healy, Adv. Appl. Math. 15, 1994).  The
+  reconstruction is validated a posteriori (Im dzbar X_z over the grid; g1
+  edge lengths; round-sphere exactness; discrete mean curvature against
+  Q); it determines the surface up to a rigid congruence of R^3.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import Workspace, _tangent_frame
-from .grid import chart_a_coords, chart_b_coords, conformal_factor
-from .spectral import _CHUNK, SpectralSpinor, dirac_apply
+from .grid import QuadratureGrid, chart_a_coords, chart_b_coords, conformal_factor
+from .spectral import SpectralSpinor, dirac_apply
 
 # -- nodal analysis -----------------------------------------------------------
 
@@ -218,7 +218,7 @@ def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
             raise ValueError(
                 f"psi is not a solution (PDE residual {pde_res:.2e} > 0.0001)")
 
-    d10, d01, d11 = basis.synthesize_derivatives(psi.coeff, grid)
+    d10, d01, d11 = basis.synthesize_derivatives(psi.coeff, grid, ((1, 0), (0, 1), (1, 1)))
 
     phi = values
     nf = np.sum(np.abs(phi) ** 2, axis=1)          # e^v = |phi|^2, chartwise
@@ -305,97 +305,95 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mesh_edges(faces) -> np.ndarray:
     """The distinct edges (a, b), a < b, of a triangle mesh, sorted by
-    rows: one sort of the keys a * n + b."""
+    rows: one sort of the keys a * n + b, each key kept once."""
     e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
     e.sort(axis=1)
     n = int(faces.max()) + 1
-    key = np.unique(e[:, 0] * n + e[:, 1])
+    key = np.sort(e[:, 0] * n + e[:, 1])
+    key = key[np.concatenate([[True], key[1:] != key[:-1]])]   # np.unique imports numpy.ma
     return np.stack([key // n, key % n], axis=1)
 
 
 # -- Weierstrass integration ------------------------------------------------------
 
 
-def _weierstrass_form(vals) -> np.ndarray:
-    """X_z of chart values phi, last axis the three components."""
-    p1, p2 = vals[..., 0], vals[..., 1]
-    c2 = np.conj(p2)
-    return np.stack([0.5j * (p1**2 - c2**2),
-                     -0.5 * (p1**2 + c2**2),
-                     -1j * p1 * c2], axis=-1)
+def _weierstrass_dzbar(vals, d10, d01) -> np.ndarray:
+    """dzbar X_z of the Weierstrass form X_z from chart values phi and their
+    (1, 0) and (0, 1) derivatives, last axis the three components; real
+    where X_z dz is closed."""
+    p1, c2 = vals[..., 0], np.conj(vals[..., 1])
+    dzb_p1, dzb_c2 = d01[..., 0], np.conj(d10[..., 1])
+    sq1, sq2 = 2.0 * p1 * dzb_p1, 2.0 * c2 * dzb_c2       # dzbar of phi_1^2, conj(phi_2)^2
+    return np.stack([0.5j * (sq1 - sq2), -0.5 * (sq1 + sq2),
+                     -1j * (dzb_p1 * c2 + p1 * dzb_c2)], axis=-1)
 
 
-def closedness_defect(psi: SpectralSpinor, z, use_a) -> float:
-    """Relative size of Im dzbar(X_z): zero for exact solutions, the
-    consistency pre-check before integrating the 1-form."""
-    vals, d10, d01 = (psi.basis.evaluate(psi.coeff, z, use_a, d)
-                      for d in ((0, 0), (1, 0), (0, 1)))
-    p1, p2 = vals[..., 0], vals[..., 1]
-    dzb_p1, dz_p2 = d01[..., 0], d10[..., 1]
-    comps = np.stack([
-        0.5j * (2 * p1 * dzb_p1 - 2 * np.conj(p2) * np.conj(dz_p2)),
-        -0.5 * (2 * p1 * dzb_p1 + 2 * np.conj(p2) * np.conj(dz_p2)),
-        -1j * (dzb_p1 * np.conj(p2) + p1 * np.conj(dz_p2)),
-    ], axis=-1)
-    scale = np.maximum(np.abs(comps).sum(axis=-1), 1e-300)
-    return float((np.abs(comps.imag).sum(axis=-1) / scale).max())
+def _legendre(x, L: int):
+    """Yields (m, P) for m = 0..L, P[l - m] = lambda_lm(x) at x = cos(theta)
+    for l = m..L, with lambda_lm(cos theta) e^{i m phi} orthonormal on S^2
+    (no Condon-Shortley phase): the three-term recurrence in l from
+    sqrt((2m+1)!! / (4 pi (2m)!!)) sin(theta)^m.  P lives until the next m."""
+    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    pmm = np.full(x.shape, (4.0 * math.pi) ** -0.5)
+    table = np.empty((L + 1,) + x.shape)        # each m overwrites the last
+    for m in range(L + 1):
+        if m:
+            pmm *= math.sqrt((2 * m + 1) / (2 * m)) * s
+        P = table[:L - m + 1]
+        prev, P[0] = 0.0, pmm
+        for l in range(m + 1, L + 1):
+            a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+            b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            prev, P[l - m] = P[l - m - 1], a * (x * P[l - m - 1] - b * prev)
+        yield m, P
 
 
-# 4-point Gauss-Legendre rule on [0, 1] for integrals along mesh edges
-_EDGE_T, _EDGE_W = np.polynomial.legendre.leggauss(4)
-_EDGE_T, _EDGE_W = 0.5 * (_EDGE_T + 1.0), 0.5 * _EDGE_W
+_BLOCK = 2048       # points per block of ``_harmonic_synthesis`` (0.56 MB table at J=16)
 
 
-def _edge_integrals(psi: SpectralSpinor, sphere_v, edges):
-    """Weierstrass increments 2 Re integral X_z dz and g1 lengths of the mesh
-    edges from their Gauss points, per chart, ``_CHUNK`` points at a time.  An
-    edge is read in chart A when both its ends have x3 >= 0, else in chart B;
-    the gauge phi_B(w) = diag(iz, -i zbar) phi_A(z), w = 1/z, makes X_w dw = X_z dz."""
-    north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
-    incr, glen = np.empty((len(edges), 3)), np.empty(len(edges))
-    for chart_a in (True, False):
-        index = np.flatnonzero(north == chart_a)
-        for start in range(0, index.size, _CHUNK // _EDGE_T.size):
-            e = index[start:start + _CHUNK // _EDGE_T.size]
-            za, zb = (_chart_coords(sphere_v[end], chart_a) for end in edges[e].T)
-            dz = zb - za
-            vals = psi.basis.evaluate(psi.coeff, za[:, None] + _EDGE_T * dz[:, None], chart_a)
-            xz = np.tensordot(_weierstrass_form(vals), _EDGE_W, axes=([1], [0]))
-            incr[e] = 2.0 * np.real(dz[:, None] * xz)
-            glen[e] = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(dz)
-    return incr, glen
+def _harmonic_analysis(values, grid: QuadratureGrid, L: int) -> list:
+    """Coefficients in the harmonics lambda_lm e^{i m phi}, l <= L, of real
+    nodal values (n_nodes, c): per order m, the (L - m + 1, 2c) real array of
+    (component, re/im) pairs at l = m..L.  An rfft per ring, then one real
+    product per m; exact for values of degree <= L on a grid of degree 2L."""
+    rings = np.fft.rfft((values * grid.weights[:, None]).reshape(grid.n_theta, grid.n_phi, -1),
+                        axis=1)
+    return [P @ np.ascontiguousarray(rings[:, m]).view(float)
+            for m, P in _legendre(grid.xyz[::grid.n_phi, 2], L)]
 
 
-def _spanning_tree(nv, edges, incr, root):
-    """Positions from a BFS spanning tree rooted at ``root`` (at the origin)
-    that sums the edge increments; the closure defect is the largest
-    mismatch over the non-tree edges.  The BFS runs one level at a time: a
-    new vertex hangs from the first vertex of the level, in BFS order, that
-    reaches it, each vertex's edges taken in index order, as a
-    vertex-at-a-time BFS over adjacency lists in edge order would pick."""
-    ne = edges.shape[0]
-    # half-edge h runs edge h forward (h < ne) or edge h - ne backward
-    src, dst = edges.T.ravel(), edges[:, ::-1].T.ravel()
-    by_src = np.lexsort((np.arange(2 * ne) % ne, src))   # a vertex's, by edge
-    start = np.searchsorted(src[by_src], np.arange(nv + 1))
-    pos = np.zeros((nv, 3))
-    seen = np.zeros(nv, dtype=bool)
-    tree = np.zeros(ne, dtype=bool)
-    seen[root] = True
-    level = np.array([root])
-    while level.size:
-        # the level's half-edges to unseen vertices, in that order
-        count = start[level + 1] - start[level]
-        first_slot = np.repeat(start[level] - np.cumsum(count) + count, count)
-        h = by_src[first_slot + np.arange(count.sum())]
-        h = h[~seen[dst[h]]]
-        _, first = np.unique(dst[h], return_index=True)
-        h = h[np.sort(first)]
-        level, ei = dst[h], h % ne
-        seen[level] = tree[ei] = True
-        pos[level] = pos[src[h]] + np.where(h < ne, 1.0, -1.0)[:, None] * incr[ei]
-    gap = np.linalg.norm(pos[edges[:, 0]] + incr - pos[edges[:, 1]], axis=1)
-    return pos, float(gap[~tree].max())
+def _harmonic_synthesis(coeff, xyz, L: int) -> np.ndarray:
+    """The real field of coefficients laid out as ``_harmonic_analysis``
+    returns them, at sphere points xyz: summed one order m at a time, over
+    blocks of ``_BLOCK`` points."""
+    out = np.zeros((len(xyz), coeff[0].shape[1] // 2))
+    for start in range(0, len(xyz), _BLOCK):
+        pts = xyz[start:start + _BLOCK]
+        phi = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
+        for m, P in _legendre(pts[:, 2], L):
+            re, im = np.moveaxis((P.T @ coeff[m]).reshape(len(pts), -1, 2), -1, 0)
+            out[start:start + _BLOCK] += (2.0 if m else 1.0) * (re * np.cos(m * phi)
+                                                                 - im * np.sin(m * phi))
+    return out
+
+
+def _immersion(psi: SpectralSpinor, xyz) -> tuple[np.ndarray, float]:
+    """The immersion F at sphere points xyz, up to a translation, and the
+    closedness defect of its Weierstrass form.  dz F = X_z in either chart,
+    so Delta_S F = (1 + |z|^2)^2 dzbar X_z, a spherical polynomial of degree
+    L = 2J + 1: its real part is analysed on the degree-2L grid, and
+    F_lm = -(Delta_S F)_lm / (l (l + 1)).  The defect is max |Im| / max |Re|
+    of Delta_S F over the grid: zero for a solution."""
+    L = 2 * psi.basis.J + 1
+    grid = QuadratureGrid(2 * L)
+    lap = (4.0 / grid.f_pref ** 2)[:, None] * _weierstrass_dzbar(
+        *psi.basis.synthesize_derivatives(psi.coeff, grid, ((0, 0), (1, 0), (0, 1))))
+    coeff = _harmonic_analysis(lap.real, grid, L)
+    for m, c in enumerate(coeff):
+        l = np.arange(m, L + 1)[:, None]
+        c *= (l > 0) / -np.maximum(l * (l + 1), 1)
+    return (_harmonic_synthesis(coeff, xyz, L),
+            float(np.abs(lap.imag).max() / np.abs(lap.real).max()))
 
 
 @dataclass
@@ -407,18 +405,18 @@ class ImmersionMesh:
     mean_curvature: np.ndarray   # discrete cotangent estimate
     target_q: np.ndarray
     gauss_bonnet_defect: float   # total angle defect minus 4 pi
-    closure_defect: float
+    closure_defect: float        # max |Im| / max |Re| of (1 + |z|^2)^2 dzbar X_z
     edge_length_rel_error: float  # RMS of (mesh length - g1 length) / g1 length
-    closedness_precheck: float
     euler_characteristic: int    # vertices - edges + faces
 
 
 def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
                           subdivisions: int = 4,
                           nodal: NodalReport | None = None) -> ImmersionMesh:
-    """Integrate the Weierstrass form along one spanning tree of the
-    icosphere, rooted at its north vertex, each edge read by the chart rule
-    of ``_edge_integrals``.
+    """The immersion at the icosphere vertices from one spectral Poisson
+    solve (``_immersion``), centred on the vertex mean.  The g1 length of
+    an edge is the trapezoid rule for the integral of |psi|^2 along its
+    great-circle arc.
 
     Requires a zero-free solution (pass its NodalReport, or one is computed);
     refuses otherwise since the conformal factor degenerates at zeros.
@@ -430,24 +428,21 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
                          f"(nodal verdict: {nodal.verdict}; {nodal.note})")
     sphere_v, faces = icosphere(subdivisions)
     edges = mesh_edges(faces)
-
-    pre = closedness_defect(psi, 0.9 * np.exp(1j * np.linspace(0, 6.2, 40)), True)
-
-    incr, glen = _edge_integrals(psi, sphere_v, edges)
-    verts, closure = _spanning_tree(sphere_v.shape[0], edges, incr,
-                                    int(np.argmax(sphere_v[:, 2])))
+    verts, closure = _immersion(psi, sphere_v)
     verts -= verts.mean(axis=0)
-    elen = np.linalg.norm(verts[edges[:, 0]] - verts[edges[:, 1]], axis=1)
-    rel = (elen - glen) / glen
 
-    conf = _fiber_norm_at(psi, sphere_v) ** 4
+    norm = _fiber_norm_at(psi, sphere_v)
+    a, b = edges.T
+    arc = 2.0 * np.arcsin(np.linalg.norm(sphere_v[a] - sphere_v[b], axis=1) / 2.0)
+    glen = arc * (norm[a] ** 2 + norm[b] ** 2) / 2.0
+    rel = (np.linalg.norm(verts[a] - verts[b], axis=1) - glen) / glen
+
     target_q = np.asarray(ws.Q.evaluate(sphere_v), dtype=float)
     H, gauss_bonnet = discrete_curvature(verts, faces)
     return ImmersionMesh(vertices=verts, faces=faces, sphere_points=sphere_v,
-                         conf_factor=conf, mean_curvature=H, target_q=target_q,
+                         conf_factor=norm ** 4, mean_curvature=H, target_q=target_q,
                          gauss_bonnet_defect=gauss_bonnet, closure_defect=closure,
                          edge_length_rel_error=float(np.sqrt(np.mean(rel**2))),
-                         closedness_precheck=pre,
                          euler_characteristic=len(verts) - len(edges) + len(faces))
 
 

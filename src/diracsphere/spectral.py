@@ -58,8 +58,8 @@ stacked real matrix products on (re, im) pairs; unlike complex
 matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
 It is written one k at a time from the column pass that ``evaluate_matrix``
 scatters, the E^- and E^+ columns of a group in two blocks that
-``synthesize`` sums; ``synthesize_derivatives`` sums each group's
-coefficients on the meridian instead and builds no table.
+``synthesize`` sums; ``synthesize_derivatives``, for any Wirtinger orders,
+sums each group's coefficients on the meridian instead and builds no table.
 """
 
 from __future__ import annotations
@@ -385,17 +385,16 @@ class SphereBasis:
         modes[bins] = phase * sums.view(complex)[..., 0]
         return _ring_values(grid, modes)
 
-    def synthesize_derivatives(self, coeff, grid: QuadratureGrid):
-        """The Wirtinger derivatives (1, 0), (0, 1) and (1, 1) of the field
-        at the nodes, in each node's chart: three (n_nodes, 2) arrays.  One
-        order-2 radial pass on the phi = 0 meridian sums the coefficients of
-        each angular index k apart, as ``evaluate`` does for all of them;
-        each such group sum is one longitude mode on its ring, the mode
-        shifted by nzbar - nz in chart A and nz - nzbar in chart B, and an
-        FFT per ring gives the nodes.  No table is built."""
+    def synthesize_derivatives(self, coeff, grid: QuadratureGrid, derivs):
+        """The Wirtinger derivatives ``derivs``, pairs (nz, nzbar) with (0, 0)
+        the values, of the field at the nodes in each node's chart: one
+        (n_nodes, 2) array each.  One radial pass on the phi = 0 meridian
+        sums the coefficients of each angular index k apart, as ``evaluate``
+        does for all of them; each such group sum is one longitude mode on its
+        ring, the mode shifted by nzbar - nz in chart A and nz - nzbar in
+        chart B, and an FFT per ring gives the nodes.  No table is built."""
         self._require_grid(grid)
-        J, n_p = self.J, grid.n_phi
-        derivs = ((1, 0), (0, 1), (1, 1))
+        J, n_p, n = self.J, grid.n_phi, len(derivs)
         blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
         blocks = blocks.reshape(J + 1, J + 1, 2, 2)             # [k, d, g, column]
 
@@ -405,8 +404,8 @@ class SphereBasis:
             w = np.einsum("ehgc,kdgc->kdehg", _WEIGHTS[chart].reshape(2, 2, 2, 2), blocks)
             w *= (-1.0) ** (chart * np.arange(J + 1))[:, None, None, None]
             w[..., 1, :] = np.conj(w[..., 1, :])
-            out = np.zeros((v.size, 3, 2, 2 * J + 2), dtype=complex)
-            for k, P, components in self._radial_stage(v, 2):
+            out = np.zeros((v.size, n, 2, 2 * J + 2), dtype=complex)
+            for k, P, components in self._radial_stage(v, max(map(sum, derivs))):
                 S = np.einsum("dehg,oedn->oehgn", w[k, :P.shape[2]], P)
                 for i, deriv in enumerate(derivs):
                     # groups are ordered k = -(J+1)..J
@@ -414,9 +413,9 @@ class SphereBasis:
                         components(S, deriv), -1, 0)
             return out
 
-        sums = self._by_chart(grid.z_pref[::n_p], grid.use_a[::n_p], (3, 2, 2 * J + 2), fill)
-        sums = sums.transpose(1, 3, 0, 2).reshape(3, 2 * J + 2, -1)   # [deriv, g, row]
-        modes = np.zeros((3, 2 * grid.n_nodes), dtype=complex)
+        sums = self._by_chart(grid.z_pref[::n_p], grid.use_a[::n_p], (n, 2, 2 * J + 2), fill)
+        sums = sums.transpose(1, 3, 0, 2).reshape(n, 2 * J + 2, -1)   # [deriv, g, row]
+        modes = np.zeros((n, 2 * grid.n_nodes), dtype=complex)
         for i, (nz, nzb) in enumerate(derivs):
             modes[i, self._ring_bins(grid, nzb - nz)] = sums[i]
         return tuple(_ring_values(grid, m) for m in modes)

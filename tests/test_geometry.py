@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diracsphere.geometry import (_EDGE_T, _EDGE_W, ImmersionMesh, _chart_coords,
-                                  _curvature_sums, _edge_integrals,
-                                  _fiber_norm_at, _refine_minimum,
-                                  _spanning_tree, _weierstrass_form,
-                                  closedness_defect, discrete_curvature,
-                                  export_obj, export_ply, icosphere,
-                                  mesh_edges, nodal_analysis,
+from diracsphere.geometry import (ImmersionMesh, _chart_coords, _curvature_sums,
+                                  _fiber_norm_at, _harmonic_analysis,
+                                  _harmonic_synthesis, _immersion, _legendre,
+                                  _refine_minimum, _weierstrass_dzbar,
+                                  discrete_curvature, export_obj, export_ply,
+                                  icosphere, mesh_edges, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check)
+from diracsphere.grid import QuadratureGrid
 from diracsphere.spectral import SpectralSpinor, SphereBasis
 from conftest import random_spinor
 
@@ -197,42 +197,6 @@ def test_icosphere_matches_loop_reference():
         assert verts.tobytes() == ref_v.tobytes() and faces.tobytes() == ref_f.tobytes()
 
 
-def _spanning_tree_loop(nv, edges, incr, root):
-    """Reference BFS, one vertex at a time over adjacency lists in edge
-    order."""
-    adj = [[] for _ in range(nv)]
-    for ei, (a, b) in enumerate(edges.tolist()):
-        adj[a].append((b, ei, 1.0))
-        adj[b].append((a, ei, -1.0))
-    pos = np.zeros((nv, 3))
-    seen = np.zeros(nv, dtype=bool)
-    tree = np.zeros(edges.shape[0], dtype=bool)
-    seen[root] = True
-    order = [root]
-    for a in order:
-        for b, ei, sgn in adj[a]:
-            if not seen[b]:
-                seen[b] = tree[ei] = True
-                pos[b] = pos[a] + sgn * incr[ei]
-                order.append(b)
-    gap = np.linalg.norm(pos[edges[:, 0]] + incr - pos[edges[:, 1]], axis=1)
-    return pos, float(gap[~tree].max())
-
-
-def test_spanning_tree_matches_vertex_loop():
-    """The level-at-a-time BFS picks the loop's tree: the same positions,
-    bit for bit, and the same closure defect, for random increments."""
-    rng = np.random.default_rng(8)
-    for k in range(5):
-        verts, faces = icosphere(k)
-        edges = mesh_edges(faces)
-        incr = rng.normal(size=(len(edges), 3))
-        for root in (int(np.argmax(verts[:, 2])), 0, len(verts) - 1):
-            pos, gap = _spanning_tree(len(verts), edges, incr, root)
-            ref_pos, ref_gap = _spanning_tree_loop(len(verts), edges, incr, root)
-            assert pos.tobytes() == ref_pos.tobytes() and gap == ref_gap
-
-
 def test_mesh_edges_match_row_unique():
     """The edges from one sort of the keys a * n + b are the sorted unique
     rows that np.unique(axis=0) gives, with the same bits."""
@@ -257,12 +221,12 @@ def test_round_sphere_reconstruction(ws8, killing_state):
     assert abs(mesh.gauss_bonnet_defect) <= 0.01 * 4 * math.pi
     assert mesh.edge_length_rel_error <= 0.02
     assert mesh.closure_defect <= 1e-8
-    assert mesh.closedness_precheck <= 1e-10
 
 
-def test_immersion_evaluates_each_edge_once(ws8, killing_state, monkeypatch):
-    """One evaluation at the Gauss points of every edge, plus the vertices
-    and the 120-point closedness pre-check; no second chart patch."""
+def test_immersion_evaluates_off_grid_at_the_vertices_only(ws8, killing_state, monkeypatch):
+    """The only off-grid evaluation is one at the mesh vertices (for the
+    conformal factor), none along the edges: the Weierstrass form is
+    sampled on the analysis grid."""
     report = nodal_analysis(killing_state, ws8)
     points = []
     inner = SphereBasis.evaluate
@@ -273,69 +237,115 @@ def test_immersion_evaluates_each_edge_once(ws8, killing_state, monkeypatch):
 
     monkeypatch.setattr(SphereBasis, "evaluate", counted)
     reconstruct_immersion(killing_state, ws8, subdivisions=4, nodal=report)
-    verts, faces = icosphere(4)
-    n_edges = mesh_edges(faces).shape[0]
-    assert sum(points) <= 4 * n_edges + verts.shape[0] + 120
+    assert points == [icosphere(4)[0].shape[0]]
 
 
-def _edge_integrals_one_shot(psi, sphere_v, edges):
-    """Reference ``_edge_integrals``: every Gauss point of the mesh in one
-    evaluation, each edge in its chart."""
-    north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
-    za, zb = (_chart_coords(sphere_v[end], north) for end in edges.T)
-    dz = zb - za
-    pts = za[:, None] + _EDGE_T[None, :] * dz[:, None]
-    vals = psi.basis.evaluate(psi.coeff, pts, north[:, None])
-    xz = np.tensordot(_weierstrass_form(vals), _EDGE_W, axes=([1], [0]))
-    incr = 2.0 * np.real(dz[:, None] * xz)
-    glen = (np.sum(np.abs(vals) ** 2, axis=-1) @ _EDGE_W) * np.abs(dz)
-    return incr, glen
-
-
-@pytest.mark.parametrize("subdivisions", range(5))
-def test_edge_integrals_bytes_match_one_shot_evaluation(ws8, subdivisions):
-    """Blocks of one chart's edges give the bytes of one evaluation of all
-    the Gauss points, on meshes with edges in both charts."""
-    psi = ws8.spinor(random_spinor(ws8, np.random.default_rng(31)))
-    verts, faces = icosphere(subdivisions)
-    edges = mesh_edges(faces)
-    north = (verts[edges[:, 0], 2] >= 0) & (verts[edges[:, 1], 2] >= 0)
-    assert 0 < north.sum() < north.size
-    for got, ref in zip(_edge_integrals(psi, verts, edges),
-                        _edge_integrals_one_shot(psi, verts, edges)):
-        assert got.tobytes() == ref.tobytes()
-
-
-def test_edge_integrals_memory_is_bounded(ws8):
-    """The traced peak of ``_edge_integrals`` at 5 subdivisions (30720
-    edges) exceeds its peak at 3 (1920 edges) by at most its outputs and
-    1 MB: no array over all the Gauss points is ever whole."""
+def test_immersion_memory_is_bounded(ws8):
+    """The traced peak of ``_immersion`` at 5 subdivisions (10242 vertices)
+    exceeds its peak at 3 (642 vertices) by at most its outputs and 1 MB:
+    the synthesis holds one block of points at a time."""
     psi = ws8.spinor(random_spinor(ws8, np.random.default_rng(32)))
     peaks = {}
     for subdivisions in (3, 5):
-        verts, faces = icosphere(subdivisions)
-        edges = mesh_edges(faces)
-        _edge_integrals(psi, verts, edges)
+        verts = icosphere(subdivisions)[0]
+        _immersion(psi, verts)
         tracemalloc.start()
         try:
-            out = _edge_integrals(psi, verts, edges)
+            out, _ = _immersion(psi, verts)
             peaks[subdivisions] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    out_bytes = sum(a.nbytes for a in out)
-    assert peaks[5] <= peaks[3] + out_bytes + 2**20, (peaks, out_bytes)
+    assert peaks[5] <= peaks[3] + out.nbytes + 2**20, (peaks, out.nbytes)
+
+
+def test_legendre_matches_scipy_harmonics():
+    """lambda_lm(cos theta) e^{i m phi} is scipy's orthonormal Y_lm up to the
+    Condon-Shortley sign (-1)^m, for l, m <= 20 at random points."""
+    from scipy.special import sph_harm_y
+
+    rng = np.random.default_rng(41)
+    theta, phi = np.arccos(rng.uniform(-1, 1, 30)), rng.uniform(0, 2 * np.pi, 30)
+    for m, P in _legendre(np.cos(theta), 20):
+        for l in range(m, 21):
+            ref = (-1) ** m * sph_harm_y(l, m, theta, phi)
+            np.testing.assert_allclose(P[l - m] * np.exp(1j * m * phi), ref,
+                                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("L", [1, 6, 13])
+def test_harmonic_round_trip_is_exact_at_degree_l(L):
+    """A random real field of degree L, synthesized at the nodes of the
+    degree-2L grid, analyses back to its coefficients."""
+    rng = np.random.default_rng(42 + L)
+    grid = QuadratureGrid(2 * L)
+    coeff = [rng.normal(size=(L - m + 1, 4)) for m in range(L + 1)]
+    coeff[0][:, 1::2] = 0.0                 # m = 0 coefficients of a real field
+    back = _harmonic_analysis(_harmonic_synthesis(coeff, grid.xyz, L), grid, L)
+    for m in range(L + 1):
+        np.testing.assert_allclose(back[m], coeff[m], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("J", [3, 4, 6])
+def test_immersion_laplacian_has_degree_2j_plus_1(J):
+    """(1 + |z|^2)^2 dzbar X_z of a random flat-spectrum state at truncation
+    J has degree exactly L = 2J + 1, its real and imaginary parts alike, so
+    the analysis of ``_immersion`` on the degree-2L grid is exact: analysed
+    up to L + 3 on a finer grid, degree L carries power and none above it
+    does."""
+    basis, L = SphereBasis(J), 2 * J + 1
+    grid = QuadratureGrid(2 * (L + 3))
+    rng = np.random.default_rng(J)
+    coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
+    lap = (4.0 / grid.f_pref ** 2)[:, None] * _weierstrass_dzbar(
+        *basis.synthesize_derivatives(coeff, grid, ((0, 0), (1, 0), (0, 1))))
+    for part in (lap.real, lap.imag):
+        power = np.zeros(L + 4)
+        for m, c in enumerate(_harmonic_analysis(part, grid, L + 3)):
+            power[m:] += (2.0 if m else 1.0) * (c ** 2).sum(axis=1)
+        assert power[L] >= 1e-6 * power.max()
+        assert power[L + 1:].max() <= 1e-24 * power.max()
+
+
+def test_immersion_edges_match_weierstrass_increments(perturbed_solution):
+    """dz F = X_z: on the criterion-6 solution, every mesh edge vector is the
+    Weierstrass increment 2 Re integral X_z dz along the chart segment of the
+    edge (4-point Gauss rule, chart A when both ends have x3 >= 0, else
+    chart B), to 1e-7 of the mesh diameter."""
+    ws, result = perturbed_solution
+    psi = result.psi
+    mesh = reconstruct_immersion(psi, ws, subdivisions=3)
+    edges = mesh_edges(mesh.faces)
+    sphere_v = mesh.sphere_points
+    north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
+    za, zb = (_chart_coords(sphere_v[end], north) for end in edges.T)
+    t, w = np.polynomial.legendre.leggauss(4)
+    t, w = 0.5 * (t + 1.0), 0.5 * w
+    vals = psi.basis.evaluate(psi.coeff, za[:, None] + t * (zb - za)[:, None], north[:, None])
+    p1, c2 = vals[..., 0], np.conj(vals[..., 1])
+    xz = np.stack([0.5j * (p1**2 - c2**2), -0.5 * (p1**2 + c2**2), -1j * p1 * c2], axis=-1)
+    incr = 2.0 * np.real((zb - za)[:, None] * np.tensordot(xz, w, axes=([1], [0])))
+    got = mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]]
+    diameter = np.ptp(mesh.vertices, axis=0).max()
+    assert np.abs(got - incr).max() <= 1e-7 * diameter
+
+
+def _laplacian_density(coeff, basis, z, use_a):
+    """(1 + |z|^2)^2 dzbar X_z at chart points z, the field read in chart A
+    where ``use_a``."""
+    parts = (basis.evaluate(coeff, z, use_a, d) for d in ((0, 0), (1, 0), (0, 1)))
+    return ((1.0 + np.abs(z) ** 2) ** 2)[:, None] * _weierstrass_dzbar(*parts)
 
 
 def test_weierstrass_form_is_chart_independent(ws8):
-    """X_w dw = X_z dz under the chart-B gauge phi_B(w) = diag(iz, -i zbar)
-    phi_A(z), w = 1/z, for any spinor: dw = -dz / z^2."""
+    """(1 + |z|^2)^2 dzbar X_z is one function on the sphere: under the
+    chart-B gauge phi_B(w) = diag(iz, -i zbar) phi_A(z), w = 1/z, its value
+    at w equals its value at z, for any spinor, since X_w dw = X_z dz."""
     rng = np.random.default_rng(13)
     coeff = random_spinor(ws8, rng)
     z = np.sqrt(rng.uniform(0.2, 5.0, 50)) * np.exp(2j * np.pi * rng.uniform(size=50))
-    xa = _weierstrass_form(ws8.basis.evaluate(coeff, z, True))
-    xb = _weierstrass_form(ws8.basis.evaluate(coeff, 1.0 / z, False))
-    np.testing.assert_allclose(xb * (-1.0 / z**2)[:, None], xa,
-                               rtol=0, atol=1e-12 * np.abs(xa).max())
+    xa = _laplacian_density(coeff, ws8.basis, z, True)
+    xb = _laplacian_density(coeff, ws8.basis, 1.0 / z, False)
+    np.testing.assert_allclose(xb, xa, rtol=0, atol=1e-12 * np.abs(xa).max())
 
 
 def test_reconstruction_refuses_zero_state(ws8):
@@ -568,7 +578,7 @@ def test_export_ply_matches_loop_writer(tmp_path):
                          mean_curvature=rng.normal(size=len(verts)),
                          target_q=rng.normal(size=len(verts)),
                          gauss_bonnet_defect=0.0, closure_defect=0.0,
-                         edge_length_rel_error=0.0, closedness_precheck=0.0,
+                         edge_length_rel_error=0.0,
                          euler_characteristic=2)
     export_ply(tmp_path / "a.ply", mesh)
     _export_ply_loop(tmp_path / "b.ply", mesh)
@@ -593,8 +603,12 @@ def test_mesh_io_round_trip(tmp_path, ws8, killing_state):
 
 
 def test_closedness_defect_on_solution(ws8, killing_state):
+    """For an exact solution dzbar X_z is real at every point (X_z dz is
+    closed), and the immersion's closure defect over its grid vanishes."""
     z = 0.7 * np.exp(1j * np.linspace(0, 6.0, 25))
-    assert closedness_defect(killing_state, z, True) <= 1e-12
+    comps = _laplacian_density(killing_state.coeff, ws8.basis, z, True)
+    assert (np.abs(comps.imag).sum(axis=-1) / np.abs(comps).sum(axis=-1)).max() <= 1e-12
+    assert _immersion(killing_state, icosphere(1)[0])[1] <= 1e-12
 
 
 def test_scal_identity_caches_no_derivative_tables(ws8):

@@ -533,7 +533,7 @@ def test_solve_never_rereduces_the_previous_point(ws8, monkeypatch):
 _THREAD_PROBE = """
 import numpy as np
 from diracsphere.energy import Workspace, constant_curvature
-from diracsphere.geometry import nodal_analysis
+from diracsphere.geometry import _immersion, icosphere, nodal_analysis
 from diracsphere.grid import QuadratureGrid
 from diracsphere.reduction import barycenter
 from diracsphere.spectral import SphereBasis, SpectralSpinor
@@ -555,6 +555,11 @@ for coeff in (np.where(np.arange(n) == j1, 2.0, 0j),
               (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.5 ** ws8.basis.j_arr):
     for c in nodal_analysis(SpectralSpinor(ws8.basis, coeff), ws8).candidates:
         print([repr(float(x)) for x in c.position], repr(c.value))
+
+# the immersion vertices of a random J=8 state at 2 subdivisions
+rng = np.random.default_rng(8)
+psi = SpectralSpinor(ws8.basis, (rng.normal(size=n) + 1j * rng.normal(size=n)) * 0.5 ** ws8.basis.j_arr)
+print(_immersion(psi, icosphere(2)[0])[0].tobytes().hex())
 """
 
 
@@ -562,7 +567,8 @@ def test_grid_sums_bit_equal_at_one_and_two_blas_threads():
     """On the degree-144 grid (the J=48 reference), integrals and the
     monitor's barycenter give the same bits at 1 and at 2 BLAS threads; so
     do the polished nodal candidates (positions and |psi|) of a J=8 state
-    with zeros at both poles and of a random J=8 state."""
+    with zeros at both poles and of a random J=8 state, and the immersion
+    vertices of another random J=8 state at 2 subdivisions."""
     src = str(Path(reduction.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = []
@@ -573,5 +579,5 @@ def test_grid_sums_bit_equal_at_one_and_two_blas_threads():
                              capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
-    # two grid lines, then the 2 + 3 polished candidates
-    assert len(outputs[0].splitlines()) == 7
+    # two grid lines, the 2 + 3 polished candidates, then the immersion
+    assert len(outputs[0].splitlines()) == 8

@@ -444,17 +444,19 @@ def test_evaluate_matrix_matches_per_degree_loop(J):
 
 @pytest.mark.parametrize("J, degree", [(5, 15), (16, 48), (5, 11)])
 def test_ring_map_derivatives_match_evaluate(J, degree):
-    """The (1,0), (0,1) and (1,1) Wirtinger derivatives at the nodes from
-    the ring modes agree with the off-grid evaluator, in the chart-A and in
-    the chart-B nodes, on degree-3J grids and at degree 2J+1, where a row's
-    modes fill every bin; nothing is cached."""
+    """The values and the (1,0), (0,1) and (1,1) Wirtinger derivatives at
+    the nodes from the ring modes agree with the off-grid evaluator, in the
+    chart-A and in the chart-B nodes, on degree-3J grids and at degree 2J+1,
+    where a row's modes fill every bin; one array per order asked for, in
+    its order; nothing is cached."""
     basis = SphereBasis(J)
     grid = QuadratureGrid(degree=degree)
     rng = np.random.default_rng(J + 3)
     coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
-    derivs = basis.synthesize_derivatives(coeff, grid)
-    assert not basis._matrix_cache
-    for d, got in zip(((1, 0), (0, 1), (1, 1)), derivs):
+    orders = ((1, 1), (0, 0), (1, 0), (0, 1))
+    derivs = basis.synthesize_derivatives(coeff, grid, orders)
+    assert not basis._matrix_cache and len(derivs) == len(orders)
+    for d, got in zip(orders, derivs):
         ref = basis.evaluate(coeff, grid.z_pref, grid.use_a, d)
         assert got.shape == ref.shape == (grid.n_nodes, 2)
         for sel in (grid.use_a, ~grid.use_a):
