@@ -35,7 +35,8 @@ import numpy as np
 
 from .energy import Workspace, _tangent_frame
 from .grid import QuadratureGrid, chart_a_coords, chart_b_coords, conformal_factor
-from .spectral import SpectralSpinor, dirac_apply
+from . import spectral
+from .spectral import SpectralSpinor, _row_matmul, dirac_apply
 
 # -- nodal analysis -----------------------------------------------------------
 
@@ -306,10 +307,8 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
 def mesh_edges(faces) -> np.ndarray:
     """The distinct edges (a, b), a < b, of a triangle mesh, sorted by
     rows: one sort of the keys a * n + b, each key kept once."""
-    e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    n = int(faces.max()) + 1
-    key = np.sort(e[:, 0] * n + e[:, 1])
+    n, ends = int(faces.max()) + 1, np.roll(faces, -1, axis=1)
+    key = np.sort(np.minimum(faces, ends) * n + np.maximum(faces, ends), axis=None)
     key = key[np.concatenate([[True], key[1:] != key[:-1]])]   # np.unique imports numpy.ma
     return np.stack([key // n, key % n], axis=1)
 
@@ -348,9 +347,6 @@ def _legendre(x, L: int):
         yield m, P
 
 
-_BLOCK = 2048       # points per block of ``_harmonic_synthesis`` (0.56 MB table at J=16)
-
-
 def _harmonic_analysis(values, grid: QuadratureGrid, L: int) -> list:
     """Coefficients in the harmonics lambda_lm e^{i m phi}, l <= L, of real
     nodal values (n_nodes, c): per order m, the (L - m + 1, 2c) real array of
@@ -366,14 +362,14 @@ def _harmonic_synthesis(coeff, xyz, L: int) -> np.ndarray:
     """The real field of coefficients laid out as ``_harmonic_analysis``
     returns them, at sphere points xyz: summed one order m at a time, over
     blocks of ``_BLOCK`` points."""
-    out = np.zeros((len(xyz), coeff[0].shape[1] // 2))
-    for start in range(0, len(xyz), _BLOCK):
-        pts = xyz[start:start + _BLOCK]
+    out, step = np.zeros((len(xyz), coeff[0].shape[1] // 2)), spectral._BLOCK
+    for start in range(0, len(xyz), step):
+        pts = xyz[start:start + step]
         phi = np.arctan2(pts[:, 1], pts[:, 0])[:, None]
         for m, P in _legendre(pts[:, 2], L):
-            re, im = np.moveaxis((P.T @ coeff[m]).reshape(len(pts), -1, 2), -1, 0)
-            out[start:start + _BLOCK] += (2.0 if m else 1.0) * (re * np.cos(m * phi)
-                                                                 - im * np.sin(m * phi))
+            re, im = np.moveaxis(_row_matmul(P.T, coeff[m]).reshape(len(pts), -1, 2), -1, 0)
+            out[start:start + step] += (2.0 if m else 1.0) * (re * np.cos(m * phi)
+                                                              - im * np.sin(m * phi))
     return out
 
 
@@ -432,10 +428,12 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
     verts -= verts.mean(axis=0)
 
     norm = _fiber_norm_at(psi, sphere_v)
-    a, b = edges.T
-    arc = 2.0 * np.arcsin(np.linalg.norm(sphere_v[a] - sphere_v[b], axis=1) / 2.0)
-    glen = arc * (norm[a] ** 2 + norm[b] ** 2) / 2.0
-    rel = (np.linalg.norm(verts[a] - verts[b], axis=1) - glen) / glen
+    rel, step = np.empty(len(edges)), spectral._BLOCK
+    for start in range(0, len(edges), step):
+        a, b = edges[start:start + step].T
+        arc = 2.0 * np.arcsin(np.linalg.norm(sphere_v[a] - sphere_v[b], axis=1) / 2.0)
+        glen = arc * (norm[a] ** 2 + norm[b] ** 2) / 2.0
+        rel[start:start + step] = (np.linalg.norm(verts[a] - verts[b], axis=1) - glen) / glen
 
     target_q = np.asarray(ws.Q.evaluate(sphere_v), dtype=float)
     H, gauss_bonnet = discrete_curvature(verts, faces)
@@ -449,58 +447,59 @@ def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
 # -- discrete curvature -----------------------------------------------------------
 
 
-def _vertex_sums(nv: int, index, weights) -> np.ndarray:
-    """Per-vertex sums of the rows of ``weights`` (n,) or (n, d), added in the
-    order of ``index``: one ``np.bincount`` per coordinate, which rounds
-    like ``np.add.at`` over the same order."""
-    if weights.ndim == 1:
-        return np.bincount(index, weights, minlength=nv)
-    return np.stack([np.bincount(index, w, minlength=nv) for w in weights.T], axis=1)
+def _corners(verts, fb, c):
+    """At corner(s) c of the faces fb, coordinates first: e = v_{c+1} - v_c, f = v_{c+2} - v_c
+    (mod 3), e.f, e x f and |e x f|, with the bits of np.sum, np.cross and np.linalg.norm."""
+    v = verts.take(fb.T, axis=0).transpose(2, 0, 1)      # [coordinate, corner, face]
+    (e0, e1, e2), (f0, f1, f2) = e, f = [v[:, (c + i) % 3] - v[:, c] for i in (1, 2)]
+    cross = np.stack([e1 * f2 - e2 * f1, e2 * f0 - e0 * f2, e0 * f1 - e1 * f0])
+    return e, e0 * f0 + e1 * f1 + e2 * f2, cross, np.sqrt(np.sum(cross * cross, axis=0))
 
 
 def _curvature_sums(verts, faces):
     """Per-vertex Meyer et al. mixed areas (Voronoi for non-obtuse triangles,
     else T/2 at the obtuse corner and T/4 at the others), outward unit
-    normals, cotangent Laplacian sums K and the sum of the corner angles,
-    from one pass over the corners.  Corner c of a face is its vertex v_c,
-    with edges e = v_{c+1} - v_c and f = v_{c+2} - v_c (indices mod 3);
-    e.f, e x f, the cotangent e.f / |e x f| and the angle
-    atan2(|e x f|, e.f) are computed once per corner, and each vertex sum
-    adds in the order of a loop over the three corners."""
-    nv = verts.shape[0]
-    vi = verts[faces]
-    e, f = np.roll(vi, -1, axis=1) - vi, np.roll(vi, -2, axis=1) - vi
-    dots = np.sum(e * f, axis=2)
-    cross = np.cross(e, f)
-    vn = _vertex_sums(nv, faces.T.ravel(), np.tile(cross[:, 0], (3, 1)))
-    twice_area = np.linalg.norm(cross, axis=2)
-    del vi, f, cross            # freed early: peak memory stays below a per-corner loop
-    cot = dots / np.maximum(twice_area, 1e-300)
-    angle_sum = float(np.sum(np.arctan2(twice_area, dots)))
-
-    # mixed area at corner c: the Voronoi part is
-    # (|e|^2 cot(corner c+2) + |f|^2 cot(corner c+1)) / 8, and |f| = |e| of c+2
-    sq = np.sum(e * e, axis=2)
-    vor = (sq * np.roll(cot, -2, axis=1)
-           + np.roll(sq, -2, axis=1) * np.roll(cot, -1, axis=1)) / 8.0
-    tri = 0.5 * twice_area
-    obtuse = dots < 0
-    other = np.roll(obtuse, -1, axis=1) | np.roll(obtuse, -2, axis=1)
-    area = _vertex_sums(nv, faces.T.ravel(), np.where(
-        obtuse, tri / 2.0, np.where(other, tri / 4.0, vor)).T.ravel())
+    normals, cotangent Laplacian sums K and the sum of the corner angles
+    atan2(|e x f|, e.f), from walks over blocks of faces: one for the angles,
+    summed from an (F, 3) array, then two per corner c = 0, 1, 2.  Each
+    vertex sum adds in one order whatever the block size: areas and normals
+    corner 0, 1, 2 in turn, each over all faces in face order; K the pulls
+    of edge c (v_c to v_{c+1}) on v_c, then on v_{c+1}, then edge c+1's."""
+    step, corners, angles = spectral._BLOCK, np.arange(3), np.empty((len(faces), 3))
+    for start in range(0, len(faces), step):
+        _, dots, _, twice_area = _corners(verts, faces[start:start + step], corners)
+        angles[start:start + step] = np.arctan2(twice_area, dots).T
+    angle_sum = float(np.sum(angles))
+    del angles
+    area, vn, K = np.zeros(len(verts)), np.zeros((3, len(verts))), np.zeros((3, len(verts)))
+    for c in range(3):
+        c1, c2 = (c + 1) % 3, (c + 2) % 3
+        for start in range(0, len(faces), step):
+            fb = faces[start:start + step]
+            e, dots, cross, twice_area = _corners(verts, fb, corners)
+            cot = dots / np.maximum(twice_area, 1e-300)
+            # mixed area at corner c: the Voronoi part is
+            # (|e|^2 cot(corner c+2) + |f|^2 cot(corner c+1)) / 8, and |f| = |e| of c+2
+            sq = np.sum(e * e, axis=0)
+            vor = (sq[c] * cot[c2] + sq[c2] * cot[c1]) / 8.0
+            tri, obtuse = 0.5 * twice_area[c], dots < 0
+            np.add.at(area, fb[:, c], np.where(obtuse[c], tri / 2.0, np.where(
+                obtuse[c1] | obtuse[c2], tri / 4.0, vor)))
+            # the face normal, and edge c's pull cot(corner c+2) (v_c - v_{c+1}) / 2 on v_c ...
+            for out, w in zip([*vn, *K], [*cross[:, 0], *(0.5 * cot[c2] * -e[:, c])]):
+                np.add.at(out, fb[:, c], w)
+        for start in range(0, len(faces), step):
+            fb = faces[start:start + step]
+            e, dots, _, twice_area = _corners(verts, fb, np.array([c, c2]))
+            # ... and the opposite pull on v_{c+1}
+            for out, w in zip(K, 0.5 * (dots[1] / np.maximum(twice_area[1], 1e-300)) * e[:, 0]):
+                np.add.at(out, fb[:, c1], w)
 
     # orient outward from the centroid (winding may flip under reflections)
-    if np.sum(vn * (verts - verts.mean(axis=0))) < 0:
+    if np.sum(vn.T * (verts - verts.mean(axis=0))) < 0:
         vn = -vn
-    normals = vn / np.maximum(np.linalg.norm(vn, axis=1, keepdims=True), 1e-300)
-
-    # edge c (v_c to v_{c+1}) pulls v_c by cot(corner c+2) (v_c - v_{c+1}) / 2
-    # and v_{c+1} by the opposite; one coordinate at a time
-    half_cot = 0.5 * np.roll(cot, -2, axis=1).T
-    ends = np.concatenate([faces.T, np.roll(faces, -1, axis=1).T], axis=1).ravel()
-    K = np.stack([_vertex_sums(nv, ends, np.concatenate([w, -w], axis=1).ravel())
-                  for w in half_cot * -e.transpose(2, 1, 0)], axis=1)
-    return area, normals, K, angle_sum
+    vn /= np.maximum(np.linalg.norm(vn, axis=0), 1e-300)
+    return area, vn.T, K.T, angle_sum
 
 
 def discrete_curvature(verts, faces) -> tuple[np.ndarray, float]:
@@ -508,9 +507,10 @@ def discrete_curvature(verts, faces) -> tuple[np.ndarray, float]:
     with mixed Voronoi areas and its sign from the outward vertex normal
     (a sphere of radius r gives 1/r), and the Gauss-Bonnet defect, the
     total angle defect minus 4 pi (zero for a sphere mesh up to roundoff),
-    from one corner pass."""
+    from the block walks of ``_curvature_sums``."""
     area, normals, K, angle_sum = _curvature_sums(verts, faces)
-    H = np.sum(K / (2.0 * area[:, None]) * normals, axis=1)
+    K /= 2.0 * area[:, None]
+    H = np.sum(np.multiply(K, normals, out=K), axis=1)
     return H, 2.0 * math.pi * verts.shape[0] - angle_sum - 4.0 * math.pi
 
 
@@ -535,24 +535,18 @@ def export_obj(path, mesh: ImmersionMesh) -> None:
 def export_ply(path, mesh: ImmersionMesh) -> None:
     """Binary little-endian PLY, float64 positions plus the three per-vertex
     scalar properties (conf_factor, mean_curvature, target_q)."""
-    nv, nf = mesh.vertices.shape[0], mesh.faces.shape[0]
-    header = (
-        "ply\nformat binary_little_endian 1.0\n"
-        "comment diracsphere immersion mesh\n"
-        f"element vertex {nv}\n"
-        "property float64 x\nproperty float64 y\nproperty float64 z\n"
-        "property float64 conf_factor\nproperty float64 mean_curvature\n"
-        "property float64 target_q\n"
-        f"element face {nf}\n"
-        "property list uchar int32 vertex_indices\nend_header\n"
-    )
-    vdata = np.hstack([mesh.vertices, mesh.conf_factor[:, None],
-                       mesh.mean_curvature[:, None], mesh.target_q[:, None]])
+    names, nf = ("x", "y", "z", "conf_factor", "mean_curvature", "target_q"), len(mesh.faces)
+    header = ("ply\nformat binary_little_endian 1.0\ncomment diracsphere immersion mesh\n"
+              f"element vertex {len(mesh.vertices)}\n"
+              + "".join(f"property float64 {n}\n" for n in names)
+              + f"element face {nf}\nproperty list uchar int32 vertex_indices\nend_header\n")
+    vdata = np.column_stack([mesh.vertices, mesh.conf_factor, mesh.mean_curvature,
+                             mesh.target_q])
+    # one packed record per face: the count 3 and the three indices
+    body = np.empty(nf, dtype=[("count", "u1"), ("vertex_indices", "<i4", (3,))])
+    body["count"] = 3
+    body["vertex_indices"] = mesh.faces
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        fh.write(vdata.astype("<f8").tobytes())
-        # one packed record per face: the count 3 and the three indices
-        body = np.empty(nf, dtype=[("count", "u1"), ("vertex_indices", "<i4", (3,))])
-        body["count"] = 3
-        body["vertex_indices"] = mesh.faces
-        fh.write(body.tobytes())
+        fh.write(memoryview(vdata.astype("<f8", copy=False)).cast("B"))
+        fh.write(memoryview(body).cast("B"))

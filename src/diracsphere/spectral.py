@@ -168,10 +168,15 @@ _WEIGHTS = np.array([
 ])
 
 
-# points per block of ``SphereBasis.evaluate``: its Jacobi array for one k
-# then holds at most (order+1) x 2 x (J+1) x 4096 doubles (1.1 MB for values
-# at J=16), whatever the number of points
-_CHUNK = 4096
+# points (or faces) per block of ``SphereBasis.evaluate`` and the mesh passes of
+# ``geometry``: one k's Jacobi array is at most (order+1) x 2 x (J+1) x 1024 doubles
+_BLOCK = 1024
+
+
+def _row_matmul(a, b) -> np.ndarray:
+    """a @ b with gemm's bits in every row, however many rows a has: numpy
+    hands a one-row product to gemv, which sums in another order."""
+    return np.matmul(a.repeat(2, axis=-2), b)[..., :1, :] if a.shape[-2] == 1 else a @ b
 
 
 def _ring_values(grid: QuadratureGrid, modes) -> np.ndarray:
@@ -296,7 +301,8 @@ class SphereBasis:
         """The field ``coeff`` (or its ``deriv`` derivative) at chart points z,
         shape z.shape + (2,), with no table: per k, one real matrix product
         sums the Jacobi values of all degrees against the coefficients, over
-        ``_CHUNK`` points at a time."""
+        ``_BLOCK`` points at a time; the bits of a point do not depend on
+        the others."""
         blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
         deriv = tuple(deriv)
 
@@ -308,11 +314,11 @@ class SphereBasis:
             # (re, im) pairs of the Jacobi sums S[order, e, h]
             w = w.view(float).transpose(0, 2, 1, 3).copy()
             out = np.zeros(v.shape + (2,), dtype=complex)
-            for start in range(0, v.size, _CHUNK):
-                chunk = out[start:start + _CHUNK]
-                for k, P, components in self._radial_stage(v[start:start + _CHUNK],
+            for start in range(0, v.size, _BLOCK):
+                chunk = out[start:start + _BLOCK]
+                for k, P, components in self._radial_stage(v[start:start + _BLOCK],
                                                            sum(deriv)):
-                    S = np.matmul(P.swapaxes(-1, -2), w[k, :, :P.shape[2]])
+                    S = _row_matmul(P.swapaxes(-1, -2), w[k, :, :P.shape[2]])
                     chunk += np.stack(components(S.view(complex).swapaxes(-1, -2), deriv),
                                       axis=-1)
             return out

@@ -12,6 +12,7 @@ from diracsphere.geometry import (ImmersionMesh, _chart_coords, _curvature_sums,
                                   discrete_curvature, export_obj, export_ply,
                                   icosphere, mesh_edges, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check)
+from diracsphere import spectral
 from diracsphere.grid import QuadratureGrid
 from diracsphere.spectral import SpectralSpinor, SphereBasis
 from conftest import random_spinor
@@ -256,6 +257,53 @@ def test_immersion_memory_is_bounded(ws8):
         finally:
             tracemalloc.stop()
     assert peaks[5] <= peaks[3] + out.nbytes + 2**20, (peaks, out.nbytes)
+
+
+def test_curvature_memory_is_bounded():
+    """The traced peak of ``discrete_curvature`` at 5 subdivisions (20480
+    faces) exceeds its peak at 3 (1280 faces) by at most its outputs and
+    1 MB: the corner pass holds one block of faces at a time, and no
+    per-corner (F, 3, 3) array."""
+    rng = np.random.default_rng(33)
+    peaks = {}
+    for subdivisions in (3, 5):
+        verts, faces = icosphere(subdivisions)
+        verts = verts * (1.0 + 0.05 * rng.normal(size=(len(verts), 1)))
+        discrete_curvature(verts, faces)
+        tracemalloc.start()
+        try:
+            H, _ = discrete_curvature(verts, faces)
+            peaks[subdivisions] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[5] <= peaks[3] + H.nbytes + 2**20, (peaks, H.nbytes)
+
+
+def test_block_size_does_not_move_a_bit(ws8, monkeypatch):
+    """``discrete_curvature``, ``_immersion`` and ``SphereBasis.evaluate``
+    give the same bytes with blocks of 1, 7 and more than all the faces or
+    points: every face or point is computed on its own, and every sum runs
+    in a fixed order."""
+    rng = np.random.default_rng(34)
+    psi = ws8.spinor(random_spinor(ws8, rng))
+    verts, faces = icosphere(2)
+    moved = verts * (1.0 + 0.05 * rng.normal(size=(len(verts), 1)))
+    xyz = rng.normal(size=(40, 3))
+    xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+    use_a = xyz[:, 2] >= 0
+    z = _chart_coords(xyz, use_a)
+
+    def outputs():
+        H, defect = discrete_curvature(moved, faces)
+        F, closure = _immersion(psi, verts)
+        values = [psi.basis.evaluate(psi.coeff, z, use_a, d)
+                  for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        return [a.tobytes() for a in (H, np.array([defect, closure]), F, *values)]
+
+    reference = outputs()
+    for block in (1, 7, len(faces) + 1):
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        assert outputs() == reference, block
 
 
 def test_legendre_matches_scipy_harmonics():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import diracsphere
 from diracsphere.grid import QuadratureGrid, chart_a_coords, chart_b_coords
-from diracsphere.spectral import (_CHUNK, _WEIGHTS, AliasingError, SphereBasis,
+from diracsphere.spectral import (_BLOCK, _WEIGHTS, AliasingError, SphereBasis,
                                   SpectralSpinor, _atom, _jacobi_coefficients,
                                   dirac_apply, dirac_eigenvalue,
                                   dirac_multiplicity, h_inner, load_spinor,
@@ -367,7 +367,7 @@ def test_evaluate_matches_table_contraction():
     table, for the value and each Wirtinger derivative: with both charts
     in one call, and with more points than one chunk, all in chart A."""
     rng = np.random.default_rng(12)
-    for J, n_points, north in ((16, 200, False), (5, _CHUNK + 100, True)):
+    for J, n_points, north in ((16, 200, False), (5, _BLOCK + 100, True)):
         basis = SphereBasis(J)
         coeff = rng.normal(size=basis.n_basis) + 1j * rng.normal(size=basis.n_basis)
         xyz = rng.normal(size=(n_points, 3))
