@@ -464,6 +464,8 @@ def cmd_immerse(args) -> int:
     fmt = args.format or out.suffix.lstrip(".").lower() or "ply"
     if fmt not in ("obj", "ply"):
         raise ConfigError(f"unknown mesh format '{fmt}'")
+    if args.subdivisions < 0:
+        raise ConfigError("--subdivisions must be an integer >= 0")
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = _read(load_spinor, args.state, ws.basis)

@@ -150,7 +150,7 @@ class Bubble:
         return scale * base
 
 
-def bubble_energy_flat(rho: float = 1.0, q_center: float = 1.0) -> tuple[float, float]:
+def bubble_energy_flat(rho: float, q_center: float = 1.0) -> tuple[float, float]:
     """(quadrature, analytic) value of integral_{R^2} |phi_{y,rho}|^4 dx.
 
     Analytic value: 4 pi / q^2, independent of rho.  The quadrature

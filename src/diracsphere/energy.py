@@ -198,19 +198,22 @@ def _newton_steps(H2, g2) -> np.ndarray:
         return steps
 
 
-def find_critical_points(Q: PolynomialCurvature, max_iter: int = 80):
+_CRITICAL_STEPS = 80
+
+
+def find_critical_points(Q: PolynomialCurvature):
     """Multi-start sphere Newton for grad Q = 0 from the nodes of the degree-24
     grid; returns (points, all_converged).
 
-    One Newton iteration runs over all seeds at once; a seed is frozen once
-    its gradient norm falls below 1e-9.  Converged seeds are then
-    deduplicated (points within 0.03 rad of a kept one are dropped) and
-    classified in seed order.
+    One Newton iteration runs over all seeds at once, ``_CRITICAL_STEPS`` at
+    most; a seed is frozen once its gradient norm falls below 1e-9.
+    Converged seeds are then deduplicated (points within 0.03 rad of a kept
+    one are dropped) and classified in seed order.
     """
     xi = QuadratureGrid(degree=24).xyz.copy()
     converged = np.zeros(len(xi), dtype=bool)
     active = np.arange(len(xi))
-    for _ in range(max_iter):
+    for _ in range(_CRITICAL_STEPS):
         x = xi[active]
         g3 = intrinsic_gradient(Q, x)
         gn = np.sqrt(_dot(g3, g3))

@@ -74,7 +74,7 @@ def _fiber_norm_at(psi: SpectralSpinor, xyz) -> np.ndarray:
     xyz = np.atleast_2d(np.asarray(xyz, dtype=float))
     north = xyz[:, 2] >= 0
     z = _chart_coords(xyz, north)
-    vals = psi.basis.evaluate(psi.coeff, z, north)
+    vals, = psi.basis.evaluate(psi.coeff, z, north, ((0, 0),))
     return np.sqrt(np.sum(np.abs(vals) ** 2, axis=-1) / conformal_factor(z))
 
 
@@ -88,8 +88,8 @@ def _refine_minimum(psi: SpectralSpinor, xi0) -> tuple[np.ndarray, float]:
     z = complex(_chart_coords(xi0, sign > 0))
 
     def residual(z):    # rows r, dr/dx, dr/dy as real 4-vectors, z = x + iy
-        vals, d10, d01 = (psi.basis.evaluate(psi.coeff, np.array([z]), sign > 0, d)[0]
-                          for d in ((0, 0), (1, 0), (0, 1)))
+        vals, d10, d01 = (a[0] for a in psi.basis.evaluate(
+            psi.coeff, np.array([z]), sign > 0, ((0, 0), (1, 0), (0, 1))))
         s = math.sqrt((1.0 + abs(z) ** 2) / 2.0)
         return np.array([vals * s, (d10 + d01) * s + vals * (z.real / (2.0 * s)),
                          1j * (d10 - d01) * s + vals * (z.imag / (2.0 * s))]).view(float)
@@ -306,11 +306,16 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
 
 def mesh_edges(faces) -> np.ndarray:
     """The distinct edges (a, b), a < b, of a triangle mesh, sorted by
-    rows: one sort of the keys a * n + b, each key kept once."""
+    rows: one in-place sort of the keys a * n + b, each key kept once; the
+    keys and the rolled faces are the only (F, 3) arrays made."""
     n, ends = int(faces.max()) + 1, np.roll(faces, -1, axis=1)
-    key = np.sort(np.minimum(faces, ends) * n + np.maximum(faces, ends), axis=None)
+    key = np.minimum(faces, ends).ravel()
+    key *= n
+    key += np.maximum(faces, ends, out=ends).ravel()
+    del ends
+    key.sort()
     key = key[np.concatenate([[True], key[1:] != key[:-1]])]   # np.unique imports numpy.ma
-    return np.stack([key // n, key % n], axis=1)
+    return np.stack(np.divmod(key, n), axis=1)
 
 
 # -- Weierstrass integration ------------------------------------------------------
@@ -407,7 +412,7 @@ class ImmersionMesh:
 
 
 def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
-                          subdivisions: int = 4,
+                          subdivisions: int,
                           nodal: NodalReport | None = None) -> ImmersionMesh:
     """The immersion at the icosphere vertices from one spectral Poisson
     solve (``_immersion``), centred on the vertex mean.  The g1 length of

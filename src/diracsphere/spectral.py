@@ -43,12 +43,12 @@ keeps every term O(1), so the basis is accurate at any J.
 
 Evaluation.  Only ``SphereBasis`` picks a chart, from ``use_a``: a bool or
 a mask shaped like the chart points, True reading chart A.  The table
-``evaluate_matrix``, one field at arbitrary points (``evaluate``) and the
-ring map below run the same recurrence, one pass per angular index k that
-stacks the degrees d = 0..J-k, and hold one k at a time beside their output.
-Wirtinger derivatives come from the z^k factor and
-d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1}, with no division, so
-they are finite at z = 0.  The grid transforms are separable: each grid
+``evaluate_matrix``, a field's Wirtinger derivatives at arbitrary points
+(``evaluate``) and the ring map below run the same recurrence, one pass per
+angular index k that stacks the degrees d = 0..J-k, and hold one k at a
+time beside their output.  Wirtinger derivatives come from the z^k factor
+and d/dx P^(a,b)_n = sqrt(n (n+a+b+1)) P^(a+1,b+1)_{n-1}, with no division,
+so they are finite at z = 0.  The grid transforms are separable: each grid
 ring lies in one chart, where a basis column is one longitude mode times
 its phi = 0 value, so a transform is a ring map between coefficients and
 ring modes plus an FFT along each ring (the per-m stage of libsharp,
@@ -58,8 +58,11 @@ stacked real matrix products on (re, im) pairs; unlike complex
 matrix-vector products, these give the same bits at 1 and 2 BLAS threads.
 It is written one k at a time from the column pass that ``evaluate_matrix``
 scatters, the E^- and E^+ columns of a group in two blocks that
-``synthesize`` sums; ``synthesize_derivatives``, for any Wirtinger orders,
-sums each group's coefficients on the meridian instead and builds no table.
+``synthesize`` sums.  ``evaluate`` and ``synthesize_derivatives``, for any
+Wirtinger orders, build no table: one kernel (``_sums``) contracts the
+coefficients with each k's Jacobi values in one real matrix product, the
+groups k and -1-k summed in its weights for ``evaluate`` and kept apart on
+the meridian for ``synthesize_derivatives``.
 """
 
 from __future__ import annotations
@@ -241,17 +244,6 @@ class SphereBasis:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _by_chart(self, z, use_a, tail, fill) -> np.ndarray:
-        """``fill(points, chart)`` on each chart's share of the points z
-        (chart 0 is A); the result has shape z.shape + tail."""
-        z = np.asarray(z, dtype=complex)
-        mask = np.broadcast_to(use_a, z.shape)
-        out = np.empty(z.shape + tail, dtype=complex)
-        for chart, sel in enumerate((mask, ~mask)):
-            if sel.any():
-                out[sel] = fill(z[sel], chart)
-        return out
-
     def _radial_stage(self, v, order: int):
         """For k = 0..J: (k, P, components), with P the ``_jacobi`` values
         at d = 0..J-k, shape (order+1, 2, J-k+1, v.size), and
@@ -297,33 +289,50 @@ class SphereBasis:
             tab[:, :, self._cols[k, :values.shape[1]]] = np.moveaxis(values, -1, 0)
         return tab[:, :, :-1].reshape(np.shape(z) + (2, self.n_basis))
 
-    def evaluate(self, coeff, z, use_a, deriv=(0, 0)) -> np.ndarray:
-        """The field ``coeff`` (or its ``deriv`` derivative) at chart points z,
-        shape z.shape + (2,), with no table: per k, one real matrix product
-        sums the Jacobi values of all degrees against the coefficients, over
-        ``_BLOCK`` points at a time; the bits of a point do not depend on
-        the others."""
+    def _sums(self, coeff, z, use_a, derivs, split: bool) -> np.ndarray:
+        """The Wirtinger derivatives ``derivs``, pairs (nz, nzbar), of the field
+        ``coeff`` at chart points z, shape (len(derivs), groups) + z.shape + (2,):
+        per k, one real matrix product of the Jacobi values of all degrees and
+        the coefficients, over ``_BLOCK`` points at a time (a point's bits do
+        not depend on the others), the columns of angular indices k and -1-k
+        summed in its weights, or kept apart in groups k = -(J+1)..J if split."""
+        J, z = self.J, np.asarray(z, dtype=complex)
+        mask = np.broadcast_to(use_a, z.shape)
+        out = np.empty((len(derivs), 2 * J + 2 if split else 1) + z.shape + (2,), dtype=complex)
         blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
-        deriv = tuple(deriv)
-
-        def fill(v, chart):
-            w = np.einsum("ehc,kdc->kdeh", _WEIGHTS[chart], blocks)
-            w *= (-1.0) ** (chart * np.arange(self.J + 1))[:, None, None]
-            w[..., 1] = np.conj(w[..., 1])
-            # real weights [k, e, d, (h, re/im)]: the product's rows are the
-            # (re, im) pairs of the Jacobi sums S[order, e, h]
-            w = w.view(float).transpose(0, 2, 1, 3).copy()
-            out = np.zeros(v.shape + (2,), dtype=complex)
+        # weights [chart, k, d, e, h, g]: g = 0 sums the columns of angular
+        # index k, g = 1 those of -1-k; each (e, h) takes one of the two
+        w = blocks.reshape(J + 1, J + 1, 1, 1, 2, 2) * _WEIGHTS.reshape(2, 1, 1, 2, 2, 2, 2)
+        w = w[..., 0] + w[..., 1]
+        if not split:
+            w = w[..., :1] + w[..., 1:]
+        w *= (-1.0) ** (np.arange(2)[:, None] * np.arange(J + 1))[:, None, :, None, None, None]
+        w[..., 1, :] = np.conj(w[..., 1, :])
+        # real weights [chart, k, e, d, (g, h, re/im)]: the product's rows are
+        # the (re, im) pairs of the Jacobi sums S[order, e, h] of each group
+        w = np.ascontiguousarray(w.transpose(0, 1, 3, 2, 5, 4)).view(float)
+        w = w.reshape(2, J + 1, 2, J + 1, -1)
+        for chart, sel in enumerate((mask, ~mask)):
+            v = z[sel]
+            part = np.zeros(out.shape[:2] + v.shape + (2,), dtype=complex)
             for start in range(0, v.size, _BLOCK):
-                chunk = out[start:start + _BLOCK]
+                block = part[..., start:start + _BLOCK, :]
                 for k, P, components in self._radial_stage(v[start:start + _BLOCK],
-                                                           sum(deriv)):
-                    S = _row_matmul(P.swapaxes(-1, -2), w[k, :, :P.shape[2]])
-                    chunk += np.stack(components(S.view(complex).swapaxes(-1, -2), deriv),
-                                      axis=-1)
-            return out
+                                                           max(map(sum, derivs))):
+                    S = _row_matmul(P.swapaxes(-1, -2), w[chart, k, :, :P.shape[2]]).view(complex)
+                    S = S.swapaxes(-1, -2)              # S[order, e, (group, h), point]
+                    if split:                           # S[order, e, h, group, point]
+                        S = S.reshape(S.shape[:2] + (2, 2, -1)).swapaxes(2, 3)
+                    g = [J + 1 + k, J - k] if split else 0
+                    for chunk, deriv in zip(block, derivs):
+                        chunk[g] += np.stack(components(S, deriv), axis=-1)
+            out[:, :, sel] = part
+        return out
 
-        return self._by_chart(z, use_a, (2,), fill)
+    def evaluate(self, coeff, z, use_a, derivs) -> tuple:
+        """The Wirtinger derivatives ``derivs`` of the field ``coeff`` at chart
+        points z, one z.shape + (2,) array each, from ``_sums``."""
+        return tuple(self._sums(coeff, z, use_a, derivs, False)[:, 0])
 
     # -- grid transforms ----------------------------------------------------
 
@@ -394,36 +403,16 @@ class SphereBasis:
     def synthesize_derivatives(self, coeff, grid: QuadratureGrid, derivs):
         """The Wirtinger derivatives ``derivs``, pairs (nz, nzbar) with (0, 0)
         the values, of the field at the nodes in each node's chart: one
-        (n_nodes, 2) array each.  One radial pass on the phi = 0 meridian
-        sums the coefficients of each angular index k apart, as ``evaluate``
-        does for all of them; each such group sum is one longitude mode on its
-        ring, the mode shifted by nzbar - nz in chart A and nz - nzbar in
-        chart B, and an FFT per ring gives the nodes.  No table is built."""
+        (n_nodes, 2) array each.  ``_sums`` on the phi = 0 meridian keeps
+        apart the groups of angular index k that ``evaluate`` sums; each group
+        sum is one longitude mode on its ring, the mode shifted by nzbar - nz
+        in chart A and nz - nzbar in chart B, and an FFT per ring gives the
+        nodes.  No table is built."""
         self._require_grid(grid)
-        J, n_p, n = self.J, grid.n_phi, len(derivs)
-        blocks = np.append(np.asarray(coeff, dtype=complex), 0.0)[self._cols]
-        blocks = blocks.reshape(J + 1, J + 1, 2, 2)             # [k, d, g, column]
-
-        def fill(v, chart):
-            # weights [k, d, e, h, g]: g = 0 sums the columns of angular
-            # index k, g = 1 those of -1-k
-            w = np.einsum("ehgc,kdgc->kdehg", _WEIGHTS[chart].reshape(2, 2, 2, 2), blocks)
-            w *= (-1.0) ** (chart * np.arange(J + 1))[:, None, None, None]
-            w[..., 1, :] = np.conj(w[..., 1, :])
-            out = np.zeros((v.size, n, 2, 2 * J + 2), dtype=complex)
-            for k, P, components in self._radial_stage(v, max(map(sum, derivs))):
-                S = np.einsum("dehg,oedn->oehgn", w[k, :P.shape[2]], P)
-                for i, deriv in enumerate(derivs):
-                    # groups are ordered k = -(J+1)..J
-                    out[:, i][..., [J + 1 + k, J - k]] = np.moveaxis(
-                        components(S, deriv), -1, 0)
-            return out
-
-        sums = self._by_chart(grid.z_pref[::n_p], grid.use_a[::n_p], (n, 2, 2 * J + 2), fill)
-        sums = sums.transpose(1, 3, 0, 2).reshape(n, 2 * J + 2, -1)   # [deriv, g, row]
-        modes = np.zeros((n, 2 * grid.n_nodes), dtype=complex)
-        for i, (nz, nzb) in enumerate(derivs):
-            modes[i, self._ring_bins(grid, nzb - nz)] = sums[i]
+        sums = self._sums(coeff, grid.z_pref[::grid.n_phi], grid.use_a[::grid.n_phi], derivs, True)
+        modes = np.zeros((len(derivs), 2 * grid.n_nodes), dtype=complex)
+        for i, (nz, nzb) in enumerate(derivs):     # sums[i] rows: (ring, component)
+            modes[i, self._ring_bins(grid, nzb - nz)] = sums[i].reshape(2 * self.J + 2, -1)
         return tuple(_ring_values(grid, m) for m in modes)
 
     def analyze(self, values, grid: QuadratureGrid) -> np.ndarray:

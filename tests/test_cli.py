@@ -368,13 +368,15 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
     (["spectrum", "--j-max", "-1"], "--j-max"),
     (["immerse", "missing-state.txt", "--config", "missing.json",
       "--out", "mesh.stl"], "mesh format 'stl'"),
+    (["immerse", "missing-state.txt", "--config", "missing.json",
+      "--out", "mesh.ply", "--subdivisions=-5"], "--subdivisions"),
 ], ids=["rho_zero", "rho_tiny", "q_negative", "J_negative", "zero_center",
-        "m_one", "j_max_negative", "stl_out"])
+        "m_one", "j_max_negative", "stl_out", "subdivisions_negative"])
 def test_bad_argument_exits_2_with_one_line(caplog, no_large_grid, argv, message):
     """Out-of-range command-line arguments are configuration errors: exit 2
     with a one-line message naming the argument and no traceback.  The mesh
-    format is checked before the config or the state is read, and a bubble
-    scale before its analysis grid is built."""
+    format and the subdivision count are checked before the config or the
+    state is read, and a bubble scale before its analysis grid is built."""
     assert main(argv) == 2
     errors = [r for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].exc_info is None

@@ -480,7 +480,7 @@ def test_batched_critical_search_hessian_calls(perturbed_q, monkeypatch):
         return hess(self, xyz)
 
     monkeypatch.setattr(PolynomialCurvature, "ambient_hessian", counting)
-    max_iter = 80
-    found, ok = find_critical_points(perturbed_q, max_iter=max_iter)
+    max_iter = energy._CRITICAL_STEPS
+    found, ok = find_critical_points(perturbed_q)
     assert ok and found
     assert len(calls) <= max_iter + len(found) + 1

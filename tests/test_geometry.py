@@ -77,6 +77,33 @@ def test_polish_never_climbs(ws8, seed, ring, lon):
         assert value <= _fiber_norm_at(psi, node)[0] * (1.0 + 1e-15)
 
 
+def test_polish_reads_psi_once_per_residual(ws8, monkeypatch):
+    """Each Levenberg-Marquardt residual of the zero polish reads the value
+    and both first Wirtinger derivatives in one ``evaluate`` call, on one
+    radial pass: on a random J=8 state with polish candidates, every
+    one-point call asks for the three orders, and there are as many
+    one-point radial passes as calls."""
+    calls, passes = [], []
+    evaluate, radial = SphereBasis.evaluate, SphereBasis._radial_stage
+
+    def counting_evaluate(self, coeff, z, *args):
+        if np.size(z) == 1:
+            calls.append(tuple(args[-1]))
+        return evaluate(self, coeff, z, *args)
+
+    def counting_radial(self, v, order):
+        if v.size == 1:
+            passes.append(order)
+        return radial(self, v, order)
+
+    monkeypatch.setattr(SphereBasis, "evaluate", counting_evaluate)
+    monkeypatch.setattr(SphereBasis, "_radial_stage", counting_radial)
+    psi = ws8.spinor(random_spinor(ws8, np.random.default_rng(0), decay=0.5))
+    assert nodal_analysis(psi, ws8).candidates
+    assert calls and len(passes) == len(calls)
+    assert set(calls) == {((0, 0), (1, 0), (0, 1))}
+
+
 def test_nodal_bound_monotone(ws8, killing_state):
     rep1 = nodal_analysis(killing_state, ws8)
     rep2 = nodal_analysis(SpectralSpinor(ws8.basis, 1.3 * killing_state.coeff), ws8)
@@ -210,6 +237,20 @@ def test_mesh_edges_match_row_unique():
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+def test_mesh_edges_memory_is_bounded():
+    """The traced peak of ``mesh_edges`` at 5 subdivisions (20480 faces) is
+    at most 3 times the bytes of the edge list it returns: the keys are
+    formed and sorted in place, and the rolled faces go before the sort."""
+    faces = icosphere(5)[1]
+    tracemalloc.start()
+    try:
+        edges = mesh_edges(faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * edges.nbytes, (peak, edges.nbytes)
+
+
 def test_round_sphere_reconstruction(ws8, killing_state):
     mesh = reconstruct_immersion(killing_state, ws8, subdivisions=4)
     assert mesh.vertices.shape[0] == 2562
@@ -296,8 +337,7 @@ def test_block_size_does_not_move_a_bit(ws8, monkeypatch):
     def outputs():
         H, defect = discrete_curvature(moved, faces)
         F, closure = _immersion(psi, verts)
-        values = [psi.basis.evaluate(psi.coeff, z, use_a, d)
-                  for d in ((0, 0), (1, 0), (0, 1), (1, 1))]
+        values = psi.basis.evaluate(psi.coeff, z, use_a, ((0, 0), (1, 0), (0, 1), (1, 1)))
         return [a.tobytes() for a in (H, np.array([defect, closure]), F, *values)]
 
     reference = outputs()
@@ -368,7 +408,8 @@ def test_immersion_edges_match_weierstrass_increments(perturbed_solution):
     za, zb = (_chart_coords(sphere_v[end], north) for end in edges.T)
     t, w = np.polynomial.legendre.leggauss(4)
     t, w = 0.5 * (t + 1.0), 0.5 * w
-    vals = psi.basis.evaluate(psi.coeff, za[:, None] + t * (zb - za)[:, None], north[:, None])
+    vals, = psi.basis.evaluate(psi.coeff, za[:, None] + t * (zb - za)[:, None], north[:, None],
+                               ((0, 0),))
     p1, c2 = vals[..., 0], np.conj(vals[..., 1])
     xz = np.stack([0.5j * (p1**2 - c2**2), -0.5 * (p1**2 + c2**2), -1j * p1 * c2], axis=-1)
     incr = 2.0 * np.real((zb - za)[:, None] * np.tensordot(xz, w, axes=([1], [0])))
@@ -380,7 +421,7 @@ def test_immersion_edges_match_weierstrass_increments(perturbed_solution):
 def _laplacian_density(coeff, basis, z, use_a):
     """(1 + |z|^2)^2 dzbar X_z at chart points z, the field read in chart A
     where ``use_a``."""
-    parts = (basis.evaluate(coeff, z, use_a, d) for d in ((0, 0), (1, 0), (0, 1)))
+    parts = basis.evaluate(coeff, z, use_a, ((0, 0), (1, 0), (0, 1)))
     return ((1.0 + np.abs(z) ** 2) ** 2)[:, None] * _weierstrass_dzbar(*parts)
 
 

@@ -364,8 +364,9 @@ def test_basis_chart_transition_consistency():
 
 def test_evaluate_matches_table_contraction():
     """The recurrence-summed evaluator agrees with contracting the basis
-    table, for the value and each Wirtinger derivative: with both charts
-    in one call, and with more points than one chunk, all in chart A."""
+    table, for the value and each Wirtinger derivative, all four asked for
+    in one call and returned in the order asked: with both charts in one
+    call, and with more points than one chunk, all in chart A."""
     rng = np.random.default_rng(12)
     for J, n_points, north in ((16, 200, False), (5, _BLOCK + 100, True)):
         basis = SphereBasis(J)
@@ -377,8 +378,10 @@ def test_evaluate_matches_table_contraction():
         use_a = xyz[:, 2] >= 0
         assert use_a.all() if north else 0 < use_a.sum() < use_a.size
         z = np.where(use_a, chart_a_coords(xyz), chart_b_coords(xyz))
-        for d in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            got = basis.evaluate(coeff, z, use_a, d)
+        orders = ((0, 0), (1, 0), (0, 1), (1, 1))
+        values = basis.evaluate(coeff, z, use_a, orders)
+        assert len(values) == len(orders)
+        for d, got in zip(orders, values):
             ref = np.tensordot(basis.evaluate_matrix(z, use_a, d), coeff,
                                axes=([2], [0]))
             assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
@@ -445,10 +448,10 @@ def test_evaluate_matrix_matches_per_degree_loop(J):
 @pytest.mark.parametrize("J, degree", [(5, 15), (16, 48), (5, 11)])
 def test_ring_map_derivatives_match_evaluate(J, degree):
     """The values and the (1,0), (0,1) and (1,1) Wirtinger derivatives at
-    the nodes from the ring modes agree with the off-grid evaluator, in the
-    chart-A and in the chart-B nodes, on degree-3J grids and at degree 2J+1,
-    where a row's modes fill every bin; one array per order asked for, in
-    its order; nothing is cached."""
+    the nodes from the ring modes agree with one off-grid evaluator call
+    that asks for the same orders, in the chart-A and in the chart-B nodes,
+    on degree-3J grids and at degree 2J+1, where a row's modes fill every
+    bin; one array per order asked for, in its order; nothing is cached."""
     basis = SphereBasis(J)
     grid = QuadratureGrid(degree=degree)
     rng = np.random.default_rng(J + 3)
@@ -456,8 +459,9 @@ def test_ring_map_derivatives_match_evaluate(J, degree):
     orders = ((1, 1), (0, 0), (1, 0), (0, 1))
     derivs = basis.synthesize_derivatives(coeff, grid, orders)
     assert not basis._matrix_cache and len(derivs) == len(orders)
-    for d, got in zip(orders, derivs):
-        ref = basis.evaluate(coeff, grid.z_pref, grid.use_a, d)
+    refs = basis.evaluate(coeff, grid.z_pref, grid.use_a, orders)
+    assert len(refs) == len(orders)
+    for got, ref in zip(derivs, refs):
         assert got.shape == ref.shape == (grid.n_nodes, 2)
         for sel in (grid.use_a, ~grid.use_a):
             assert np.abs(got[sel] - ref[sel]).max() <= 1e-13 * np.abs(ref[sel]).max()
@@ -588,7 +592,7 @@ def test_basis_matches_exact_rational_closed_forms(J):
         got = basis.evaluate_matrix(z, use_a, d)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         ref_field = np.tensordot(ref, coeff, axes=([2], [0]))
-        got_field = basis.evaluate(coeff, z, use_a, d)
+        got_field, = basis.evaluate(coeff, z, use_a, (d,))
         assert np.abs(got_field - ref_field).max() <= 1e-13 * np.abs(ref_field).max()
 
 
