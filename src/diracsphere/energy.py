@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre
 
 from .grid import QuadratureGrid
 from .spectral import SphereBasis, SpectralSpinor
@@ -101,6 +100,7 @@ def spherical_harmonic_curvature(coeffs) -> PolynomialCurvature:
         Y_lm = (-1)^m N_lm (d^m P_l / dx^m)(x3) (x1 + i x2)^m,
         N_lm = sqrt((2l + 1)/(4 pi) (l - m)!/(l + m)!),   m >= 0.
     """
+    from numpy.polynomial import legendre  # so that only a sph_harm Q loads it
     terms = {}
     for l, m, c in coeffs:
         l, m, c = int(l), int(m), float(c)

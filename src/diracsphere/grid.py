@@ -1,10 +1,10 @@
 """Quadrature grid on the round 2-sphere.
 
-Tensor grid: Gauss-Legendre nodes in x = cos(theta) times a uniform
-longitude grid.  Weights sum to 4*pi.  A grid of ``degree`` L integrates
-exactly every integrand that is a polynomial of degree <= L in cos(theta)
-times a trigonometric polynomial of degree <= L in the longitude; all the
-L^2 pairings of truncated spectral spinors fall in this class.
+Tensor grid: Gauss-Legendre nodes in x = cos(theta) (nodes and weights from
+one Legendre recurrence) times a uniform longitude grid; weights sum to 4*pi.
+A grid of ``degree`` L integrates exactly every integrand that is a polynomial
+of degree <= L in cos(theta) times a trigonometric polynomial of degree <= L
+in the longitude: all the L^2 pairings of truncated spectral spinors.
 
 Chart conventions (shared package-wide):
 
@@ -36,17 +36,16 @@ class QuadratureGrid:
             raise ValueError("grid degree must be >= 1")
         object.__setattr__(self, "n_theta", (self.degree + 2) // 2)
         object.__setattr__(self, "n_phi", self.degree + 1)
-        # numpy's nodes; its weights err up to 4e-12 relative at 97 nodes, so
-        # take 2 / ((1 - x^2) P_n'(x)^2) from the Legendre recurrences
-        x = np.polynomial.legendre.leggauss(self.n_theta)[0]
-        p_prev, p, dp_prev, dp = 1.0, x, 0.0, np.ones_like(x)
-        for l in range(2, self.n_theta + 1):
-            dp_prev, dp = dp, dp_prev + (2 * l - 1) * p
-            p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        # descending in x = cos(theta): theta increases from north to south
-        order = np.argsort(-x)
-        x, w = x[order], w[order]
+        # six Newton passes x <- x - P_n/P_n' from cos(pi (i + 3/4) / (n + 1/2)),
+        # which already descend in x = cos(theta): theta grows north to south
+        n = self.n_theta
+        x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+        for _ in range(6):
+            p_prev, p, dp_prev, dp = 1.0, x, 0.0, np.ones_like(x)
+            for l in range(2, n + 1):
+                dp_prev, dp = dp, dp_prev + (2 * l - 1) * p
+                p_prev, p = p, ((2 * l - 1) * x * p - (l - 1) * p_prev) / l
+            x, w = x - p / dp, 2.0 / ((1.0 - x * x) * dp * dp)
         phi = 2.0 * np.pi * np.arange(self.n_phi) / self.n_phi
         cos_t = np.repeat(x, self.n_phi)
         wq = np.repeat(w * (2.0 * np.pi / self.n_phi), self.n_phi)

@@ -91,7 +91,9 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
     analysis of a state with exact zeros at both poles (which polishes
     both), and ``immerse`` of the solved state; every command exits 0.  The
     process holds no scipy module and, after all of them, no ``numpy.ma``,
-    which ``np.median`` and ``np.unique`` import on first use."""
+    which ``np.median`` and ``np.unique`` import on first use, and no
+    ``numpy.polynomial``: the grids build their Gauss-Legendre rule from
+    their own recurrence."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -128,10 +130,11 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
              "polished = sum(c.value < 1e-18 for c in nodal_analysis(zeros, ws).candidates)\n"
              "codes.append(cli.main(['immerse', out + '/state.txt', '--config', cfg,\n"
              "                       '--out', out + '/mesh.ply', '--subdivisions', '2']))\n"
-             "print(codes, polished, loaded(['numpy', 'ma']), loaded(['scipy']))")
+             "print(codes, polished, loaded(['numpy', 'ma']), loaded(['scipy']),\n"
+             "      loaded(['numpy', 'polynomial']))")
     run = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
                          env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[0, 0, 0] 2 [] []"
+    assert run.stdout.strip() == "[0, 0, 0] 2 [] [] []"
 
 
 def _listed_targets(path: Path, name: str) -> list[tuple[str, str]]:

@@ -31,6 +31,27 @@ def grid5():
     return QuadratureGrid(degree=18)
 
 
+@pytest.mark.parametrize("n", [*range(1, 41), 73, 101, 251, 501])
+def test_gauss_legendre_rule_from_recurrence(n):
+    """The grid's rule in x = cos(theta), n = n_theta (501 is the bubble
+    grid's degree cap of 1000): strictly descending nodes within 2.3e-16 of
+    numpy's ``leggauss`` (a test-only oracle), sum_i w_i P_k(x_i) = 2 delta_k0
+    for every k <= 2n - 1, and sphere weights summing to 4 pi (relative 1e-14)."""
+    grid = QuadratureGrid(degree=max(1, 2 * n - 2))
+    assert grid.n_theta == n
+    x = grid.xyz[:: grid.n_phi, 2]
+    w = grid.weights[:: grid.n_phi] * grid.n_phi / (2.0 * np.pi)
+    assert np.all(np.diff(x) < 0.0)
+    oracle = np.polynomial.legendre.leggauss(n)[0][::-1]
+    assert np.max(np.abs(x - oracle)) <= 2.3e-16
+    p_prev, p, moments = np.ones_like(x), x, [np.sum(w), np.sum(w * x)]
+    for k in range(2, 2 * n):
+        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        moments.append(np.sum(w * p))
+    assert np.allclose(moments, [2.0] + [0.0] * (2 * n - 1), rtol=0, atol=1e-14)
+    assert abs(np.sum(grid.weights) - 4.0 * np.pi) <= 1e-14 * 4.0 * np.pi
+
+
 def test_spectrum_formulas_general_m():
     assert dirac_eigenvalue(2, 2, 1) == 3.0
     assert dirac_eigenvalue(3, 0, -1) == -1.5
