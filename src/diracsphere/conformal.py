@@ -153,13 +153,14 @@ class Bubble:
 def bubble_energy_flat(rho: float, q_center: float = 1.0) -> tuple[float, float]:
     """(quadrature, analytic) value of integral_{R^2} |phi_{y,rho}|^4 dx.
 
-    Analytic value: 4 pi / q^2, independent of rho.  The quadrature
-    integrates the closed-form radial profile on a compactified axis by
-    200-point Gauss-Legendre and is the independent check.
+    Analytic value: 4 pi / q^2, independent of rho.  The quadrature, the
+    independent check, integrates the closed-form radial profile on a
+    compactified axis by the 40-node Gauss-Legendre rule of a degree-78 grid.
     """
     analytic = q_center ** -2 * (4.0 * math.pi)
     # |phi_{y,rho}|^4 = q^-2 f(r/rho)^2, surface measure 2 pi r
-    t, w = np.polynomial.legendre.leggauss(200)
+    g = QuadratureGrid(degree=78)
+    t, w = g.xyz[::g.n_phi, 2], g.weights[::g.n_phi] * g.n_phi / (2.0 * math.pi)
     s = 0.5 * (t + 1.0)  # s in (0,1), r = rho s/(1-s)
     r = rho * s / (1.0 - s)
     dr = rho / (1.0 - s) ** 2 * 0.5

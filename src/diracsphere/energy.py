@@ -185,17 +185,14 @@ def intrinsic_hessian(Q: PolynomialCurvature, xyz) -> np.ndarray:
 
 
 def _newton_steps(H2, g2) -> np.ndarray:
-    """Solve H2 step = -g2 for every row; a row with a singular H2 steps -g2."""
-    try:
-        return np.linalg.solve(H2, -g2[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        steps = -g2
-        for i in range(len(g2)):
-            try:
-                steps[i] = np.linalg.solve(H2[i], -g2[i])
-            except np.linalg.LinAlgError:
-                pass
-        return steps
+    """Cramer's rule for H2 step = -g2 on every row; a row with det H2 == 0 steps -g2."""
+    (a, b), (c, d), (g, h) = *H2.transpose(1, 2, 0), g2.T
+    det = a * d - b * c
+    singular = det == 0
+    det[singular] = 1.0
+    steps = np.stack([b * h - d * g, c * g - a * h], axis=1) / det[:, None]
+    steps[singular] = -g2[singular]
+    return steps
 
 
 _CRITICAL_STEPS = 80
@@ -239,11 +236,12 @@ def find_critical_points(Q: PolynomialCurvature):
             kept.append(i)
     pts = xi[kept]
     vals = Q.evaluate(pts)
-    eigs = np.linalg.eigvalsh(intrinsic_hessian(Q, pts))
+    (a, _), (c, d) = intrinsic_hessian(Q, pts).transpose(1, 2, 0)
+    mid, r = (a + d) / 2, np.hypot((a - d) / 2, c)  # eigenvalues mid -+ r, lower triangle
     g3 = intrinsic_gradient(Q, pts)
     gnorms = np.sqrt(_dot(g3, g3))
     found = []
-    for x, val, (lo, hi), gn in zip(pts, vals, eigs, gnorms):
+    for x, val, lo, hi, gn in zip(pts, vals, mid - r, mid + r, gnorms):
         tol = 1e-6 * max(abs(lo), abs(hi), 1.0)
         if lo > tol and hi > tol:
             kind = "min"

@@ -19,7 +19,7 @@ import diracsphere
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
 SETTABLE_OPTIONS = 22
 PUBLIC_NAMES = 32
-SRC_LINES_CEILING = 3116
+SRC_LINES_CEILING = 3114
 
 
 def _defaults(fn):
@@ -85,15 +85,17 @@ def test_no_src_module_imports_scipy():
 
 
 def test_process_that_refuses_scipy_runs_every_command(tmp_path):
-    """A fresh process whose import system refuses scipy runs the
-    criterion-9 J=8 solve and ``diagnose`` of its state through the CLI, a
-    Nehari projection of a random direction scaled by 1e3, the nodal
-    analysis of a state with exact zeros at both poles (which polishes
-    both), and ``immerse`` of the solved state; every command exits 0.  The
-    process holds no scipy module and, after all of them, no ``numpy.ma``,
-    which ``np.median`` and ``np.unique`` import on first use, and no
-    ``numpy.polynomial``: the grids build their Gauss-Legendre rule from
-    their own recurrence."""
+    """A fresh process whose import system refuses scipy, and whose
+    ``numpy.linalg`` LAPACK entry points raise, runs the criterion-9 J=8
+    solve and ``diagnose`` of its state through the CLI, a Nehari projection
+    of a random direction scaled by 1e3, the nodal analysis of a state with
+    exact zeros at both poles (which polishes both), ``immerse`` of the
+    solved state, ``spectrum`` and ``bubble``; every command exits 0, so no
+    command calls LAPACK (the hypothesis check's 2x2 algebra is in closed
+    form).  The process holds no scipy module and, after all of them, no
+    ``numpy.ma``, which ``np.median`` and ``np.unique`` import on first use,
+    and no ``numpy.polynomial``: every grid, the flat bubble energy's
+    included, builds its Gauss-Legendre rule from its own recurrence."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -110,7 +112,15 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
              "        if name.split('.')[0] == 'scipy':\n"
              "            raise ImportError('scipy is refused')\n"
              "sys.meta_path.insert(0, RefuseScipy())\n"
-             "import numpy as np, diracsphere.cli as cli\n"
+             "import numpy as np\n"
+             "def refuse(name):\n"
+             "    def call(*args, **kwargs):\n"
+             "        raise RuntimeError(f'numpy.linalg.{name} calls LAPACK')\n"
+             "    return call\n"
+             "for name in ('solve', 'eigvalsh', 'eigh', 'eig', 'eigvals', 'inv', 'lstsq',\n"
+             "             'svd', 'det', 'slogdet', 'qr', 'cholesky', 'pinv'):\n"
+             "    setattr(np.linalg, name, refuse(name))\n"
+             "import diracsphere.cli as cli\n"
              "from diracsphere.geometry import nodal_analysis\n"
              "from diracsphere.reduction import nehari_project\n"
              "from diracsphere.spectral import SpectralSpinor\n"
@@ -130,11 +140,15 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
              "polished = sum(c.value < 1e-18 for c in nodal_analysis(zeros, ws).candidates)\n"
              "codes.append(cli.main(['immerse', out + '/state.txt', '--config', cfg,\n"
              "                       '--out', out + '/mesh.ply', '--subdivisions', '2']))\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes += [cli.main(['spectrum', '--j-max', '3']),\n"
+             "              cli.main(['bubble', '--J', '8'])]\n"
              "print(codes, polished, loaded(['numpy', 'ma']), loaded(['scipy']),\n"
              "      loaded(['numpy', 'polynomial']))")
     run = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[0, 0, 0] 2 [] [] []"
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0] 2 [] [] []"
 
 
 def _listed_targets(path: Path, name: str) -> list[tuple[str, str]]:

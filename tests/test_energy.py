@@ -369,8 +369,12 @@ def _scalar_intrinsic_hessian(Q, xi):
 
 
 def _scalar_find_critical_points(Q, seed_degree=24, grad_tol=1e-9,
-                                 dedupe_dist=0.03, max_iter=80):
-    """The one-seed-at-a-time sphere Newton that the batched search replaced."""
+                                 dedupe_dist=0.03, max_iter=80, lapack=False):
+    """The one-seed-at-a-time sphere Newton that the batched search replaced,
+    with the batched search's closed forms for one seed: Cramer's rule (a
+    det == 0 step is -g2) and the eigenvalues mid -+ hypot((a - d)/2, c) of
+    the lower triangle.  ``lapack`` takes ``np.linalg.solve`` and
+    ``np.linalg.eigvalsh`` instead, as an independent oracle."""
     grid = QuadratureGrid(degree=seed_degree)
     found = []
     all_ok = True
@@ -386,10 +390,16 @@ def _scalar_find_critical_points(Q, seed_degree=24, grad_tol=1e-9,
             e1, e2 = _scalar_tangent_frame(xi)
             H2 = _scalar_intrinsic_hessian(Q, xi)
             g2 = np.array([g3 @ e1, g3 @ e2])
-            try:
-                step = np.linalg.solve(H2, -g2)
-            except np.linalg.LinAlgError:
-                step = -g2
+            if lapack:
+                try:
+                    step = np.linalg.solve(H2, -g2)
+                except np.linalg.LinAlgError:
+                    step = -g2
+            else:
+                (a, b), (c, d) = H2
+                det = a * d - b * c
+                step = (np.array([b * g2[1] - d * g2[0], c * g2[0] - a * g2[1]]) / det
+                        if det != 0 else -g2)
             if not np.all(np.isfinite(step)) or np.linalg.norm(step) > 0.5:
                 step = -0.2 * g2 / max(gn, 1e-30)
             xi = xi + step[0] * e1 + step[1] * e2
@@ -399,7 +409,12 @@ def _scalar_find_critical_points(Q, seed_degree=24, grad_tol=1e-9,
             continue
         if all(np.arccos(np.clip(xi @ p.position, -1, 1)) > dedupe_dist for p in found):
             val = float(Q.evaluate(xi[None])[0])
-            eigs = np.linalg.eigvalsh(_scalar_intrinsic_hessian(Q, xi))
+            H = _scalar_intrinsic_hessian(Q, xi)
+            if lapack:
+                eigs = np.linalg.eigvalsh(H)
+            else:
+                mid, r = (H[0, 0] + H[1, 1]) / 2, np.hypot((H[0, 0] - H[1, 1]) / 2, H[1, 0])
+                eigs = np.array([mid - r, mid + r])
             scale = max(abs(eigs).max(), 1e-12)
             tol = 1e-6 * max(scale, 1.0)
             if eigs[0] > tol and eigs[1] > tol:
@@ -467,6 +482,87 @@ def test_batched_critical_search_matches_scalar_loop(name, monkeypatch):
     monkeypatch.setattr(energy, "find_critical_points", _scalar_find_critical_points)
     scalar = check_q_hypothesis(Q)
     assert _report_key(batched) == _report_key(scalar)
+
+
+# a generic Q, with no symmetry: 1 + 0.3 x3^2 + 0.1 x1 + 0.1 x1 x2 + 0.05 x2 x3
+_GENERIC_Q = [(0, 0, 0, 1.0), (0, 0, 2, 0.3), (1, 0, 0, 0.1), (1, 1, 0, 0.1),
+              (0, 1, 1, 0.05)]
+
+
+def test_newton_steps_cramer_against_lapack():
+    """Cramer's rule on random, diagonal, near-singular and exactly singular
+    2x2 rows: a row that LAPACK finds exactly singular steps -g2, and every
+    other row solves H s = -g to 1e-13 relative residual, as
+    ``np.linalg.solve`` does."""
+    rng = np.random.default_rng(37)
+    n = 200
+    diag = np.zeros((n, 2, 2))
+    diag[:, [0, 1], [0, 1]] = rng.normal(size=(n, 2))
+    u, v = rng.normal(size=(2, n, 2))
+    near = u[:, :, None] * v[:, None, :] + 1e-9 * rng.normal(size=(n, 2, 2))
+    H = np.concatenate([rng.normal(size=(n, 2, 2)), diag, near])
+    g = rng.normal(size=(len(H), 2))
+    singular = np.array([[[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]],
+                         [[3.0, 0.0], [0.0, 0.0]], [[0.5, 0.25], [2.0, 1.0]]])
+    gs = rng.normal(size=(len(singular), 2))
+    for S, b in zip(singular, gs):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(S, b)
+    steps = energy._newton_steps(np.concatenate([H, singular]), np.concatenate([g, gs]))
+    assert np.array_equal(steps[len(H):], -gs)
+    for s in (steps[:len(H)], np.linalg.solve(H, -g[:, :, None])[:, :, 0]):
+        res = np.linalg.norm((H @ s[:, :, None])[:, :, 0] + g, axis=1)
+        scale = np.linalg.norm(H, 2, axis=(1, 2)) * np.linalg.norm(s, axis=1)
+        assert np.all(res <= 1e-13 * scale)
+
+
+def test_hessian_eigenvalues_closed_form_against_eigvalsh(monkeypatch):
+    """The classification's eigenvalues mid -+ hypot((a - d)/2, c) match
+    ``np.linalg.eigvalsh`` to 1e-14 ||H|| on random Hessians over six
+    decades, diagonal ones, repeated eigenvalues and zero, and read the lower
+    triangle as eigvalsh does.  A constant Q converges at every seed before
+    a Newton step, so ``intrinsic_hessian`` is called once, to classify,
+    and may hand the classification any matrices."""
+    rng = np.random.default_rng(38)
+    n = len(QuadratureGrid(degree=24).xyz)
+    H = rng.normal(size=(n, 2, 2)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1, 1))
+    H[: n // 2] = H[: n // 2] + H[: n // 2].transpose(0, 2, 1)   # symmetric half
+    H[:40, [0, 1], [1, 0]] = 0.0                                # diagonal
+    H[40:60] = rng.normal(size=(20, 1, 1)) * np.eye(2)           # repeated
+    H[60:63] = 0.0
+    monkeypatch.setattr(energy, "intrinsic_hessian", lambda Q, xyz: H[:len(xyz)])
+    found, ok = find_critical_points(constant_curvature(1.5))
+    assert ok and len(found) == n
+    lapack = np.linalg.eigvalsh(H)
+    closed = np.array([p.hess_eigs for p in found])
+    assert np.array_equal(closed[40:63], lapack[40:63])
+    assert np.all(np.abs(closed - lapack) <= 1e-14 * np.abs(lapack).max(axis=1)[:, None])
+
+
+@pytest.mark.parametrize("name", [*_ORACLE_QS, "generic"])
+def test_closed_form_search_matches_lapack_search(name, monkeypatch):
+    """Against the scalar search on ``np.linalg.solve`` and ``eigvalsh``, the
+    hypothesis check finds the same non-degenerate critical points (count,
+    kinds and order), positions and Hessian eigenvalues within 1e-14, and
+    q_max, q_min and the admissible d within 1e-14 relative.  Only the points
+    of a degenerate circle, where the search is roundoff-chaotic, may differ."""
+    Q = (PolynomialCurvature(_GENERIC_Q) if name == "generic"
+         else _ORACLE_QS[name]())
+    closed = check_q_hypothesis(Q)
+    monkeypatch.setattr(energy, "find_critical_points",
+                        lambda Q: _scalar_find_critical_points(Q, lapack=True))
+    lapack = check_q_hypothesis(Q)
+    points = [[p for p in rep.critical_points if p.kind != "degenerate"]
+              for rep in (closed, lapack)]
+    assert [p.kind for p in points[0]] == [p.kind for p in points[1]]
+    for a, b in zip(*points):
+        assert np.allclose(a.position, b.position, rtol=0, atol=1e-14)
+        assert a.hess_eigs == pytest.approx(b.hess_eigs, rel=0, abs=1e-14)
+    for attr in ("q_max", "q_min"):
+        assert getattr(closed, attr) == pytest.approx(getattr(lapack, attr), rel=1e-14)
+    assert (closed.admissible_d is None) == (lapack.admissible_d is None)
+    if closed.admissible_d is not None:
+        assert closed.admissible_d == pytest.approx(lapack.admissible_d, rel=1e-14)
 
 
 def test_batched_critical_search_hessian_calls(perturbed_q, monkeypatch):
