@@ -213,22 +213,14 @@ def _json_ready(obj):
 
 
 def hypothesis_report_dict(rep) -> dict:
+    """Every field of the report, the critical points as position, value,
+    kind and Hessian eigenvalues, the first 64 of them."""
     def points(ps):
         return [{"position": p.position, "value": p.value, "kind": p.kind,
                  "hess_eigs": p.hess_eigs} for p in ps]
 
-    return _json_ready({
-        "q_max": rep.q_max,
-        "q_min": rep.q_min,
-        "half_threshold": rep.half_threshold,
-        "admissible_d": rep.admissible_d,
-        "constant": rep.constant,
-        "contractibility": rep.contractibility,
-        "search_converged": rep.search_converged,
-        "notes": rep.notes,
-        "max_points": points(rep.max_points),
-        "critical_points": points(rep.critical_points[:64]),
-    })
+    return _json_ready({**vars(rep), "max_points": points(rep.max_points),
+                        "critical_points": points(rep.critical_points[:64])})
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -295,8 +287,7 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
 
     hyp = check_q_hypothesis(ws.Q)
     report["hypothesis"] = hypothesis_report_dict(hyp)
-    analytic_ok = hyp.constant or hyp.admissible_d is not None
-    if not analytic_ok:
+    if not (hyp.constant or hyp.admissible_d is not None):
         msg = "curvature field fails the analytic hypothesis checks"
         if cfg.get("allow_hypothesis_failure", False):
             log.warning("%s (continuing on explicit override)", msg)
@@ -338,35 +329,32 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     try:
         result = solve_continuation(
             ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, **options)
-    except BlowUpDetected as exc:
-        log.error("blow-up detected: %s", exc)
-        report["status"] = "blow-up"
-        report["blowup"] = _json_ready({
-            "point": exc.point, "stage_p": exc.stage_p, "rho_hat": exc.rho_hat,
-            "profile_distance": exc.profile_distance,
-            "nearest_critical_point": _nearest_critical(hyp, exc.point)})
-        exc.trace.to_csv(outdir / "trace.csv", cfg)
-        _write_report(outdir, report)
-        return EXIT_BLOWUP
-    except StagnationDetected as exc:
-        log.error("stagnation: %s", exc)
-        report["status"] = "stagnation"
-        report["stagnation"] = {"stage_p": exc.stage_p, "residual": exc.residual}
-        exc.trace.to_csv(outdir / "trace.csv", cfg)
-        _write_report(outdir, report)
-        return EXIT_STAGNATION
     except SolveFailure as exc:
-        log.error("solver failure: %s", exc)
-        report["status"] = "solve-failure"
-        report["solve_failure"] = str(exc)
+        if isinstance(exc, BlowUpDetected):
+            log.error("blow-up detected: %s", exc)
+            code = EXIT_BLOWUP
+            report.update(status="blow-up", blowup=_json_ready({
+                "point": exc.point, "stage_p": exc.stage_p, "rho_hat": exc.rho_hat,
+                "profile_distance": exc.profile_distance,
+                "nearest_critical_point": _nearest_critical(hyp, exc.point)}))
+        elif isinstance(exc, StagnationDetected):
+            log.error("stagnation: %s", exc)
+            code = EXIT_STAGNATION
+            report.update(status="stagnation",
+                          stagnation={"stage_p": exc.stage_p, "residual": exc.residual})
+        else:
+            log.error("solver failure: %s", exc)
+            code = EXIT_SOLVE_FAILURE
+            report.update(status="solve-failure", solve_failure=str(exc))
         exc.trace.to_csv(outdir / "trace.csv", cfg)
         _write_report(outdir, report)
-        return EXIT_SOLVE_FAILURE
+        return code
 
     result.trace.to_csv(outdir / "trace.csv", cfg)
     save_spinor(outdir / "state.txt", result.psi)
 
     nodal, diag = _diagnostics(result.psi, ws)
+    diag["nodal"]["window_chain"] = nodal.window_chain
     e4 = nodal.int_q_psi4
     q_max = hyp.q_max
     window = (4.0 * math.pi / q_max, 8.0 * math.pi / q_max)
@@ -379,9 +367,6 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
         "stages": _stage_reports(result.trace.rows),
         "energy": {"int_Q_psi4": e4, "window": window, "window_margin": margin,
                    "window_ok": window_ok, "L_value": result.value},
-        "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
-                  "bound": nodal.zero_count_bound,
-                  "window_chain": nodal.window_chain, "note": nodal.note},
         **diag,
         "runtime_seconds": time.time() - t_start,
     }))
@@ -410,12 +395,15 @@ def _stage_reports(rows) -> list:
 
 def _diagnostics(psi, ws: Workspace):
     """What solve and diagnose report on a state: the nodal report (which
-    holds int Q |psi|^4 and W = int Q^2 |psi|^4) and the Willmore (W and
-    the Li-Yau flag W < 8 pi) and scal-identity report blocks."""
-    nodal = nodal_analysis(psi, ws)
+    holds int Q |psi|^4 and W = int Q^2 |psi|^4) and the nodal, Willmore (W
+    and the Li-Yau flag W < 8 pi) and scal-identity report blocks."""
+    with ws.basis._one_off_tables():
+        nodal = nodal_analysis(psi, ws)
+        scal = scal_identity_check(psi, ws, require_solution=False)
     W = nodal.int_q2_psi4
-    scal = scal_identity_check(psi, ws, require_solution=False)
-    return nodal, {"willmore": {"value": W, "embedded": W < 8.0 * math.pi},
+    return nodal, {"nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
+                             "bound": nodal.zero_count_bound, "note": nodal.note},
+                   "willmore": {"value": W, "embedded": W < 8.0 * math.pi},
                    "scal_identity": {"l1_residual": scal.l1_residual,
                                      "pde_residual": scal.pde_residual}}
 
@@ -447,13 +435,7 @@ def cmd_diagnose(args) -> int:
     ws = build_workspace(cfg)
     psi = _read(load_spinor, args.state, ws.basis)
     nodal, diag = _diagnostics(psi, ws)
-    out = _json_ready({
-        "config": cfg,
-        "nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
-                  "bound": nodal.zero_count_bound, "note": nodal.note},
-        "energy": {"int_Q_psi4": nodal.int_q_psi4},
-        **diag,
-    })
+    out = _json_ready({"config": cfg, "energy": {"int_Q_psi4": nodal.int_q_psi4}, **diag})
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     print()
     return EXIT_OK
@@ -469,7 +451,8 @@ def cmd_immerse(args) -> int:
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = _read(load_spinor, args.state, ws.basis)
-    nodal = nodal_analysis(psi, ws)
+    with ws.basis._one_off_tables():       # the immersion reads no grid table
+        nodal = nodal_analysis(psi, ws)
     if nodal.verdict != "zero-free":
         log.error("refusing to immerse: nodal verdict '%s' (min |psi| %.3e, "
                   "bound %.3f); %s", nodal.verdict, nodal.min_psi_grid,

@@ -219,10 +219,8 @@ def bubble_to_sphere(bubble: Bubble, basis: SphereBasis,
     """
     analysis_degree = bubble_grid_degree(bubble.rho, basis.J)
     grid = QuadratureGrid(degree=analysis_degree)
-    kept = analysis_degree in basis._matrix_cache
-    coeff = basis.analyze(bubble_grid_values(bubble, grid), grid)
-    if not kept:                          # a one-off table: the cache stays as found
-        del basis._matrix_cache[analysis_degree]
+    with basis._one_off_tables():
+        coeff = basis.analyze(bubble_grid_values(bubble, grid), grid)
     mass_exact = bubble.l2_mass_sphere()
     mass_captured = float(np.sum(np.abs(coeff) ** 2))
     loss = max(0.0, 1.0 - mass_captured / mass_exact)

@@ -253,8 +253,7 @@ def find_critical_points(Q: PolynomialCurvature):
             kind = "degenerate"
         found.append(CriticalPoint(x, float(val), float(gn),
                                    (float(lo), float(hi)), kind))
-    found.sort(key=lambda p: -p.value)
-    return found, bool(converged.all())
+    return sorted(found, key=lambda p: -p.value), bool(converged.all())
 
 
 # relative tolerance for equal curvature values in the hypothesis check

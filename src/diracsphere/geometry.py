@@ -125,12 +125,7 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
     bound = -1.0 + q4 / (4.0 * math.pi)
     window_chain = e4 < 8.0 * math.pi / q_max
 
-    # the median as the middle of the sorted values: np.median has the same
-    # bits but imports numpy.ma on first use
-    ordered = np.sort(nsq)
-    mid = ordered.size // 2
-    median = ordered[mid] if ordered.size % 2 else (ordered[mid - 1] + ordered[mid]) / 2
-    scale = math.sqrt(float(median))
+    scale = math.sqrt(_median(nsq))
     min_grid = math.sqrt(max(float(nsq.min()), 0.0))
     spacing = ws.grid.mean_spacing()
     candidates = []
@@ -141,9 +136,8 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
         idx = set(np.nonzero(np.sqrt(nsq) < 0.35 * scale)[0].tolist())
         if min_grid < 0.6 * scale:
             idx.add(int(np.argmin(nsq)))
-        idx = sorted(idx)
         seen = []
-        for i in idx:
+        for i in sorted(idx):
             xi = ws.grid.xyz[i]
             if any(np.arccos(np.clip(xi @ s, -1, 1)) < 2 * spacing for s in seen):
                 continue
@@ -176,6 +170,19 @@ def nodal_analysis(psi: SpectralSpinor, ws: Workspace) -> NodalReport:
                        verdict=verdict, note=note)
 
 
+def _median(x) -> float:
+    """np.median of floats x >= 0, bit for bit and with no sort: the middle values
+    are exact order statistics, by bisection on the bits, which order as the values do."""
+    bits = np.ascontiguousarray(x, dtype=float).view(np.int64)
+    k, lo, hi = bits.size // 2, int(bits.min()), int(bits.max())
+    while lo < hi:          # to the bits of the k-th smallest value, k from 0
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if np.count_nonzero(bits <= mid) > k else (mid + 1, hi)
+    below = bits[bits < lo]         # the (k-1)-th is lo too unless k values lie below
+    pair = np.array([below.max() if len(below) >= k > 0 else lo, lo]).view(float)
+    return float(pair[1] if bits.size % 2 else (pair[0] + pair[1]) / 2)
+
+
 def _vanishing_order(psi, xi, dists):
     """Slope of log |psi| against log distance, over rings of four points."""
     xi = np.asarray(xi, dtype=float)
@@ -185,8 +192,9 @@ def _vanishing_order(psi, xi, dists):
     d = np.asarray(dists, dtype=float)[:, None, None]
     pts = xi * np.cos(d) + ring * np.sin(d)
     samples = _fiber_norm_at(psi, pts.reshape(-1, 3)).reshape(len(dists), -1)
-    samples = np.maximum(samples.mean(axis=1), 1e-300)
-    return float(np.polyfit(np.log(dists), np.log(samples), 1)[0])
+    x, y = np.log(dists), np.log(np.maximum(samples.mean(axis=1), 1e-300))
+    x = x - x.mean()        # the least-squares slope in closed form: np.polyfit calls LAPACK
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 # -- scalar curvature identity --------------------------------------------------
@@ -283,39 +291,43 @@ def icosphere(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
         [3, 9, 4], [3, 4, 2], [3, 2, 6], [3, 6, 8], [3, 8, 9],
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ], dtype=int)
+    # slot 3f + e runs edge e of face f from corner e to e + 1, its twin the same edge back
+    ends = np.roll(faces, -1, axis=1).ravel()
+    twin = np.nonzero((faces.ravel()[:, None] == ends) & (ends[:, None] == faces.ravel()))[1]
     for _ in range(subdivisions):
-        # the edges ab, bc, ca of every face in order; a new vertex is
-        # numbered by the first appearance of its edge
-        ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
-        ends.sort(axis=1)
-        _, first, inverse = np.unique(ends[:, 0] * len(verts) + ends[:, 1],
-                                      return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        number = np.empty_like(order)
-        number[order] = np.arange(len(verts), len(verts) + len(order))
+        # a new vertex per edge, numbered by the edge's first slot (s < twin[s])
+        s = np.arange(len(twin))
+        first = s < twin
+        rank = np.cumsum(first) + (len(verts) - 1)
         a, b, c = faces.T
-        ab, bc, ca = number[inverse].reshape(-1, 3).T
-        m = verts[ends[first[order], 0]] + verts[ends[first[order], 1]]
+        ab, bc, ca = np.where(first, rank, rank[twin]).reshape(-1, 3).T
+        m = verts[faces.ravel()[s[first]]] + verts[faces.ravel()[twin[first]]]
         # the norm as a stacked matmul keeps the bits of a per-vertex dot product
         m /= np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0])
         verts = np.vstack([verts, m])
         faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
                          axis=1).reshape(-1, 3)
+        # edge e of face f halves into slot 0 of child 4f + e and slot 2 of child 4f + (e+1)%3,
+        # twins of the twin edge's other halves; slots 1 of children 0, 1, 2 twin 2, 0, 1 of 3
+        f, e = np.divmod(s, 3)
+        start, end = 12 * f + 3 * e, 12 * f + 3 * ((e + 1) % 3) + 2
+        inner = 12 * f[::3, None, None] + np.array([[1, 4, 7], [11, 9, 10]])
+        old, twin = twin, np.empty(4 * len(s), dtype=s.dtype)
+        twin[start], twin[end], twin[inner] = end[old], start[old], inner[:, ::-1]
     return verts, faces
 
 
 def mesh_edges(faces) -> np.ndarray:
-    """The distinct edges (a, b), a < b, of a triangle mesh, sorted by
-    rows: one in-place sort of the keys a * n + b, each key kept once; the
-    keys and the rolled faces are the only (F, 3) arrays made."""
-    n, ends = int(faces.max()) + 1, np.roll(faces, -1, axis=1)
-    key = np.minimum(faces, ends).ravel()
-    key *= n
-    key += np.maximum(faces, ends, out=ends).ravel()
-    del ends
-    key.sort()
-    key = key[np.concatenate([[True], key[1:] != key[:-1]])]   # np.unique imports numpy.ma
-    return np.stack(np.divmod(key, n), axis=1)
+    """The edges (a, b), a < b, of a closed, consistently oriented triangle
+    mesh (each edge runs a -> b in one face, b -> a in another): the face
+    slots (corner c, corner c + 1) with a < b, each edge once, in face order
+    and, within a face, in corner order."""
+    ends = np.roll(faces, -1, axis=1)
+    mask = faces < ends
+    edges = np.empty((np.count_nonzero(mask), 2), dtype=faces.dtype)
+    edges[:, 0] = faces[mask]
+    edges[:, 1] = ends[mask]
+    return edges
 
 
 # -- Weierstrass integration ------------------------------------------------------

@@ -244,12 +244,6 @@ def concentration_profile(values, p: float, ws: Workspace, radii):
     return theta, centers
 
 
-def _rows_dot(xyz, v) -> np.ndarray:
-    """xyz @ v for rows xyz (n, 3) and a 3-vector v, as explicit products
-    and sums: no BLAS call, so the same bits at any BLAS thread count."""
-    return xyz[:, 0] * v[0] + xyz[:, 1] * v[1] + xyz[:, 2] * v[2]
-
-
 def _weighted_sum(density, points) -> np.ndarray:
     """density @ points for points (n, d), one numpy pairwise sum per
     coordinate (no BLAS call)."""
@@ -549,13 +543,14 @@ def _local_mass_center(values, p, ws, center, radius) -> np.ndarray:
     """Sub-grid concentration point: |psi|^p-weighted mean near the peak node."""
     nsq = ws.fiber_norm_sq(np.asarray(values))
     density = ws.grid.weights * nsq ** (p / 2.0)
-    dots = _rows_dot(ws.grid.xyz, np.asarray(center, dtype=float))
-    mask = dots >= math.cos(radius)
+    xyz, c = ws.grid.xyz, np.asarray(center, dtype=float)
+    # xyz @ c as explicit products and sums: no BLAS call, the same bits at any thread count
+    mask = xyz[:, 0] * c[0] + xyz[:, 1] * c[1] + xyz[:, 2] * c[2] >= math.cos(radius)
     if not np.any(mask):
-        return np.asarray(center, dtype=float)
-    mean = _weighted_sum(density[mask], ws.grid.xyz[mask])
+        return c
+    mean = _weighted_sum(density[mask], xyz[mask])
     nrm = math.sqrt(float(np.sum(mean * mean)))
-    return mean / nrm if nrm > 0 else np.asarray(center, dtype=float)
+    return mean / nrm if nrm > 0 else c
 
 
 def _bubble_profile_distance(psi_coeff, center, rho_hat, q_at, ws) -> float:

@@ -67,6 +67,7 @@ the meridian for ``synthesize_derivatives``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -335,6 +336,15 @@ class SphereBasis:
         return tuple(self._sums(coeff, z, use_a, derivs, False)[:, 0])
 
     # -- grid transforms ----------------------------------------------------
+
+    @contextlib.contextmanager
+    def _one_off_tables(self):
+        """Drops the ring tables built inside it; those cached before stay."""
+        kept = set(self._matrix_cache)
+        try:
+            yield
+        finally:
+            self._matrix_cache = {d: t for d, t in self._matrix_cache.items() if d in kept}
 
     def _require_grid(self, grid: QuadratureGrid):
         if grid.degree < 2 * self.J + 1:

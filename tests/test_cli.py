@@ -141,7 +141,7 @@ def test_immerse_refuses_state_with_zero(tmp_path, ws8):
 
 
 def test_immerse_builds_the_edge_list_once(tmp_path, monkeypatch, ws8):
-    """One immerse call sorts the icosphere's edges once: the Euler
+    """One immerse call builds the icosphere's edge list once: the Euler
     characteristic it reports comes from the reconstruction's edge list."""
     from diracsphere import geometry
     from diracsphere.spectral import SpectralSpinor, save_spinor
@@ -160,6 +160,42 @@ def test_immerse_builds_the_edge_list_once(tmp_path, monkeypatch, ws8):
                  "--out", str(tmp_path / "m.ply"), "--subdivisions", "2"]) == 0
     assert calls == [320]
     assert json.loads((tmp_path / "m.ply.json").read_text())["euler_characteristic"] == 2
+
+
+def test_ring_tables_are_built_once_and_immerse_holds_none(tmp_path, monkeypatch):
+    """A solve builds each ring table degree once: the bubble's analysis
+    grid (degree 54 for rho 0.3) and the solve grid (24), kept for the
+    diagnostics.  A diagnose of the state builds the grid's table once for
+    the nodal and scal-identity reads, and an immerse builds it once for
+    the nodal gate and drops it: the reconstruction runs with no table
+    cached."""
+    from diracsphere import cli
+
+    builds, held = [], []
+    synthesis_matrix = SphereBasis.synthesis_matrix
+    reconstruct = cli.reconstruct_immersion
+
+    def counted(basis, grid):
+        if grid.degree not in basis._matrix_cache:
+            builds.append(grid.degree)
+        return synthesis_matrix(basis, grid)
+
+    def reconstruct_holding(psi, *args, **kwargs):
+        held.append(list(psi.basis._matrix_cache))
+        return reconstruct(psi, *args, **kwargs)
+
+    monkeypatch.setattr(SphereBasis, "synthesis_matrix", counted)
+    monkeypatch.setattr(cli, "reconstruct_immersion", reconstruct_holding)
+    cfg, out = write_config(tmp_path), tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == 0
+    assert builds == [54, 24]
+    builds.clear()
+    assert main(["diagnose", str(out / "state.txt"), "--config", str(cfg)]) == 0
+    assert builds == [24]
+    builds.clear()
+    assert main(["immerse", str(out / "state.txt"), "--config", str(cfg),
+                 "--out", str(tmp_path / "m.ply"), "--subdivisions", "1"]) == 0
+    assert builds == [24] and held == [[]]
 
 
 def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):

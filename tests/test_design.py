@@ -84,18 +84,41 @@ def test_no_src_module_imports_scipy():
     assert not found, found
 
 
+def test_no_src_call_sorts():
+    """No file under ``src/`` calls a ``.sort()`` or ``.argsort()`` method or
+    numpy's sorting and selection functions (the process below refuses the
+    functions; an array's methods cannot be refused at run time)."""
+    src = Path(diracsphere.__file__).resolve().parents[1]
+    sorting = {"sort", "argsort", "partition", "argpartition", "lexsort", "unique",
+               "median", "percentile", "quantile"}
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                    func.attr in ("sort", "argsort") or func.attr in sorting
+                    and isinstance(func.value, ast.Name) and func.value.id == "np"):
+                found.append(f"{path.name}:{node.lineno} {func.attr}")
+    assert not found, found
+
+
 def test_process_that_refuses_scipy_runs_every_command(tmp_path):
-    """A fresh process whose import system refuses scipy, and whose
-    ``numpy.linalg`` LAPACK entry points raise, runs the criterion-9 J=8
-    solve and ``diagnose`` of its state through the CLI, a Nehari projection
-    of a random direction scaled by 1e3, the nodal analysis of a state with
-    exact zeros at both poles (which polishes both), ``immerse`` of the
-    solved state, ``spectrum`` and ``bubble``; every command exits 0, so no
-    command calls LAPACK (the hypothesis check's 2x2 algebra is in closed
-    form).  The process holds no scipy module and, after all of them, no
-    ``numpy.ma``, which ``np.median`` and ``np.unique`` import on first use,
-    and no ``numpy.polynomial``: every grid, the flat bubble energy's
-    included, builds its Gauss-Legendre rule from its own recurrence."""
+    """A fresh process whose import system refuses scipy, whose LAPACK entry
+    points raise (``numpy.linalg``'s, and the names ``np.polyfit`` and its
+    module bound at import), and whose numpy ``sort``, ``argsort``,
+    ``unique``, ``partition`` and ``median`` raise, runs the criterion-9
+    J=8 solve and ``diagnose`` of its state through the CLI, a Nehari
+    projection of a random direction scaled by 1e3, the nodal analysis of a
+    state with exact zeros at both poles (which polishes both and fits
+    their vanishing orders), ``immerse`` of the solved state, ``spectrum``
+    and ``bubble``; every command exits 0, so no command calls LAPACK (the
+    hypothesis check's 2x2 algebra and the vanishing-order fit are in closed
+    form) or a numpy sort (the icosphere, its edges and the nodal median
+    are sort-free).  The process holds no scipy module and, after all of
+    them, no ``numpy.ma``, which ``np.median`` and ``np.unique`` import on
+    first use, and no ``numpy.polynomial``: every grid, the flat bubble
+    energy's included, builds its Gauss-Legendre rule from its own
+    recurrence."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -113,13 +136,18 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
              "            raise ImportError('scipy is refused')\n"
              "sys.meta_path.insert(0, RefuseScipy())\n"
              "import numpy as np\n"
-             "def refuse(name):\n"
+             "import numpy.lib._polynomial_impl as polynomial_impl\n"
+             "def refuse(name, why):\n"
              "    def call(*args, **kwargs):\n"
-             "        raise RuntimeError(f'numpy.linalg.{name} calls LAPACK')\n"
+             "        raise RuntimeError(f'{name} {why}')\n"
              "    return call\n"
-             "for name in ('solve', 'eigvalsh', 'eigh', 'eig', 'eigvals', 'inv', 'lstsq',\n"
-             "             'svd', 'det', 'slogdet', 'qr', 'cholesky', 'pinv'):\n"
-             "    setattr(np.linalg, name, refuse(name))\n"
+             "for module in (np.linalg, polynomial_impl):\n"
+             "    for name in ('solve', 'eigvalsh', 'eigh', 'eig', 'eigvals', 'inv', 'lstsq',\n"
+             "                 'svd', 'det', 'slogdet', 'qr', 'cholesky', 'pinv'):\n"
+             "        if hasattr(module, name):\n"
+             "            setattr(module, name, refuse(name, 'calls LAPACK'))\n"
+             "for name in ('sort', 'argsort', 'unique', 'partition', 'median'):\n"
+             "    setattr(np, name, refuse(name, 'runs a sort kernel'))\n"
              "import diracsphere.cli as cli\n"
              "from diracsphere.geometry import nodal_analysis\n"
              "from diracsphere.reduction import nehari_project\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from diracsphere.geometry import (ImmersionMesh, _chart_coords, _curvature_sums,
                                   _fiber_norm_at, _harmonic_analysis,
                                   _harmonic_synthesis, _immersion, _legendre,
-                                  _refine_minimum, _weierstrass_dzbar,
+                                  _median, _refine_minimum, _weierstrass_dzbar,
                                   discrete_curvature, export_obj, export_ply,
                                   icosphere, mesh_edges, nodal_analysis,
                                   reconstruct_immersion, scal_identity_check)
@@ -226,21 +226,27 @@ def test_icosphere_matches_loop_reference():
 
 
 def test_mesh_edges_match_row_unique():
-    """The edges from one sort of the keys a * n + b are the sorted unique
-    rows that np.unique(axis=0) gives, with the same bits."""
+    """The edges are the slots (a, b) with a < b in face order, one per
+    edge; sorted by rows they are the unique rows that np.unique(axis=0)
+    gives, with the same bits."""
     for k in range(5):
         _, faces = icosphere(k)
         e = np.vstack([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
         e.sort(axis=1)
         ref = np.unique(e, axis=0)
         got = mesh_edges(faces)
-        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        slots = [[a, b] for f in faces.tolist() for a, b in zip(f, f[1:] + f[:1]) if a < b]
+        assert got.tolist() == slots
+        assert len(got) == len(ref) == 3 * len(faces) // 2 and (got[:, 0] < got[:, 1]).all()
+        assert len({tuple(r) for r in got.tolist()}) == len(got)
+        rows = got[np.lexsort(got.T[::-1])]
+        assert got.dtype == ref.dtype and rows.tobytes() == ref.tobytes()
 
 
 def test_mesh_edges_memory_is_bounded():
     """The traced peak of ``mesh_edges`` at 5 subdivisions (20480 faces) is
-    at most 3 times the bytes of the edge list it returns: the keys are
-    formed and sorted in place, and the rolled faces go before the sort."""
+    at most 3 times the bytes of the edge list it returns: the rolled faces,
+    one a < b mask and one column of the output are the only temporaries."""
     faces = icosphere(5)[1]
     tracemalloc.start()
     try:
@@ -249,6 +255,20 @@ def test_mesh_edges_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * edges.nbytes, (peak, edges.nbytes)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 1249, 1250])
+def test_median_order_statistics_match_numpy(size):
+    """The sort-free median has np.median's bits on odd and even sizes,
+    with ties, exact zeros, an all-zero and a constant array, and values
+    over many decades."""
+    rng = np.random.default_rng(size)
+    cases = [rng.random(size), np.round(4 * rng.random(size)) / 4,
+             np.where(rng.random(size) < 0.5, 0.0, rng.random(size)),
+             np.zeros(size), np.full(size, 0.3), 10.0 ** rng.uniform(-300, 300, size)]
+    for x in cases:
+        got = _median(x)
+        assert type(got) is float and np.float64(got).tobytes() == np.median(x).tobytes()
 
 
 def test_round_sphere_reconstruction(ws8, killing_state):
