@@ -32,8 +32,8 @@ from .energy import (PolynomialCurvature, Workspace, check_q_hypothesis,
 from .geometry import (export_obj, export_ply, nodal_analysis,
                        reconstruct_immersion, scal_identity_check)
 from .grid import QuadratureGrid
-from .reduction import (_BLOWUP_SPACING, BlowUpDetected, SolveFailure,
-                        StagnationDetected, solve_continuation)
+from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
+                        solve_continuation)
 from .spectral import (SphereBasis, dirac_eigenvalue, dirac_multiplicity,
                        load_spinor, save_spinor)
 
@@ -53,7 +53,8 @@ DEFAULT_SCHEDULE = [3.0, 3.4, 3.7, 3.9, 3.97, 4.0]
 DEFAULT_INIT = {"type": "bubble", "rho": 0.3, "center": "argmax"}
 INIT_KEYS = {"bubble": ("type", "rho", "center"), "state": ("type", "path")}
 # config "tolerances" keys -> solve_continuation keyword arguments; the key
-# "blowup_spacing_factor" may only restate the solver's fixed factor
+# "blowup_spacing_factor" names a retired monitor factor that no longer acts,
+# accepted only at its old fixed value
 SOLVER_TOLERANCES = {"final": "tol_final", "stage": "tol_stage"}
 
 
@@ -151,9 +152,8 @@ def validate_config(cfg: dict) -> None:
     for key, value in tols.items():
         if not (_is_number(value) and value > 0):
             raise ConfigError(f"tolerance '{key}' must be a positive number")
-    if tols.get("blowup_spacing_factor", _BLOWUP_SPACING) != _BLOWUP_SPACING:
-        raise ConfigError(f"tolerance 'blowup_spacing_factor' is fixed at "
-                          f"{_BLOWUP_SPACING}")
+    if tols.get("blowup_spacing_factor", 5.0) != 5.0:
+        raise ConfigError("tolerance 'blowup_spacing_factor' is fixed at 5.0")
     if "max_outer" in cfg and not (_is_number(cfg["max_outer"], int)
                                    and cfg["max_outer"] > 0):
         raise ConfigError("max_outer must be a positive integer")
@@ -387,7 +387,7 @@ def _stage_reports(rows) -> list:
             if r["kind"] == "iter" and r["iter"] == 0}
     return [{"p": r["p"], "iterations": r["iter"] + 1, "value": r["value"],
              "residual": r["residual"], "min_psi": r["min_psi"],
-             "capture_radius": r["capture_radius"],
+             "rho_hat": r["rho_hat"],
              "barycenter": [r["bary_x"], r["bary_y"]],
              "warm_start_value": warm[r["stage"]]}
             for r in rows if r["kind"] == "stage"]

@@ -6,10 +6,12 @@ one MINRES in the H^{1/2} metric on the Hessian restricted to the set.
 
 The continuation driver walks a schedule p_0 < p_1 < ... < 4, warm starting
 each stage, and runs it on every coefficient of psi = u + h.  It watches
-Theta(r) = max_a integral_{B_r(a)} |psi|^p dvol and a clamped barycenter of
-the |psi|^4 mass; persistent capture of 90% mass within five grid
-spacings is declared blow-up and reported with the concentration point and
-a fitted bubble profile.  A stage's trace row is its only record.
+the sup-norm scale rho_hat = 1/(Q |psi|^2) at the node where |psi|^2 is
+largest (a bubble of scale rho at y has |psi|^2max = 1/(Q(y) rho)) and a
+clamped barycenter of the |psi|^4 mass; rho_hat at most 1.5 grid spacings
+at two stages in a row is declared blow-up and reported with the
+concentration point and a fitted bubble profile.  A stage's trace row is
+its only record.
 
 The reduction of the saddle structure scales the start onto the Nehari set
 and serves ``estimate_tau`` and the variational checks:
@@ -223,7 +225,7 @@ def concentration_profile(values, p: float, ws: Workspace, radii):
     angle table; one real FFT per ring pair gives it at every node, in
     O(n_theta^2 n_phi) memory.  The center's own cap mass is then summed
     directly in its frame, so theta is exactly invariant under longitude
-    rolls of the density.
+    rolls of the density.  No solve calls it: the monitor reads rho_hat.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     grid = ws.grid
@@ -310,9 +312,9 @@ class SolverTrace:
         import json
 
         cols = ["kind", "stage", "p", "iter", "value", "residual",
-                "nehari_defect", "capture_radius", "bary_x", "bary_y", "min_psi"]
+                "nehari_defect", "rho_hat", "bary_x", "bary_y", "min_psi"]
         with open(path, "w") as fh:
-            fh.write("# diracsphere-trace v1\n")
+            fh.write("# diracsphere-trace v2\n")
             fh.write("# config " + json.dumps(config, sort_keys=True) + "\n")
             fh.write(",".join(cols) + "\n")
             for row in self.rows:
@@ -424,25 +426,21 @@ def _newton(psi, values, cur, p: float, ws: Workspace, mask):
             return
 
 
-# the monitor: the |psi|^p mass fraction a cap must hold to count as captured,
-# the capture radius in grid spacings at or below which two stages in a row
-# are blow-up, and the clamp radius of the barycenter chart
-_CAPTURE = 0.9
-_BLOWUP_SPACING = 5.0
+# the monitor: the sup-norm scale rho_hat in grid spacings at or below which
+# two stages in a row are blow-up, and the clamp radius of the barycenter chart
+_BLOWUP_SCALE = 1.5
 _CLAMP_RADIUS = 10.0
 
 
-def _stage_diagnostics(values, p, ws, radii, pole):
-    theta, centers = concentration_profile(values, p, ws, radii)
+def _stage_diagnostics(values, ws, pole):
+    """rho_hat = 1/(Q |psi|^2) at the node where |psi|^2 is largest, that
+    node, the clamped barycenter and min |psi|."""
     nsq = ws.fiber_norm_sq(values)
-    total = float(ws.grid.integrate(nsq ** (p / 2.0)))
+    peak = int(np.argmax(nsq))
+    rho_hat = 1.0 / max(float(ws.q_nodes[peak] * nsq[peak]), 1e-300)
     min_psi = float(np.sqrt(max(nsq.min(), 0.0)))
-    frac = theta / max(total, 1e-300)
-    above = np.nonzero(frac >= _CAPTURE)[0]
-    cap_r = float(radii[above[0]]) if above.size else float("inf")
-    center = ws.grid.xyz[centers[above[0]]] if above.size else ws.grid.xyz[centers[-1]]
     bary = barycenter(values, ws, pole, _CLAMP_RADIUS)
-    return cap_r, center, bary, min_psi
+    return rho_hat, ws.grid.xyz[peak], bary, min_psi
 
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
@@ -479,14 +477,12 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
 
     monitor_pole = ws.grid.xyz[int(np.argmin(ws.q_nodes))]
     spacing = ws.grid.mean_spacing()
-    radii = np.array(sorted({k * spacing for k in (1, 2, 3, 4, 5, 6, 8)}
-                            | {0.3, 0.5, 0.8, 1.2, 1.7, 2.3, math.pi}))
 
     trace = SolverTrace()
     if not math.isfinite(unorm):
         raise SolveFailure(f"non-finite iterate in the initial state "
                            f"(H^1/2 norm {unorm})", trace)
-    prev_capture_small = False
+    prev_small = False
 
     try:
         for stage, p in enumerate(schedule):
@@ -505,26 +501,26 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                               residual=res, nehari_defect=nehari_defect(psi, p, ws, cur))
                 if res <= tol:
                     break
-            cap_r, center, bary, min_psi = _stage_diagnostics(
-                values, p, ws, radii, monitor_pole)
+            rho_hat, center, bary, min_psi = _stage_diagnostics(values, ws, monitor_pole)
             trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=cur.value,
                           residual=res, nehari_defect=nehari_defect(psi, p, ws, cur),
-                          capture_radius=cap_r, bary_x=float(bary[0]),
+                          rho_hat=rho_hat, bary_x=float(bary[0]),
                           bary_y=float(bary[1]), min_psi=min_psi)
 
-            capture_small = cap_r <= _BLOWUP_SPACING * spacing
-            if capture_small and prev_capture_small:
+            small = rho_hat <= _BLOWUP_SCALE * spacing
+            if small and prev_small:
                 center = _local_mass_center(values, p, ws, center, 2.5 * spacing)
                 nsq_max = float(ws.fiber_norm_sq(values).max())
                 q_at = float(ws.Q.evaluate(center[None])[0])
-                rho_hat = 1.0 / max(q_at * nsq_max, 1e-300)
-                prof_dist = _bubble_profile_distance(psi, center, rho_hat, q_at, ws)
+                rho_at = 1.0 / max(q_at * nsq_max, 1e-300)
+                prof_dist = _bubble_profile_distance(psi, center, rho_at, q_at, ws)
                 raise BlowUpDetected(
-                    f"concentration captured {_CAPTURE:.0%} of |psi|^p mass "
-                    f"within {cap_r:.3f} rad at stages p={schedule[stage-1]:.3g}, "
-                    f"p={p:.3g}", trace, point=center, stage_p=p, rho_hat=rho_hat,
+                    f"sup-norm scale 1/(Q |psi|^2max) at most {_BLOWUP_SCALE:g} grid "
+                    f"spacings ({_BLOWUP_SCALE * spacing:.3f} rad) at stages "
+                    f"p={schedule[stage-1]:.3g}, p={p:.3g} ({rho_hat:.3f} rad at the "
+                    f"last)", trace, point=center, stage_p=p, rho_hat=rho_at,
                     profile_distance=prof_dist)
-            prev_capture_small = capture_small
+            prev_small = small
             if res > tol:
                 raise StagnationDetected(
                     f"stage p={p} stalled at residual {res:.3e} (tol {tol:g})",

@@ -200,7 +200,8 @@ def test_ring_tables_are_built_once_and_immerse_holds_none(tmp_path, monkeypatch
 
 def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):
     """The obstruction family Q = 1 + 0.8 x3 must be reported as blow-up
-    under the solver's default capture threshold, with no override."""
+    by the monitor's sup-norm scale rule, with no
+    ``blowup_spacing_factor`` in the config."""
     cfg = write_config(
         tmp_path, J=10, grid_degree=30,
         Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, 0.8]]},
@@ -213,10 +214,9 @@ def test_blowup_case_exits_3_with_default_spacing_factor(tmp_path):
 
 
 def test_obstruction_family_at_j16_exits_3(tmp_path):
-    """The same obstruction family at J=16: at p = 3.95 and 4.0 the 90%
-    capture radius is 5 grid spacings, computed as the same float product
-    as the threshold 5.0 * spacing, so the monitor flags it and the solve
-    does not certify a curvature that has no solution."""
+    """The same obstruction family at J=16: at p = 3.8 and 3.95 the
+    sup-norm scale is at most 1.5 grid spacings, so the monitor flags it and
+    the solve does not certify a curvature that has no solution."""
     cfg = write_config(
         tmp_path, J=16, grid_degree=48,
         Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, 0.8]]},
@@ -226,7 +226,72 @@ def test_obstruction_family_at_j16_exits_3(tmp_path):
     assert main(["solve", str(cfg)]) == 3
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["status"] == "blow-up"
-    assert report["blowup"]["stage_p"] == 4.0
+    assert report["blowup"]["stage_p"] == 3.95
+
+
+_FOUND_AFFINE = {
+    "a0.05-J8-default": dict(J=8, grid_degree=24, a=0.05,
+                             schedule=[3.0, 3.4, 3.7, 3.9, 3.97, 4.0]),
+    "a0.6-J16-5stage": dict(J=16, grid_degree=48, a=0.6,
+                            schedule=[3.0, 3.5, 3.8, 3.95, 4.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOUND_AFFINE))
+def test_affine_curvature_without_solution_exits_3(tmp_path, case):
+    """Q = 1 + a x3 with 0 < a < 1 has no solution (Kazdan-Warner).  With a
+    bubble of rho 0.3 at argmax and max_outer 100, these two configs exited
+    0 under the cap-mass monitor; the sup-norm scale flags both."""
+    c = _FOUND_AFFINE[case]
+    cfg = write_config(
+        tmp_path, J=c["J"], grid_degree=c["grid_degree"], schedule=c["schedule"],
+        Q={"family": "polynomial", "terms": [[0, 0, 0, 1.0], [0, 0, 1, c["a"]]]},
+        max_outer=100, init={"type": "bubble", "rho": 0.3, "center": "argmax"},
+        output_dir=str(tmp_path / "out"))
+    assert main(["solve", str(cfg)]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "blow-up"
+
+
+def test_generic_curvature_at_j8_exits_0_with_one_small_stage(tmp_path):
+    """The generic Q = 1 + 0.3 x3^2 + 0.1 x1 + 0.1 x1 x2 + 0.05 x2 x3 at J=8
+    concentrates as p -> 4, and only its last stage has a sup-norm scale at
+    or below 1.5 grid spacings: one stage is not two in a row, so it exits 0
+    at its value."""
+    terms = [[0, 0, 0, 1.0], [0, 0, 2, 0.3], [1, 0, 0, 0.1], [1, 1, 0, 0.1],
+             [0, 1, 1, 0.05]]
+    cfg = write_config(tmp_path, Q={"family": "polynomial", "terms": terms},
+                       init={"type": "bubble", "rho": 0.3, "center": "argmax"})
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--output", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["energy"]["L_value"] == pytest.approx(2.7658546998963818, rel=1e-12)
+    threshold = 1.5 * QuadratureGrid(degree=24).mean_spacing()
+    small = [s["rho_hat"] <= threshold for s in report["stages"]]
+    assert small == [False] * 5 + [True]
+
+
+def test_solve_builds_no_cap_mass_table(tmp_path, monkeypatch):
+    """The monitor reads the sup-norm scale: a J=8 solve never calls
+    ``concentration_profile`` and leaves its grid without the ring-angle
+    table."""
+    from diracsphere import cli, reduction
+
+    built = []
+    build_workspace = cli.build_workspace
+
+    def recording(cfg):
+        built.append(build_workspace(cfg))
+        return built[-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("concentration_profile called by a solve")
+
+    monkeypatch.setattr(cli, "build_workspace", recording)
+    monkeypatch.setattr(reduction, "concentration_profile", refused)
+    cfg = write_config(tmp_path)
+    assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == 0
+    assert len(built) == 1 and not hasattr(built[0].grid, "_ring_angles")
 
 
 def _bench_workloads():
@@ -300,13 +365,11 @@ def test_report_stages_are_the_trace_stage_rows(tmp_path):
     expected = [{"p": float(r["p"]), "iterations": int(r["iter"]) + 1,
                  "value": float(r["value"]), "residual": float(r["residual"]),
                  "min_psi": float(r["min_psi"]),
-                 "capture_radius": float(r["capture_radius"]),
+                 "rho_hat": float(r["rho_hat"]),
                  "barycenter": [float(r["bary_x"]), float(r["bary_y"])],
                  "warm_start_value": warm[r["stage"]]}
                 for r in rows if r["kind"] == "stage"]
     stages = json.loads((out / "report.json").read_text())["stages"]
-    for s in stages:
-        s["capture_radius"] = float(s["capture_radius"])    # "inf" in JSON
     assert len(stages) == 3 and stages == expected
 
 

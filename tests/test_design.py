@@ -19,7 +19,7 @@ import diracsphere
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
 SETTABLE_OPTIONS = 22
 PUBLIC_NAMES = 32
-SRC_LINES_CEILING = 3114
+SRC_LINES_CEILING = 3107
 
 
 def _defaults(fn):

@@ -500,6 +500,28 @@ def test_barycenter_matches_rotation_matrix_chart(ws8):
             assert np.abs(got - ref).max() <= 1e-15 * max(1.0, kappa), (pole, clamp)
 
 
+def test_sup_norm_scale_reads_the_bubble_scale():
+    """A bubble of scale rho has |psi|^2max = 1/(Q rho), so the monitor's
+    rho_hat reads rho back from the peak node (criterion 8's bubbles: J=16,
+    degree 72, constant Q); a node misses the peak, so below a few grid
+    spacings rho_hat reads high, never low.  The node is the one nearest
+    the centre."""
+    ws = make_workspace(16, degree=72)
+    y = np.array([0.6, 0.0, 0.8])
+    nearest = ws.grid.xyz[int(np.argmax(ws.grid.xyz @ y))]
+    scales = []
+    for rho, expected in ((0.4, 0.4000), (0.25, 0.2503), (0.15, 0.1549),
+                          (0.1, 0.1175)):
+        b, _ = bubble_to_sphere(Bubble(center=y, rho=rho), ws.basis)
+        rho_hat, node, _, _ = reduction._stage_diagnostics(
+            ws.synthesize(b.coeff), ws, np.array([0.0, 0.0, -1.0]))
+        assert rho_hat == pytest.approx(expected, abs=5e-4)
+        assert rho_hat >= rho * (1 - 1e-4)
+        assert np.array_equal(node, nearest)
+        scales.append(rho_hat)
+    assert all(b < a for a, b in zip(scales, scales[1:]))
+
+
 def test_profile_distance_is_finite_below_the_transport_floor(ws8):
     """A fitted scale below the transport cap's rho = 0.016 is clamped to
     it, so the blow-up report holds a finite distance, not NaN."""

@@ -164,7 +164,7 @@ def test_solver_failures_are_reported_with_the_trace(tmp_path, monkeypatch, case
     path = tmp_path / "trace.csv"
     info.value.trace.to_csv(path, {"case": case})
     assert path.read_text().startswith(
-        f'# diracsphere-trace v1\n# config {{"case": "{case}"}}\n')
+        f'# diracsphere-trace v2\n# config {{"case": "{case}"}}\n')
 
 
 def _minres_residual(d, x, b, lam):
