@@ -397,9 +397,8 @@ def _diagnostics(psi, ws: Workspace):
     """What solve and diagnose report on a state: the nodal report (which
     holds int Q |psi|^4 and W = int Q^2 |psi|^4) and the nodal, Willmore (W
     and the Li-Yau flag W < 8 pi) and scal-identity report blocks."""
-    with ws.basis._one_off_tables():
-        nodal = nodal_analysis(psi, ws)
-        scal = scal_identity_check(psi, ws, require_solution=False)
+    nodal = nodal_analysis(psi, ws)
+    scal = scal_identity_check(psi, ws)
     W = nodal.int_q2_psi4
     return nodal, {"nodal": {"verdict": nodal.verdict, "min_psi": nodal.min_psi_grid,
                              "bound": nodal.zero_count_bound, "note": nodal.note},
@@ -451,7 +450,9 @@ def cmd_immerse(args) -> int:
     cfg = load_config(args.config)
     ws = build_workspace(cfg)
     psi = _read(load_spinor, args.state, ws.basis)
-    with ws.basis._one_off_tables():       # the immersion reads no grid table
+    # the immersion reads no grid table; held until the mesh is built, the
+    # gate's table raised an `immerse --subdivisions 6` peak by 0.2-0.5 MB
+    with ws.basis._one_off_tables():
         nodal = nodal_analysis(psi, ws)
     if nodal.verdict != "zero-free":
         log.error("refusing to immerse: nodal verdict '%s' (min |psi| %.3e, "

@@ -206,26 +206,18 @@ class ScalReport:
     pde_residual: float         # L2 residual of D psi = Q |psi|^2 psi
 
 
-def scal_identity_check(psi: SpectralSpinor, ws: Workspace,
-                        require_solution: bool = True) -> ScalReport:
+def scal_identity_check(psi: SpectralSpinor, ws: Workspace) -> ScalReport:
     """Residual of  Scal_{g1} = 2 Q^2 - 4 sum_k |nabla^Q_{e_k} phi|^2  for the
     unit spinor phi of g1 = |psi|^4 g, all terms by exact chart calculus.
 
-    With ``require_solution``, raises ValueError if psi vanishes on the grid
-    or its PDE residual exceeds 1e-4."""
+    The identity holds for solutions only, and the L1 residual is undefined
+    where psi vanishes: callers judge the state by ``pde_residual``."""
     basis, grid = ws.basis, ws.grid
     values = basis.synthesize(psi.coeff, grid)
     nsq_sphere = ws.fiber_norm_sq(values)
-    min_psi = math.sqrt(max(float(nsq_sphere.min()), 0.0))
     Dv = basis.synthesize(dirac_apply(psi).coeff, grid)
     pde = Dv - ws.q_nodes[:, None] * nsq_sphere[:, None] * values
     pde_res = math.sqrt(abs(float(grid.integrate(ws.fiber_norm_sq(pde)))))
-    if require_solution:
-        if min_psi <= 0:
-            raise ValueError("unit spinor undefined: psi vanishes on the grid")
-        if pde_res > 1e-4:
-            raise ValueError(
-                f"psi is not a solution (PDE residual {pde_res:.2e} > 0.0001)")
 
     d10, d01, d11 = basis.synthesize_derivatives(psi.coeff, grid, ((1, 0), (0, 1), (1, 1)))
 
@@ -424,18 +416,15 @@ class ImmersionMesh:
 
 
 def reconstruct_immersion(psi: SpectralSpinor, ws: Workspace,
-                          subdivisions: int,
-                          nodal: NodalReport | None = None) -> ImmersionMesh:
+                          subdivisions: int, nodal: NodalReport) -> ImmersionMesh:
     """The immersion at the icosphere vertices from one spectral Poisson
     solve (``_immersion``), centred on the vertex mean.  The g1 length of
     an edge is the trapezoid rule for the integral of |psi|^2 along its
     great-circle arc.
 
-    Requires a zero-free solution (pass its NodalReport, or one is computed);
-    refuses otherwise since the conformal factor degenerates at zeros.
+    Requires a zero-free solution: ``nodal`` is psi's ``nodal_analysis``
+    report; refuses otherwise since the conformal factor degenerates at zeros.
     """
-    if nodal is None:
-        nodal = nodal_analysis(psi, ws)
     if nodal.verdict != "zero-free":
         raise ValueError(f"immersion needs a zero-free solution "
                          f"(nodal verdict: {nodal.verdict}; {nodal.note})")

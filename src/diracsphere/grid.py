@@ -77,23 +77,6 @@ class QuadratureGrid:
         same at any BLAS thread count."""
         return np.sum(self.weights * np.asarray(values))
 
-    def ring_angles(self) -> np.ndarray:
-        """Angle between node (ring r, longitude 0) and node (ring s,
-        longitude d) at [r, s, d], shape (n_theta, n_theta, n_phi); cached.
-
-        A longitude rotation maps node (r, l) to (r, 0), so this table holds
-        every pairwise angle of the grid in n_theta^2 n_phi entries.
-        """
-        cached = getattr(self, "_ring_angles", None)
-        if cached is None:
-            meridian = self.xyz[:: self.n_phi]
-            rings = self.xyz.reshape(self.n_theta, self.n_phi, 3)
-            dots = sum(meridian[:, None, None, k] * rings[None, :, :, k]
-                       for k in range(3))
-            cached = np.arccos(np.clip(dots, -1.0, 1.0))
-            object.__setattr__(self, "_ring_angles", cached)
-        return cached
-
     def mean_spacing(self) -> float:
         """Typical node spacing in radians (colatitude step)."""
         return np.pi / self.n_theta

@@ -221,9 +221,9 @@ def concentration_profile(values, p: float, ws: Workspace, radii):
 
     The grid is invariant under longitude steps, so the cap mass at node
     (ring r, longitude l) is the circular correlation
-    sum_s sum_d density[s, l + d] [ang[r, s, d] <= R] with the grid's ring
-    angle table; one real FFT per ring pair gives it at every node, in
-    O(n_theta^2 n_phi) memory.  The center's own cap mass is then summed
+    sum_s sum_d density[s, l + d] [ang[r, s, d] <= R], with ang[r, s, d] the
+    angle between nodes (r, 0) and (s, d), built per call; one real FFT per
+    ring pair gives it at every node, in O(n_theta^2 n_phi) memory.  The center's own cap mass is then summed
     directly in its frame, so theta is exactly invariant under longitude
     rolls of the density.  No solve calls it: the monitor reads rho_hat.
     """
@@ -232,7 +232,10 @@ def concentration_profile(values, p: float, ws: Workspace, radii):
     nsq = ws.fiber_norm_sq(np.asarray(values))
     density = (grid.weights * nsq ** (p / 2.0)).reshape(grid.n_theta, grid.n_phi)
     tie = _TIE * float(density.sum())
-    ang = grid.ring_angles()
+    meridian = grid.xyz[:: grid.n_phi]
+    rings = grid.xyz.reshape(grid.n_theta, grid.n_phi, 3)
+    dots = sum(meridian[:, None, None, k] * rings[None, :, :, k] for k in range(3))
+    ang = np.arccos(np.clip(dots, -1.0, 1.0))
     density_hat = np.fft.rfft(density, axis=1)
     theta = np.empty(radii.size)
     centers = np.empty(radii.size, dtype=int)
@@ -434,13 +437,13 @@ _CLAMP_RADIUS = 10.0
 
 def _stage_diagnostics(values, ws, pole):
     """rho_hat = 1/(Q |psi|^2) at the node where |psi|^2 is largest, that
-    node, the clamped barycenter and min |psi|."""
+    largest |psi|^2, its node, the clamped barycenter and min |psi|."""
     nsq = ws.fiber_norm_sq(values)
     peak = int(np.argmax(nsq))
     rho_hat = 1.0 / max(float(ws.q_nodes[peak] * nsq[peak]), 1e-300)
     min_psi = float(np.sqrt(max(nsq.min(), 0.0)))
     bary = barycenter(values, ws, pole, _CLAMP_RADIUS)
-    return rho_hat, ws.grid.xyz[peak], bary, min_psi
+    return rho_hat, float(nsq[peak]), ws.grid.xyz[peak], bary, min_psi
 
 
 def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
@@ -497,20 +500,21 @@ def solve_continuation(ws: Workspace, schedule, init: SpectralSpinor,
                 if not math.isfinite(res):
                     raise SolveFailure(
                         f"non-finite iterate at stage {stage}, iteration {it}")
+                defect = nehari_defect(psi, p, ws, cur)
                 trace.add_row(kind="iter", stage=stage, p=p, iter=it, value=cur.value,
-                              residual=res, nehari_defect=nehari_defect(psi, p, ws, cur))
+                              residual=res, nehari_defect=defect)
                 if res <= tol:
                     break
-            rho_hat, center, bary, min_psi = _stage_diagnostics(values, ws, monitor_pole)
+            rho_hat, nsq_max, center, bary, min_psi = _stage_diagnostics(
+                values, ws, monitor_pole)
             trace.add_row(kind="stage", stage=stage, p=p, iter=it, value=cur.value,
-                          residual=res, nehari_defect=nehari_defect(psi, p, ws, cur),
+                          residual=res, nehari_defect=defect,
                           rho_hat=rho_hat, bary_x=float(bary[0]),
                           bary_y=float(bary[1]), min_psi=min_psi)
 
             small = rho_hat <= _BLOWUP_SCALE * spacing
             if small and prev_small:
                 center = _local_mass_center(values, p, ws, center, 2.5 * spacing)
-                nsq_max = float(ws.fiber_norm_sq(values).max())
                 q_at = float(ws.Q.evaluate(center[None])[0])
                 rho_at = 1.0 / max(q_at * nsq_max, 1e-300)
                 prof_dist = _bubble_profile_distance(psi, center, rho_at, q_at, ws)

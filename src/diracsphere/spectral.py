@@ -484,9 +484,9 @@ def save_spinor(path, psi: SpectralSpinor) -> None:
                      f"{float(c.real)!r} {float(c.imag)!r}\n")
 
 
-def load_spinor(path, basis: SphereBasis | None = None) -> SpectralSpinor:
-    """Read a coefficient file written by :func:`save_spinor`; ValueError
-    unless it holds each basis row once, with finite values."""
+def load_spinor(path, basis: SphereBasis) -> SpectralSpinor:
+    """Read a coefficient file written by :func:`save_spinor` at ``basis.J``;
+    ValueError unless it holds each basis row once, with finite values."""
     header, rows = {}, {}
     with open(path) as fh:
         for line in filter(None, map(str.strip, fh)):
@@ -502,9 +502,7 @@ def load_spinor(path, basis: SphereBasis | None = None) -> SpectralSpinor:
     if int(header.get("version", "1")) != FORMAT_VERSION or "J" not in header:
         raise ValueError("not a version-1 coefficient file with a J header")
     J = int(header["J"])
-    if basis is None:
-        basis = SphereBasis(J)
-    elif basis.J != J:
+    if basis.J != J:
         raise ValueError(f"file was written at J={J}, basis has J={basis.J}")
     keys = [(ix.j, ix.sigma, ix.deg_index) for ix in basis.indices]
     if rows.keys() != set(keys):

@@ -219,10 +219,10 @@ def test_criterion_7_scal_identity(const_solution, perturbed_solution):
     with criterion(7, "scalar-curvature identity: exact case <= 1e-6, "
                       "perturbed case <= 1e-3 in L1"):
         ws_c, res_c = const_solution
-        rep_c = scal_identity_check(res_c.psi, ws_c, require_solution=False)
+        rep_c = scal_identity_check(res_c.psi, ws_c)
         assert rep_c.l1_residual <= 1e-6
         ws_p, res_p = perturbed_solution
-        rep_p = scal_identity_check(res_p.psi, ws_p, require_solution=False)
+        rep_p = scal_identity_check(res_p.psi, ws_p)
         assert rep_p.l1_residual <= 1e-3
 
 

@@ -273,25 +273,15 @@ def test_generic_curvature_at_j8_exits_0_with_one_small_stage(tmp_path):
 
 def test_solve_builds_no_cap_mass_table(tmp_path, monkeypatch):
     """The monitor reads the sup-norm scale: a J=8 solve never calls
-    ``concentration_profile`` and leaves its grid without the ring-angle
-    table."""
-    from diracsphere import cli, reduction
-
-    built = []
-    build_workspace = cli.build_workspace
-
-    def recording(cfg):
-        built.append(build_workspace(cfg))
-        return built[-1]
+    ``concentration_profile``."""
+    from diracsphere import reduction
 
     def refused(*args, **kwargs):
         raise AssertionError("concentration_profile called by a solve")
 
-    monkeypatch.setattr(cli, "build_workspace", recording)
     monkeypatch.setattr(reduction, "concentration_profile", refused)
     cfg = write_config(tmp_path)
     assert main(["solve", str(cfg), "--output", str(tmp_path / "out")]) == 0
-    assert len(built) == 1 and not hasattr(built[0].grid, "_ring_angles")
 
 
 def _bench_workloads():

@@ -120,9 +120,8 @@ def test_scal_identity_killing(ws8, killing_state):
 def test_scal_negative_control(ws8):
     rng = np.random.default_rng(20)
     psi = ws8.spinor(random_spinor(ws8, rng))
-    with pytest.raises(ValueError):
-        scal_identity_check(psi, ws8)          # not a solution
-    rep = scal_identity_check(psi, ws8, require_solution=False)
+    rep = scal_identity_check(psi, ws8)
+    assert rep.pde_residual > 1e-4             # the report flags a non-solution
     assert rep.l1_residual > 1e-2              # the identity is not an accident
 
 
@@ -272,7 +271,8 @@ def test_median_order_statistics_match_numpy(size):
 
 
 def test_round_sphere_reconstruction(ws8, killing_state):
-    mesh = reconstruct_immersion(killing_state, ws8, subdivisions=4)
+    mesh = reconstruct_immersion(killing_state, ws8, subdivisions=4,
+                                 nodal=nodal_analysis(killing_state, ws8))
     assert mesh.vertices.shape[0] == 2562
     assert mesh.euler_characteristic == 2
     center = mesh.vertices.mean(axis=0)
@@ -421,7 +421,7 @@ def test_immersion_edges_match_weierstrass_increments(perturbed_solution):
     chart B), to 1e-7 of the mesh diameter."""
     ws, result = perturbed_solution
     psi = result.psi
-    mesh = reconstruct_immersion(psi, ws, subdivisions=3)
+    mesh = reconstruct_immersion(psi, ws, subdivisions=3, nodal=nodal_analysis(psi, ws))
     edges = mesh_edges(mesh.faces)
     sphere_v = mesh.sphere_points
     north = (sphere_v[edges[:, 0], 2] >= 0) & (sphere_v[edges[:, 1], 2] >= 0)
@@ -463,8 +463,9 @@ def test_reconstruction_refuses_zero_state(ws8):
     i = next(k for k, ix in enumerate(basis.indices)
              if ix.j == 1 and ix.sigma == 1 and ix.k == 1)
     coeff[i] = 2.0
+    psi = SpectralSpinor(basis, coeff)
     with pytest.raises(ValueError):
-        reconstruct_immersion(SpectralSpinor(basis, coeff), ws8, subdivisions=2)
+        reconstruct_immersion(psi, ws8, subdivisions=2, nodal=nodal_analysis(psi, ws8))
 
 
 def test_cotangent_estimator_on_spheres():
@@ -695,7 +696,8 @@ def test_export_ply_matches_loop_writer(tmp_path):
 
 
 def test_mesh_io_round_trip(tmp_path, ws8, killing_state):
-    mesh = reconstruct_immersion(killing_state, ws8, subdivisions=2)
+    mesh = reconstruct_immersion(killing_state, ws8, subdivisions=2,
+                                 nodal=nodal_analysis(killing_state, ws8))
     obj = tmp_path / "m.obj"
     ply = tmp_path / "m.ply"
     export_obj(obj, mesh)
@@ -726,5 +728,5 @@ def test_scal_identity_caches_no_derivative_tables(ws8):
     synthesis table of its grid."""
     rng = np.random.default_rng(21)
     psi = ws8.spinor(random_spinor(ws8, rng))
-    scal_identity_check(psi, ws8, require_solution=False)
+    scal_identity_check(psi, ws8)
     assert list(ws8.basis._matrix_cache) == [ws8.grid.degree]

@@ -505,7 +505,8 @@ def test_sup_norm_scale_reads_the_bubble_scale():
     rho_hat reads rho back from the peak node (criterion 8's bubbles: J=16,
     degree 72, constant Q); a node misses the peak, so below a few grid
     spacings rho_hat reads high, never low.  The node is the one nearest
-    the centre."""
+    the centre, and the |psi|^2 returned with it is the nodal max, bit for
+    bit (the blow-up branch reads it)."""
     ws = make_workspace(16, degree=72)
     y = np.array([0.6, 0.0, 0.8])
     nearest = ws.grid.xyz[int(np.argmax(ws.grid.xyz @ y))]
@@ -513,8 +514,10 @@ def test_sup_norm_scale_reads_the_bubble_scale():
     for rho, expected in ((0.4, 0.4000), (0.25, 0.2503), (0.15, 0.1549),
                           (0.1, 0.1175)):
         b, _ = bubble_to_sphere(Bubble(center=y, rho=rho), ws.basis)
-        rho_hat, node, _, _ = reduction._stage_diagnostics(
-            ws.synthesize(b.coeff), ws, np.array([0.0, 0.0, -1.0]))
+        values = ws.synthesize(b.coeff)
+        rho_hat, nsq_max, node, _, _ = reduction._stage_diagnostics(
+            values, ws, np.array([0.0, 0.0, -1.0]))
+        assert nsq_max == ws.fiber_norm_sq(values).max()
         assert rho_hat == pytest.approx(expected, abs=5e-4)
         assert rho_hat >= rho * (1 - 1e-4)
         assert np.array_equal(node, nearest)

@@ -359,7 +359,7 @@ def test_coefficient_file_round_trip(tmp_path, ws8):
     psi = ws8.spinor(random_spinor(ws8, rng))
     path = tmp_path / "state.txt"
     save_spinor(path, psi)
-    again = load_spinor(path)
+    again = load_spinor(path, ws8.basis)
     assert again.basis.J == ws8.basis.J
     assert np.array_equal(again.coeff, psi.coeff)
     header = path.read_text().splitlines()[:5]
