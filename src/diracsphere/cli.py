@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import sys
 import time
@@ -37,7 +36,11 @@ from .reduction import (BlowUpDetected, SolveFailure, StagnationDetected,
 from .spectral import (SphereBasis, dirac_eigenvalue, dirac_multiplicity,
                        load_spinor, save_spinor)
 
-log = logging.getLogger("diracsphere")
+
+def _log(level: str, msg: str, *args) -> None:
+    """One ``LEVEL diracsphere: message`` line on the current ``sys.stderr``."""
+    print(f"{level} diracsphere: {msg % args if args else msg}", file=sys.stderr)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,7 +222,7 @@ def hypothesis_report_dict(rep) -> dict:
         return [{"position": p.position, "value": p.value, "kind": p.kind,
                  "hess_eigs": p.hess_eigs} for p in ps]
 
-    return _json_ready({**vars(rep), "max_points": points(rep.max_points),
+    return _json_ready({**rep._asdict(), "max_points": points(rep.max_points),
                         "critical_points": points(rep.critical_points[:64])})
 
 
@@ -250,7 +253,7 @@ def cmd_spectrum(args) -> int:
         err = float(np.abs(G - np.eye(basis.n_basis)).max())
         print(f"# Gram residual at J={basis.J}: {err:.3e}")
         if err > 1e-10:
-            log.error("Gram validation failed")
+            _log("ERROR", "Gram validation failed")
             return EXIT_POSTCONDITION
     return EXIT_OK
 
@@ -276,7 +279,7 @@ def cmd_bubble(args) -> int:
     er = eval_L(psi.coeff, 4.0, ws)
     print(f"sphere energies: int Q|psi|^4 = {er.nonlinear!r}, L(psi) = {er.value!r}")
     if rep.truncation_loss > 0.01:
-        log.warning("truncation loss %.2f%% exceeds 1%%", 100 * rep.truncation_loss)
+        _log("WARNING", "truncation loss %.2f%% exceeds 1%%", 100 * rep.truncation_loss)
     return EXIT_OK
 
 
@@ -290,9 +293,9 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     if not (hyp.constant or hyp.admissible_d is not None):
         msg = "curvature field fails the analytic hypothesis checks"
         if cfg.get("allow_hypothesis_failure", False):
-            log.warning("%s (continuing on explicit override)", msg)
+            _log("WARNING", "%s (continuing on explicit override)", msg)
         else:
-            log.error("%s; set allow_hypothesis_failure to proceed", msg)
+            _log("ERROR", "%s; set allow_hypothesis_failure to proceed", msg)
             report["status"] = "config-error"
             outdir.mkdir(parents=True, exist_ok=True)
             _write_report(outdir, report)
@@ -331,19 +334,19 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
             ws, cfg.get("schedule", DEFAULT_SCHEDULE), init, **options)
     except SolveFailure as exc:
         if isinstance(exc, BlowUpDetected):
-            log.error("blow-up detected: %s", exc)
+            _log("ERROR", "blow-up detected: %s", exc)
             code = EXIT_BLOWUP
             report.update(status="blow-up", blowup=_json_ready({
                 "point": exc.point, "stage_p": exc.stage_p, "rho_hat": exc.rho_hat,
                 "profile_distance": exc.profile_distance,
                 "nearest_critical_point": _nearest_critical(hyp, exc.point)}))
         elif isinstance(exc, StagnationDetected):
-            log.error("stagnation: %s", exc)
+            _log("ERROR", "stagnation: %s", exc)
             code = EXIT_STAGNATION
             report.update(status="stagnation",
                           stagnation={"stage_p": exc.stage_p, "residual": exc.residual})
         else:
-            log.error("solver failure: %s", exc)
+            _log("ERROR", "solver failure: %s", exc)
             code = EXIT_SOLVE_FAILURE
             report.update(status="solve-failure", solve_failure=str(exc))
         exc.trace.to_csv(outdir / "trace.csv", cfg)
@@ -372,11 +375,11 @@ def _solve_pipeline(cfg: dict, outdir: Path) -> int:
     }))
     _write_report(outdir, report)
     if nodal.verdict != "zero-free" or not window_ok:
-        log.error("postcondition failed: nodal=%s window_ok=%s", nodal.verdict,
-                  window_ok)
+        _log("ERROR", "postcondition failed: nodal=%s window_ok=%s", nodal.verdict,
+             window_ok)
         return EXIT_POSTCONDITION
-    log.info("solve finished: residual %.2e, int Q|psi|^4 = %.6f, W = %.6f",
-             result.final_residual, e4, diag["willmore"]["value"])
+    _log("INFO", "solve finished: residual %.2e, int Q|psi|^4 = %.6f, W = %.6f",
+         result.final_residual, e4, diag["willmore"]["value"])
     return EXIT_OK
 
 
@@ -455,9 +458,9 @@ def cmd_immerse(args) -> int:
     with ws.basis._one_off_tables():
         nodal = nodal_analysis(psi, ws)
     if nodal.verdict != "zero-free":
-        log.error("refusing to immerse: nodal verdict '%s' (min |psi| %.3e, "
-                  "bound %.3f); %s", nodal.verdict, nodal.min_psi_grid,
-                  nodal.zero_count_bound, nodal.note)
+        _log("ERROR", "refusing to immerse: nodal verdict '%s' (min |psi| %.3e, "
+             "bound %.3f); %s", nodal.verdict, nodal.min_psi_grid,
+             nodal.zero_count_bound, nodal.note)
         return EXIT_POSTCONDITION
     mesh = reconstruct_immersion(psi, ws, subdivisions=args.subdivisions,
                                  nodal=nodal)
@@ -477,14 +480,12 @@ def cmd_immerse(args) -> int:
     with open(out.with_suffix(out.suffix + ".json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    log.info("wrote %s (%d vertices, H vs Q rel L2 %.3f%%)", out,
-             mesh.vertices.shape[0], 100 * rel_l2)
+    _log("INFO", "wrote %s (%d vertices, H vs Q rel L2 %.3f%%)", out,
+         mesh.vertices.shape[0], 100 * rel_l2)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
     ap = argparse.ArgumentParser(
         prog="diracsphere",
         description="Nonlinear Dirac solver on S^2 with prescribed-mean-"
@@ -527,7 +528,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        log.error("configuration error: %s", exc)
+        _log("ERROR", "configuration error: %s", exc)
         return EXIT_CONFIG
 
 

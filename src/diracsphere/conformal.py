@@ -28,7 +28,7 @@ through the chart centered at y gives the model concentration profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,23 +94,19 @@ def chart_at(y, z) -> tuple[np.ndarray, np.ndarray]:
 # -- bubbles -----------------------------------------------------------------
 
 
-@dataclass
 class Bubble:
     """Closed-form solution of the critical flat Dirac equation, centered at y."""
 
-    center: np.ndarray = field(default_factory=lambda: NORTH.copy())
-    rho: float = 1.0
-    q_center: float = 1.0
-
-    def __post_init__(self):
-        if self.rho <= 0:
+    def __init__(self, center=NORTH, rho: float = 1.0, q_center: float = 1.0):
+        if rho <= 0:
             raise ValueError("bubble scale rho must be positive")
-        if self.q_center <= 0:
+        if q_center <= 0:
             raise ValueError("Q(y) must be positive")
-        center = np.asarray(self.center, dtype=float)
+        center = np.asarray(center, dtype=float)
         # scaled by its largest entry first: the norm of a tiny centre underflows
         center = center / np.abs(center).max()
         self.center = center / np.linalg.norm(center)
+        self.rho, self.q_center = rho, q_center
 
     def component_exprs(self) -> tuple[ChartExpr, ChartExpr]:
         """Components as ChartExpr in the scaled coordinate zeta = z/rho.
@@ -170,8 +166,7 @@ def bubble_energy_flat(rho: float, q_center: float = 1.0) -> tuple[float, float]
     return quad, analytic
 
 
-@dataclass
-class TransportReport:
+class TransportReport(NamedTuple):
     """Book-keeping for a bubble transported into the truncated basis."""
 
     l2_mass_exact: float

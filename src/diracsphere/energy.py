@@ -28,7 +28,7 @@ the same formula.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,8 +125,7 @@ def spherical_harmonic_curvature(coeffs) -> PolynomialCurvature:
 # -- hypothesis (Q) analysis --------------------------------------------------
 
 
-@dataclass
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     position: np.ndarray
     value: float
     grad_norm: float
@@ -134,8 +133,7 @@ class CriticalPoint:
     kind: str  # 'max' | 'min' | 'saddle' | 'degenerate'
 
 
-@dataclass
-class QHypothesisReport:
+class QHypothesisReport(NamedTuple):
     q_max: float
     q_min: float
     half_threshold: float          # 2^{-1/(m-1)} q_max = q_max / 2 on S^2
@@ -198,14 +196,25 @@ def _newton_steps(H2, g2) -> np.ndarray:
 _CRITICAL_STEPS = 80
 
 
+def _distinct_points(points) -> np.ndarray:
+    """The unit vectors of ``points`` farther than 0.03 rad from every kept
+    earlier one, in order: one product with the kept rows per point."""
+    kept, m, near = np.empty_like(points), 0, math.cos(0.03)
+    for x in points:
+        if not (kept[:m] @ x >= near).any():
+            kept[m] = x
+            m += 1
+    return kept[:m]
+
+
 def find_critical_points(Q: PolynomialCurvature):
     """Multi-start sphere Newton for grad Q = 0 from the nodes of the degree-24
     grid; returns (points, all_converged).
 
     One Newton iteration runs over all seeds at once, ``_CRITICAL_STEPS`` at
     most; a seed is frozen once its gradient norm falls below 1e-9.
-    Converged seeds are then deduplicated (points within 0.03 rad of a kept
-    one are dropped) and classified in seed order.
+    Converged seeds are then deduplicated (``_distinct_points``) and
+    classified in seed order.
     """
     xi = QuadratureGrid(degree=24).xyz.copy()
     converged = np.zeros(len(xi), dtype=bool)
@@ -229,12 +238,7 @@ def find_critical_points(Q: PolynomialCurvature):
         step[short] = -0.2 * g2[short] / np.maximum(gn[short], 1e-30)[:, None]
         x = x + step[:, :1] * e1 + step[:, 1:] * e2
         xi[active] = x / np.sqrt(_dot(x, x))[:, None]
-    kept = []
-    for i in np.flatnonzero(converged):
-        cos = _dot(xi[kept], np.tile(xi[i], (len(kept), 1)))
-        if np.all(np.arccos(np.clip(cos, -1, 1)) > 0.03):
-            kept.append(i)
-    pts = xi[kept]
+    pts = _distinct_points(xi[converged])
     vals = Q.evaluate(pts)
     (a, _), (c, d) = intrinsic_hessian(Q, pts).transpose(1, 2, 0)
     mid, r = (a + d) / 2, np.hypot((a - d) / 2, c)  # eigenvalues mid -+ r, lower triangle
@@ -308,20 +312,16 @@ def check_q_hypothesis(Q: PolynomialCurvature) -> QHypothesisReport:
 # -- workspace ----------------------------------------------------------------
 
 
-@dataclass
 class Workspace:
     """Bundles basis, quadrature grid and curvature samples for the solver."""
 
-    basis: SphereBasis
-    grid: QuadratureGrid
-    Q: PolynomialCurvature
-
-    def __post_init__(self):
-        if self.grid.degree < 3 * self.basis.J:
+    def __init__(self, basis: SphereBasis, grid: QuadratureGrid, Q: PolynomialCurvature):
+        if grid.degree < 3 * basis.J:
             raise ValueError(
-                f"grid degree {self.grid.degree} < 3J = {3 * self.basis.J}: "
+                f"grid degree {grid.degree} < 3J = {3 * basis.J}: "
                 "cubic nonlinearity would alias")
-        self.q_nodes = np.asarray(self.Q.evaluate(self.grid.xyz), dtype=float)
+        self.basis, self.grid, self.Q = basis, grid, Q
+        self.q_nodes = np.asarray(Q.evaluate(grid.xyz), dtype=float)
         if not np.all((self.q_nodes > 0) & np.isfinite(self.q_nodes)):
             raise ValueError("curvature field must be positive and finite at "
                              "the nodes")
@@ -352,8 +352,7 @@ def _check_p(p: float):
         raise ValueError(f"exponent p={p} outside (2, 4]")
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     value: float
     grad: np.ndarray        # H^{1/2} Riesz representative, coefficient vector
     nonlinear: float        # A(psi) = integral Q |psi|^p

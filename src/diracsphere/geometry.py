@@ -29,7 +29,7 @@ itself.  Consequences used here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,15 +41,13 @@ from .spectral import SpectralSpinor, _row_matmul, dirac_apply
 # -- nodal analysis -----------------------------------------------------------
 
 
-@dataclass
-class NodalCandidate:
+class NodalCandidate(NamedTuple):
     position: np.ndarray
     value: float                # refined |psi| at the minimum
     vanishing_order: float      # slope fit of log|psi| against log distance
 
 
-@dataclass
-class NodalReport:
+class NodalReport(NamedTuple):
     min_psi_grid: float
     candidates: list
     zero_count_bound: float     # gamma - 1 + int Q^2 |psi|^4 / (4 pi), gamma = 0
@@ -200,8 +198,7 @@ def _vanishing_order(psi, xi, dists):
 # -- scalar curvature identity --------------------------------------------------
 
 
-@dataclass
-class ScalReport:
+class ScalReport(NamedTuple):
     l1_residual: float          # mean of |lhs - rhs| over the sphere
     pde_residual: float         # L2 residual of D psi = Q |psi|^2 psi
 
@@ -401,8 +398,7 @@ def _immersion(psi: SpectralSpinor, xyz) -> tuple[np.ndarray, float]:
             float(np.abs(lap.imag).max() / np.abs(lap.real).max()))
 
 
-@dataclass
-class ImmersionMesh:
+class ImmersionMesh(NamedTuple):
     vertices: np.ndarray
     faces: np.ndarray
     sphere_points: np.ndarray

@@ -18,24 +18,23 @@ Nodes never sit on a pole, so both chart coordinate arrays are finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Gauss-Legendre x uniform-longitude quadrature on S^2."""
 
-    degree: int
-    n_theta: int = field(init=False)
-    n_phi: int = field(init=False)
+    def __init__(self, degree: int):
+        self.degree = degree
+        self.__post_init__()
 
     def __post_init__(self):
+        """Nodes, weights and chart coordinates from ``degree``; a method of
+        its own so the benchmark's tracer can time it (``grid.build``)."""
         if self.degree < 1:
             raise ValueError("grid degree must be >= 1")
-        object.__setattr__(self, "n_theta", (self.degree + 2) // 2)
-        object.__setattr__(self, "n_phi", self.degree + 1)
+        self.n_theta = (self.degree + 2) // 2
+        self.n_phi = self.degree + 1
         # six Newton passes x <- x - P_n/P_n' from cos(pi (i + 3/4) / (n + 1/2)),
         # which already descend in x = cos(theta): theta grows north to south
         n = self.n_theta
@@ -58,13 +57,11 @@ class QuadratureGrid:
         # chart coordinates; tan of half-angles stays finite off the poles
         z_a = np.tan(theta / 2.0) * np.exp(1j * phi_t)
         z_b = np.tan((np.pi - theta) / 2.0) * np.exp(-1j * phi_t)
-        object.__setattr__(self, "weights", wq)
-        object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "chart_a", z_a)
+        self.weights, self.xyz, self.chart_a = wq, xyz, z_a
         # preferred chart per node: A on the closed northern hemisphere
-        object.__setattr__(self, "use_a", cos_t >= 0.0)
-        object.__setattr__(self, "f_pref", np.where(cos_t >= 0.0, 1.0 + cos_t, 1.0 - cos_t))
-        object.__setattr__(self, "z_pref", np.where(cos_t >= 0.0, z_a, z_b))
+        self.use_a = cos_t >= 0.0
+        self.f_pref = np.where(cos_t >= 0.0, 1.0 + cos_t, 1.0 - cos_t)
+        self.z_pref = np.where(cos_t >= 0.0, z_a, z_b)
 
     @property
     def n_nodes(self) -> int:

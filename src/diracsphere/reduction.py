@@ -30,7 +30,7 @@ and serves ``estimate_tau`` and the variational checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .spectral import SpectralSpinor, h_inner, h_norm
 # -- inner problem: maximize over E^- -----------------------------------------
 
 
-@dataclass
-class ReductionResult:
+class ReductionResult(NamedTuple):
     h: np.ndarray               # E^- maximizer coefficients
     psi: np.ndarray             # u + h
     values: np.ndarray          # nodal values of psi (ws.synthesize(psi))
@@ -99,8 +98,7 @@ def reduce_minus(u_coeff, p: float, ws: Workspace, v0=None) -> ReductionResult:
 # -- Nehari projection ---------------------------------------------------------
 
 
-@dataclass
-class NehariState:
+class NehariState(NamedTuple):
     t: float                    # scaling with t u on the Nehari set
     u: np.ndarray               # scaled E^+ coefficients, on N_p
     ray_second_derivative: float  # d^2/dt^2 I_p(t u0) at the root, u0 = u/||u||
@@ -182,8 +180,7 @@ def nehari_defect(u_coeff, p: float, ws: Workspace,
 # -- F_p and tau ----------------------------------------------------------------
 
 
-@dataclass
-class TauEstimate:
+class TauEstimate(NamedTuple):
     values: np.ndarray          # F_p over the sample directions (physical Q)
     values_normalized: np.ndarray
     minimum: float
@@ -303,9 +300,9 @@ class StagnationDetected(SolveFailure):
         self.residual = residual
 
 
-@dataclass
 class SolverTrace:
-    rows: list = field(default_factory=list)
+    def __init__(self):
+        self.rows = []
 
     def add_row(self, **kw):
         self.rows.append(kw)
@@ -328,8 +325,7 @@ class SolverTrace:
                 fh.write(",".join(out) + "\n")
 
 
-@dataclass
-class ContinuationResult:
+class ContinuationResult(NamedTuple):
     psi: SpectralSpinor
     trace: SolverTrace
     final_residual: float

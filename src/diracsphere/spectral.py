@@ -70,7 +70,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,8 +191,7 @@ def _ring_values(grid: QuadratureGrid, modes) -> np.ndarray:
     return vals.transpose(0, 2, 1).reshape(grid.n_nodes, 2)
 
 
-@dataclass(frozen=True)
-class BasisIndex:
+class BasisIndex(NamedTuple):
     """One eigenspinor slot: level j, sign sigma, angular index k in [-(j+1), j]."""
 
     j: int
@@ -438,16 +437,12 @@ class SphereBasis:
         return out[:-1]
 
 
-@dataclass
 class SpectralSpinor:
     """A spinor field as a coefficient vector over a SphereBasis."""
 
-    basis: SphereBasis
-    coeff: np.ndarray
-
-    def __post_init__(self):
-        self.coeff = np.asarray(self.coeff, dtype=complex)
-        if self.coeff.shape != (self.basis.n_basis,):
+    def __init__(self, basis: SphereBasis, coeff):
+        self.basis, self.coeff = basis, np.asarray(coeff, dtype=complex)
+        if self.coeff.shape != (basis.n_basis,):
             raise ValueError("coefficient vector does not match basis size")
 
 

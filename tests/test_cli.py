@@ -47,6 +47,16 @@ def no_large_grid(monkeypatch):
     monkeypatch.setattr(QuadratureGrid, "__post_init__", guarded)
 
 
+def error_messages(capsys) -> list[str]:
+    """The messages of the ``ERROR`` lines the CLI wrote to stderr since the
+    last read.  Every stderr line must be one whole ``LEVEL diracsphere:``
+    message, so a message holds no newline and no traceback follows it."""
+    lines = capsys.readouterr().err.splitlines()
+    levels = tuple(f"{level} diracsphere: " for level in ("INFO", "WARNING", "ERROR"))
+    assert all(line.startswith(levels) for line in lines), lines
+    return [line.removeprefix(levels[2]) for line in lines if line.startswith(levels[2])]
+
+
 def cli_env(**overrides) -> dict:
     """Environment of a fresh CLI process that imports this checkout's package."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
@@ -91,12 +101,12 @@ def test_config_schedule_validation(tmp_path):
     assert main(["solve", str(bad3)]) == 2
 
 
-def test_sph_harm_bad_index_is_config_error(tmp_path, caplog):
+def test_sph_harm_bad_index_is_config_error(tmp_path, capsys):
     """(l, m) = (2, 3) has |m| > l: exit 2 before any compute."""
     bad = write_config(tmp_path, Q={"family": "sph_harm",
                                     "coeffs": [[0, 0, 3.5], [2, 3, 0.1]]})
     assert main(["solve", str(bad)]) == 2
-    assert "|m| <= l" in caplog.text
+    assert "|m| <= l" in capsys.readouterr().err
 
 
 def test_solve_diagnose_immerse_pipeline(tmp_path):
@@ -427,7 +437,7 @@ def _minus_only_state(tmp_path) -> dict:
         "unknown_key", "init_unknown_key", "allow_hypothesis_failure_string",
         "removed_clamp_radius", "removed_blowup_capture", "removed_inner",
         "fixed_blowup_spacing_factor"])
-def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, no_large_grid,
                                                 override):
     """Wrongly typed, unknown or missing config fields, a curvature that is
     not positive at the nodes, a bubble too narrow for a bounded analysis
@@ -439,11 +449,8 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
     bad = write_config(tmp_path, **override)
     for argv in (["solve", str(bad), "--output", str(tmp_path / "out")],
                  ["diagnose", str(tmp_path / "state.txt"), "--config", str(bad)]):
-        caplog.clear()
         assert main(argv) == 2
-        errors = [r for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and errors[0].exc_info is None
-        assert "\n" not in errors[0].getMessage()
+        assert len(error_messages(capsys)) == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -461,19 +468,18 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, caplog, no_large_grid,
       "--out", "mesh.ply", "--subdivisions=-5"], "--subdivisions"),
 ], ids=["rho_zero", "rho_tiny", "q_negative", "J_negative", "zero_center",
         "m_one", "j_max_negative", "stl_out", "subdivisions_negative"])
-def test_bad_argument_exits_2_with_one_line(caplog, no_large_grid, argv, message):
+def test_bad_argument_exits_2_with_one_line(capsys, no_large_grid, argv, message):
     """Out-of-range command-line arguments are configuration errors: exit 2
     with a one-line message naming the argument and no traceback.  The mesh
     format and the subdivision count are checked before the config or the
     state is read, and a bubble scale before its analysis grid is built."""
     assert main(argv) == 2
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
-    assert message in errors[0].getMessage()
-    assert "\n" not in errors[0].getMessage()
+    errors = error_messages(capsys)
+    assert len(errors) == 1
+    assert message in errors[0]
 
 
-def test_stagnation_exits_4_with_report(tmp_path, caplog):
+def test_stagnation_exits_4_with_report(tmp_path, capsys):
     """A stage that cannot reach its tolerance within max_outer iterations
     exits 4 with the stagnation block in report.json, the trace written,
     and one error line."""
@@ -490,8 +496,7 @@ def test_stagnation_exits_4_with_report(tmp_path, caplog):
     assert set(report["stagnation"]) == {"stage_p", "residual"}
     assert report["stagnation"]["residual"] > 1e-13
     assert (out / "trace.csv").read_text().startswith("# diracsphere-trace")
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
+    assert len(error_messages(capsys)) == 1
 
 
 FUZZ_BASE = {
@@ -560,7 +565,7 @@ def test_config_fuzzer_raises_only_config_errors(mutations):
 
 
 @pytest.mark.parametrize("case", ["tol_inner", "huge_state"])
-def test_solver_failure_exits_6_with_report(tmp_path, caplog, monkeypatch, case):
+def test_solver_failure_exits_6_with_report(tmp_path, capsys, monkeypatch, case):
     """A SolveFailure (an inner reduction missing its tolerance, set to 1e-30
     in-process; a non-finite iterate) exits 6 with a report and the trace,
     and no traceback; the non-finite case also in a fresh process, with one
@@ -583,8 +588,7 @@ def test_solver_failure_exits_6_with_report(tmp_path, caplog, monkeypatch, case)
     assert report["solve_failure"].startswith(
         "inner reduction did not reach" if case == "tol_inner" else "non-finite iterate")
     assert (out / "trace.csv").read_text().startswith("# diracsphere-trace")
-    errors = [r for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1 and errors[0].exc_info is None
+    assert len(error_messages(capsys)) == 1
     if case == "tol_inner":
         return
     # in a fresh process stderr holds that one line and no numpy warning
@@ -615,7 +619,7 @@ def _edit_rows(text, edit):
     lambda rows: rows[:1],
     lambda rows: rows[:-1] + rows[:1],
 ], ids=["missing", "nan_row", "one_of_60_rows", "duplicate_row"])
-def test_bad_state_file_exits_2_with_one_line(tmp_path, caplog, edit):
+def test_bad_state_file_exits_2_with_one_line(tmp_path, capsys, edit):
     """A missing or malformed state file, as init.path or as the diagnose
     and immerse argument, is a configuration error: exit 2, one line."""
     from diracsphere.spectral import SphereBasis, SpectralSpinor, save_spinor
@@ -630,12 +634,10 @@ def test_bad_state_file_exits_2_with_one_line(tmp_path, caplog, edit):
                  ["diagnose", str(state), "--config", str(cfg)],
                  ["immerse", str(state), "--config", str(cfg),
                   "--out", str(tmp_path / "m.ply")]):
-        caplog.clear()
         assert main(argv) == 2
-        errors = [r for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1 and errors[0].exc_info is None
-        assert "state.txt" in errors[0].getMessage()
-        assert "\n" not in errors[0].getMessage()
+        errors = error_messages(capsys)
+        assert len(errors) == 1
+        assert "state.txt" in errors[0]
 
 
 def test_determinism_across_blas_threads(tmp_path):

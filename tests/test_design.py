@@ -4,7 +4,6 @@ sets the new value to something other than its default; the line count of
 ``src/`` has a ceiling, lowered as code goes."""
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import json
@@ -20,9 +19,9 @@ from diracsphere.grid import QuadratureGrid
 
 # the modules whose options are counted
 MODULES = ("spectral", "energy", "reduction", "geometry", "conformal", "cli", "grid")
-SETTABLE_OPTIONS = 19
+SETTABLE_OPTIONS = 18
 PUBLIC_NAMES = 32
-SRC_LINES_CEILING = 3082
+SRC_LINES_CEILING = 3061
 
 
 def _defaults(fn):
@@ -32,9 +31,9 @@ def _defaults(fn):
 
 def settable_options() -> list[str]:
     """Every parameter with a default of the modules' functions and of their
-    classes' own methods, plus every dataclass field with a default or a
-    default factory.  A method counts only when its code is in the module's
-    file, so a dataclass's generated ``__init__`` is not counted again."""
+    classes' own methods, plus every NamedTuple field with a default.  A
+    method counts only when its code is in the module's file, so a
+    NamedTuple's generated ``__new__`` is not counted again."""
     found = []
     for name in MODULES:
         mod = importlib.import_module(f"diracsphere.{name}")
@@ -49,10 +48,8 @@ def settable_options() -> list[str]:
                     fn = getattr(fn, "__func__", fn)
                     if inspect.isfunction(fn) and fn.__code__.co_filename == path:
                         found += [f"{name}.{key}.{meth}({p})" for p in _defaults(fn)]
-                if dataclasses.is_dataclass(obj):
-                    found += [f"{name}.{key}.{f.name}" for f in dataclasses.fields(obj)
-                              if f.default is not dataclasses.MISSING
-                              or f.default_factory is not dataclasses.MISSING]
+                if issubclass(obj, tuple):
+                    found += [f"{name}.{key}.{f}" for f in getattr(obj, "_field_defaults", {})]
     return found
 
 
@@ -74,7 +71,7 @@ def test_src_line_count_ceiling():
 
 
 def test_quadrature_grid_keeps_no_lazy_cache():
-    """The frozen grid holds what ``__post_init__`` sets and nothing more:
+    """The grid holds what its build (``__post_init__``) sets and nothing more:
     calling each of its public methods adds no attribute, as a lazy cache
     would."""
     grid = QuadratureGrid(12)
@@ -87,9 +84,10 @@ def test_quadrature_grid_keeps_no_lazy_cache():
     assert set(vars(grid)) == before
 
 
-def test_no_src_module_imports_scipy():
-    """No ``import scipy...`` or ``from scipy... import`` anywhere in a file
-    under ``src/``, imports inside functions included."""
+def _src_imports(tops) -> list[str]:
+    """``file:line`` of every ``import`` or ``from ... import`` in a file
+    under ``src/`` whose top-level module is in ``tops``, imports inside
+    functions included."""
     src = Path(diracsphere.__file__).resolve().parents[1]
     found = []
     for path in sorted(src.rglob("*.py")):
@@ -97,7 +95,20 @@ def test_no_src_module_imports_scipy():
             names = ([a.name for a in node.names] if isinstance(node, ast.Import)
                      else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
             found += [f"{path.name}:{node.lineno}" for n in names
-                      if n.split(".")[0] == "scipy"]
+                      if n.split(".")[0] in tops]
+    return found
+
+
+def test_no_src_module_imports_scipy():
+    found = _src_imports({"scipy"})
+    assert not found, found
+
+
+def test_no_src_module_imports_dataclasses_or_logging():
+    """Records are NamedTuples and the CLI writes its messages to stderr
+    itself: no module pays for ``@dataclass``'s generated code or for
+    importing ``logging``."""
+    found = _src_imports({"dataclasses", "logging"})
     assert not found, found
 
 
@@ -133,9 +144,9 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
     form) or a numpy sort (the icosphere, its edges and the nodal median
     are sort-free).  The process holds no scipy module and, after all of
     them, no ``numpy.ma``, which ``np.median`` and ``np.unique`` import on
-    first use, and no ``numpy.polynomial``: every grid, the flat bubble
+    first use, no ``numpy.polynomial``: every grid, the flat bubble
     energy's included, builds its Gauss-Legendre rule from its own
-    recurrence."""
+    recurrence, and neither ``dataclasses`` nor ``logging``."""
     src = str(Path(diracsphere.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -189,11 +200,12 @@ def test_process_that_refuses_scipy_runs_every_command(tmp_path):
              "    codes += [cli.main(['spectrum', '--j-max', '3']),\n"
              "              cli.main(['bubble', '--J', '8'])]\n"
              "print(codes, polished, loaded(['numpy', 'ma']), loaded(['scipy']),\n"
-             "      loaded(['numpy', 'polynomial']))")
+             "      loaded(['numpy', 'polynomial']), loaded(['dataclasses']),\n"
+             "      loaded(['logging']))")
     run = subprocess.run([sys.executable, "-c", probe, str(cfg), str(tmp_path / "out")],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr[-2000:]
-    assert run.stdout.strip() == "[0, 0, 0, 0, 0] 2 [] [] []"
+    assert run.stdout.strip() == "[0, 0, 0, 0, 0] 2 [] [] [] [] []"
 
 
 def _listed_targets(path: Path, name: str) -> list[tuple[str, str]]:

@@ -580,3 +580,29 @@ def test_batched_critical_search_hessian_calls(perturbed_q, monkeypatch):
     found, ok = find_critical_points(perturbed_q)
     assert ok and found
     assert len(calls) <= max_iter + len(found) + 1
+
+
+@pytest.mark.parametrize("name", [*(f"rotation{k}" for k in range(8)), "generic", "constant"])
+def test_distinct_points_keeps_the_sequential_rules_seeds(name, monkeypatch):
+    """On the converged seeds of the rotated reference Q, the generic Q and a
+    constant Q, the one-product-per-seed filter keeps exactly the seeds of
+    the sequential rule: keep a seed if its angle to every kept one,
+    arccos of the clipped row-wise dot product, exceeds 0.03 rad."""
+    seen, distinct = [], energy._distinct_points
+
+    def recording(points):
+        seen.append((points.copy(), distinct(points)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(energy, "_distinct_points", recording)
+    find_critical_points(PolynomialCurvature(_GENERIC_Q) if name == "generic"
+                         else _ORACLE_QS[name]())
+    [(points, kept)] = seen
+    ref = []
+    for i in range(len(points)):
+        cos = energy._dot(points[ref], np.tile(points[i], (len(ref), 1)))
+        if np.all(np.arccos(np.clip(cos, -1, 1)) > 0.03):
+            ref.append(i)
+    # a constant Q converges at every seed and no two seeds are close
+    assert 0 < len(ref) < len(points) or name == "constant"
+    assert np.array_equal(kept, points[ref])
